@@ -14,7 +14,8 @@ from .elements import (EDGES, GRADIENT, KINDS, Q_MAX, QUAD_FACES,
                        TRIANGULATIONS, VARIANTS_BY_KIND, VERTEX_COUNT,
                        Y_VARIANT, collinear_tetrahedron, f_value, field,
                        field_batch, field_from_triangulations, level0_pyramid,
-                       mean_volume, reference_optimal, triangulations)
+                       mean_volume, mean_volume_batch, reference_optimal,
+                       triangulations)
 from .flow import (FlowDivergenceError, FlowSettings, SingularityClass,
                    Trajectory, classify, integrate, integrate_batch,
                    shape_metrics, singularity_residual, trajectory_to_csv)

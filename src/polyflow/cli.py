@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import elements, flow, mesh as mesh_mod, sampling, spectral
-from .sphere import pi
+from .sphere import DegenerateConfigurationError, pi
 
 EXIT_OK = 0
 EXIT_MAX_ITERS = 2
@@ -152,6 +152,11 @@ def _cmd_smooth(args) -> int:
     except flow.FlowDivergenceError as exc:
         sys.stderr.write(f"divergence: {exc}\n")
         return EXIT_DIVERGENCE
+    except DegenerateConfigurationError as exc:
+        # raised only by the input's quality report; a collapse during
+        # smoothing surfaces as FlowDivergenceError above
+        sys.stderr.write(f"malformed input: {exc}\n")
+        return EXIT_DATA
     if args.output:
         mesh_mod.save_mesh(smoothed, args.output)
     if args.report:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chains import nu, tet_signed_volume
+from .chains import nu
 from .sphere import pi as _pi
 
 KINDS = ("tetrahedron", "pyramid", "prism", "hexahedron", "octahedron")
@@ -108,24 +108,36 @@ _FIELD_TERMS = {
 }
 
 
-def _compile(key):
-    """Flatten a field table into (I, J, S) for vectorized evaluation.
+# Component offsets (y, z, x) and (z, x, y) within one vertex's (x, y, z).
+_YZX = np.array([[1], [2], [0]])
+_ZXY = np.array([[2], [0], [1]])
 
-    field(p) = S @ cross(p[I], p[J]) row-for-row per vertex.
+
+def _compile(key):
+    """Fold a field table onto distinct vertex pairs.
+
+    Each term ``coeff * nu(p, loop)`` expands to the cross products of
+    consecutive loop vertices.  With a x b = -(b x a) and a x a = 0 these
+    fold onto K unordered pairs (I[k], J[k]) with I[k] < J[k], so that
+    ``field(p)[v] = sum_k S[v, k] * (p[I[k]] x p[J[k]])``.  Returns the
+    (3, K) gather indices into the flattened configuration for both
+    products of each cross-product component, and the (n, K) matrix S.
     """
     pref, rows = _FIELD_TERMS[key]
-    i_idx, j_idx, entries = [], [], []
+    coeffs = {}  # (i, j), 0-based with i < j -> integer coefficient per vertex
     for vi, terms in enumerate(rows):
         for coeff, loop in terms:
-            k = len(loop)
-            for t in range(k):
-                i_idx.append(loop[t] - 1)
-                j_idx.append(loop[(t + 1) % k] - 1)
-                entries.append((vi, coeff))
-    S = np.zeros((len(rows), len(i_idx)))
-    for col, (vi, coeff) in enumerate(entries):
-        S[vi, col] = coeff * pref
-    return np.array(i_idx), np.array(j_idx), S
+            for a, b in zip(loop, loop[1:] + loop[:1]):
+                if a != b:
+                    row = coeffs.setdefault((min(a, b) - 1, max(a, b) - 1),
+                                            [0] * len(rows))
+                    row[vi] += coeff if a < b else -coeff
+    pairs = sorted(pair for pair, row in coeffs.items() if any(row))
+    S = pref * np.array([coeffs[pair] for pair in pairs], dtype=float).T
+    # Offsets into the flattened (3n,) configuration: component c of
+    # p_i x p_j is p_i[c+1] p_j[c+2] - p_i[c+2] p_j[c+1] (indices mod 3).
+    I, J = (3 * np.array(side) for side in zip(*pairs))
+    return (I + _YZX, J + _ZXY, I + _ZXY, J + _YZX), S
 
 
 _COMPILED = {key: _compile(key) for key in _FIELD_TERMS}
@@ -161,17 +173,20 @@ def field(kind: str, variant: str, p) -> np.ndarray:
         Per-vertex tangent vectors.  Rows always sum to zero, the field
         is translation invariant, and scales quadratically.
     """
-    p = _check(kind, variant, p)
-    I, J, S = _COMPILED[kind, variant]
-    return S @ np.cross(p[I], p[J])
+    return field_batch(kind, variant, _check(kind, variant, p)[None])[0]
 
 
 def field_batch(kind: str, variant: str, P) -> np.ndarray:
-    """Evaluate the field on a batch of configurations, shape (B, n, 3)."""
+    """Evaluate the field on a batch of configurations, shape (B, n, 3).
+
+    The cross products of the folded vertex pairs are formed component
+    by component, then contracted with the table as ``(B, 3, K) @ S.T``.
+    """
     P = np.asarray(P, dtype=float)
-    I, J, S = _COMPILED[kind, variant]
-    C = np.cross(P[:, I], P[:, J])
-    return np.einsum("vk,bkc->bvc", S, C)
+    (li, lj, ri, rj), S = _COMPILED[kind, variant]
+    Q = P.reshape(P.shape[:-2] + (-1,))
+    C = Q[..., li] * Q[..., lj] - Q[..., ri] * Q[..., rj]  # (B, 3, K)
+    return np.swapaxes(C @ S.T, -1, -2)
 
 
 def f_value(kind: str, variant: str, p) -> float:
@@ -231,12 +246,39 @@ def mean_volume(kind: str, p) -> float:
     gradient of ``6 * mean_volume(kind, p)`` for every kind.
     """
     p = _check(kind, VARIANTS_BY_KIND[kind][0], p)
+    return float(mean_volume_batch(kind, p[None])[0])
+
+
+def _compile_volume(kind):
+    """Flatten a triangulation table into 0-based tet corners and one weight.
+
+    The weight folds the 1/6 of each tet volume, the average over the
+    table's triangulations, and its scalar normalization.
+    """
     tables, scale = TRIANGULATIONS[kind]
-    total = 0.0
-    for table in tables:
-        total += sum(tet_signed_volume(p[a - 1], p[b - 1], p[c - 1], p[d - 1])
-                     for a, b, c, d in table)
-    return scale * total / len(tables)
+    tets = np.array([tet for table in tables for tet in table]) - 1
+    return tets.T, scale / (6.0 * len(tables))
+
+
+_VOLUMES = {kind: _compile_volume(kind) for kind in KINDS}
+
+
+def mean_volume_batch(kind: str, P) -> np.ndarray:
+    """Signed mean volume of a batch of configurations, (B, n, 3) -> (B,).
+
+    One determinant per tet of the compiled triangulations, formed
+    component by component as (b - a) x (c - a) . (d - a), summed with
+    the table's weight.
+    """
+    P = np.asarray(P, dtype=float)
+    (a, b, c, d), weight = _VOLUMES[kind]
+    o = P[..., a, :]
+    ux, uy, uz = np.moveaxis(P[..., b, :] - o, -1, 0)
+    vx, vy, vz = np.moveaxis(P[..., c, :] - o, -1, 0)
+    wx, wy, wz = np.moveaxis(P[..., d, :] - o, -1, 0)
+    det = ((uy * vz - uz * vy) * wx + (uz * vx - ux * vz) * wy
+           + (ux * vy - uy * vx) * wz)
+    return weight * det.sum(axis=-1)
 
 
 _TET_ROWS = [(1, (4, 3, 2)), (1, (4, 1, 3)), (1, (4, 2, 1)), (1, (1, 2, 3))]

@@ -210,13 +210,8 @@ def integrate_batch(kind: str, variant: str, P0,
     halvings = 0
     breaks = 0
 
-    def _tau_b(A):
-        out = A - A[:, -1:, :]
-        out[:, -1, :] = 0.0
-        return out
-
     for it in range(settings.max_iters + 1):
-        T = _tau_b(X)
+        T = tau(X)
         lam = np.einsum("bvc,bvc->b", T, P)
         R = T - lam[:, None, None] * P
         residual = np.sqrt(np.einsum("bvc,bvc->b", R, R))
@@ -231,14 +226,8 @@ def integrate_batch(kind: str, variant: str, P0,
             iters[~done] = it
             break
         act = np.flatnonzero(~done)
-        Xa = X[act]
-        if settings.normalization == "psi":
-            nX = np.sqrt(np.einsum("bvc,bvc->b", Xa, Xa))
-            scale = np.where(nX > 0, 1.0 / np.sqrt(np.where(nX > 0, nX, 1.0)), 0.0)
-            W = Xa * scale[:, None, None]
-        else:
-            W = Xa
-        TW = _tau_b(W)
+        W = psi(X[act]) if settings.normalization == "psi" else X[act]
+        TW = tau(W)
         Pa = P[act]
         V = TW - np.einsum("bvc,bvc->b", TW, Pa)[:, None, None] * Pa
         s = np.full(act.size, settings.step)
@@ -251,7 +240,7 @@ def integrate_batch(kind: str, variant: str, P0,
         giveup = []
         firstQ = firstX = firstF = None
         for h in range(MAX_HALVINGS_PER_STEP + 1):
-            cand = _tau_b(Pa[pend] + s[pend, None, None] * V[pend])
+            cand = tau(Pa[pend] + s[pend, None, None] * V[pend])
             cand /= np.sqrt(np.einsum("bvc,bvc->b", cand, cand))[:, None, None]
             Xc = elements.field_batch(kind, variant, cand)
             Fc = np.einsum("bvc,bvc->b", Xc, cand)

@@ -11,16 +11,17 @@ and scale control comes from the per-element square-root rescaling.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from . import elements as el
 from .flow import FlowDivergenceError, FlowSettings
-from .sphere import DegenerateConfigurationError, pi, psi
+from .sphere import DegenerateConfigurationError, psi, tau
 
 
 class MeshFormatError(ValueError):
@@ -34,45 +35,67 @@ class MeshFormatError(ValueError):
         self.column = column
 
 
+def _index(i, what: str, n: int) -> int:
+    """Validate one vertex index: an int or numpy integer (not a bool) in 0..n-1."""
+    if type(i) is not int:  # the common case skips the slower isinstance test
+        if not isinstance(i, np.integer):
+            raise MeshFormatError(f"{what} {i!r} is not an integer")
+        i = int(i)
+    if not 0 <= i < n:
+        raise MeshFormatError(f"{what} {i} out of range")
+    return i
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Vertex pool, typed elements, and immobile vertex set.
 
     ``elements`` holds (kind, nodes) pairs with 0-based node indices in
     canonical order; ``fixed`` is a frozenset of 0-based vertex indices.
+    ``groups`` holds, per kind present, the (E, n) node-index array of
+    its elements and their (E,) positions in ``elements``; the batched
+    smoother and quality report run one pass per group.
     """
 
     vertices: np.ndarray
     elements: tuple
     fixed: frozenset
+    groups: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshFormatError("vertices must be an (n, 3) array")
         object.__setattr__(self, "vertices", v)
-        elems = []
+        elems, by_kind = [], {}
         for k, (kind, nodes) in enumerate(self.elements):
             if kind not in el.KINDS:
                 raise MeshFormatError(f"elements[{k}]: unknown type {kind!r}")
-            nodes = tuple(int(i) for i in nodes)
+            label = f"elements[{k}]: node index"
+            nodes = tuple([_index(i, label, len(v)) for i in nodes])
             if len(nodes) != el.VERTEX_COUNT[kind]:
                 raise MeshFormatError(
                     f"elements[{k}]: {kind} needs {el.VERTEX_COUNT[kind]} nodes, "
                     f"got {len(nodes)}")
-            for i in nodes:
-                if not 0 <= i < len(v):
-                    raise MeshFormatError(f"elements[{k}]: node index {i} out of range")
             elems.append((kind, nodes))
+            by_kind.setdefault(kind, []).append(k)
         object.__setattr__(self, "elements", tuple(elems))
-        fixed = frozenset(int(i) for i in self.fixed)
-        for i in fixed:
-            if not 0 <= i < len(v):
-                raise MeshFormatError(f"fixed vertex index {i} out of range")
+        fixed = frozenset(_index(i, "fixed vertex index", len(v)) for i in self.fixed)
         object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "groups", tuple(
+            (kind, np.array([elems[k][1] for k in pos], dtype=np.intp),
+             np.array(pos, dtype=np.intp))
+            for kind, pos in by_kind.items()))
 
     def with_vertices(self, vertices) -> "Mesh":
-        return replace(self, vertices=np.asarray(vertices, dtype=float))
+        """The same elements and fixed set over new positions of the same vertices."""
+        v = np.asarray(vertices, dtype=float)
+        if v.shape != self.vertices.shape:
+            raise MeshFormatError(
+                f"vertices must keep shape {self.vertices.shape}, got {v.shape}")
+        out = copy.copy(self)
+        object.__setattr__(out, "vertices", v)
+        return out
 
 
 @dataclass(frozen=True)
@@ -87,30 +110,58 @@ class QualityReport:
     inverted_count: int
 
 
+def _volume_pass(m: Mesh):
+    """Per element, in element order: raw mean volume V and |tau(p)|.
+
+    One batched volume evaluation per kind, on the pinned
+    configurations tau(p); the volume is translation invariant.
+    """
+    volume = np.empty(len(m.elements))
+    norm = np.empty(len(m.elements))
+    for kind, nodes, pos in m.groups:
+        T = tau(m.vertices[nodes])
+        volume[pos] = el.mean_volume_batch(kind, T)
+        norm[pos] = np.sqrt((T * T).sum(axis=(-2, -1)))
+    return volume, norm
+
+
 def mesh_mean_volume(m: Mesh) -> float:
     """Sum of element mean volumes (signed; additive over elements)."""
-    return float(sum(el.mean_volume(kind, m.vertices[list(nodes)])
-                     for kind, nodes in m.elements))
+    return float(_volume_pass(m)[0].sum())
 
 
 def quality_report(m: Mesh) -> QualityReport:
     """Normalized per-element quality: mean volume on N over the kind's ceiling.
 
     q = 1 at the optimal shape, q < 0 for inverted elements; the
-    ``inverted_count`` counts q < 0.
+    ``inverted_count`` counts q < 0.  The volume is cubic and
+    translation invariant, so the mean volume of pi(p) is
+    V(p) / |tau(p)|^3.
+
+    Raises
+    ------
+    DegenerateConfigurationError
+        Naming the first element whose q is not finite: its vertices all
+        coincide, or its coordinates or volume are not finite.
     """
-    qs = []
-    for kind, nodes in m.elements:
-        p = m.vertices[list(nodes)]
-        qs.append(el.mean_volume(kind, pi(p)) / el.Q_MAX[kind])
-    qs = tuple(float(q) for q in qs)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        volume, norm = _volume_pass(m)
+        q = volume / norm ** 3
+    bad = np.flatnonzero(~np.isfinite(q))
+    if bad.size:
+        k = int(bad[0])
+        reason = ("all vertices coincide" if norm[k] == 0.0
+                  else "non-finite coordinates or volume")
+        raise DegenerateConfigurationError(f"element {k}: {reason}")
+    for kind, _, pos in m.groups:
+        q[pos] /= el.Q_MAX[kind]
     return QualityReport(
-        per_element_q=qs,
-        mesh_mean_volume=mesh_mean_volume(m),
-        min_q=min(qs),
-        mean_q=float(np.mean(qs)),
-        max_q=max(qs),
-        inverted_count=sum(1 for q in qs if q < 0),
+        per_element_q=tuple(q.tolist()),
+        mesh_mean_volume=float(volume.sum()),
+        min_q=float(q.min()),
+        mean_q=float(np.mean(q)),
+        max_q=float(q.max()),
+        inverted_count=int((q < 0).sum()),
     )
 
 
@@ -125,13 +176,15 @@ def smooth_step(m: Mesh, settings: FlowSettings = FlowSettings()) -> Mesh:
     """
     acc = np.zeros_like(m.vertices)
     count = np.zeros(len(m.vertices))
-    for kind, nodes in m.elements:
-        idx = list(nodes)
-        F = el.field(kind, el.GRADIENT, m.vertices[idx])
+    for kind, nodes, _ in m.groups:
+        F = el.field_batch(kind, el.GRADIENT, m.vertices[nodes])
         if settings.normalization == "psi":
             F = psi(F)
-        acc[idx] += F
-        count[idx] += 1
+        flat = nodes.ravel()
+        for c in range(3):
+            acc[:, c] += np.bincount(flat, weights=F[..., c].ravel(),
+                                     minlength=len(acc))
+        count += np.bincount(flat, minlength=len(count))
     count[count == 0] = 1.0
     shift = settings.step * acc / count[:, None]
     out = m.vertices.copy()
@@ -193,12 +246,16 @@ def mesh_from_dict(data) -> Mesh:
             raise MeshFormatError(f"elements[{k}] must have 'type' and 'nodes'")
         if entry["type"] not in _KIND_SET:
             raise MeshFormatError(f"elements[{k}]: unknown type {entry['type']!r}")
+        if not isinstance(entry["nodes"], list):
+            raise MeshFormatError(
+                f"elements[{k}]: nodes must be a list of vertex indices")
         elems.append((entry["type"], tuple(entry["nodes"])))
     fixed = data.get("fixed", [])
     if not isinstance(fixed, list):
         raise MeshFormatError("fixed must be a list of vertex indices")
+    # Mesh validates each index (JSON integers only) before building the set.
     return Mesh(vertices=np.array(verts, dtype=float),
-                elements=tuple(elems), fixed=frozenset(fixed))
+                elements=tuple(elems), fixed=tuple(fixed))
 
 
 def load_mesh(path) -> Mesh:

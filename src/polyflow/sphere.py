@@ -19,11 +19,12 @@ class DegenerateConfigurationError(ValueError):
 def tau(p) -> np.ndarray:
     """Translate so the last vertex sits exactly at the origin.
 
-    Returns ``(p_1 - p_n, ..., p_{n-1} - p_n, 0)``.
+    Returns ``(p_1 - p_n, ..., p_{n-1} - p_n, 0)``.  Acts on the trailing
+    ``(n, 3)`` axes, so ``p`` may carry leading batch axes.
     """
     p = np.asarray(p, dtype=float)
-    out = p - p[-1]
-    out[-1] = 0.0
+    out = p - p[..., -1:, :]
+    out[..., -1, :] = 0.0
     return out
 
 
@@ -72,12 +73,12 @@ def psi(v) -> np.ndarray:
 
     Preserves direction; makes homogeneous-quadratic fields scale
     linearly so that flow speed is uniform across representative scale.
+    The norm is taken over the trailing ``(n, 3)`` axes, so each entry
+    of a leading batch shape is rescaled by its own norm.
     """
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        return np.zeros_like(v)
-    return v / np.sqrt(n)
+    root = np.sqrt(np.sqrt((v * v).sum(axis=(-2, -1), keepdims=True)))
+    return np.divide(v, root, out=np.zeros_like(v), where=root != 0.0)
 
 
 def is_collinear(p, tol: float = 1e-9) -> bool:

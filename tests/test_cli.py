@@ -160,6 +160,44 @@ class TestSmooth:
         assert rc == 65
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nodes,fixed,needle", [
+        ([0, 1, 2.7, 3], [], "2.7"),
+        ("0123", [], "nodes"),
+        ([0, 1, 2, 3], [True], "True"),
+    ])
+    def test_non_integer_indices(self, capsys, tmp_path, nodes, fixed, needle):
+        path = tmp_path / "mesh.json"
+        path.write_text(json.dumps({
+            "vertices": pf.reference_optimal("tetrahedron").tolist(),
+            "elements": [{"type": "tetrahedron", "nodes": nodes}],
+            "fixed": fixed}))
+        rc = cli.main(["smooth", "--input", str(path)])
+        assert rc == 65
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input:") and needle in err
+
+    @pytest.mark.parametrize("bad_vertex", [[0.0, 0.0, 0.0], [float("nan"), 0.0, 0.0]])
+    def test_degenerate_input_element(self, capsys, tmp_path, bad_vertex):
+        # element 1 collapses to a point, or carries a non-finite coordinate
+        v = np.vstack([pf.reference_optimal("tetrahedron"), np.zeros((3, 3)),
+                       [bad_vertex]])
+        path = tmp_path / "mesh.json"
+        pf.save_mesh(pf.Mesh(vertices=v,
+                             elements=(("tetrahedron", (0, 1, 2, 3)),
+                                       ("tetrahedron", (4, 5, 6, 7))),
+                             fixed=frozenset()), path)
+        rc = cli.main(["smooth", "--input", str(path)])
+        assert rc == 65
+        err = capsys.readouterr().err
+        assert "element 1" in err and len(err.splitlines()) == 1
+
+    def test_divergence_during_smoothing(self, capsys, tmp_path, perturbed_cube_mesh):
+        # the input is sound; the first sweep's volumes overflow
+        rc = cli.main(["smooth", "--input", str(perturbed_cube_mesh),
+                       "--step", "1e150"])
+        assert rc == 3
+        assert "divergence" in capsys.readouterr().err
+
 
 class TestSpectrum:
     def test_optimal_tetrahedron(self, capsys):

@@ -84,6 +84,27 @@ def test_field_batch_matches_single(rng, kind, variant):
 
 
 @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+def test_batch_kernels_match_oracles(rng, kind, variant):
+    # the pair-folded kernels against the independent per-configuration
+    # oracles: triangulation assembly for gradient fields, and a
+    # tet_signed_volume loop over the triangulation tables for volumes
+    P = rng.normal(size=(64, pf.VERTEX_COUNT[kind], 3))
+    F = pf.field_batch(kind, variant, P)
+    V = pf.mean_volume_batch(kind, P)
+    tables, scale = pf.TRIANGULATIONS[kind]
+    for b, p in enumerate(P):
+        atol = 1e-12 * max(1.0, float(np.abs(F[b]).max()))
+        assert np.allclose(F[b], pf.field(kind, variant, p), rtol=0.0, atol=atol)
+        if variant == pf.GRADIENT:
+            assert np.allclose(F[b], pf.field_from_triangulations(kind, p),
+                               rtol=0.0, atol=atol)
+        loop = scale * sum(pf.tet_signed_volume(*(p[i - 1] for i in tet))
+                           for table in tables for tet in table) / len(tables)
+        assert V[b] == pytest.approx(loop, rel=1e-12, abs=1e-14)
+        assert pf.mean_volume(kind, p) == pytest.approx(V[b], rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind,variant", ALL_PAIRS)
 def test_field_translation_invariant(rng, kind, variant):
     p = rng.normal(size=(pf.VERTEX_COUNT[kind], 3))
     c = rng.normal(size=3)

@@ -1,6 +1,7 @@
 """Tests for mesh containers, quality reporting, smoothing, and mesh JSON."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,48 @@ def _mmv_of_projected(m):
     return pf.mesh_mean_volume(m.with_vertices(pf.pi(m.vertices)))
 
 
+def _mixed_mesh():
+    # all five kinds around a unit cube, sharing vertices, in an element
+    # order that interleaves the kinds; jittered so no field is symmetric
+    v = np.array([
+        [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+        [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1],
+        [0.5, 0.5, 1.7], [2, 0.5, 0], [2, 0.5, 1], [-0.8, 0.4, 0.4],
+        [0, 0, -1.4], [0.7, 0, -0.7], [0, 0.7, -0.7], [-0.7, 0, -0.7],
+        [0, -0.7, -0.7], [0.5, 1.8, 0.5],
+    ], float)
+    v += np.random.default_rng(7).uniform(-0.08, 0.08, v.shape)
+    elements = (("hexahedron", (0, 1, 2, 3, 4, 5, 6, 7)),
+                ("tetrahedron", (0, 4, 3, 11)),
+                ("pyramid", (4, 5, 6, 7, 8)),
+                ("prism", (1, 9, 2, 5, 10, 6)),
+                ("octahedron", (0, 13, 14, 15, 16, 12)),
+                ("tetrahedron", (2, 3, 7, 17)))
+    return pf.Mesh(vertices=v, elements=elements, fixed=frozenset({1, 8, 12, 15}))
+
+
+def _hex_grid(cells, jitter, seed):
+    # structured grid, canonical hexahedron numbering, boundary fixed
+    m = cells + 1
+    k, j, i = np.meshgrid(range(m), range(m), range(m), indexing="ij")
+    v = np.stack([i, j, k], axis=-1).reshape(-1, 3).astype(float)
+    boundary = (v.min(axis=1) == 0) | (v.max(axis=1) == cells)
+    rng = np.random.default_rng(seed)
+    v[~boundary] += rng.uniform(-jitter, jitter, (int((~boundary).sum()), 3))
+    c = np.arange(m ** 3).reshape(m, m, m)[:-1, :-1, :-1].ravel()
+    bottom = [c, c + 1, c + 1 + m, c + m]
+    nodes = np.stack(bottom + [b + m * m for b in bottom], axis=1)
+    return pf.Mesh(vertices=v,
+                   elements=tuple(("hexahedron", tuple(row)) for row in nodes.tolist()),
+                   fixed=frozenset(np.flatnonzero(boundary).tolist()))
+
+
+def _loop_mean_volume(kind, p):
+    tables, scale = pf.TRIANGULATIONS[kind]
+    return scale * sum(pf.tet_signed_volume(*(p[i - 1] for i in tet))
+                       for table in tables for tet in table) / len(tables)
+
+
 class TestMeshContainer:
     def test_validation_errors(self):
         v = np.zeros((4, 3))
@@ -51,6 +94,19 @@ class TestMeshContainer:
         m2 = m.with_vertices(m.vertices + 1.0)
         assert m2.elements == m.elements
         assert m2.fixed == m.fixed
+
+    @pytest.mark.parametrize("nodes,fixed", [
+        ([0, 1, 2.7, 3], []),
+        ("0123", []),
+        ([0, 1, 2, 3], [True]),
+        ([0, 1, 2, 3], [0.0]),
+    ])
+    def test_indices_must_be_json_integers(self, nodes, fixed):
+        data = {"vertices": np.eye(4, 3).tolist(),
+                "elements": [{"type": "tetrahedron", "nodes": nodes}],
+                "fixed": fixed}
+        with pytest.raises(pf.MeshFormatError, match="integer|list"):
+            pf.mesh_from_dict(data)
 
 
 class TestMeshMeanVolume:
@@ -177,6 +233,56 @@ class TestSmoothStep:
         before = _mmv_of_projected(m)
         after = _mmv_of_projected(pf.smooth_step(m, pf.FlowSettings(step=1e-3)))
         assert after > before
+
+
+class TestMixedKinds:
+    """Batched per-kind passes against a per-element reference loop."""
+
+    def test_smooth_step_matches_element_loop(self):
+        m = _mixed_mesh()
+        step = 0.05
+        acc = np.zeros_like(m.vertices)
+        count = np.zeros(len(m.vertices))
+        for kind, nodes in m.elements:
+            idx = list(nodes)
+            acc[idx] += pf.psi(pf.field(kind, pf.GRADIENT, m.vertices[idx]))
+            count[idx] += 1
+        free = np.array([i not in m.fixed for i in range(len(m.vertices))])
+        expected = m.vertices.copy()
+        expected[free] += step * acc[free] / count[free, None]
+        out = pf.smooth_step(m, pf.FlowSettings(step=step)).vertices
+        assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
+        for i in m.fixed:
+            assert out[i].tobytes() == m.vertices[i].tobytes()
+
+    def test_quality_report_matches_element_loop(self):
+        m = _mixed_mesh()
+        qs = [_loop_mean_volume(kind, pf.pi(m.vertices[list(nodes)])) / pf.Q_MAX[kind]
+              for kind, nodes in m.elements]
+        mmv = sum(_loop_mean_volume(kind, m.vertices[list(nodes)])
+                  for kind, nodes in m.elements)
+        rep = pf.quality_report(m)
+        assert len(rep.per_element_q) == len(qs)
+        for got, want in zip(rep.per_element_q, qs):
+            assert abs(got - want) <= 1e-14 * abs(want)
+        assert abs(rep.mesh_mean_volume - mmv) <= 1e-14 * abs(mmv)
+        assert abs(pf.mesh_mean_volume(m) - mmv) <= 1e-14 * abs(mmv)
+        assert rep.min_q == min(rep.per_element_q)
+        assert rep.max_q == max(rep.per_element_q)
+
+
+def test_sweep_memory_peak():
+    # One sweep and one report on a jittered 8^3 hex grid allocate per
+    # kind, not per element; the pair-folded kernels peak at about
+    # 1.3 MB, where np.cross over unfolded pairs needs about 5 MB.
+    m = _hex_grid(8, jitter=0.2, seed=3)
+    tracemalloc.start()
+    try:
+        pf.quality_report(pf.smooth_step(m, pf.FlowSettings()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 class TestSmooth:

@@ -13,6 +13,8 @@ def test_tau_pins_last_vertex():
     assert np.allclose(pf.tau(p), [[-1, -1, -1], [0, 0, 0]])
     q = np.array([[1.0, 2, 3], [0, 0, 0]])
     assert np.array_equal(pf.tau(q), q)
+    batch = np.stack([p, q, 2.0 * p])
+    assert np.array_equal(pf.tau(batch), [pf.tau(b) for b in batch])
 
 
 def test_sigma_normalizes():
@@ -78,6 +80,9 @@ def test_psi_cases(rng):
     assert np.allclose(pf.psi(np.zeros((4, 3))), 0.0)
     t = 1.7
     assert np.allclose(pf.psi(t * t * v), t * pf.psi(v), atol=1e-12)
+    # each entry of a leading batch shape is rescaled by its own norm
+    batch = np.stack([v, np.zeros((4, 3)), 9.0 * v]).reshape(3, 1, 4, 3)
+    assert np.allclose(pf.psi(batch)[:, 0], [v / 2.0, np.zeros((4, 3)), 1.5 * v])
 
 
 def test_is_collinear():
