@@ -95,14 +95,19 @@ def _load_configuration(path, kind) -> np.ndarray:
         if len(m.elements) != 1 or m.elements[0][0] != kind:
             raise mesh_mod.MeshFormatError(
                 f"expected a single {kind} element in {path}")
-        return m.vertices[list(m.elements[0][1])]
-    if isinstance(data, dict) and "vertices" in data:
+        p = m.vertices[list(m.elements[0][1])]
+    elif isinstance(data, dict) and "vertices" in data:
         p = np.asarray(data["vertices"], dtype=float)
     else:
         raise mesh_mod.MeshFormatError("configuration JSON needs a 'vertices' key")
     if p.shape != (elements.VERTEX_COUNT[kind], 3):
         raise mesh_mod.MeshFormatError(
             f"{kind} expects {elements.VERTEX_COUNT[kind]} vertices, got {p.shape}")
+    # a configuration with no representative on the sphere
+    if not np.all(np.isfinite(p)):
+        raise mesh_mod.MeshFormatError("vertex coordinates must be finite")
+    if np.all(p == p[-1]):
+        raise mesh_mod.MeshFormatError("all vertices coincide")
     return p
 
 
@@ -195,7 +200,7 @@ def _cmd_spectrum(parser, args) -> int:
     spec = spectral.hessian_spectrum(args.type, variant, p)
     print(spec.to_json())
     if args.at == "collinear":
-        pos, neg = spectral.collinear_signature(p)
+        pos, neg = spec.signature()
         print(json.dumps({"positive": pos, "negative": neg}))
     return EXIT_OK
 

@@ -120,8 +120,7 @@ def _compile(key):
     consecutive loop vertices.  With a x b = -(b x a) and a x a = 0 these
     fold onto K unordered pairs (I[k], J[k]) with I[k] < J[k], so that
     ``field(p)[v] = sum_k S[v, k] * (p[I[k]] x p[J[k]])``.  Returns the
-    (3, K) gather indices into the flattened configuration for both
-    products of each cross-product component, and the (n, K) matrix S.
+    0-based vertex indices I and J, shape (K,), and the (n, K) matrix S.
     """
     pref, rows = _FIELD_TERMS[key]
     coeffs = {}  # (i, j), 0-based with i < j -> integer coefficient per vertex
@@ -134,13 +133,17 @@ def _compile(key):
                     row[vi] += coeff if a < b else -coeff
     pairs = sorted(pair for pair, row in coeffs.items() if any(row))
     S = pref * np.array([coeffs[pair] for pair in pairs], dtype=float).T
-    # Offsets into the flattened (3n,) configuration: component c of
-    # p_i x p_j is p_i[c+1] p_j[c+2] - p_i[c+2] p_j[c+1] (indices mod 3).
-    I, J = (3 * np.array(side) for side in zip(*pairs))
-    return (I + _YZX, J + _ZXY, I + _ZXY, J + _YZX), S
+    I, J = (np.array(side) for side in zip(*pairs))
+    return I, J, S
 
 
-_COMPILED = {key: _compile(key) for key in _FIELD_TERMS}
+# Per (kind, variant): the folded table (I, J, S) of ``_compile``.
+FIELD_PAIRS = {key: _compile(key) for key in _FIELD_TERMS}
+# The same tables as (3, K) gather offsets into the flattened (3n,)
+# configuration: component c of p_i x p_j is p_i[c+1] p_j[c+2] -
+# p_i[c+2] p_j[c+1] (indices mod 3).
+_COMPILED = {key: ((3 * I + _YZX, 3 * J + _ZXY, 3 * I + _ZXY, 3 * J + _YZX), S)
+             for key, (I, J, S) in FIELD_PAIRS.items()}
 
 
 def _check(kind: str, variant: str, p) -> np.ndarray:
@@ -200,36 +203,35 @@ def f_value(kind: str, variant: str, p) -> float:
 
 
 # Triangulation tables: per kind, a tuple of triangulations, each a tuple
-# of positively oriented 4-tuples of 1-based vertex indices, plus a scalar
-# normalization applied to the averaged lifted field and volume.
+# of positively oriented 4-tuples of 1-based vertex indices.
 TRIANGULATIONS = {
-    "tetrahedron": ((((1, 2, 3, 4),),), 1.0),
-    "pyramid": ((
+    "tetrahedron": (((1, 2, 3, 4),),),
+    "pyramid": (
         ((1, 2, 3, 5), (1, 3, 4, 5)),
         ((1, 2, 4, 5), (2, 3, 4, 5)),
-    ), 1.0),
-    "prism": ((
+    ),
+    "prism": (
         ((1, 2, 3, 4), (2, 3, 4, 5), (3, 4, 5, 6)),
         ((1, 2, 3, 4), (2, 3, 4, 6), (2, 4, 5, 6)),
         ((1, 2, 3, 5), (1, 3, 4, 5), (3, 4, 5, 6)),
         ((1, 2, 3, 5), (1, 3, 6, 5), (1, 4, 5, 6)),
         ((1, 2, 3, 6), (1, 2, 6, 4), (2, 4, 5, 6)),
         ((1, 2, 3, 6), (1, 2, 6, 5), (1, 4, 5, 6)),
-    ), 1.0),
-    "hexahedron": ((
+    ),
+    "hexahedron": (
         ((1, 2, 3, 6), (1, 3, 4, 8), (1, 3, 8, 6), (1, 5, 6, 8), (3, 6, 7, 8)),
         ((1, 2, 4, 5), (2, 3, 4, 7), (2, 4, 5, 7), (2, 5, 6, 7), (4, 5, 7, 8)),
-    ), 1.0),
-    "octahedron": ((
+    ),
+    "octahedron": (
         ((1, 2, 4, 3), (1, 2, 5, 4), (2, 3, 6, 4), (2, 4, 6, 5)),
         ((1, 2, 5, 3), (1, 3, 5, 4), (2, 3, 6, 5), (3, 4, 6, 5)),
         ((1, 2, 5, 6), (1, 2, 6, 3), (1, 3, 6, 4), (1, 4, 6, 5)),
-    ), 1.0),
+    ),
 }
 
 
 def triangulations(kind: str):
-    """Triangulation table for a kind: (triangulations, scalar normalization)."""
+    """Triangulation table for a kind: a tuple of triangulations."""
     if kind not in KINDS:
         raise ValueError(f"unknown element kind {kind!r}")
     return TRIANGULATIONS[kind]
@@ -238,9 +240,8 @@ def triangulations(kind: str):
 def mean_volume(kind: str, p) -> float:
     """Signed mean volume: triangulate, sum tet volumes, average over tables.
 
-    The per-kind scalar normalization of the triangulation table is
-    applied, so ``field(kind, mean_volume_gradient, p)`` is exactly the
-    gradient of ``6 * mean_volume(kind, p)`` for every kind.
+    ``field(kind, mean_volume_gradient, p)`` is exactly the gradient of
+    ``6 * mean_volume(kind, p)`` for every kind.
     """
     p = _check(kind, VARIANTS_BY_KIND[kind][0], p)
     return float(mean_volume_batch(kind, p[None])[0])
@@ -249,12 +250,12 @@ def mean_volume(kind: str, p) -> float:
 def _compile_volume(kind):
     """Flatten a triangulation table into 0-based tet corners and one weight.
 
-    The weight folds the 1/6 of each tet volume, the average over the
-    table's triangulations, and its scalar normalization.
+    The weight folds the 1/6 of each tet volume and the average over the
+    table's triangulations.
     """
-    tables, scale = TRIANGULATIONS[kind]
+    tables = TRIANGULATIONS[kind]
     tets = np.array([tet for table in tables for tet in table]) - 1
-    return tets.T, scale / (6.0 * len(tables))
+    return tets.T, 1.0 / (6.0 * len(tables))
 
 
 _VOLUMES = {kind: _compile_volume(kind) for kind in KINDS}
@@ -286,18 +287,18 @@ def field_from_triangulations(kind: str, p) -> np.ndarray:
 
     For each triangulation, each 4-tuple contributes the tetrahedron
     field of its four vertices, scattered to their element slots; the
-    result is averaged over the triangulation set and multiplied by the
-    table's scalar normalization.  Cross-validates the closed forms.
+    result is averaged over the triangulation set.  Cross-validates the
+    closed forms.
     """
     p = _check(kind, VARIANTS_BY_KIND[kind][0], p)
-    tables, scale = TRIANGULATIONS[kind]
+    tables = TRIANGULATIONS[kind]
     acc = np.zeros_like(p)
     for table in tables:
         for tet in table:
             q = p[[i - 1 for i in tet]]
             for slot, (coeff, loop) in zip(tet, _TET_ROWS):
                 acc[slot - 1] += coeff * nu(q, loop)
-    return scale * acc / len(tables)
+    return acc / len(tables)
 
 
 _S3 = np.sqrt(3.0)

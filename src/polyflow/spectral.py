@@ -1,10 +1,12 @@
 """Spectral diagnostics of the flow at critical configurations.
 
 The second-order structure of the restricted volume at a singularity is
-read off the Jacobian of the pinned-and-projected field.  The ambient
-finite-difference Jacobian of that field, evaluated at a representative
-on N, has real spectrum at the optimal shapes; its nonzero eigenvalues
-and their multiplicities identify the critical manifold, and exactly six
+read off the Jacobian of the pinned-and-projected field.  The raw field
+is a sum of cross products ``S[v, k] * (p[I[k]] x p[J[k]])`` over the
+tables of ``elements.FIELD_PAIRS``, so both Jacobians are exact in
+closed form.  At a representative on N the ambient Jacobian has real
+spectrum at the optimal shapes; its nonzero eigenvalues and their
+multiplicities identify the critical manifold, and exactly six
 eigenvalues vanish (three translation directions, three rotations).
 
 Whether a field variant is a gradient is a property of the raw field,
@@ -16,8 +18,6 @@ the unprojected field.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,27 +25,8 @@ import numpy as np
 from . import elements
 from .sphere import pi, tau, is_collinear
 
-FD_STEP = 1e-5
 GROUPING_TOL = 1e-4
 ZERO_TOL = 1e-6
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("POLYFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pinned_projected(kind, variant, q):
-    # Extension of the pushforward off N used for differentiation: the
-    # projection is taken against the un-normalized pinned configuration.
-    # Re-normalizing here changes the ambient Jacobian's normal block and
-    # scrambles the spectrum; this extension keeps it real and clean.
-    X = elements.field(kind, variant, q)
-    t = tau(X)
-    u = tau(q)
-    return t - np.vdot(t, u) * u
 
 
 def pushed_field(kind: str, variant: str, p) -> np.ndarray:
@@ -54,46 +35,43 @@ def pushed_field(kind: str, variant: str, p) -> np.ndarray:
     Vanishes exactly at critical configurations; always orthogonal to
     pi(p) with last vertex zero.
     """
-    return _pinned_projected(kind, variant, pi(p))
+    q = pi(p)
+    t = tau(elements.field(kind, variant, q))
+    return t - np.vdot(t, q) * q
 
 
-def _fd_jacobian(fun, q, step):
-    """Central-difference Jacobian of fun over all 3n ambient coordinates."""
-    flat = q.ravel()
-    m = flat.size
+def _raw_jacobian(kind, variant, p):
+    """The raw field at p and its exact (3n, 3n) Jacobian.
 
-    def column(k):
-        d = np.zeros(m)
-        d[k] = step
-        hi = fun((flat + d).reshape(q.shape)).ravel()
-        lo = fun((flat - d).reshape(q.shape)).ravel()
-        return (hi - lo) / (2.0 * step)
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            cols = list(ex.map(column, range(m)))
-    else:
-        cols = [column(k) for k in range(m)]
-    return np.column_stack(cols)
-
-
-def field_jacobian(kind: str, variant: str, p, step: float = FD_STEP) -> np.ndarray:
-    """Finite-difference Jacobian of the raw (unprojected) field at p."""
+    Block (v, u) sums ``S[v, k] * -[p_J]x`` over the pairs with I[k] = u
+    and ``S[v, k] * [p_I]x`` over the pairs with J[k] = u, where row m
+    of the cross-product matrix [a]x is e_m x a.
+    """
+    X = elements.field(kind, variant, p)  # validates kind, variant and shape
     p = np.asarray(p, dtype=float)
-    return _fd_jacobian(lambda q: elements.field(kind, variant, q), p, step)
+    I, J, S = elements.FIELD_PAIRS[kind, variant]
+    n, e = len(p), np.eye(3)
+    blocks = (np.einsum("vk,ku,kab->vaub", S, np.eye(n)[I], np.cross(p[J, None], e))
+              + np.einsum("vk,ku,kab->vaub", S, np.eye(n)[J], np.cross(e, p[I, None])))
+    return X, blocks.reshape(3 * n, 3 * n)
 
 
-def asymmetry_ratio(kind: str, variant: str, p, step: float = FD_STEP) -> float:
+def field_jacobian(kind: str, variant: str, p) -> np.ndarray:
+    """Exact Jacobian of the raw (unprojected) field at p, shape (3n, 3n)."""
+    return _raw_jacobian(kind, variant, p)[1]
+
+
+def _asymmetry(J) -> float:
+    nj = np.linalg.norm(J)
+    return float(np.linalg.norm(J - J.T) / nj) if nj else 0.0
+
+
+def asymmetry_ratio(kind: str, variant: str, p) -> float:
     """Frobenius ratio |J - J^T| / |J| of the raw field Jacobian.
 
-    Near zero for gradient fields; order one for the prism y variant.
+    Zero to rounding for gradient fields; order one for the prism y variant.
     """
-    J = field_jacobian(kind, variant, p, step)
-    nj = np.linalg.norm(J)
-    if nj == 0.0:
-        return 0.0
-    return float(np.linalg.norm(J - J.T) / nj)
+    return _asymmetry(field_jacobian(kind, variant, p))
 
 
 @dataclass(frozen=True)
@@ -105,6 +83,11 @@ class Spectrum:
     zero_count: int  # |eigenvalue| < ZERO_TOL
     asymmetry_ratio: float  # of the raw field Jacobian at the same point
     max_imag: float  # largest imaginary part magnitude before discarding
+
+    def signature(self, tol: float = ZERO_TOL) -> tuple[int, int]:
+        """Counts of eigenvalues above ``tol`` and below ``-tol``."""
+        return (int(np.count_nonzero(self.eigenvalues > tol)),
+                int(np.count_nonzero(self.eigenvalues < -tol)))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -125,30 +108,43 @@ def _group(values, tol):
     return tuple((v, m) for v, m in groups)
 
 
-def hessian_spectrum(kind: str, variant: str, p, step: float = FD_STEP,
+def _projected_jacobian(kind, variant, q):
+    """Exact Jacobians of the projected field and of the raw field at q.
+
+    The pushed field is extended off N as G = t - <t, u> u, with
+    t = tau(X(q)) and u = tau(q) not re-normalized; re-normalizing would
+    change the normal block and scramble the spectrum.  With T the
+    constant matrix of tau, over all 3n ambient coordinates
+
+        J_G = T J_X - u (u^T T J_X + t^T T) - <t, u> T.
+    """
+    X, JX = _raw_jacobian(kind, variant, q)
+    n = len(X)
+    T = np.kron(np.eye(n) - np.eye(n)[-1], np.eye(3))
+    t, u = tau(X).ravel(), tau(q).ravel()
+    TJ = T @ JX
+    return TJ - np.outer(u, u @ TJ + t @ T) - np.vdot(t, u) * T, JX
+
+
+def hessian_spectrum(kind: str, variant: str, p,
                      grouping_tol: float = GROUPING_TOL,
                      zero_tol: float = ZERO_TOL) -> Spectrum:
-    """Spectrum of the ambient Jacobian of the projected field at pi(p).
+    """Spectrum of the exact ambient Jacobian of the projected field at pi(p).
 
-    The Jacobian is differenced centrally (default step 1e-5) over all
-    3n ambient coordinates and its eigenvalues are taken as computed,
-    without symmetrization; at the singular shapes the spectrum is real
-    to rounding and symmetrizing would mix the normal block into it.
-    Eigenvalues are sorted ascending and grouped at ``grouping_tol``.
+    The eigenvalues are taken as computed, without symmetrization; at
+    the singular shapes the spectrum is real to rounding and
+    symmetrizing would mix the normal block into it.  Eigenvalues are
+    sorted ascending and grouped at ``grouping_tol``.
     """
-    q = pi(p)
-    J = _fd_jacobian(lambda x: _pinned_projected(kind, variant, x), q, step)
-    if not np.all(np.isfinite(J)):
-        raise FloatingPointError("non-finite Jacobian")
-    ev = np.linalg.eigvals(J)
-    order = np.argsort(ev.real)
-    ev = ev[order]
+    JG, JX = _projected_jacobian(kind, variant, pi(p))
+    ev = np.linalg.eigvals(JG)
+    ev = ev[np.argsort(ev.real)]
     values = ev.real.copy()
     return Spectrum(
         eigenvalues=values,
         groups=_group(values, grouping_tol),
         zero_count=int(np.count_nonzero(np.abs(values) < zero_tol)),
-        asymmetry_ratio=asymmetry_ratio(kind, variant, q, step),
+        asymmetry_ratio=_asymmetry(JX),
         max_imag=float(np.abs(ev.imag).max()) if ev.size else 0.0,
     )
 
@@ -164,7 +160,4 @@ def collinear_signature(p, tol: float = ZERO_TOL) -> tuple[int, int]:
         raise ValueError("collinear signature is defined for tetrahedra")
     if not is_collinear(p):
         raise ValueError("configuration is not collinear")
-    spec = hessian_spectrum("tetrahedron", elements.GRADIENT, p)
-    pos = int(np.count_nonzero(spec.eigenvalues > tol))
-    neg = int(np.count_nonzero(spec.eigenvalues < -tol))
-    return pos, neg
+    return hessian_spectrum("tetrahedron", elements.GRADIENT, p).signature(tol)

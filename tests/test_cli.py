@@ -234,6 +234,31 @@ class TestSpectrum:
         assert doc["zero_count"] == 6
 
 
+class TestDegenerateConfiguration:
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "--type", "tetrahedron", "--at"],
+        ["classify", "--type", "tetrahedron", "--input"],
+        ["regularize", "--type", "tetrahedron", "--input"],
+    ], ids=["spectrum", "classify", "regularize"])
+    @pytest.mark.parametrize("vertices,needle", [
+        ([[1.0, 2.0, 3.0]] * 4, "coincide"),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [float("nan"), 1.0, 0.0],
+          [0.0, 0.0, 1.0]], "finite"),
+    ], ids=["coincident", "nan"])
+    @pytest.mark.parametrize("as_mesh", [False, True], ids=["bare", "mesh"])
+    def test_exit_65(self, capsys, tmp_path, command, vertices, needle, as_mesh):
+        doc = {"vertices": vertices}
+        if as_mesh:
+            doc["elements"] = [{"type": "tetrahedron", "nodes": [0, 1, 2, 3]}]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = cli.main(command + [str(path)])
+        assert rc == 65
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input:") and needle in err
+        assert len(err.splitlines()) == 1
+
+
 class TestClassify:
     def test_reference_pyramid(self, capsys, tmp_path):
         path = tmp_path / "pyr.json"

@@ -91,15 +91,15 @@ def test_batch_kernels_match_oracles(rng, kind, variant):
     P = rng.normal(size=(64, pf.VERTEX_COUNT[kind], 3))
     F = pf.field_batch(kind, variant, P)
     V = pf.mean_volume_batch(kind, P)
-    tables, scale = pf.TRIANGULATIONS[kind]
+    tables = pf.TRIANGULATIONS[kind]
     for b, p in enumerate(P):
         atol = 1e-12 * max(1.0, float(np.abs(F[b]).max()))
         assert np.allclose(F[b], pf.field(kind, variant, p), rtol=0.0, atol=atol)
         if variant == pf.GRADIENT:
             assert np.allclose(F[b], pf.field_from_triangulations(kind, p),
                                rtol=0.0, atol=atol)
-        loop = scale * sum(pf.tet_signed_volume(*(p[i - 1] for i in tet))
-                           for table in tables for tet in table) / len(tables)
+        loop = sum(pf.tet_signed_volume(*(p[i - 1] for i in tet))
+                   for table in tables for tet in table) / len(tables)
         assert V[b] == pytest.approx(loop, rel=1e-12, abs=1e-14)
         assert pf.mean_volume(kind, p) == pytest.approx(V[b], rel=1e-14, abs=1e-15)
 
@@ -190,7 +190,7 @@ def test_mean_volume_examples():
 
 @pytest.mark.parametrize("kind", pf.KINDS)
 def test_triangulation_tables(kind):
-    tables, norm = pf.triangulations(kind)
+    tables = pf.triangulations(kind)
     expected_tables = {"tetrahedron": 1, "pyramid": 2, "prism": 6,
                        "hexahedron": 2, "octahedron": 3}
     expected_tets = {"tetrahedron": 1, "pyramid": 2, "prism": 3,
@@ -208,7 +208,6 @@ def test_triangulation_tables(kind):
             vol = pf.tet_signed_volume(*(ref[i - 1] for i in tet))
             assert vol > 0.0
         assert seen == set(range(1, n + 1))
-    assert norm > 0.0
 
 
 @pytest.mark.parametrize("kind", pf.KINDS)
@@ -238,7 +237,7 @@ def test_level0_pyramid_is_flat_singular():
     assert pf.f_value("pyramid", pf.GRADIENT, p) == 0.0
     cls = pf.classify("pyramid", pf.GRADIENT, pf.pi(p))
     assert cls.tag == "level0_singular"
-    tables, _ = pf.triangulations("pyramid")
+    tables = pf.triangulations("pyramid")
     for table in tables:
         for tet in table:
             assert pf.tet_signed_volume(*(p[i - 1] for i in tet)) == 0.0

@@ -66,9 +66,9 @@ def _hex_grid(cells, jitter, seed):
 
 
 def _loop_mean_volume(kind, p):
-    tables, scale = pf.TRIANGULATIONS[kind]
-    return scale * sum(pf.tet_signed_volume(*(p[i - 1] for i in tet))
-                       for table in tables for tet in table) / len(tables)
+    tables = pf.TRIANGULATIONS[kind]
+    return sum(pf.tet_signed_volume(*(p[i - 1] for i in tet))
+               for table in tables for tet in table) / len(tables)
 
 
 class TestMeshContainer:

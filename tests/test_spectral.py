@@ -6,8 +6,32 @@ import numpy as np
 import pytest
 
 import polyflow as pf
+from polyflow import spectral
 
 SQ = np.sqrt
+
+ALL_PAIRS = [(k, v) for k in pf.KINDS for v in pf.VARIANTS_BY_KIND[k]]
+GRADIENT_PAIRS = [(k, v) for k, v in ALL_PAIRS
+                  if (k, v) != ("prism", pf.Y_VARIANT)]
+
+
+def _central_differences(fun, q, h=1e-5):
+    """Oracle: central-difference Jacobian of fun over all 3n coordinates."""
+    flat = q.ravel()
+    cols = []
+    for k in range(flat.size):
+        d = np.zeros_like(flat)
+        d[k] = h
+        hi = fun((flat + d).reshape(q.shape)).ravel()
+        lo = fun((flat - d).reshape(q.shape)).ravel()
+        cols.append((hi - lo) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def _projected(kind, variant, q):
+    """The pinned-and-projected field, built from the public operators."""
+    t, u = pf.tau(pf.field(kind, variant, q)), pf.tau(q)
+    return t - np.vdot(t, u) * u
 
 
 def _grouped(spec):
@@ -110,6 +134,42 @@ class TestReferenceSpectra:
         assert np.abs(a.eigenvalues - b.eigenvalues).max() < 1e-6
 
 
+class TestExactJacobians:
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_raw_matches_central_differences(self, rng, kind, variant):
+        for _ in range(5):
+            p = rng.normal(size=(pf.VERTEX_COUNT[kind], 3))
+            J = pf.field_jacobian(kind, variant, p)
+            fd = _central_differences(lambda x: pf.field(kind, variant, x), p)
+            assert np.abs(J - fd).max() < 1e-9 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_projected_matches_central_differences(self, rng, kind, variant):
+        for _ in range(5):
+            q = pf.pi(rng.normal(size=(pf.VERTEX_COUNT[kind], 3)))
+            JG, JX = spectral._projected_jacobian(kind, variant, q)
+            fd = _central_differences(lambda x: _projected(kind, variant, x), q)
+            assert np.abs(JG - fd).max() < 1e-9 * np.abs(fd).max()
+            assert np.array_equal(JX, pf.field_jacobian(kind, variant, q))
+
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_euler_identity(self, rng, kind, variant):
+        # the field is homogeneous quadratic, so J(p) p = 2 X(p) exactly
+        p = rng.normal(size=(pf.VERTEX_COUNT[kind], 3))
+        lhs = pf.field_jacobian(kind, variant, p) @ p.ravel()
+        rhs = 2.0 * pf.field(kind, variant, p).ravel()
+        assert np.linalg.norm(lhs - rhs) < 1e-13 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("kind,variant", GRADIENT_PAIRS)
+    def test_gradient_jacobians_exactly_symmetric(self, rng, kind, variant):
+        p = pf.pi(rng.normal(size=(pf.VERTEX_COUNT[kind], 3)))
+        assert pf.asymmetry_ratio(kind, variant, p) < 1e-13
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError):
+            pf.field_jacobian("tetrahedron", pf.GRADIENT, np.zeros((5, 3)))
+
+
 class TestAsymmetry:
     @pytest.mark.parametrize("kind", pf.KINDS)
     def test_gradient_fields_symmetric(self, rng, kind):
@@ -168,12 +228,3 @@ class TestCollinearSignature:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             pf.collinear_signature(np.zeros((5, 3)))
-
-
-def test_thread_count_env(monkeypatch):
-    base = pf.hessian_spectrum("pyramid", pf.GRADIENT,
-                               pf.reference_optimal("pyramid"))
-    monkeypatch.setenv("POLYFLOW_THREADS", "3")
-    threaded = pf.hessian_spectrum("pyramid", pf.GRADIENT,
-                                   pf.reference_optimal("pyramid"))
-    assert np.abs(base.eigenvalues - threaded.eigenvalues).max() < 1e-12
