@@ -84,12 +84,7 @@ def _resolve_variant(parser, kind, field_name):
 
 def _load_configuration(path, kind) -> np.ndarray:
     """Read a configuration: bare {'vertices': ...} or a one-element mesh."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise mesh_mod.MeshFormatError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    data = mesh_mod._read_json(path)
     if isinstance(data, dict) and "elements" in data:
         m = mesh_mod.mesh_from_dict(data)
         if len(m.elements) != 1 or m.elements[0][0] != kind:
@@ -97,28 +92,34 @@ def _load_configuration(path, kind) -> np.ndarray:
                 f"expected a single {kind} element in {path}")
         p = m.vertices[list(m.elements[0][1])]
     elif isinstance(data, dict) and "vertices" in data:
-        p = np.asarray(data["vertices"], dtype=float)
+        p = mesh_mod._parse_vertices(data["vertices"])
     else:
         raise mesh_mod.MeshFormatError("configuration JSON needs a 'vertices' key")
     if p.shape != (elements.VERTEX_COUNT[kind], 3):
         raise mesh_mod.MeshFormatError(
             f"{kind} expects {elements.VERTEX_COUNT[kind]} vertices, got {p.shape}")
-    # a configuration with no representative on the sphere
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise mesh_mod.MeshFormatError("vertex coordinates must be finite")
-    if np.all(p == p[-1]):
-        raise mesh_mod.MeshFormatError("all vertices coincide")
     return p
+
+
+def _flow_settings(**kwargs) -> flow.FlowSettings:
+    """FlowSettings from command-line values; an invalid one is a usage error."""
+    try:
+        return flow.FlowSettings(**kwargs)
+    except ValueError as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        raise SystemExit(EXIT_USAGE) from exc
 
 
 def _cmd_regularize(parser, args) -> int:
     variant = _resolve_variant(parser, args.type, args.field)
+    settings = _flow_settings(step=args.step, max_iters=args.max_iters,
+                              tol=args.tol, normalization=args.normalization)
     if args.input is not None:
         p0 = _load_configuration(args.input, args.type)
     else:
         p0 = sampling.random_configuration(args.type, args.random, variant)
-    settings = flow.FlowSettings(step=args.step, max_iters=args.max_iters,
-                                 tol=args.tol, normalization=args.normalization)
     try:
         traj = flow.integrate(args.type, variant, p0, settings)
     except flow.FlowDivergenceError as exc:
@@ -149,19 +150,14 @@ def _cmd_regularize(parser, args) -> int:
 
 
 def _cmd_smooth(args) -> int:
+    settings = _flow_settings(step=args.step, max_iters=args.max_iters)
     m = mesh_mod.load_mesh(args.input)
-    settings = flow.FlowSettings(step=args.step, max_iters=max(args.max_iters, 1))
     try:
         smoothed, reports = mesh_mod.smooth(m, settings, max_iters=args.max_iters,
                                             quality_tol=args.quality_tol)
     except flow.FlowDivergenceError as exc:
         sys.stderr.write(f"divergence: {exc}\n")
         return EXIT_DIVERGENCE
-    except DegenerateConfigurationError as exc:
-        # raised only by the input's quality report; a collapse during
-        # smoothing surfaces as FlowDivergenceError above
-        sys.stderr.write(f"malformed input: {exc}\n")
-        return EXIT_DATA
     if args.output:
         mesh_mod.save_mesh(smoothed, args.output)
     if args.report:
@@ -221,9 +217,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
-    try:
         if args.command == "regularize":
             return _cmd_regularize(parser, args)
         if args.command == "smooth":
@@ -235,7 +228,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"missing file: {exc.filename}\n")
         return EXIT_NOINPUT
-    except mesh_mod.MeshFormatError as exc:
+    except (mesh_mod.MeshFormatError, DegenerateConfigurationError) as exc:
+        # a degenerate configuration is raised only for the input: a
+        # collapse during a flow or a sweep is a FlowDivergenceError
         sys.stderr.write(f"malformed input: {exc}\n")
         return EXIT_DATA
     except SystemExit as exc:

@@ -139,10 +139,11 @@ def _compile(key):
 
 # Per (kind, variant): the folded table (I, J, S) of ``_compile``.
 FIELD_PAIRS = {key: _compile(key) for key in _FIELD_TERMS}
-# The same tables as (3, K) gather offsets into the flattened (3n,)
-# configuration: component c of p_i x p_j is p_i[c+1] p_j[c+2] -
+# The same tables as (2, 3, K) gather offsets into the flattened (3n,)
+# configuration, plus S.T: component c of p_i x p_j is p_i[c+1] p_j[c+2] -
 # p_i[c+2] p_j[c+1] (indices mod 3).
-_COMPILED = {key: ((3 * I + _YZX, 3 * J + _ZXY, 3 * I + _ZXY, 3 * J + _YZX), S)
+_COMPILED = {key: (np.stack([3 * I + _YZX, 3 * I + _ZXY]),
+                   np.stack([3 * J + _ZXY, 3 * J + _YZX]), S.T)
              for key, (I, J, S) in FIELD_PAIRS.items()}
 
 
@@ -186,10 +187,10 @@ def field_batch(kind: str, variant: str, P) -> np.ndarray:
     by component, then contracted with the table as ``(B, 3, K) @ S.T``.
     """
     P = np.asarray(P, dtype=float)
-    (li, lj, ri, rj), S = _COMPILED[kind, variant]
+    left, right, ST = _COMPILED[kind, variant]
     Q = P.reshape(P.shape[:-2] + (-1,))
-    C = Q[..., li] * Q[..., lj] - Q[..., ri] * Q[..., rj]  # (B, 3, K)
-    return np.swapaxes(C @ S.T, -1, -2)
+    prod = Q[..., left] * Q[..., right]  # (B, 2, 3, K)
+    return ((prod[..., 0, :, :] - prod[..., 1, :, :]) @ ST).swapaxes(-1, -2)
 
 
 def f_value(kind: str, variant: str, p) -> float:

@@ -4,14 +4,16 @@ The discrete flow repeats: evaluate the element field, optionally apply
 the square-root rescaling, project onto the tangent space of N, take an
 explicit Euler step, and re-project onto N.  Fixed points of this
 iteration are exactly the configurations where the pinned field is
-radial, i.e. tau(X_p) = lambda p.
+radial, i.e. tau(X_p) = lambda p.  One batched kernel runs the flow;
+:func:`integrate` is a batch of one that records every iteration.
 
-The f value (field dotted with configuration, 18 x mean volume for
-gradient variants) usually increases along the flow, but the pinned
-representative is a gauge choice and its drift can produce genuine
-short dips far from the fixed points.  A decrease therefore triggers
-step halving and is counted; if halving cannot restore monotonicity the
-full step is taken anyway so trajectories can cross such stretches.
+The guard watches the centered quality q_c = <X, c> / |c|^3, c = p minus
+its centroid, which the flow ascends: modulo translations a step is
+X - lambda' c, and <grad q_c, X - lambda' c> ~ |X|^2 |c|^2 - <X, c>^2 >= 0.
+A step that lowers q_c is halved; where halving cannot cure the decrease
+(a field that is not a gradient, such as prism y) the full step is taken
+and counted in ``monotone_breaks``.  The pinned f = <X, p> is recorded
+but not guarded: it depends on the gauge and is not monotone.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import elements
-from .sphere import pi, psi, push_tangent, tau, is_collinear
+from .sphere import DegenerateConfigurationError, is_collinear, pi, sigma, tau
 
-# Monotone guard: relative acceptance slack, the halving budget per
+# Guard on q_c: relative acceptance slack, the halving budget per
 # iteration, and the drop ratio separating curvature overshoot (halving
 # shrinks the decrease quadratically) from a genuine negative slope
 # (the decrease shrinks only linearly, so halving cannot cure it).
@@ -53,12 +55,12 @@ class FlowSettings:
     normalization: str = "psi"
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0 < self.step < float("inf"):
+            raise ValueError(f"step must be positive and finite, got {self.step}")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.normalization not in ("psi", "none"):
             raise ValueError("normalization must be 'psi' or 'none'")
 
@@ -124,68 +126,114 @@ class Trajectory:
         return self.points[-1][3]
 
 
-def _step_direction(kind, variant, p, X, normalization):
-    w = psi(X) if normalization == "psi" else X
-    return push_tangent(p, w)
+# Per vertex count n: the (n, n) matrix that subtracts the centroid.
+_CENTER = {n: np.eye(n) - 1.0 / n for n in set(elements.VERTEX_COUNT.values())}
+
+
+def _evaluate(kind, variant, P):
+    """(P, X, f, q_c) for a batch P on N: the field, <X, p> and <X, c> / |c|^3."""
+    X = elements.field_batch(kind, variant, P)
+    C = _CENTER[P.shape[1]] @ P
+    return (P, X, np.einsum("bvc,bvc->b", X, P),
+            np.einsum("bvc,bvc->b", X, C) / np.einsum("bvc,bvc->b", C, C) ** 1.5)
+
+
+def _halve(kind, variant, P, V, Q, step, full, out):
+    """Halve the steps P + step V that lowered q_c beyond the slack.
+
+    ``full`` holds :func:`_evaluate` of the full steps; a row's first
+    halved step that keeps q_c within the slack replaces it there.  A
+    row keeps its full step, counted as a monotone break, when the
+    halvings run out or barely shrink the decrease (a true negative slope).
+    """
+    slack = ACCEPT_SLACK * np.maximum(1.0, np.abs(Q))
+    drop = Q - full[3]
+    rows = np.flatnonzero(drop > slack)
+    drop = drop[rows]
+    out["monotone_breaks"] += rows.size
+    out["halvings"] += rows.size
+    for _ in range(MAX_HALVINGS_PER_STEP):
+        if not rows.size:
+            break
+        step *= 0.5
+        half = _evaluate(kind, variant, sigma(P[rows] + step * V[rows]))
+        shrunk = Q[rows] - half[3]
+        ok = shrunk <= slack[rows]
+        for dest, src in zip(full, half):
+            dest[rows[ok]] = src[ok]
+        out["monotone_breaks"] -= rows[ok].size
+        retry = ~ok & (shrunk <= DIP_DROP_RATIO * drop)
+        rows, drop = rows[retry], shrunk[retry]
+        out["halvings"] += rows.size
+
+
+def _flow(kind, variant, P, settings, record=None):
+    """The flow kernel: run each configuration of P (B, n, 3) on N to its end.
+
+    ``record(it, P, F, residual, lam)`` is called once per iteration with
+    the still running rows.  Returns the dict of :func:`integrate_batch`.
+    """
+    elements._check(kind, variant, P[0])
+    P, X, F, Q = _evaluate(kind, variant, P)
+    bound = 3.0 * float(np.sqrt(np.einsum("bvc,bvc->b", X, X)).max())
+    if settings.step * bound >= 2.0:
+        warnings.warn(
+            f"step {settings.step} times field scale estimate {bound:.3g} "
+            "exceeds 2; the iteration may overshoot", stacklevel=3)
+    B = len(P)
+    out = dict(p=np.empty_like(P), residual=np.empty(B), lam=np.empty(B), f=np.empty(B),
+               iterations=np.empty(B, dtype=int), converged=np.zeros(B, dtype=bool),
+               halvings=0, monotone_breaks=0)
+    rows = np.arange(B)  # the output row of each running configuration
+    for it in range(settings.max_iters + 1):
+        T = tau(X)
+        lam = np.einsum("bvc,bvc->b", T, P)
+        R = T - lam[:, None, None] * P  # = push_tangent(P, X), as |P| = 1
+        residual = np.sqrt(np.einsum("bvc,bvc->b", R, R))
+        if record is not None:
+            record(it, P, F, residual, lam)
+        converged = residual < settings.tol
+        if np.count_nonzero(converged) or it == settings.max_iters:
+            stop = converged | (it == settings.max_iters)
+            for key, value in zip(("p", "residual", "lam", "f", "converged"),
+                                  (P, residual, lam, F, converged)):
+                out[key][rows[stop]] = value[stop]
+            out["iterations"][rows[stop]] = it
+            if stop.all():
+                break
+            rows, P, X, F, Q, R = (a[~stop] for a in (rows, P, X, F, Q, R))
+        V = R
+        if settings.normalization == "psi":
+            # push_tangent is linear and psi(X) = X / sqrt|X|, so the step
+            # push_tangent(P, psi(X)) is R / sqrt|X|; X != 0 as |R| >= tol.
+            V = R / np.sqrt(np.sqrt(np.einsum("bvc,bvc->b", X, X)))[:, None, None]
+        try:
+            # P + s V is pinned already.  P stays finite on N, so only an
+            # overflowing step diverges, and sigma reports it.
+            full = _evaluate(kind, variant, sigma(P + settings.step * V))
+            if np.count_nonzero(full[3] < Q):  # rare on gradient fields
+                _halve(kind, variant, P, V, Q, settings.step, full, out)
+        except DegenerateConfigurationError as exc:
+            raise FlowDivergenceError(it) from exc
+        P, X, F, Q = full
+    return out
 
 
 def integrate(kind: str, variant: str, p0,
               settings: FlowSettings = FlowSettings()) -> Trajectory:
     """Run the discrete ascent flow from pi(p0) until the residual drops below tol.
 
-    Records one row per iteration: (iteration, p on N, f value, residual,
-    lam).  Terminates at convergence or after ``settings.max_iters``
-    steps; raises :class:`FlowDivergenceError` on non-finite values.
+    A batch of one through the flow kernel, recording one row per
+    iteration: (iteration, p on N, f value, residual, lam).  Terminates
+    at convergence or after ``settings.max_iters`` steps; raises
+    :class:`FlowDivergenceError` when a step overflows.
     """
-    p = pi(p0)
-    X = elements.field(kind, variant, p)
-    bound = 3.0 * float(np.linalg.norm(X))
-    if settings.step * bound >= 2.0:
-        warnings.warn(
-            f"step {settings.step} times field scale estimate {bound:.3g} "
-            "exceeds 2; the iteration may overshoot", stacklevel=2)
-    f = float(np.vdot(X, p))
     traj = Trajectory(kind=kind, variant=variant)
-    for it in range(settings.max_iters + 1):
-        t = tau(X)
-        lam = float(np.vdot(t, p))
-        residual = float(np.linalg.norm(t - lam * p))
-        traj.points.append((it, p.copy(), f, residual, lam))
-        traj.iterations = it
-        if not np.isfinite(residual) or not np.isfinite(f):
-            raise FlowDivergenceError(it)
-        if residual < settings.tol:
-            traj.converged = True
-            return traj
-        if it == settings.max_iters:
-            return traj
-        v = _step_direction(kind, variant, p, X, settings.normalization)
-        s = settings.step
-        accepted = None
-        first = None
-        prev_drop = None
-        for _ in range(MAX_HALVINGS_PER_STEP + 1):
-            q = pi(p + s * v)
-            Xq = elements.field(kind, variant, q)
-            fq = float(np.vdot(Xq, q))
-            if first is None:
-                first = (q, Xq, fq)
-            drop = f - fq
-            if drop <= ACCEPT_SLACK * max(1.0, abs(f)):
-                accepted = (q, Xq, fq)
-                break
-            if prev_drop is not None and drop > DIP_DROP_RATIO * prev_drop:
-                # Halving barely shrank the decrease: the f slope along v
-                # is genuinely negative (a gauge dip, not an overshoot).
-                # Cross it at the configured step instead of creeping.
-                break
-            traj.halvings += 1
-            prev_drop = drop
-            s *= 0.5
-        if accepted is None:
-            traj.monotone_breaks += 1
-            accepted = first
-        p, X, f = accepted
+    out = _flow(kind, variant, pi(p0)[None], settings,
+                lambda it, P, F, res, lam: traj.points.append(
+                    (it, P[0].copy(), float(F[0]), float(res[0]), float(lam[0]))))
+    traj.iterations, traj.converged = int(out["iterations"][0]), bool(out["converged"][0])
+    traj.halvings, traj.monotone_breaks = out["halvings"], out["monotone_breaks"]
     return traj
 
 
@@ -193,85 +241,13 @@ def integrate_batch(kind: str, variant: str, P0,
                     settings: FlowSettings = FlowSettings()):
     """Run many independent trajectories of the same kind at once.
 
-    Identical update rule to :func:`integrate`, vectorized across a
-    batch; trajectories are not recorded.  Returns a dict of terminal
-    arrays: ``p`` (B, n, 3), ``residual``, ``lam``, ``f`` (B,),
-    ``iterations`` (B,), ``converged`` (B,) bool, plus total ``halvings``
-    and ``monotone_breaks`` counts.
+    The kernel of :func:`integrate` without the per-iteration record; its
+    guard halves a step that lowers the centered quality q_c.  Returns a
+    dict of terminal arrays: ``p`` (B, n, 3), ``residual``, ``lam``, ``f``
+    (B,), ``iterations`` (B,), ``converged`` (B,) bool, plus the total
+    ``halvings`` and ``monotone_breaks``, the steps taken although q_c fell.
     """
-    P = np.stack([pi(p) for p in np.asarray(P0, dtype=float)])
-    B, n, _ = P.shape
-    X = elements.field_batch(kind, variant, P)
-    F = np.einsum("bvc,bvc->b", X, P)
-    done = np.zeros(B, dtype=bool)
-    iters = np.zeros(B, dtype=int)
-    res_out = np.zeros(B)
-    lam_out = np.zeros(B)
-    halvings = 0
-    breaks = 0
-
-    for it in range(settings.max_iters + 1):
-        T = tau(X)
-        lam = np.einsum("bvc,bvc->b", T, P)
-        R = T - lam[:, None, None] * P
-        residual = np.sqrt(np.einsum("bvc,bvc->b", R, R))
-        if not np.all(np.isfinite(residual)):
-            raise FlowDivergenceError(it)
-        newly = (~done) & (residual < settings.tol)
-        iters[newly] = it
-        res_out[~done] = residual[~done]
-        lam_out[~done] = lam[~done]
-        done |= newly
-        if done.all() or it == settings.max_iters:
-            iters[~done] = it
-            break
-        act = np.flatnonzero(~done)
-        W = psi(X[act]) if settings.normalization == "psi" else X[act]
-        TW = tau(W)
-        Pa = P[act]
-        V = TW - np.einsum("bvc,bvc->b", TW, Pa)[:, None, None] * Pa
-        s = np.full(act.size, settings.step)
-        Fa = F[act]
-        pend = np.arange(act.size)
-        Q = np.empty_like(Pa)
-        XQ = np.empty_like(Pa)
-        FQ = np.empty(act.size)
-        prev_drop = np.full(act.size, np.inf)
-        giveup = []
-        firstQ = firstX = firstF = None
-        for h in range(MAX_HALVINGS_PER_STEP + 1):
-            cand = tau(Pa[pend] + s[pend, None, None] * V[pend])
-            cand /= np.sqrt(np.einsum("bvc,bvc->b", cand, cand))[:, None, None]
-            Xc = elements.field_batch(kind, variant, cand)
-            Fc = np.einsum("bvc,bvc->b", Xc, cand)
-            Q[pend], XQ[pend], FQ[pend] = cand, Xc, Fc
-            if h == 0:
-                firstQ, firstX, firstF = Q.copy(), XQ.copy(), FQ.copy()
-            drop = Fa[pend] - FQ[pend]
-            bad = drop > ACCEPT_SLACK * np.maximum(1.0, np.abs(Fa[pend]))
-            # Same dip test as the scalar path: halving that barely
-            # shrinks the decrease signals a true negative slope.
-            slope = bad & (drop > DIP_DROP_RATIO * prev_drop[pend])
-            giveup.append(pend[slope])
-            retry = pend[bad & ~slope]
-            if retry.size == 0:
-                break
-            halvings += retry.size
-            prev_drop[retry] = (Fa - FQ)[retry]
-            s[retry] *= 0.5
-            pend = retry
-        else:
-            giveup.append(pend)
-        gv = np.concatenate(giveup) if giveup else np.array([], dtype=int)
-        if gv.size:
-            breaks += gv.size
-            Q[gv], XQ[gv], FQ[gv] = firstQ[gv], firstX[gv], firstF[gv]
-        P[act], X[act], F[act] = Q, XQ, FQ
-    return {
-        "p": P, "residual": res_out, "lam": lam_out, "f": F,
-        "iterations": iters, "converged": done.copy(),
-        "halvings": halvings, "monotone_breaks": breaks,
-    }
+    return _flow(kind, variant, pi(P0), settings)
 
 
 def shape_metrics(kind: str, p) -> dict:

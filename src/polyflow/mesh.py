@@ -224,7 +224,19 @@ def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
     return m, reports
 
 
-_KIND_SET = set(el.KINDS)
+def _parse_vertices(verts) -> np.ndarray:
+    """The (n, 3) float array of a JSON list of [x, y, z] number triples."""
+    if (not isinstance(verts, list)
+            or any(not isinstance(v, list) or len(v) != 3 for v in verts)):
+        raise MeshFormatError("vertices must be a list of [x, y, z] triples")
+    # JSON numbers only: a bool, a string or null is no coordinate
+    odd = [x for v in verts for x in v if type(x) is not float and type(x) is not int]
+    if odd:
+        raise MeshFormatError(f"vertex coordinate {odd[0]!r} is not a number")
+    try:
+        return np.array(verts, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise MeshFormatError(f"vertex coordinate out of range: {exc}") from exc
 
 
 def mesh_from_dict(data) -> Mesh:
@@ -234,18 +246,15 @@ def mesh_from_dict(data) -> Mesh:
     for key in ("vertices", "elements"):
         if key not in data:
             raise MeshFormatError(f"missing required key {key!r}")
-    verts = data["vertices"]
-    if (not isinstance(verts, list)
-            or any(not isinstance(v, list) or len(v) != 3 for v in verts)):
-        raise MeshFormatError("vertices must be a list of [x, y, z] triples")
+    verts = _parse_vertices(data["vertices"])
     elems = []
     if not isinstance(data["elements"], list):
         raise MeshFormatError("elements must be a list")
+    if not data["elements"]:
+        raise MeshFormatError("elements is empty; a mesh needs at least one element")
     for k, entry in enumerate(data["elements"]):
         if not isinstance(entry, dict) or "type" not in entry or "nodes" not in entry:
             raise MeshFormatError(f"elements[{k}] must have 'type' and 'nodes'")
-        if entry["type"] not in _KIND_SET:
-            raise MeshFormatError(f"elements[{k}]: unknown type {entry['type']!r}")
         if not isinstance(entry["nodes"], list):
             raise MeshFormatError(
                 f"elements[{k}]: nodes must be a list of vertex indices")
@@ -254,19 +263,22 @@ def mesh_from_dict(data) -> Mesh:
     if not isinstance(fixed, list):
         raise MeshFormatError("fixed must be a list of vertex indices")
     # Mesh validates each index (JSON integers only) before building the set.
-    return Mesh(vertices=np.array(verts, dtype=float),
-                elements=tuple(elems), fixed=tuple(fixed))
+    return Mesh(vertices=verts, elements=tuple(elems), fixed=tuple(fixed))
+
+
+def _read_json(path):
+    """The parsed JSON file; malformed JSON raises MeshFormatError with its position."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MeshFormatError(exc.msg, line=exc.lineno, column=exc.colno) from exc
 
 
 def load_mesh(path) -> Mesh:
     """Read a mesh from its JSON schema; malformed input raises MeshFormatError."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MeshFormatError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    return mesh_from_dict(data)
+    return mesh_from_dict(_read_json(path))
 
 
 def mesh_to_dict(m: Mesh) -> dict:

@@ -4,7 +4,9 @@ A configuration is an ordered (n, 3) array of vertex positions.  Two
 configurations are equivalent when they differ by a common translation
 and a positive scaling.  The canonical representative pins the last
 vertex at the origin and normalizes the full 3n-vector to unit length;
-the set of such representatives is the configuration sphere N.
+the set of such representatives is the configuration sphere N.  Every
+operation acts on the trailing (n, 3) axes, so configurations may carry
+leading batch axes.
 """
 
 from __future__ import annotations
@@ -13,14 +15,13 @@ import numpy as np
 
 
 class DegenerateConfigurationError(ValueError):
-    """All vertices coincide; no sphere representative exists."""
+    """No representative on N: the vertices coincide or are not finite."""
 
 
 def tau(p) -> np.ndarray:
     """Translate so the last vertex sits exactly at the origin.
 
-    Returns ``(p_1 - p_n, ..., p_{n-1} - p_n, 0)``.  Acts on the trailing
-    ``(n, 3)`` axes, so ``p`` may carry leading batch axes.
+    Returns ``(p_1 - p_n, ..., p_{n-1} - p_n, 0)``.
     """
     p = np.asarray(p, dtype=float)
     out = p - p[..., -1:, :]
@@ -28,13 +29,32 @@ def tau(p) -> np.ndarray:
     return out
 
 
+def _dot(a, b) -> np.ndarray:
+    """Inner product over the trailing (n, 3) axes, kept as (..., 1, 1)."""
+    return np.einsum("...ij,...ij->...", a, b)[..., None, None]
+
+
 def sigma(p) -> np.ndarray:
-    """Scale a nonzero configuration to unit norm over all 3n coordinates."""
+    """Scale each configuration to unit norm over its 3n coordinates.
+
+    A finite configuration whose squared norm overflows, or underflows to
+    zero, is first divided by its largest ``|entry|``.  A zero or
+    non-finite configuration raises :class:`DegenerateConfigurationError`.
+    """
     p = np.asarray(p, dtype=float)
-    n = np.linalg.norm(p)
-    if n == 0.0 or not np.isfinite(n):
-        raise DegenerateConfigurationError("cannot normalize a zero configuration")
-    return p / n
+    norm = np.sqrt(_dot(p, p))  # einsum: an overflow gives inf, with no warning
+    bad = ~((norm > 0.0) & (norm < np.inf))
+    if np.count_nonzero(bad):
+        scale = np.abs(p).max(axis=(-2, -1), keepdims=True)
+        if not np.isfinite(scale[bad]).all():
+            raise DegenerateConfigurationError(
+                "cannot normalize a configuration with non-finite coordinates")
+        if not scale[bad].all():
+            raise DegenerateConfigurationError(
+                "cannot normalize a zero configuration: all vertices coincide")
+        p = np.where(bad, p / scale, p)
+        norm = np.sqrt(_dot(p, p))
+    return p / norm
 
 
 def pi(p) -> np.ndarray:
@@ -43,7 +63,7 @@ def pi(p) -> np.ndarray:
     Raises
     ------
     DegenerateConfigurationError
-        If all vertices coincide (tau(p) = 0).
+        If all vertices coincide (tau(p) = 0), or a coordinate is not finite.
     """
     return sigma(tau(p))
 
@@ -58,14 +78,11 @@ def push_tangent(p, v) -> np.ndarray:
     satisfies ``<w, p> = 0`` and ``w_n = 0``.
     """
     p = np.asarray(p, dtype=float)
-    norm_p = np.linalg.norm(p)
-    if norm_p == 0.0:
+    pp = _dot(p, p)
+    if np.count_nonzero(pp) < pp.size:
         raise DegenerateConfigurationError("tangent projection at zero configuration")
-    w = np.asarray(v, dtype=float) - np.asarray(v, dtype=float)[-1]
-    w[-1] = 0.0
-    phat = p / norm_p
-    w = (w - np.vdot(w, phat) * phat) / norm_p
-    return w
+    w = tau(v)
+    return (w - _dot(w, p) / pp * p) / np.sqrt(pp)
 
 
 def psi(v) -> np.ndarray:
@@ -73,11 +90,9 @@ def psi(v) -> np.ndarray:
 
     Preserves direction; makes homogeneous-quadratic fields scale
     linearly so that flow speed is uniform across representative scale.
-    The norm is taken over the trailing ``(n, 3)`` axes, so each entry
-    of a leading batch shape is rescaled by its own norm.
     """
     v = np.asarray(v, dtype=float)
-    root = np.sqrt(np.sqrt((v * v).sum(axis=(-2, -1), keepdims=True)))
+    root = np.sqrt(np.sqrt(_dot(v, v)))
     return np.divide(v, root, out=np.zeros_like(v), where=root != 0.0)
 
 

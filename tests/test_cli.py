@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -9,6 +11,8 @@ import sysconfig
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import polyflow as pf
 from polyflow import cli
@@ -67,6 +71,14 @@ class TestRegularize:
         assert doc["converged"] is True
         assert doc["residual"] < 1e-10
         assert doc["iterations"] > 0
+
+    def test_non_gradient_field_reports_guard_counts(self, capsys):
+        # prism y is not a gradient: the q_c guard halves and breaks
+        rc = cli.main(["regularize", "--type", "prism", "--field", "y-variant",
+                       "--random", "0"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["halvings"] >= doc["monotone_breaks"] > 0
 
     def test_cube_is_already_optimal(self, capsys, cube_config):
         rc = cli.main(["regularize", "--type", "hexahedron",
@@ -194,6 +206,25 @@ class TestSmooth:
         err = capsys.readouterr().err
         assert "element 1" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("vertex,elements,needle", [
+        (["a", 0.0, 0.0], None, "not a number"),
+        ([None, 0.0, 0.0], None, "not a number"),
+        ([True, 0.0, 0.0], None, "not a number"),
+        ([10 ** 400, 0.0, 0.0], None, "out of range"),
+        ([0.0, 0.0, 0.0], [], "elements is empty"),
+    ])
+    def test_malformed_schema(self, capsys, tmp_path, vertex, elements, needle):
+        path = tmp_path / "mesh.json"
+        path.write_text(json.dumps({
+            "vertices": [vertex] + pf.reference_optimal("tetrahedron")[1:].tolist(),
+            "elements": ([{"type": "tetrahedron", "nodes": [0, 1, 2, 3]}]
+                         if elements is None else elements)}))
+        rc = cli.main(["smooth", "--input", str(path)])
+        assert rc == 65
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input:") and needle in err
+        assert len(err.splitlines()) == 1
+
     def test_divergence_during_smoothing(self, capsys, tmp_path, perturbed_cube_mesh):
         # the input is sound; the first sweep's volumes overflow
         rc = cli.main(["smooth", "--input", str(perturbed_cube_mesh),
@@ -244,7 +275,9 @@ class TestDegenerateConfiguration:
         ([[1.0, 2.0, 3.0]] * 4, "coincide"),
         ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [float("nan"), 1.0, 0.0],
           [0.0, 0.0, 1.0]], "finite"),
-    ], ids=["coincident", "nan"])
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], ["a", 1.0, 0.0],
+          [0.0, 0.0, 1.0]], "not a number"),
+    ], ids=["coincident", "nan", "non-numeric"])
     @pytest.mark.parametrize("as_mesh", [False, True], ids=["bare", "mesh"])
     def test_exit_65(self, capsys, tmp_path, command, vertices, needle, as_mesh):
         doc = {"vertices": vertices}
@@ -257,6 +290,20 @@ class TestDegenerateConfiguration:
         err = capsys.readouterr().err
         assert err.startswith("malformed input:") and needle in err
         assert len(err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "--type", "tetrahedron", "--at"],
+        ["classify", "--type", "tetrahedron", "--input"],
+        ["regularize", "--type", "tetrahedron", "--input"],
+    ], ids=["spectrum", "classify", "regularize"])
+    def test_huge_finite_configuration_normalizes(self, capsys, tmp_path, command):
+        # the squared norm overflows, the configuration does not
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"vertices": [
+            [1e308, 0.0, 0.0], [-1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}))
+        assert cli.main(command + [str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestClassify:
@@ -292,6 +339,107 @@ class TestUsage:
     def test_bad_type(self, capsys):
         assert cli.main(["spectrum", "--type", "cube",
                          "--at", "optimal"]) == 64
+
+    @pytest.mark.parametrize("flags,needle", [
+        (["--step", "-1"], "step"),
+        (["--step", "0"], "step"),
+        (["--step", "nan"], "step"),
+        (["--step", "inf"], "step"),
+        (["--max-iters", "0"], "max_iters"),
+        (["--tol", "0"], "tol"),
+        (["--tol", "nan"], "tol"),
+    ])
+    def test_invalid_flow_settings(self, capsys, flags, needle):
+        rc = cli.main(["regularize", "--type", "tetrahedron", "--random", "1"] + flags)
+        assert rc == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and needle in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [["--step", "-1"], ["--step", "nan"],
+                                       ["--max-iters", "0"], ["--max-iters", "-3"]])
+    def test_invalid_smoothing_settings(self, capsys, perturbed_cube_mesh, flags):
+        rc = cli.main(["smooth", "--input", str(perturbed_cube_mesh)] + flags)
+        assert rc == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+
+# Values a mutation may put where the schema expects a coordinate, a node
+# index or a flag value.
+_ODD_VALUES = [float("nan"), float("inf"), -1e308, 1e308, 10 ** 400, 1e-320,
+               0, -1, 2.7, True, None, "a", "1.0", [], {}]
+_FLAG_VALUES = {"--step": ["0.05", "0.5", "1e300", "-1", "0", "nan", "inf", "x"],
+                "--max-iters": ["3", "0", "-2", "1.5", "x"],
+                "--tol": ["1e-10", "0", "-1", "nan", "inf"],
+                "--quality-tol": ["1e-10", "-1", "nan"]}
+_COMMANDS = {  # command -> (argv before the file, flags it takes)
+    "regularize": (["regularize", "--type", "tetrahedron", "--input"],
+                   ["--step", "--max-iters", "--tol"]),
+    "smooth": (["smooth", "--input"], ["--step", "--max-iters", "--quality-tol"]),
+    "spectrum": (["spectrum", "--type", "tetrahedron", "--at"], []),
+    "classify": (["classify", "--type", "tetrahedron", "--input"], ["--tol"]),
+}
+
+
+@st.composite
+def _mutated_run(draw):
+    """A one-tetrahedron mesh and argv, each with a few random mutations."""
+    doc = {"vertices": pf.reference_optimal("tetrahedron").tolist(),
+           "elements": [{"type": "tetrahedron", "nodes": [0, 1, 2, 3]}],
+           "fixed": []}
+    odd = st.sampled_from(_ODD_VALUES)
+    for _ in range(draw(st.integers(0, 3))):
+        what = draw(st.sampled_from(["coordinate", "row", "node", "type", "fixed"]))
+        i = draw(st.integers(0, 3))
+        row = doc["vertices"][i]
+        if what == "coordinate" and isinstance(row, list) and len(row) == 3:
+            row[draw(st.integers(0, 2))] = draw(odd)
+        elif what == "row":
+            doc["vertices"][i] = draw(odd)
+        elif what == "node":
+            doc["elements"][0]["nodes"][i] = draw(odd)
+        elif what == "type":
+            doc["elements"][0]["type"] = draw(st.sampled_from(["cube", 3, [], None]))
+        elif what == "fixed":
+            doc["fixed"] = [draw(odd)]
+    shape = draw(st.sampled_from(["mesh", "bare", "no elements", "no vertices",
+                                  "odd vertices", "odd nodes", "odd fixed"]))
+    if shape == "bare":
+        doc = {"vertices": doc["vertices"]}
+    elif shape == "no elements":
+        doc["elements"] = []
+    elif shape == "no vertices":
+        del doc["vertices"]
+    elif shape == "odd vertices":
+        doc["vertices"] = draw(odd)
+    elif shape == "odd nodes":
+        doc["elements"][0]["nodes"] = draw(odd)
+    elif shape == "odd fixed":
+        doc["fixed"] = draw(odd)
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    head, flags = _COMMANDS[command]
+    tail = []
+    for flag in flags:
+        # a valid --max-iters stays small so that every run is quick
+        tail += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    return doc, head, tail
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=_mutated_run())
+def test_fuzz_cli_boundary(tmp_path_factory, run):
+    # every input ends in a documented exit code with a message, never a
+    # traceback
+    doc, head, tail = run
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(head + [str(path)] + tail)
+    assert rc in (0, 2, 3, 64, 65, 66), (rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 # The console script exists only where the package is installed; look in

@@ -4,6 +4,18 @@ import numpy as np
 import pytest
 
 import polyflow as pf
+from polyflow.flow import ACCEPT_SLACK, _evaluate
+
+
+# Every (kind, variant) pair whose field is a gradient: all but prism y.
+GRADIENT_PAIRS = [(kind, pf.GRADIENT) for kind in pf.KINDS] + [
+    ("hexahedron", pf.Y_VARIANT)]
+
+
+def _centered_quality(kind, variant, p):
+    """Oracle for q_c = <X, c> / |c|^3, c = p minus its centroid."""
+    c = p - p.mean(axis=0)
+    return float(np.vdot(pf.field(kind, variant, p), c)) / np.linalg.norm(c) ** 3
 
 
 def _prism(a: float, h: float) -> np.ndarray:
@@ -175,15 +187,55 @@ class TestIntegrate:
             t = pf.integrate("tetrahedron", pf.GRADIENT, p, pf.FlowSettings())
             assert min(row[2] for row in t.points) > 0.0
 
+    @pytest.mark.parametrize("kind,variant", GRADIENT_PAIRS)
+    def test_gradient_flows_never_lower_centered_quality(self, kind, variant):
+        # q_c = <X, c> / |c|^3 is the flow's Lyapunov function: along a
+        # gradient field the guard never fires and q_c never falls
+        for seed in range(10):
+            p = pf.random_configuration(kind, seed, variant)
+            t = pf.integrate(kind, variant, p, pf.FlowSettings())
+            assert t.halvings == t.monotone_breaks == 0, seed
+            q = [_centered_quality(kind, variant, row[1]) for row in t.points]
+            assert all(b >= a - ACCEPT_SLACK * max(1.0, abs(a))
+                       for a, b in zip(q, q[1:])), seed
+
     def test_monotone_break_bookkeeping(self):
-        # every accepted f decrease is counted, and only those
-        p = pf.pi(pf.random_configuration("tetrahedron", 1))
-        t = pf.integrate("tetrahedron", pf.GRADIENT, p, pf.FlowSettings())
-        fs = [row[2] for row in t.points]
-        drops = sum(1 for a, b in zip(fs, fs[1:])
-                    if b < a - 1e-13 * max(1.0, abs(a)))
-        assert drops == t.monotone_breaks
-        assert t.monotone_breaks > 0
+        # prism y is not a gradient: every step taken although q_c fell by
+        # more than the slack is counted, and only those.  The count uses
+        # the kernel's own q_c arithmetic, so that a drop within rounding
+        # of the slack is judged the same way; the oracle pins its value.
+        kind, variant = "prism", pf.Y_VARIANT
+        total = 0
+        for seed in range(10):
+            t = pf.integrate(kind, variant,
+                             pf.random_configuration(kind, seed, variant))
+            P = np.stack([row[1] for row in t.points])
+            q = _evaluate(kind, variant, P)[3]
+            oracle = [_centered_quality(kind, variant, p) for p in P]
+            assert np.abs(q - oracle).max() < 1e-12
+            falls = q[:-1] - q[1:] > ACCEPT_SLACK * np.maximum(1.0, np.abs(q[:-1]))
+            assert t.monotone_breaks == np.count_nonzero(falls), seed
+            assert type(t.halvings) is int and type(t.monotone_breaks) is int
+            total += t.monotone_breaks
+        assert total > 0
+
+    @pytest.mark.parametrize("normalization", ["psi", "none"])
+    @pytest.mark.parametrize("kind,variant", GRADIENT_PAIRS)
+    def test_matches_sphere_operation_reference(self, kind, variant, normalization):
+        # the kernel's step is pi(p + step * push_tangent(p, psi(X))),
+        # written here with the sphere operations themselves
+        settings = pf.FlowSettings(max_iters=30, normalization=normalization)
+        p = pf.pi(pf.random_configuration(kind, 4, variant))
+        t = pf.integrate(kind, variant, p, settings)
+        assert len(t.points) == 31
+        for it, q, f, residual, lam in t.points:
+            assert np.abs(q - p).max() < 1e-12, it
+            assert f == pytest.approx(pf.f_value(kind, variant, p), abs=1e-12)
+            assert (residual, lam) == pytest.approx(
+                pf.singularity_residual(kind, variant, p), abs=1e-12)
+            X = pf.field(kind, variant, p)
+            w = pf.psi(X) if normalization == "psi" else X
+            p = pf.pi(p + settings.step * pf.push_tangent(p, w))
 
     def test_representative_invariance(self, rng):
         # integrating any representative of the class gives the same path

@@ -30,6 +30,41 @@ def test_pi_degenerate():
         pf.pi(np.ones((4, 3)))
 
 
+def test_sigma_rescales_only_rows_out_of_range(rng):
+    # a finite configuration whose squared norm overflows or underflows
+    # still normalizes; rows in range are untouched
+    p = rng.normal(size=(4, 3))
+    batch = np.stack([p, 1e300 * p, 1e-300 * p])
+    out = pf.sigma(batch)
+    assert np.array_equal(out[0], pf.sigma(p))
+    assert np.allclose(out[1:], pf.sigma(p), rtol=0.0, atol=1e-15)
+    huge = np.array([[1e308, 0, 0], [-1e308, 0, 0], [0, 1, 0], [0, 0, 1]])
+    s = np.sqrt(0.5)
+    assert np.allclose(pf.pi(huge), [[s, 0, 0], [-s, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("bad,needle", [
+    (np.zeros((4, 3)), "zero configuration"),
+    (np.full((4, 3), np.nan), "non-finite"),
+    (np.full((4, 3), np.inf), "non-finite"),
+])
+def test_sigma_names_the_cause(rng, bad, needle):
+    batch = np.stack([rng.normal(size=(4, 3)), bad])
+    with pytest.raises(pf.DegenerateConfigurationError, match=needle):
+        pf.sigma(batch)
+
+
+def test_sphere_ops_take_batch_axes(rng):
+    P = rng.normal(size=(2, 3, 4, 3))
+    V = rng.normal(size=P.shape)
+    for op, args in ((pf.sigma, (P,)), (pf.pi, (P,)), (pf.push_tangent, (P, V))):
+        out = op(*args)
+        assert out.shape == P.shape
+        for idx in np.ndindex(P.shape[:2]):
+            assert np.allclose(out[idx], op(*(a[idx] for a in args)),
+                               rtol=0.0, atol=1e-15)
+
+
 @settings(max_examples=150)
 @given(finite_points(5), st.floats(0.1, 10.0), finite_points(1))
 def test_pi_invariance(p, lam, c):
