@@ -2,8 +2,9 @@
 
 Two scenarios: a free-floating perturbed cube that recovers its shape,
 and a two-tetrahedron mesh with a fixed boundary whose free apexes are
-pushed toward the regular height.  Quality q is the projected mean
-volume over the kind's optimum (q = 1 at the optimal shape).
+pushed toward the regular height.  Quality q is the mean volume of
+the centered, unit-norm shape over the kind's optimum (q = 1 at the
+optimal shape).
 """
 
 import numpy as np

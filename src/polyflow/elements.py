@@ -174,8 +174,9 @@ def field(kind: str, variant: str, p) -> np.ndarray:
     Returns
     -------
     (n, 3) ndarray
-        Per-vertex tangent vectors.  Rows always sum to zero, the field
-        is translation invariant, and scales quadratically.
+        Per-vertex tangent vectors.  The field is translation invariant
+        and scales quadratically.  The rows of a gradient field sum to
+        zero, so <X, p> = <X, p - centroid> there; the prism y rows do not.
     """
     return field_batch(kind, variant, _check(kind, variant, p)[None])[0]
 
@@ -352,13 +353,15 @@ def reference_optimal(kind: str) -> np.ndarray:
     raise ValueError(f"unknown element kind {kind!r}")
 
 
-# Mean volume of pi(reference_optimal(kind)): the per-kind quality ceiling.
+# The per-kind quality ceiling: the mean volume of c / |c|, where c is
+# reference_optimal(kind) minus its centroid.  The centered quality
+# V / |c|^3 is largest at the reference shape, where the field is parallel to c.
 Q_MAX = {
-    "tetrahedron": np.sqrt(6.0) / 108.0,
-    "pyramid": np.sqrt(35.0) / 294.0,
-    "prism": _S3 / 72.0,
-    "hexahedron": _S3 / 72.0,
-    "octahedron": _S3 / 54.0,
+    "tetrahedron": _S3 / 27.0,
+    "pyramid": np.sqrt(15.0) / 54.0,
+    "prism": np.sqrt(6.0) / 36.0,
+    "hexahedron": np.sqrt(6.0) / 36.0,
+    "octahedron": np.sqrt(6.0) / 27.0,
 }
 
 # Canonical edges (1-based vertex pairs) per kind, used by shape metrics.

@@ -130,12 +130,21 @@ class Trajectory:
 _CENTER = {n: np.eye(n) - 1.0 / n for n in set(elements.VERTEX_COUNT.values())}
 
 
+def _centered_quality(X, P):
+    """(q_c, <X, c>) per configuration of the batch P (B, n, 3) with field X.
+
+    q_c = <X, c> / |c|^3, c = P minus its centroid: the one definition of
+    quality, shared by the flow guard and the mesh quality report.
+    """
+    C = _CENTER[P.shape[1]] @ P
+    xc = np.einsum("bvc,bvc->b", X, C)
+    return xc / np.einsum("bvc,bvc->b", C, C) ** 1.5, xc
+
+
 def _evaluate(kind, variant, P):
     """(P, X, f, q_c) for a batch P on N: the field, <X, p> and <X, c> / |c|^3."""
     X = elements.field_batch(kind, variant, P)
-    C = _CENTER[P.shape[1]] @ P
-    return (P, X, np.einsum("bvc,bvc->b", X, P),
-            np.einsum("bvc,bvc->b", X, C) / np.einsum("bvc,bvc->b", C, C) ** 1.5)
+    return (P, X, np.einsum("bvc,bvc->b", X, P), _centered_quality(X, P)[0])
 
 
 def _halve(kind, variant, P, V, Q, step, full, out):
@@ -283,16 +292,34 @@ def shape_metrics(kind: str, p) -> dict:
     }
 
 
+# Per kind: the 0-based end vertices of the canonical edges, as index arrays.
+_EDGE_ENDS = {kind: tuple(np.array(edges).T - 1) for kind, edges in elements.EDGES.items()}
+
+
+def _edge_spread(kind, P) -> np.ndarray:
+    """``shape_metrics``'s edge_length_spread for each configuration of P (R, n, 3).
+
+    Each edge vector is dotted with itself as ``np.linalg.norm`` does it
+    (a vector-vector matmul is a dot), so the values are bitwise those of
+    ``shape_metrics``.
+    """
+    a, b = _EDGE_ENDS[kind]
+    D = P[:, a] - P[:, b]
+    lengths = np.sqrt((D[..., None, :] @ D[..., :, None])[..., 0, 0])
+    top = lengths.max(axis=1)
+    return np.divide(top - lengths.min(axis=1), top, out=np.zeros_like(top),
+                     where=top > 0)
+
+
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write one CSV row per recorded iteration.
 
     Columns: iteration, f, residual, lambda, edge_spread.  Floats are
     printed with 17 significant digits, '.' decimal separator.
     """
+    spread = _edge_spread(traj.kind, np.array([row[1] for row in traj.points]))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "f", "residual", "lambda", "edge_spread"])
-        for it, p, f, residual, lam in traj.points:
-            spread = shape_metrics(traj.kind, p)["edge_length_spread"]
-            writer.writerow([it] + [format(x, ".17g")
-                                    for x in (f, residual, lam, spread)])
+        for (it, _, f, residual, lam), s in zip(traj.points, spread.tolist()):
+            writer.writerow([it] + [format(x, ".17g") for x in (f, residual, lam, s)])

@@ -7,6 +7,13 @@ per-vertex contributions, and displaces the free vertices; element
 shapes drift toward their optimal forms while fixed boundaries stay
 put.  Meshes live in ambient space: there is no whole-mesh projection,
 and scale control comes from the per-element square-root rescaling.
+
+An element's quality is its centered quality q_c = <X, c> / |c|^3 (X
+its gradient field, c its vertices minus their centroid) over the
+kind's value at the optimal shape: the mean volume of the shape modulo
+translation and scaling, independent of the vertex numbering.  As it
+is read from the field, a sweep evaluates each element's field once,
+for its quality and for its step.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import elements as el
-from .flow import FlowDivergenceError, FlowSettings
+from .flow import FlowDivergenceError, FlowSettings, _centered_quality
 from .sphere import DegenerateConfigurationError, psi, tau
 
 
@@ -110,54 +117,35 @@ class QualityReport:
     inverted_count: int
 
 
-def _volume_pass(m: Mesh):
-    """Per element, in element order: raw mean volume V and |tau(p)|.
+def _fields(m: Mesh) -> list:
+    """Per group of ``m.groups``: the gradient field of its elements, (E, n, 3).
 
-    One batched volume evaluation per kind, on the pinned
-    configurations tau(p); the volume is translation invariant.
+    A field that overflows is not finite, and so is the quality that
+    ``_report`` reads from it, which raises; numpy's warning is muted.
     """
-    volume = np.empty(len(m.elements))
-    norm = np.empty(len(m.elements))
-    for kind, nodes, pos in m.groups:
-        T = tau(m.vertices[nodes])
-        volume[pos] = el.mean_volume_batch(kind, T)
-        norm[pos] = np.sqrt((T * T).sum(axis=(-2, -1)))
-    return volume, norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [el.field_batch(kind, el.GRADIENT, m.vertices[nodes])
+                for kind, nodes, _ in m.groups]
 
 
-def mesh_mean_volume(m: Mesh) -> float:
-    """Sum of element mean volumes (signed; additive over elements)."""
-    return float(_volume_pass(m)[0].sum())
-
-
-def quality_report(m: Mesh) -> QualityReport:
-    """Normalized per-element quality: mean volume on N over the kind's ceiling.
-
-    q = 1 at the optimal shape, q < 0 for inverted elements; the
-    ``inverted_count`` counts q < 0.  The volume is cubic and
-    translation invariant, so the mean volume of pi(p) is
-    V(p) / |tau(p)|^3.
-
-    Raises
-    ------
-    DegenerateConfigurationError
-        Naming the first element whose q is not finite: its vertices all
-        coincide, or its coordinates or volume are not finite.
-    """
+def _report(m: Mesh, fields) -> QualityReport:
+    """The quality report of ``m`` from its element fields (see quality_report)."""
+    xc = np.empty(len(m.elements))
+    q = np.empty(len(m.elements))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        volume, norm = _volume_pass(m)
-        q = volume / norm ** 3
+        for (kind, nodes, pos), X in zip(m.groups, fields):
+            q_c, xc[pos] = _centered_quality(X, m.vertices[nodes])
+            q[pos] = q_c / (18.0 * el.Q_MAX[kind])
     bad = np.flatnonzero(~np.isfinite(q))
     if bad.size:
         k = int(bad[0])
-        reason = ("all vertices coincide" if norm[k] == 0.0
-                  else "non-finite coordinates or volume")
+        p = m.vertices[list(m.elements[k][1])]
+        coincide = np.isfinite(p).all() and not np.ptp(p, axis=0).any()
+        reason = "all vertices coincide" if coincide else "non-finite coordinates or volume"
         raise DegenerateConfigurationError(f"element {k}: {reason}")
-    for kind, _, pos in m.groups:
-        q[pos] /= el.Q_MAX[kind]
     return QualityReport(
         per_element_q=tuple(q.tolist()),
-        mesh_mean_volume=float(volume.sum()),
+        mesh_mean_volume=float(xc.sum()) / 18.0,
         min_q=float(q.min()),
         mean_q=float(np.mean(q)),
         max_q=float(q.max()),
@@ -165,19 +153,11 @@ def quality_report(m: Mesh) -> QualityReport:
     )
 
 
-def smooth_step(m: Mesh, settings: FlowSettings = FlowSettings()) -> Mesh:
-    """One smoothing sweep: scatter-average element fields, displace free vertices.
-
-    Every element's gradient field is evaluated (square-root rescaled
-    per element under the ``psi`` normalization); each vertex averages
-    the contributions of the elements containing it; free vertices move
-    by step times that average.  Fixed vertices are returned bitwise
-    unchanged.
-    """
+def _step(m: Mesh, fields, settings: FlowSettings) -> Mesh:
+    """Scatter-average the element fields and displace the free vertices (smooth_step)."""
     acc = np.zeros_like(m.vertices)
     count = np.zeros(len(m.vertices))
-    for kind, nodes, _ in m.groups:
-        F = el.field_batch(kind, el.GRADIENT, m.vertices[nodes])
+    for (_, nodes, _), F in zip(m.groups, fields):
         if settings.normalization == "psi":
             F = psi(F)
         flat = nodes.ravel()
@@ -194,27 +174,78 @@ def smooth_step(m: Mesh, settings: FlowSettings = FlowSettings()) -> Mesh:
     return m.with_vertices(out)
 
 
+def mesh_mean_volume(m: Mesh) -> float:
+    """Sum of element mean volumes (signed; additive over elements).
+
+    The triangulation sum: one batched volume evaluation per kind, on the
+    pinned configurations tau(p), as the volume is translation invariant.
+    """
+    volume = np.empty(len(m.elements))
+    for kind, nodes, pos in m.groups:
+        volume[pos] = el.mean_volume_batch(kind, tau(m.vertices[nodes]))
+    return float(volume.sum())
+
+
+def quality_report(m: Mesh) -> QualityReport:
+    """Per-element centered quality over the kind's ceiling, and mesh summary.
+
+    An element's quality is q = q_c / (18 Q_MAX[kind]), where
+    q_c = <X, c> / |c|^3 is the centered quality of the flow: X is the
+    element's gradient field and c its vertices minus their centroid.
+    As <X, c> = 18 V (Euler's identity; the gradient rows sum to zero),
+    q is the mean volume of c / |c| over that of the centered, unit-norm
+    reference shape.  It is invariant under translation, scaling and
+    the kind's vertex relabellings; q = 1 at the optimal shape, q <= 1
+    elsewhere, and q < 0 for inverted elements (``inverted_count``).
+    ``mesh_mean_volume`` is the sum of the elements' V = <X, c> / 18.
+
+    Raises
+    ------
+    DegenerateConfigurationError
+        Naming the first element whose q is not finite: its vertices all
+        coincide, or its coordinates or volume are not finite.
+    """
+    return _report(m, _fields(m))
+
+
+def smooth_step(m: Mesh, settings: FlowSettings = FlowSettings()) -> Mesh:
+    """One smoothing sweep: scatter-average element fields, displace free vertices.
+
+    Every element's gradient field is evaluated (square-root rescaled
+    per element under the ``psi`` normalization); each vertex averages
+    the contributions of the elements containing it; free vertices move
+    by step times that average.  Fixed vertices are returned bitwise
+    unchanged.
+    """
+    return _step(m, _fields(m), settings)
+
+
 def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
            max_iters: int = 10 ** 4, quality_tol: float = 1e-10):
     """Repeat smooth_step until min-quality stagnates over a 10-iteration window.
 
     Returns ``(mesh, reports)`` where ``reports[i]`` is the
-    :class:`QualityReport` after i steps (``reports[0]`` is the input
-    state).  A mesh with every vertex fixed is returned unchanged with a
-    warning.  Non-finite vertices raise :class:`FlowDivergenceError`
-    with the failing iteration.
+    :class:`QualityReport` (centered quality, see :func:`quality_report`)
+    after i steps; ``reports[0]`` is the input state.  Each state's
+    element fields are evaluated once and serve both its report and the
+    step that leaves it, so n sweeps cost n + 1 field passes.  A mesh
+    with every vertex fixed is returned unchanged with a warning.
+    Non-finite vertices raise :class:`FlowDivergenceError` with the
+    failing iteration.
     """
-    reports = [quality_report(m)]
+    fields = _fields(m)
+    reports = [_report(m, fields)]
     if len(m.fixed) >= len(m.vertices):
         warnings.warn("all vertices fixed; smoothing is the identity", stacklevel=2)
         return m, reports
     window = 10
     for it in range(1, max_iters + 1):
-        m = smooth_step(m, settings)
+        m = _step(m, fields, settings)
         if not np.all(np.isfinite(m.vertices)):
             raise FlowDivergenceError(it)
+        fields = _fields(m)
         try:
-            reports.append(quality_report(m))
+            reports.append(_report(m, fields))
         except DegenerateConfigurationError as exc:
             # an element collapsed to a point; the sweep cannot continue
             raise FlowDivergenceError(it) from exc
@@ -290,11 +321,34 @@ def mesh_to_dict(m: Mesh) -> dict:
     }
 
 
+def _json_list(items, depth: int) -> str:
+    """Encoded items as a list at nesting ``depth``, in the ``indent=2`` layout."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
 def save_mesh(m: Mesh, path) -> None:
-    """Write the JSON schema; floats use shortest round-trip representation."""
+    """Write the JSON schema; floats use shortest round-trip representation.
+
+    The bytes are those of ``json.dump(mesh_to_dict(m), fh, indent=2)``
+    plus a newline, formed without the pure-Python encoder that
+    ``indent`` selects.  Non-finite coordinates go through ``json``.
+    """
+    if not np.isfinite(m.vertices).all():
+        text = json.dumps(mesh_to_dict(m), indent=2)
+    else:
+        row = "[\n      %r,\n      %r,\n      %r\n    ]"
+        vertices = [row % tuple(xyz) for xyz in m.vertices.tolist()]
+        elements = ['{\n      "type": "%s",\n      "nodes": %s\n    }'
+                    % (kind, _json_list(list(map(str, nodes)), 3))
+                    for kind, nodes in m.elements]
+        text = ('{\n  "vertices": %s,\n  "elements": %s,\n  "fixed": %s\n}'
+                % (_json_list(vertices, 1), _json_list(elements, 1),
+                   _json_list(list(map(str, sorted(m.fixed))), 1)))
     with open(path, "w") as fh:
-        json.dump(mesh_to_dict(m), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def quality_to_csv(report: QualityReport, m: Mesh, path) -> None:

@@ -60,12 +60,22 @@ def sigma(p) -> np.ndarray:
 def pi(p) -> np.ndarray:
     """Canonical representative on N: last vertex zero, unit norm.
 
+    A finite configuration whose pinned differences overflow is first
+    divided by its largest ``|entry|``, as in :func:`sigma`.
+
     Raises
     ------
     DegenerateConfigurationError
         If all vertices coincide (tau(p) = 0), or a coordinate is not finite.
     """
-    return sigma(tau(p))
+    p = np.asarray(p, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = tau(p)
+        if not np.isfinite(t).all():
+            scale = np.abs(p).max(axis=(-2, -1), keepdims=True)
+            big = np.isfinite(scale) & ~np.isfinite(t).all(axis=(-2, -1), keepdims=True)
+            t = np.where(big, tau(p / np.where(big, scale, 1.0)), t)
+    return sigma(t)
 
 
 def push_tangent(p, v) -> np.ndarray:

@@ -8,10 +8,11 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import polyflow as pf
@@ -382,6 +383,9 @@ _COMMANDS = {  # command -> (argv before the file, flags it takes)
 }
 
 
+_HUGE_VERTICES = [[1e308, 0, 0], [1, 0, 0], [0, 1, 0], [-1e308, 0, 1]]
+
+
 @st.composite
 def _mutated_run(draw):
     """A one-tetrahedron mesh and argv, each with a few random mutations."""
@@ -404,8 +408,11 @@ def _mutated_run(draw):
         elif what == "fixed":
             doc["fixed"] = [draw(odd)]
     shape = draw(st.sampled_from(["mesh", "bare", "no elements", "no vertices",
-                                  "odd vertices", "odd nodes", "odd fixed"]))
-    if shape == "bare":
+                                  "odd vertices", "odd nodes", "odd fixed", "huge"]))
+    if shape == "huge":
+        # finite, but the differences to the last vertex overflow
+        doc["vertices"] = _HUGE_VERTICES
+    elif shape == "bare":
         doc = {"vertices": doc["vertices"]}
     elif shape == "no elements":
         doc["elements"] = []
@@ -429,17 +436,27 @@ def _mutated_run(draw):
 @settings(max_examples=50, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(run=_mutated_run())
+@example(run=({"vertices": _HUGE_VERTICES},
+              _COMMANDS["classify"][0], []))
+@example(run=({"vertices": pf.reference_optimal("tetrahedron").tolist(),
+               "elements": [{"type": "tetrahedron", "nodes": [0, 1, 2, 3]}]},
+              _COMMANDS["smooth"][0], ["--step", "1e300", "--max-iters", "3"]))
 def test_fuzz_cli_boundary(tmp_path_factory, run):
     # every input ends in a documented exit code with a message, never a
-    # traceback
+    # traceback or a numpy RuntimeWarning
     doc, head, tail = run
     path = tmp_path_factory.mktemp("fuzz") / "input.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = cli.main(head + [str(path)] + tail)
     assert rc in (0, 2, 3, 64, 65, 66), (rc, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert "RuntimeWarning" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        [str(w.message) for w in caught]
 
 
 # The console script exists only where the package is installed; look in

@@ -220,10 +220,16 @@ def test_field_matches_triangulation_assembly(rng, kind):
 
 @pytest.mark.parametrize("kind", pf.KINDS)
 def test_reference_quality_is_maximal(kind):
-    # the stored normalizer equals the mean volume of the projected
-    # reference shape, so reference quality is exactly one
-    mv = pf.mean_volume(kind, pf.pi(pf.reference_optimal(kind)))
+    # the stored normalizer equals the mean volume of the centered,
+    # unit-norm reference shape, so reference quality is exactly one; the
+    # field is parallel to c there, so V / |c|^3 is critical at the reference
+    ref = pf.reference_optimal(kind)
+    c = ref - ref.mean(axis=0)
+    mv = pf.mean_volume(kind, c / np.linalg.norm(c))
     assert mv == pytest.approx(pf.Q_MAX[kind], rel=1e-12)
+    X = pf.field(kind, pf.GRADIENT, ref)
+    lam = np.vdot(X, c) / np.vdot(c, c)
+    assert np.abs(X - lam * c).max() <= 1e-14 * np.abs(X).max()
 
 
 def test_y_variant_positive_on_cube():

@@ -337,3 +337,15 @@ def test_trajectory_csv(tmp_path):
     path2 = tmp_path / "traj2.csv"
     pf.trajectory_to_csv(t, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("kind", pf.KINDS)
+def test_trajectory_csv_edge_spread_matches_shape_metrics(tmp_path, kind):
+    # the batched edge spread prints the bytes of shape_metrics, row by row
+    t = pf.integrate(kind, pf.GRADIENT, pf.random_configuration(kind, 3),
+                     pf.FlowSettings(max_iters=60))
+    path = tmp_path / "traj.csv"
+    pf.trajectory_to_csv(t, path)
+    column = [line.split(",")[4] for line in path.read_text().splitlines()[1:]]
+    assert column == [format(pf.shape_metrics(kind, p)["edge_length_spread"], ".17g")
+                      for _, p, _, _, _ in t.points]

@@ -1,5 +1,6 @@
 """Tests for mesh containers, quality reporting, smoothing, and mesh JSON."""
 
+import itertools
 import json
 import tracemalloc
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import polyflow as pf
+from polyflow import elements
 
 
 def _single(kind, vertices, fixed=()):
@@ -63,6 +65,20 @@ def _hex_grid(cells, jitter, seed):
     return pf.Mesh(vertices=v,
                    elements=tuple(("hexahedron", tuple(row)) for row in nodes.tolist()),
                    fixed=frozenset(np.flatnonzero(boundary).tolist()))
+
+
+def _centered_unit(p):
+    c = p - p.mean(axis=0)
+    return c / np.linalg.norm(c)
+
+
+def _vertex_symmetries(kind):
+    """The relabellings of a kind that keep its edge set and its orientation."""
+    edges = {frozenset((a - 1, b - 1)) for a, b in pf.EDGES[kind]}
+    ref = pf.reference_optimal(kind)
+    return [s for s in itertools.permutations(range(pf.VERTEX_COUNT[kind]))
+            if {frozenset((s[a], s[b])) for a, b in edges} == edges
+            and pf.mean_volume(kind, ref[list(s)]) > 0.0]
 
 
 def _loop_mean_volume(kind, p):
@@ -152,6 +168,44 @@ class TestQualityReport:
         b = pf.quality_report(m.with_vertices(7.0 * m.vertices - 3.0)
                               ).per_element_q
         assert a == pytest.approx(b)
+
+    @pytest.mark.parametrize("kind", pf.KINDS)
+    def test_reference_shape_is_one(self, kind):
+        ref = pf.reference_optimal(kind)
+        for v in (ref, 3.7 * ref - 2.5):
+            q = pf.quality_report(_single(kind, v)).per_element_q[0]
+            assert abs(q - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("kind", pf.KINDS)
+    def test_invariant_under_vertex_symmetries(self, kind):
+        # every relabelling of one jittered shape that keeps the edge set
+        # and the orientation gives the same q: the quality does not
+        # depend on which vertex is stored last
+        syms = _vertex_symmetries(kind)
+        assert len(syms) == {"tetrahedron": 12, "pyramid": 4, "prism": 6,
+                             "hexahedron": 24, "octahedron": 24}[kind]
+        if kind == "hexahedron":
+            assert (1, 2, 3, 0, 5, 6, 7, 4) in syms  # (1234)(5678)
+        n = pf.VERTEX_COUNT[kind]
+        v = (pf.reference_optimal(kind) + 3.0
+             + np.random.default_rng(5).uniform(-0.2, 0.2, (n, 3)))
+        m = pf.Mesh(vertices=v, elements=tuple((kind, s) for s in syms),
+                    fixed=frozenset())
+        q = np.array(pf.quality_report(m).per_element_q)
+        assert np.abs(q - q[0]).max() <= 1e-14 * abs(q[0])
+
+    @pytest.mark.parametrize("kind", pf.KINDS)
+    def test_at_most_one_on_random_shapes(self, kind):
+        n = pf.VERTEX_COUNT[kind]
+        rng = np.random.default_rng(9)
+        P = np.concatenate([
+            rng.normal(size=(300, n, 3)),
+            pf.reference_optimal(kind) + rng.uniform(-0.05, 0.05, (300, n, 3))])
+        m = pf.Mesh(vertices=P.reshape(-1, 3),
+                    elements=tuple((kind, tuple(range(k * n, (k + 1) * n)))
+                                   for k in range(len(P))),
+                    fixed=frozenset())
+        assert pf.quality_report(m).max_q <= 1.0 + 1e-12
 
 
 class TestSmoothStep:
@@ -257,8 +311,8 @@ class TestMixedKinds:
 
     def test_quality_report_matches_element_loop(self):
         m = _mixed_mesh()
-        qs = [_loop_mean_volume(kind, pf.pi(m.vertices[list(nodes)])) / pf.Q_MAX[kind]
-              for kind, nodes in m.elements]
+        qs = [_loop_mean_volume(kind, _centered_unit(m.vertices[list(nodes)]))
+              / pf.Q_MAX[kind] for kind, nodes in m.elements]
         mmv = sum(_loop_mean_volume(kind, m.vertices[list(nodes)])
                   for kind, nodes in m.elements)
         rep = pf.quality_report(m)
@@ -314,6 +368,26 @@ class TestSmooth:
         assert reports[-1].min_q > start
         assert np.array_equal(m2.vertices[:3], v[:3])
 
+    def test_one_field_pass_per_sweep(self, monkeypatch):
+        # each state's fields serve its report and its step: n sweeps make
+        # n + 1 field passes per kind and no separate volume pass
+        field_calls, volume_calls = {}, []
+        field_batch = elements.field_batch
+
+        def counted_field(kind, variant, P):
+            field_calls[kind] = field_calls.get(kind, 0) + 1
+            return field_batch(kind, variant, P)
+
+        monkeypatch.setattr(elements, "field_batch", counted_field)
+        monkeypatch.setattr(elements, "mean_volume_batch",
+                            lambda *args: volume_calls.append(args))
+        sweeps = 5
+        _, reports = pf.smooth(_mixed_mesh(), pf.FlowSettings(), max_iters=sweeps,
+                               quality_tol=-1)
+        assert len(reports) == sweeps + 1
+        assert field_calls == {kind: sweeps + 1 for kind in pf.KINDS}
+        assert volume_calls == []
+
     def test_all_fixed_warns_identity(self):
         m = _single("hexahedron", pf.reference_optimal("hexahedron"),
                     fixed=range(8))
@@ -346,6 +420,20 @@ class TestMeshJson:
         assert m2.vertices.tobytes() == m.vertices.tobytes()
         assert m2.elements == m.elements
         assert m2.fixed == m.fixed
+
+    @pytest.mark.parametrize("case", ["mixed", "no fixed", "float forms", "non-finite"])
+    def test_save_writes_the_json_dump_bytes(self, tmp_path, case):
+        m = _corner_tets() if case == "no fixed" else _mixed_mesh()
+        if case in ("float forms", "non-finite"):
+            v = m.vertices.copy()
+            v[2] = [-0.0, 1e-300, 1.5e16]
+            if case == "non-finite":
+                v[3] = [np.nan, np.inf, -np.inf]
+            m = m.with_vertices(v)
+        path = tmp_path / "mesh.json"
+        pf.save_mesh(m, path)
+        expected = json.dumps(pf.mesh_to_dict(m), indent=2) + "\n"
+        assert path.read_bytes() == expected.encode()
 
     def test_dict_schema(self):
         d = pf.mesh_to_dict(_corner_tets())
