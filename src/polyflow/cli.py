@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -73,6 +74,12 @@ def _build_parser() -> _Parser:
     cla.add_argument("--field", default="gradient", choices=sorted(_FIELD_NAMES))
     cla.add_argument("--tol", type=float, default=1e-10)
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of :func:`main`, built once per process on first use."""
+    return _build_parser()
 
 
 def _resolve_variant(parser, kind, field_name):
@@ -214,7 +221,7 @@ def _cmd_classify(parser, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "regularize":

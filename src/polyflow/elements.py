@@ -139,11 +139,12 @@ def _compile(key):
 
 # Per (kind, variant): the folded table (I, J, S) of ``_compile``.
 FIELD_PAIRS = {key: _compile(key) for key in _FIELD_TERMS}
-# The same tables as (2, 3, K) gather offsets into the flattened (3n,)
-# configuration, plus S.T: component c of p_i x p_j is p_i[c+1] p_j[c+2] -
+# The same tables as (2, 3, K) gather offsets into a flattened component-major
+# row (x_1..x_n, y_1..y_n, z_1..z_n), where component c of vertex i sits at
+# c n + i, plus S.T: component c of p_i x p_j is p_i[c+1] p_j[c+2] -
 # p_i[c+2] p_j[c+1] (indices mod 3).
-_COMPILED = {key: (np.stack([3 * I + _YZX, 3 * I + _ZXY]),
-                   np.stack([3 * J + _ZXY, 3 * J + _YZX]), S.T)
+_COMPILED = {key: (np.stack([I + len(S) * _YZX, I + len(S) * _ZXY]),
+                   np.stack([J + len(S) * _ZXY, J + len(S) * _YZX]), S.T)
              for key, (I, J, S) in FIELD_PAIRS.items()}
 
 
@@ -184,14 +185,26 @@ def field(kind: str, variant: str, p) -> np.ndarray:
 def field_batch(kind: str, variant: str, P) -> np.ndarray:
     """Evaluate the field on a batch of configurations, shape (B, n, 3).
 
-    The cross products of the folded vertex pairs are formed component
-    by component, then contracted with the table as ``(B, 3, K) @ S.T``.
+    :func:`field_rows` on the transposed batch; the result is a (B, n, 3)
+    view of its component-major array.
     """
     P = np.asarray(P, dtype=float)
+    return field_rows(kind, variant, P.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def field_rows(kind: str, variant: str, R) -> np.ndarray:
+    """Evaluate the field on component-major rows R (B, 3, n); returns (B, 3, n).
+
+    Row b holds the x, y and z coordinates of configuration b's vertices.
+    The cross products of the folded vertex pairs are formed component
+    by component from one flat gather, then contracted with the table as
+    ``(B, 3, K) @ S.T``.
+    """
+    R = np.asarray(R, dtype=float)
     left, right, ST = _COMPILED[kind, variant]
-    Q = P.reshape(P.shape[:-2] + (-1,))
-    prod = Q[..., left] * Q[..., right]  # (B, 2, 3, K)
-    return ((prod[..., 0, :, :] - prod[..., 1, :, :]) @ ST).swapaxes(-1, -2)
+    Q = R.reshape(R.shape[:-2] + (-1,))
+    prod = Q.take(left, axis=-1) * Q.take(right, axis=-1)  # (B, 2, 3, K)
+    return (prod[..., 0, :, :] - prod[..., 1, :, :]) @ ST
 
 
 def f_value(kind: str, variant: str, p) -> float:

@@ -14,6 +14,14 @@ A step that lowers q_c is halved; where halving cannot cure the decrease
 (a field that is not a gradient, such as prism y) the full step is taken
 and counted in ``monotone_breaks``.  The pinned f = <X, p> is recorded
 but not guarded: it depends on the gauge and is not monotone.
+
+The kernel holds its batch as component-major rows (B, 3, n): row b
+lists the x, then y, then z coordinates of configuration b.  Every
+inner product is one ``np.vecdot`` over the flat (B, 3n) view, tau is
+one subtraction of the last column, and the field is
+:func:`elements.field_rows`, which gathers through one flat offset
+table per (kind, variant).  Each row is centered by its own mean, so a
+row's rounding, and with it the run, does not depend on the batch.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import elements
-from .sphere import DegenerateConfigurationError, is_collinear, pi, sigma, tau
+from .sphere import DegenerateConfigurationError, _sigma, is_collinear, pi, tau
 
 # Guard on q_c: relative acceptance slack, the halving budget per
 # iteration, and the drop ratio separating curvature overshoot (halving
@@ -126,31 +134,50 @@ class Trajectory:
         return self.points[-1][3]
 
 
-# Per vertex count n: the (n, n) matrix that subtracts the centroid.
-_CENTER = {n: np.eye(n) - 1.0 / n for n in set(elements.VERTEX_COUNT.values())}
+def _flat(A):
+    """The (B, 3n) view of a contiguous batch A (B, 3, n)."""
+    return A.reshape(len(A), -1)
+
+
+# Per vertex count n: the weights 1/n of the mean over the vertex axis.
+_MEAN = {n: np.full(n, 1.0 / n) for n in set(elements.VERTEX_COUNT.values())}
 
 
 def _centered_quality(X, P):
-    """(q_c, <X, c>) per configuration of the batch P (B, n, 3) with field X.
+    """(q_c, <X, c>) per configuration of the component-major rows P (B, 3, n).
 
-    q_c = <X, c> / |c|^3, c = P minus its centroid: the one definition of
-    quality, shared by the flow guard and the mesh quality report.
+    q_c = <X, c> / |c|^3, X the field rows and c = P minus its centroid:
+    the one definition of quality, shared by the flow guard and the mesh
+    quality report.  Each row is centered by its own mean, so its
+    rounding does not depend on the batch.
     """
-    C = _CENTER[P.shape[1]] @ P
-    xc = np.einsum("bvc,bvc->b", X, C)
-    return xc / np.einsum("bvc,bvc->b", C, C) ** 1.5, xc
+    C = P - np.vecdot(P, _MEAN[P.shape[2]])[..., None]
+    c = _flat(C)
+    xc, cc = np.vecdot(_flat(X), c), np.vecdot(c, c)
+    return xc / (cc * np.sqrt(cc)), xc
+
+
+def _measure(kind, variant, P):
+    """(P, X, f, q_c) for component-major rows P (B, 3, n) on N.
+
+    The field rows X, f = <X, p> and the centered quality q_c.
+    """
+    X = elements.field_rows(kind, variant, P)
+    return P, X, np.vecdot(_flat(X), _flat(P)), _centered_quality(X, P)[0]
 
 
 def _evaluate(kind, variant, P):
-    """(P, X, f, q_c) for a batch P on N: the field, <X, p> and <X, c> / |c|^3."""
-    X = elements.field_batch(kind, variant, P)
-    return (P, X, np.einsum("bvc,bvc->b", X, P), _centered_quality(X, P)[0])
+    """:func:`_measure` of a batch P (B, n, 3) on N: the kernel's evaluator.
+
+    P and X come back as component-major rows (B, 3, n).
+    """
+    return _measure(kind, variant, np.ascontiguousarray(P.swapaxes(1, 2)))
 
 
 def _halve(kind, variant, P, V, Q, step, full, out):
     """Halve the steps P + step V that lowered q_c beyond the slack.
 
-    ``full`` holds :func:`_evaluate` of the full steps; a row's first
+    ``full`` holds :func:`_measure` of the full steps; a row's first
     halved step that keeps q_c within the slack replaces it there.  A
     row keeps its full step, counted as a monotone break, when the
     halvings run out or barely shrink the decrease (a true negative slope).
@@ -165,7 +192,7 @@ def _halve(kind, variant, P, V, Q, step, full, out):
         if not rows.size:
             break
         step *= 0.5
-        half = _evaluate(kind, variant, sigma(P[rows] + step * V[rows]))
+        half = _measure(kind, variant, _sigma(P[rows] + step * V[rows]))
         shrunk = Q[rows] - half[3]
         ok = shrunk <= slack[rows]
         for dest, src in zip(full, half):
@@ -180,51 +207,57 @@ def _flow(kind, variant, P, settings, record=None):
     """The flow kernel: run each configuration of P (B, n, 3) on N to its end.
 
     ``record(it, P, F, residual, lam)`` is called once per iteration with
-    the still running rows.  Returns the dict of :func:`integrate_batch`.
+    the still running rows, P as component-major rows (B, 3, n).  Returns
+    the dict of :func:`integrate_batch`.
     """
     elements._check(kind, variant, P[0])
     P, X, F, Q = _evaluate(kind, variant, P)
-    bound = 3.0 * float(np.sqrt(np.einsum("bvc,bvc->b", X, X)).max())
+    bound = 3.0 * float(np.sqrt(np.vecdot(_flat(X), _flat(X))).max())
     if settings.step * bound >= 2.0:
         warnings.warn(
             f"step {settings.step} times field scale estimate {bound:.3g} "
             "exceeds 2; the iteration may overshoot", stacklevel=3)
-    B = len(P)
-    out = dict(p=np.empty_like(P), residual=np.empty(B), lam=np.empty(B), f=np.empty(B),
-               iterations=np.empty(B, dtype=int), converged=np.zeros(B, dtype=bool),
-               halvings=0, monotone_breaks=0)
+    B, _, n = P.shape
+    out = dict(p=np.empty((B, n, 3)), residual=np.empty(B), lam=np.empty(B),
+               f=np.empty(B), iterations=np.empty(B, dtype=int),
+               converged=np.zeros(B, dtype=bool), halvings=0, monotone_breaks=0)
     rows = np.arange(B)  # the output row of each running configuration
-    for it in range(settings.max_iters + 1):
-        T = tau(X)
-        lam = np.einsum("bvc,bvc->b", T, P)
-        R = T - lam[:, None, None] * P  # = push_tangent(P, X), as |P| = 1
-        residual = np.sqrt(np.einsum("bvc,bvc->b", R, R))
-        if record is not None:
-            record(it, P, F, residual, lam)
-        converged = residual < settings.tol
-        if np.count_nonzero(converged) or it == settings.max_iters:
-            stop = converged | (it == settings.max_iters)
-            for key, value in zip(("p", "residual", "lam", "f", "converged"),
-                                  (P, residual, lam, F, converged)):
-                out[key][rows[stop]] = value[stop]
-            out["iterations"][rows[stop]] = it
-            if stop.all():
-                break
-            rows, P, X, F, Q, R = (a[~stop] for a in (rows, P, X, F, Q, R))
-        V = R
-        if settings.normalization == "psi":
-            # push_tangent is linear and psi(X) = X / sqrt|X|, so the step
-            # push_tangent(P, psi(X)) is R / sqrt|X|; X != 0 as |R| >= tol.
-            V = R / np.sqrt(np.sqrt(np.einsum("bvc,bvc->b", X, X)))[:, None, None]
-        try:
-            # P + s V is pinned already.  P stays finite on N, so only an
-            # overflowing step diverges, and sigma reports it.
-            full = _evaluate(kind, variant, sigma(P + settings.step * V))
-            if np.count_nonzero(full[3] < Q):  # rare on gradient fields
-                _halve(kind, variant, P, V, Q, settings.step, full, out)
-        except DegenerateConfigurationError as exc:
-            raise FlowDivergenceError(it) from exc
-        P, X, F, Q = full
+    step, tol, last = settings.step, settings.tol, settings.max_iters
+    with np.errstate(over="ignore"):  # _sigma rescues an overflowing norm
+        for it in range(last + 1):
+            T = X - X[:, :, -1:]  # tau(X): the last column is exactly 0
+            lam = np.vecdot(_flat(T), _flat(P))
+            R = T - lam[:, None, None] * P  # = push_tangent(P, X), as |P| = 1
+            r = _flat(R)
+            residual = np.sqrt(np.vecdot(r, r))
+            if record is not None:
+                record(it, P, F, residual, lam)
+            converged = residual < tol
+            if np.count_nonzero(converged) or it == last:
+                stop = converged | (it == last)
+                out["p"][rows[stop]] = P[stop].swapaxes(1, 2)
+                for key, value in zip(("residual", "lam", "f", "converged"),
+                                      (residual, lam, F, converged)):
+                    out[key][rows[stop]] = value[stop]
+                out["iterations"][rows[stop]] = it
+                if np.count_nonzero(stop) == len(stop):
+                    break
+                rows, P, X, F, Q, R = (a[~stop] for a in (rows, P, X, F, Q, R))
+            V = R
+            if settings.normalization == "psi":
+                # push_tangent is linear and psi(X) = X / sqrt|X|, so the step
+                # push_tangent(P, psi(X)) is R / sqrt|X|; X != 0 as |R| >= tol.
+                x = _flat(X)
+                V = R / np.sqrt(np.sqrt(np.vecdot(x, x)))[:, None, None]
+            try:
+                # P + s V is pinned already.  P stays finite on N, so only an
+                # overflowing step diverges, and _sigma reports it.
+                full = _measure(kind, variant, _sigma(P + step * V))
+                if np.count_nonzero(full[3] < Q):  # rare on gradient fields
+                    _halve(kind, variant, P, V, Q, step, full, out)
+            except DegenerateConfigurationError as exc:
+                raise FlowDivergenceError(it) from exc
+            P, X, F, Q = full
     return out
 
 
@@ -240,7 +273,7 @@ def integrate(kind: str, variant: str, p0,
     traj = Trajectory(kind=kind, variant=variant)
     out = _flow(kind, variant, pi(p0)[None], settings,
                 lambda it, P, F, res, lam: traj.points.append(
-                    (it, P[0].copy(), float(F[0]), float(res[0]), float(lam[0]))))
+                    (it, P[0].T.copy(), float(F[0]), float(res[0]), float(lam[0]))))
     traj.iterations, traj.converged = int(out["iterations"][0]), bool(out["converged"][0])
     traj.halvings, traj.monotone_breaks = out["halvings"], out["monotone_breaks"]
     return traj

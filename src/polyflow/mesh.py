@@ -23,6 +23,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, field as dataclass_field
+from itertools import chain
 
 import numpy as np
 
@@ -53,6 +54,61 @@ def _index(i, what: str, n: int) -> int:
     return i
 
 
+def _int_indices(values: list, n: int):
+    """``values`` as an index array if all are Python ints in 0..n-1, else None.
+
+    One pass over the common case.  On None the caller checks each value
+    with :func:`_index`, which accepts numpy integers and names the first
+    bad value.
+    """
+    if set(map(type, values)) - {int}:  # a bool or numpy integer is not an int here
+        return None
+    try:
+        a = np.array(values, dtype=np.intp)
+    except OverflowError:  # an int beyond the index type
+        return None
+    return None if np.count_nonzero((a < 0) | (a >= n)) else a
+
+
+def _groups(elements: tuple, n: int):
+    """Per kind present: its (E, n) node-index array and (E,) positions.
+
+    None if an element has an unknown kind, the wrong node count, or an
+    index that is not a Python int in 0..n-1.
+    """
+    by_kind = {}
+    for k, (kind, nodes) in enumerate(elements):
+        if kind not in el.KINDS or len(nodes) != el.VERTEX_COUNT[kind]:
+            return None
+        by_kind.setdefault(kind, []).append(k)
+    groups = []
+    for kind, pos in by_kind.items():
+        nodes = _int_indices(list(chain.from_iterable(elements[k][1] for k in pos)), n)
+        if nodes is None:
+            return None
+        groups.append((kind, nodes.reshape(len(pos), -1), np.array(pos, dtype=np.intp)))
+    return tuple(groups)
+
+
+def _checked(elements: tuple, n: int) -> tuple:
+    """The elements with every index checked by :func:`_index`, in order.
+
+    Raises MeshFormatError naming the first bad ``elements[k]``.
+    """
+    out = []
+    for k, (kind, nodes) in enumerate(elements):
+        if kind not in el.KINDS:
+            raise MeshFormatError(f"elements[{k}]: unknown type {kind!r}")
+        label = f"elements[{k}]: node index"
+        nodes = tuple([_index(i, label, n) for i in nodes])
+        if len(nodes) != el.VERTEX_COUNT[kind]:
+            raise MeshFormatError(
+                f"elements[{k}]: {kind} needs {el.VERTEX_COUNT[kind]} nodes, "
+                f"got {len(nodes)}")
+        out.append((kind, nodes))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Vertex pool, typed elements, and immobile vertex set.
@@ -74,25 +130,17 @@ class Mesh:
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshFormatError("vertices must be an (n, 3) array")
         object.__setattr__(self, "vertices", v)
-        elems, by_kind = [], {}
-        for k, (kind, nodes) in enumerate(self.elements):
-            if kind not in el.KINDS:
-                raise MeshFormatError(f"elements[{k}]: unknown type {kind!r}")
-            label = f"elements[{k}]: node index"
-            nodes = tuple([_index(i, label, len(v)) for i in nodes])
-            if len(nodes) != el.VERTEX_COUNT[kind]:
-                raise MeshFormatError(
-                    f"elements[{k}]: {kind} needs {el.VERTEX_COUNT[kind]} nodes, "
-                    f"got {len(nodes)}")
-            elems.append((kind, nodes))
-            by_kind.setdefault(kind, []).append(k)
-        object.__setattr__(self, "elements", tuple(elems))
-        fixed = frozenset(_index(i, "fixed vertex index", len(v)) for i in self.fixed)
-        object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "groups", tuple(
-            (kind, np.array([elems[k][1] for k in pos], dtype=np.intp),
-             np.array(pos, dtype=np.intp))
-            for kind, pos in by_kind.items()))
+        elems = tuple((kind, tuple(nodes)) for kind, nodes in self.elements)
+        groups = _groups(elems, len(v))
+        if groups is None:
+            elems = _checked(elems, len(v))
+            groups = _groups(elems, len(v))
+        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "groups", groups)
+        fixed = list(self.fixed)
+        if _int_indices(fixed, len(v)) is None:
+            fixed = [_index(i, "fixed vertex index", len(v)) for i in fixed]
+        object.__setattr__(self, "fixed", frozenset(fixed))
 
     def with_vertices(self, vertices) -> "Mesh":
         """The same elements and fixed set over new positions of the same vertices."""
@@ -134,7 +182,8 @@ def _report(m: Mesh, fields) -> QualityReport:
     q = np.empty(len(m.elements))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for (kind, nodes, pos), X in zip(m.groups, fields):
-            q_c, xc[pos] = _centered_quality(X, m.vertices[nodes])
+            q_c, xc[pos] = _centered_quality(X.swapaxes(1, 2),
+                                             m.vertices[nodes].swapaxes(1, 2))
             q[pos] = q_c / (18.0 * el.Q_MAX[kind])
     bad = np.flatnonzero(~np.isfinite(q))
     if bad.size:

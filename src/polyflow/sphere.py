@@ -41,10 +41,17 @@ def sigma(p) -> np.ndarray:
     zero, is first divided by its largest ``|entry|``.  A zero or
     non-finite configuration raises :class:`DegenerateConfigurationError`.
     """
-    p = np.asarray(p, dtype=float)
-    norm = np.sqrt(_dot(p, p))  # einsum: an overflow gives inf, with no warning
-    bad = ~((norm > 0.0) & (norm < np.inf))
-    if np.count_nonzero(bad):
+    with np.errstate(over="ignore"):  # an overflowing norm is rescued
+        return _sigma(np.asarray(p, dtype=float))
+
+
+def _sigma(p) -> np.ndarray:
+    """:func:`sigma` of a float array, run under ``np.errstate(over="ignore")``."""
+    flat = p.reshape(p.shape[:-2] + (-1,))
+    norm = np.sqrt(np.vecdot(flat, flat))[..., None, None]
+    # the common path: every norm is nonzero and finite
+    if np.count_nonzero(norm) + np.count_nonzero(np.isfinite(norm)) < 2 * norm.size:
+        bad = ~((norm > 0.0) & (norm < np.inf))
         scale = np.abs(p).max(axis=(-2, -1), keepdims=True)
         if not np.isfinite(scale[bad]).all():
             raise DegenerateConfigurationError(
@@ -53,7 +60,8 @@ def sigma(p) -> np.ndarray:
             raise DegenerateConfigurationError(
                 "cannot normalize a zero configuration: all vertices coincide")
         p = np.where(bad, p / scale, p)
-        norm = np.sqrt(_dot(p, p))
+        flat = p.reshape(flat.shape)
+        norm = np.sqrt(np.vecdot(flat, flat))[..., None, None]
     return p / norm
 
 
@@ -75,7 +83,7 @@ def pi(p) -> np.ndarray:
             scale = np.abs(p).max(axis=(-2, -1), keepdims=True)
             big = np.isfinite(scale) & ~np.isfinite(t).all(axis=(-2, -1), keepdims=True)
             t = np.where(big, tau(p / np.where(big, scale, 1.0)), t)
-    return sigma(t)
+        return _sigma(t)
 
 
 def push_tangent(p, v) -> np.ndarray:

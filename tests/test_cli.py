@@ -341,6 +341,26 @@ class TestUsage:
         assert cli.main(["spectrum", "--type", "cube",
                          "--at", "optimal"]) == 64
 
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        # the parser is reused across calls: after a usage error the next
+        # call prints what a fresh process prints
+        argvs = [["spectrum", "--type", "cube", "--at", "optimal"],
+                 ["spectrum", "--type", "tetrahedron", "--at", "optimal"]]
+        fresh = [subprocess.run([sys.executable, "-m", "polyflow.cli"] + argv,
+                                capture_output=True, text=True) for argv in argvs]
+        assert [proc.returncode for proc in fresh] == [64, 0]
+        builds = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for argv, proc in zip(argvs, fresh):
+                assert cli.main(argv) == proc.returncode
+                assert capsys.readouterr() == (proc.stdout, proc.stderr)
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
     @pytest.mark.parametrize("flags,needle", [
         (["--step", "-1"], "step"),
         (["--step", "0"], "step"),

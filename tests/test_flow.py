@@ -7,6 +7,8 @@ import polyflow as pf
 from polyflow.flow import ACCEPT_SLACK, _evaluate
 
 
+ALL_PAIRS = [(kind, variant) for kind in pf.KINDS
+             for variant in pf.VARIANTS_BY_KIND[kind]]
 # Every (kind, variant) pair whose field is a gradient: all but prism y.
 GRADIENT_PAIRS = [(kind, pf.GRADIENT) for kind in pf.KINDS] + [
     ("hexahedron", pf.Y_VARIANT)]
@@ -275,18 +277,35 @@ class TestIntegrate:
 
 class TestIntegrateBatch:
     def test_matches_scalar_runs(self):
-        seeds = [11, 12, 13, 14, 15]
-        batch = np.stack([pf.pi(pf.random_configuration("tetrahedron", s))
-                          for s in seeds])
-        out = pf.integrate_batch("tetrahedron", pf.GRADIENT, batch,
-                                 pf.FlowSettings())
-        for i, s in enumerate(seeds):
-            t = pf.integrate("tetrahedron", pf.GRADIENT, batch[i],
-                             pf.FlowSettings())
-            assert out["converged"][i] == t.converged
-            assert out["iterations"][i] == t.iterations
-            assert np.abs(out["p"][i] - t.p_final).max() < 1e-12
-            assert abs(out["residual"][i] - t.residual_final) < 1e-12
+        # the scalar flow is a batch of one: each row of a batch runs as
+        # it runs alone, so the batch's counters are the scalar sums
+        seeds = range(11, 19)
+        for kind, variant in ALL_PAIRS:
+            batch = np.stack([pf.pi(pf.random_configuration(kind, s, variant))
+                              for s in seeds])
+            out = pf.integrate_batch(kind, variant, batch, pf.FlowSettings())
+            halvings = breaks = 0
+            for i in range(len(seeds)):
+                t = pf.integrate(kind, variant, batch[i], pf.FlowSettings())
+                assert out["converged"][i] == t.converged
+                assert out["iterations"][i] == t.iterations, (kind, variant, i)
+                assert np.abs(out["p"][i] - t.p_final).max() < 1e-12
+                assert abs(out["residual"][i] - t.residual_final) < 1e-12
+                halvings += t.halvings
+                breaks += t.monotone_breaks
+            assert (out["halvings"], out["monotone_breaks"]) == (halvings, breaks), \
+                (kind, variant)
+
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_rows_evaluate_as_alone(self, kind, variant):
+        # the kernel's arithmetic is per row: a row's field, f and q_c are
+        # bitwise the same in a batch of 100 as in a batch of one
+        P = np.stack([pf.pi(pf.random_configuration(kind, s, variant))
+                      for s in range(100)])
+        batch = _evaluate(kind, variant, P)
+        for i in range(len(P)):
+            for a, b in zip(batch, _evaluate(kind, variant, P[i:i + 1])):
+                assert np.array_equal(a[i], b[0]), i
 
     def test_all_converge(self):
         batch = np.stack([pf.pi(pf.random_configuration("octahedron", s))

@@ -105,6 +105,43 @@ class TestMeshContainer:
             pf.Mesh(vertices=v, elements=(("tetrahedron", (0, 1, 2, 3)),),
                     fixed=frozenset({17}))
 
+    @pytest.mark.parametrize("nodes,message", [
+        # each message names the first bad element, whatever follows it
+        ([(0, 1, 2, 3), (0, 1, 2), (0, 1, 2, 9)],
+         "elements[1]: tetrahedron needs 4 nodes, got 3"),
+        ([(0, 1, 2, 3), (0, 1, 2, 9), (0, 1, True, 3)],
+         "elements[1]: node index 9 out of range"),
+        ([(0, 1, 2, 3), (0, 1, True, 3), (0, 1, 2, 9)],
+         "elements[1]: node index True is not an integer"),
+        ([(0, 1, 2, 3), (0, 1, 2.0, 3)],
+         "elements[1]: node index 2.0 is not an integer"),
+        ([(0, 1, 2, -1), (0, 1, 2, 3)],
+         "elements[0]: node index -1 out of range"),
+        ([(0, 1, 2, 3), (0, 1, 2, 2 ** 63)],
+         f"elements[1]: node index {2 ** 63} out of range"),
+    ])
+    def test_first_bad_element_is_named(self, nodes, message):
+        with pytest.raises(pf.MeshFormatError) as info:
+            pf.Mesh(vertices=np.eye(4, 3),
+                    elements=tuple(("tetrahedron", n) for n in nodes),
+                    fixed=frozenset())
+        assert str(info.value) == message
+
+    def test_numpy_integer_indices_are_accepted(self):
+        m = pf.Mesh(vertices=np.eye(4, 3),
+                    elements=(("tetrahedron", np.arange(4)),
+                              ("tetrahedron", (0, 1, 3, np.int32(2)))),
+                    fixed=(np.int64(3), 0))
+        assert m.elements == (("tetrahedron", (0, 1, 2, 3)),
+                              ("tetrahedron", (0, 1, 3, 2)))
+        assert {type(i) for _, nodes in m.elements for i in nodes} == {int}
+        assert m.fixed == {0, 3} and {type(i) for i in m.fixed} == {int}
+        (kind, nodes, pos), = m.groups
+        assert kind == "tetrahedron"
+        assert nodes.tolist() == [[0, 1, 2, 3], [0, 1, 3, 2]] and pos.tolist() == [0, 1]
+        with pytest.raises(pf.MeshFormatError, match="fixed vertex index 4 out of range"):
+            pf.Mesh(vertices=np.eye(4, 3), elements=m.elements, fixed=(np.int64(4),))
+
     def test_with_vertices_keeps_structure(self):
         m = _corner_tets()
         m2 = m.with_vertices(m.vertices + 1.0)
