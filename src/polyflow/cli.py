@@ -105,8 +105,6 @@ def _load_configuration(path, kind) -> np.ndarray:
     if p.shape != (elements.VERTEX_COUNT[kind], 3):
         raise mesh_mod.MeshFormatError(
             f"{kind} expects {elements.VERTEX_COUNT[kind]} vertices, got {p.shape}")
-    if not np.isfinite(p).all():
-        raise mesh_mod.MeshFormatError("vertex coordinates must be finite")
     return p
 
 
@@ -128,22 +126,30 @@ def _cmd_regularize(parser, args) -> int:
     else:
         p0 = sampling.random_configuration(args.type, args.random, variant)
     try:
-        traj = flow.integrate(args.type, variant, p0, settings)
+        if args.trajectory:
+            traj = flow.integrate(args.type, variant, p0, settings)
+            end = (traj.p_final, traj.residual_final, traj.iterations, traj.converged,
+                   traj.halvings, traj.monotone_breaks)
+        else:  # no recorder: the kernel on a batch of one
+            out = flow.integrate_batch(args.type, variant, p0[None], settings)
+            end = (out["p"][0], float(out["residual"][0]), int(out["iterations"][0]),
+                   bool(out["converged"][0]), out["halvings"], out["monotone_breaks"])
     except flow.FlowDivergenceError as exc:
         sys.stderr.write(f"divergence: {exc}\n")
         return EXIT_DIVERGENCE
-    cls = flow.classify(args.type, variant, traj.p_final, tol=args.tol)
+    p, residual, iterations, converged, halvings, breaks = end
+    cls = flow.classify(args.type, variant, p, tol=args.tol)
     result = {
         "type": args.type,
         "field": args.field,
-        "vertices": [[float(x) for x in row] for row in traj.p_final],
+        "vertices": [[float(x) for x in row] for row in p],
         "classification": cls.tag,
         "lambda": cls.lam,
-        "residual": traj.residual_final,
-        "iterations": traj.iterations,
-        "converged": traj.converged,
-        "halvings": traj.halvings,
-        "monotone_breaks": traj.monotone_breaks,
+        "residual": residual,
+        "iterations": iterations,
+        "converged": converged,
+        "halvings": halvings,
+        "monotone_breaks": breaks,
     }
     text = json.dumps(result, indent=2)
     if args.output:
@@ -153,7 +159,7 @@ def _cmd_regularize(parser, args) -> int:
         print(text)
     if args.trajectory:
         flow.trajectory_to_csv(traj, args.trajectory)
-    return EXIT_OK if traj.converged else EXIT_MAX_ITERS
+    return EXIT_OK if converged else EXIT_MAX_ITERS
 
 
 def _cmd_smooth(args) -> int:

@@ -158,20 +158,26 @@ def _centered_quality(X, P):
 
 
 def _measure(kind, variant, P):
-    """(P, X, f, q_c) for component-major rows P (B, 3, n) on N.
+    """(P, X, q_c) for component-major rows P (B, 3, n) on N.
 
-    The field rows X, f = <X, p> and the centered quality q_c.
+    The field rows X and the centered quality q_c.
     """
     X = elements.field_rows(kind, variant, P)
-    return P, X, np.vecdot(_flat(X), _flat(P)), _centered_quality(X, P)[0]
+    return P, X, _centered_quality(X, P)[0]
+
+
+def _f(X, P):
+    """f = <X, p> per configuration of the component-major rows X and P."""
+    return np.vecdot(_flat(X), _flat(P))
 
 
 def _evaluate(kind, variant, P):
-    """:func:`_measure` of a batch P (B, n, 3) on N: the kernel's evaluator.
+    """(P, X, f, q_c) of a batch P (B, n, 3) on N: :func:`_measure` plus f.
 
     P and X come back as component-major rows (B, 3, n).
     """
-    return _measure(kind, variant, np.ascontiguousarray(P.swapaxes(1, 2)))
+    P, X, Q = _measure(kind, variant, np.ascontiguousarray(P.swapaxes(1, 2)))
+    return P, X, _f(X, P), Q
 
 
 def _halve(kind, variant, P, V, Q, step, full, out):
@@ -183,7 +189,7 @@ def _halve(kind, variant, P, V, Q, step, full, out):
     halvings run out or barely shrink the decrease (a true negative slope).
     """
     slack = ACCEPT_SLACK * np.maximum(1.0, np.abs(Q))
-    drop = Q - full[3]
+    drop = Q - full[2]
     rows = np.flatnonzero(drop > slack)
     drop = drop[rows]
     out["monotone_breaks"] += rows.size
@@ -193,7 +199,7 @@ def _halve(kind, variant, P, V, Q, step, full, out):
             break
         step *= 0.5
         half = _measure(kind, variant, _sigma(P[rows] + step * V[rows]))
-        shrunk = Q[rows] - half[3]
+        shrunk = Q[rows] - half[2]
         ok = shrunk <= slack[rows]
         for dest, src in zip(full, half):
             dest[rows[ok]] = src[ok]
@@ -208,10 +214,11 @@ def _flow(kind, variant, P, settings, record=None):
 
     ``record(it, P, F, residual, lam)`` is called once per iteration with
     the still running rows, P as component-major rows (B, 3, n).  Returns
-    the dict of :func:`integrate_batch`.
+    the dict of :func:`integrate_batch`.  f is formed only for the rows
+    recorded and for the rows that stop.
     """
     elements._check(kind, variant, P[0])
-    P, X, F, Q = _evaluate(kind, variant, P)
+    P, X, _, Q = _evaluate(kind, variant, P)
     bound = 3.0 * float(np.sqrt(np.vecdot(_flat(X), _flat(X))).max())
     if settings.step * bound >= 2.0:
         warnings.warn(
@@ -231,18 +238,19 @@ def _flow(kind, variant, P, settings, record=None):
             r = _flat(R)
             residual = np.sqrt(np.vecdot(r, r))
             if record is not None:
-                record(it, P, F, residual, lam)
+                record(it, P, _f(X, P), residual, lam)
             converged = residual < tol
             if np.count_nonzero(converged) or it == last:
                 stop = converged | (it == last)
                 out["p"][rows[stop]] = P[stop].swapaxes(1, 2)
-                for key, value in zip(("residual", "lam", "f", "converged"),
-                                      (residual, lam, F, converged)):
+                out["f"][rows[stop]] = _f(X[stop], P[stop])
+                for key, value in zip(("residual", "lam", "converged"),
+                                      (residual, lam, converged)):
                     out[key][rows[stop]] = value[stop]
                 out["iterations"][rows[stop]] = it
                 if np.count_nonzero(stop) == len(stop):
                     break
-                rows, P, X, F, Q, R = (a[~stop] for a in (rows, P, X, F, Q, R))
+                rows, P, X, Q, R = (a[~stop] for a in (rows, P, X, Q, R))
             V = R
             if settings.normalization == "psi":
                 # push_tangent is linear and psi(X) = X / sqrt|X|, so the step
@@ -253,11 +261,11 @@ def _flow(kind, variant, P, settings, record=None):
                 # P + s V is pinned already.  P stays finite on N, so only an
                 # overflowing step diverges, and _sigma reports it.
                 full = _measure(kind, variant, _sigma(P + step * V))
-                if np.count_nonzero(full[3] < Q):  # rare on gradient fields
+                if np.count_nonzero(full[2] < Q):  # rare on gradient fields
                     _halve(kind, variant, P, V, Q, step, full, out)
             except DegenerateConfigurationError as exc:
                 raise FlowDivergenceError(it) from exc
-            P, X, F, Q = full
+            P, X, Q = full
     return out
 
 

@@ -14,6 +14,14 @@ kind's value at the optimal shape: the mean volume of the shape modulo
 translation and scaling, independent of the vertex numbering.  As it
 is read from the field, a sweep evaluates each element's field once,
 for its quality and for its step.
+
+A sweep makes one gather, one field pass and one scatter per kind.  It
+reads the kind's element rows (E, 3, n), component-major, with one
+``take`` of flat offsets that the mesh compiles once for its topology
+(``Mesh.plan``).  ``elements.field_batch`` evaluates their field in
+blocks small enough for the heap to reuse.  The step adds the rows'
+contributions to the flat vertex array with one ``bincount`` over the
+same offsets.
 """
 
 from __future__ import annotations
@@ -109,6 +117,22 @@ def _checked(elements: tuple, n: int) -> tuple:
     return tuple(out)
 
 
+# Component c of vertex i sits at 3 i + c of the flat (n, 3) vertex array.
+_XYZ = np.arange(3)[:, None]
+
+
+def _plan(groups: tuple, fixed: frozenset, n: int) -> tuple:
+    """The sweep plan of :class:`Mesh`: (offsets per group, free, count)."""
+    free = np.ones(n, dtype=bool)
+    free[list(fixed)] = False
+    free = np.flatnonzero(free)
+    count = np.zeros(n)
+    for _, nodes, _ in groups:
+        count += np.bincount(nodes.ravel(), minlength=n)
+    return (tuple(3 * nodes[:, None, :] + _XYZ for _, nodes, _ in groups), free,
+            np.maximum(count[free, None], 1.0))
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Vertex pool, typed elements, and immobile vertex set.
@@ -117,13 +141,18 @@ class Mesh:
     canonical order; ``fixed`` is a frozenset of 0-based vertex indices.
     ``groups`` holds, per kind present, the (E, n) node-index array of
     its elements and their (E,) positions in ``elements``; the batched
-    smoother and quality report run one pass per group.
+    smoother and quality report run one pass per group.  ``plan`` holds
+    what a sweep needs of the topology: per group the (E, 3, n) offsets
+    3 node + c of the element rows in ``vertices.ravel()``, the indices
+    of the free vertices, and their element counts as an (F, 1) column
+    (at least 1).  Both carry over to :meth:`with_vertices`.
     """
 
     vertices: np.ndarray
     elements: tuple
     fixed: frozenset
     groups: tuple = dataclass_field(init=False, repr=False, compare=False)
+    plan: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -141,6 +170,7 @@ class Mesh:
         if _int_indices(fixed, len(v)) is None:
             fixed = [_index(i, "fixed vertex index", len(v)) for i in fixed]
         object.__setattr__(self, "fixed", frozenset(fixed))
+        object.__setattr__(self, "plan", _plan(groups, self.fixed, len(v)))
 
     def with_vertices(self, vertices) -> "Mesh":
         """The same elements and fixed set over new positions of the same vertices."""
@@ -165,26 +195,45 @@ class QualityReport:
     inverted_count: int
 
 
-def _fields(m: Mesh) -> list:
-    """Per group of ``m.groups``: the gradient field of its elements, (E, n, 3).
+def _sweep(m: Mesh, settings: FlowSettings | None = None, report: bool = True):
+    """One pass over the elements of ``m``: (its QualityReport, its vertices after one step).
 
-    A field that overflows is not finite, and so is the quality that
-    ``_report`` reads from it, which raises; numpy's warning is muted.
+    Per kind, the element rows R (E, 3, n) are read from the flat vertex
+    array with one ``take`` of the plan's offsets, and their gradient
+    field is evaluated once.  The report reads the centered quality from
+    R and the field; the step scatters the (psi-rescaled) field with one
+    ``bincount`` over the same offsets.  The report is None unless
+    ``report``, the vertices None unless ``settings`` is given.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [el.field_batch(kind, el.GRADIENT, m.vertices[nodes])
-                for kind, nodes, _ in m.groups]
-
-
-def _report(m: Mesh, fields) -> QualityReport:
-    """The quality report of ``m`` from its element fields (see quality_report)."""
-    xc = np.empty(len(m.elements))
-    q = np.empty(len(m.elements))
+    offsets, free, count = m.plan
+    flat = m.vertices.ravel()
+    if report:
+        xc, q = np.empty(len(m.elements)), np.empty(len(m.elements))
+    if settings is not None:
+        acc = np.zeros(flat.size)
+    # A field that overflows is not finite, and neither is the quality read
+    # from it, which raises below; numpy's warnings are muted.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for (kind, nodes, pos), X in zip(m.groups, fields):
-            q_c, xc[pos] = _centered_quality(X.swapaxes(1, 2),
-                                             m.vertices[nodes].swapaxes(1, 2))
-            q[pos] = q_c / (18.0 * el.Q_MAX[kind])
+        for (kind, _, pos), index in zip(m.groups, offsets):
+            R = flat.take(index)
+            X = el.field_batch(kind, el.GRADIENT, R.swapaxes(1, 2))  # (E, n, 3)
+            if report:
+                q_c, xc[pos] = _centered_quality(X.swapaxes(1, 2), R)
+                q[pos] = q_c / (18.0 * el.Q_MAX[kind])
+            if settings is not None:
+                if settings.normalization == "psi":
+                    X = psi(X)  # keeps the component-major layout of X
+                acc += np.bincount(index.ravel(), weights=X.swapaxes(1, 2).ravel(),
+                                   minlength=flat.size)
+    moved = None
+    if settings is not None:
+        moved = m.vertices.copy()
+        moved[free] += settings.step * acc.reshape(-1, 3)[free] / count
+    return (_summary(m, xc, q) if report else None), moved
+
+
+def _summary(m: Mesh, xc, q) -> QualityReport:
+    """The QualityReport of per-element <X, c> and q (see quality_report)."""
     bad = np.flatnonzero(~np.isfinite(q))
     if bad.size:
         k = int(bad[0])
@@ -200,27 +249,6 @@ def _report(m: Mesh, fields) -> QualityReport:
         max_q=float(q.max()),
         inverted_count=int((q < 0).sum()),
     )
-
-
-def _step(m: Mesh, fields, settings: FlowSettings) -> Mesh:
-    """Scatter-average the element fields and displace the free vertices (smooth_step)."""
-    acc = np.zeros_like(m.vertices)
-    count = np.zeros(len(m.vertices))
-    for (_, nodes, _), F in zip(m.groups, fields):
-        if settings.normalization == "psi":
-            F = psi(F)
-        flat = nodes.ravel()
-        for c in range(3):
-            acc[:, c] += np.bincount(flat, weights=F[..., c].ravel(),
-                                     minlength=len(acc))
-        count += np.bincount(flat, minlength=len(count))
-    count[count == 0] = 1.0
-    shift = settings.step * acc / count[:, None]
-    out = m.vertices.copy()
-    free = np.ones(len(out), dtype=bool)
-    free[list(m.fixed)] = False
-    out[free] += shift[free]
-    return m.with_vertices(out)
 
 
 def mesh_mean_volume(m: Mesh) -> float:
@@ -254,7 +282,7 @@ def quality_report(m: Mesh) -> QualityReport:
         Naming the first element whose q is not finite: its vertices all
         coincide, or its coordinates or volume are not finite.
     """
-    return _report(m, _fields(m))
+    return _sweep(m)[0]
 
 
 def smooth_step(m: Mesh, settings: FlowSettings = FlowSettings()) -> Mesh:
@@ -266,7 +294,7 @@ def smooth_step(m: Mesh, settings: FlowSettings = FlowSettings()) -> Mesh:
     by step times that average.  Fixed vertices are returned bitwise
     unchanged.
     """
-    return _step(m, _fields(m), settings)
+    return m.with_vertices(_sweep(m, settings, report=False)[1])
 
 
 def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
@@ -276,36 +304,39 @@ def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
     Returns ``(mesh, reports)`` where ``reports[i]`` is the
     :class:`QualityReport` (centered quality, see :func:`quality_report`)
     after i steps; ``reports[0]`` is the input state.  Each state's
-    element fields are evaluated once and serve both its report and the
-    step that leaves it, so n sweeps cost n + 1 field passes.  A mesh
-    with every vertex fixed is returned unchanged with a warning.
+    element rows are gathered once and their fields evaluated once; they
+    serve both its report and the step that leaves it, so n sweeps cost
+    n + 1 field passes.  A mesh with every vertex fixed is returned
+    unchanged with a warning.
     Non-finite vertices raise :class:`FlowDivergenceError` with the
     failing iteration.
     """
-    fields = _fields(m)
-    reports = [_report(m, fields)]
     if len(m.fixed) >= len(m.vertices):
+        reports = [quality_report(m)]
         warnings.warn("all vertices fixed; smoothing is the identity", stacklevel=2)
         return m, reports
     window = 10
-    for it in range(1, max_iters + 1):
-        m = _step(m, fields, settings)
-        if not np.all(np.isfinite(m.vertices)):
-            raise FlowDivergenceError(it)
-        fields = _fields(m)
+    reports = []
+    for it in range(max_iters + 1):  # state it, after it sweeps
         try:
-            reports.append(_report(m, fields))
+            report, moved = _sweep(m, settings if it < max_iters else None)
         except DegenerateConfigurationError as exc:
+            if not it:
+                raise  # the input mesh
             # an element collapsed to a point; the sweep cannot continue
             raise FlowDivergenceError(it) from exc
-        if it >= window:
-            if reports[-1].min_q - reports[-1 - window].min_q < quality_tol:
-                break
+        reports.append(report)
+        if moved is None or (
+                it >= window and report.min_q - reports[-1 - window].min_q < quality_tol):
+            break
+        m = m.with_vertices(moved)
+        if not np.all(np.isfinite(moved)):
+            raise FlowDivergenceError(it + 1)
     return m, reports
 
 
-def _parse_vertices(verts) -> np.ndarray:
-    """The (n, 3) float array of a JSON list of [x, y, z] number triples."""
+def _coordinates(verts) -> np.ndarray:
+    """The float array of a JSON list of [x, y, z] number triples."""
     if (not isinstance(verts, list)
             or any(not isinstance(v, list) or len(v) != 3 for v in verts)):
         raise MeshFormatError("vertices must be a list of [x, y, z] triples")
@@ -319,6 +350,26 @@ def _parse_vertices(verts) -> np.ndarray:
         raise MeshFormatError(f"vertex coordinate out of range: {exc}") from exc
 
 
+def _finite(v: np.ndarray, elements: tuple = ()) -> np.ndarray:
+    """``v`` if every coordinate is finite.
+
+    Else MeshFormatError naming the first of ``elements`` that uses a
+    vertex with a NaN or infinite coordinate, or the first such vertex
+    if no element uses one.
+    """
+    if not np.isfinite(v).all():
+        bad = ~np.isfinite(v).all(axis=-1)
+        used = [k for k, (_, nodes) in enumerate(elements) if bad[list(nodes)].any()]
+        where = f"element {used[0]}" if used else f"vertex {np.flatnonzero(bad)[0]}"
+        raise MeshFormatError(f"{where}: vertex coordinates must be finite")
+    return v
+
+
+def _parse_vertices(verts) -> np.ndarray:
+    """The (n, 3) float array of a JSON list of [x, y, z] finite number triples."""
+    return _finite(_coordinates(verts))
+
+
 def mesh_from_dict(data) -> Mesh:
     """Build a Mesh from the parsed JSON structure, validating the schema."""
     if not isinstance(data, dict):
@@ -326,7 +377,7 @@ def mesh_from_dict(data) -> Mesh:
     for key in ("vertices", "elements"):
         if key not in data:
             raise MeshFormatError(f"missing required key {key!r}")
-    verts = _parse_vertices(data["vertices"])
+    verts = _coordinates(data["vertices"])
     elems = []
     if not isinstance(data["elements"], list):
         raise MeshFormatError("elements must be a list")
@@ -343,7 +394,9 @@ def mesh_from_dict(data) -> Mesh:
     if not isinstance(fixed, list):
         raise MeshFormatError("fixed must be a list of vertex indices")
     # Mesh validates each index (JSON integers only) before building the set.
-    return Mesh(vertices=verts, elements=tuple(elems), fixed=tuple(fixed))
+    m = Mesh(vertices=verts, elements=tuple(elems), fixed=tuple(fixed))
+    _finite(m.vertices, m.elements)  # on unused vertices too
+    return m
 
 
 def _read_json(path):
@@ -378,6 +431,14 @@ def _json_list(items, depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
+# The indent=2 text of one vertex row, and of one element per kind, as
+# %-templates of its coordinates (repr is the float text of json) and nodes.
+_VERTEX_TEXT = _json_list(["%r"] * 3, 2)
+_ELEMENT_TEXT = {kind: '{\n      "type": "%s",\n      "nodes": %s\n    }'
+                       % (kind, _json_list(["%d"] * n, 3))
+                 for kind, n in el.VERTEX_COUNT.items()}
+
+
 def save_mesh(m: Mesh, path) -> None:
     """Write the JSON schema; floats use shortest round-trip representation.
 
@@ -388,14 +449,12 @@ def save_mesh(m: Mesh, path) -> None:
     if not np.isfinite(m.vertices).all():
         text = json.dumps(mesh_to_dict(m), indent=2)
     else:
-        row = "[\n      %r,\n      %r,\n      %r\n    ]"
-        vertices = [row % tuple(xyz) for xyz in m.vertices.tolist()]
-        elements = ['{\n      "type": "%s",\n      "nodes": %s\n    }'
-                    % (kind, _json_list(list(map(str, nodes)), 3))
-                    for kind, nodes in m.elements]
+        vertices = (_json_list([_VERTEX_TEXT] * len(m.vertices), 1)
+                    % tuple(m.vertices.ravel().tolist()))
+        elements = (_json_list([_ELEMENT_TEXT[kind] for kind, _ in m.elements], 1)
+                    % tuple(chain.from_iterable(nodes for _, nodes in m.elements)))
         text = ('{\n  "vertices": %s,\n  "elements": %s,\n  "fixed": %s\n}'
-                % (_json_list(vertices, 1), _json_list(elements, 1),
-                   _json_list(list(map(str, sorted(m.fixed))), 1)))
+                % (vertices, elements, _json_list(list(map(str, sorted(m.fixed))), 1)))
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

@@ -414,7 +414,8 @@ def _mutated_run(draw):
            "fixed": []}
     odd = st.sampled_from(_ODD_VALUES)
     for _ in range(draw(st.integers(0, 3))):
-        what = draw(st.sampled_from(["coordinate", "row", "node", "type", "fixed"]))
+        what = draw(st.sampled_from(["coordinate", "row", "node", "type", "fixed",
+                                     "unused"]))
         i = draw(st.integers(0, 3))
         row = doc["vertices"][i]
         if what == "coordinate" and isinstance(row, list) and len(row) == 3:
@@ -427,6 +428,9 @@ def _mutated_run(draw):
             doc["elements"][0]["type"] = draw(st.sampled_from(["cube", 3, [], None]))
         elif what == "fixed":
             doc["fixed"] = [draw(odd)]
+        elif what == "unused":
+            # a vertex that no element names, with a non-finite coordinate
+            doc["vertices"].append([float("nan"), 0.0, 0.0])
     shape = draw(st.sampled_from(["mesh", "bare", "no elements", "no vertices",
                                   "odd vertices", "odd nodes", "odd fixed", "huge"]))
     if shape == "huge":
@@ -461,10 +465,19 @@ def _mutated_run(draw):
 @example(run=({"vertices": pf.reference_optimal("tetrahedron").tolist(),
                "elements": [{"type": "tetrahedron", "nodes": [0, 1, 2, 3]}]},
               _COMMANDS["smooth"][0], ["--step", "1e300", "--max-iters", "3"]))
+@example(run=({"vertices": pf.reference_optimal("tetrahedron").tolist()
+               + [[float("nan"), 0.0, 0.0]],
+               "elements": [{"type": "tetrahedron", "nodes": [0, 1, 2, 3]}]},
+              _COMMANDS["smooth"][0], []))
 def test_fuzz_cli_boundary(tmp_path_factory, run):
     # every input ends in a documented exit code with a message, never a
-    # traceback or a numpy RuntimeWarning
+    # traceback or a numpy RuntimeWarning; a non-finite coordinate on any
+    # vertex is malformed input, unless a flag is already a usage error
     doc, head, tail = run
+    vertices = doc.get("vertices") if isinstance(doc, dict) else None
+    non_finite = isinstance(vertices, list) and any(
+        isinstance(x, float) and not np.isfinite(x)
+        for row in vertices if isinstance(row, list) for x in row)
     path = tmp_path_factory.mktemp("fuzz") / "input.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
@@ -473,6 +486,8 @@ def test_fuzz_cli_boundary(tmp_path_factory, run):
         warnings.simplefilter("always")
         rc = cli.main(head + [str(path)] + tail)
     assert rc in (0, 2, 3, 64, 65, 66), (rc, err.getvalue())
+    if non_finite:
+        assert rc in (64, 65), (rc, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert "RuntimeWarning" not in err.getvalue()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \

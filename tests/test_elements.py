@@ -84,6 +84,17 @@ def test_field_batch_matches_single(rng, kind, variant):
 
 
 @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+def test_field_batch_rows_evaluate_as_alone(rng, kind, variant):
+    # 1000 rows span many blocks of field_rows calls and a partial last
+    # one; each row of the batch is bitwise its field alone
+    P = rng.normal(size=(1000, pf.VERTEX_COUNT[kind], 3))
+    F = pf.field_batch(kind, variant, P)
+    assert F.shape == P.shape
+    for b in range(len(P)):
+        assert F[b].tobytes() == pf.field_batch(kind, variant, P[b:b + 1])[0].tobytes()
+
+
+@pytest.mark.parametrize("kind,variant", ALL_PAIRS)
 def test_batch_kernels_match_oracles(rng, kind, variant):
     # the pair-folded kernels against the independent per-configuration
     # oracles: triangulation assembly for gradient fields, and a

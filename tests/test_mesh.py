@@ -405,6 +405,31 @@ class TestSmooth:
         assert reports[-1].min_q > start
         assert np.array_equal(m2.vertices[:3], v[:3])
 
+    def test_matches_per_element_oracle(self):
+        # five sweeps against a per-element loop: each element's field,
+        # psi, and each free vertex's average of its elements' rows
+        m = _mixed_mesh()
+        settings = pf.FlowSettings(step=0.05)
+        smoothed, reports = pf.smooth(m, settings, max_iters=5, quality_tol=-1)
+        v = m.vertices.copy()
+        for _ in range(5):
+            moved = v.copy()
+            for i in range(len(v)):
+                if i in m.fixed:
+                    continue
+                rows = [pf.psi(pf.field(kind, pf.GRADIENT, v[list(nodes)]))[nodes.index(i)]
+                        for kind, nodes in m.elements if i in nodes]
+                if rows:
+                    moved[i] = v[i] + settings.step * sum(rows) / len(rows)
+            v = moved
+        assert len(reports) == 6
+        assert np.abs(smoothed.vertices - v).max() <= 1e-12
+        for i in m.fixed:
+            assert smoothed.vertices[i].tobytes() == m.vertices[i].tobytes()
+        want = [_loop_mean_volume(kind, _centered_unit(v[list(nodes)])) / pf.Q_MAX[kind]
+                for kind, nodes in m.elements]
+        assert np.abs(np.array(reports[-1].per_element_q) - want).max() <= 1e-12
+
     def test_one_field_pass_per_sweep(self, monkeypatch):
         # each state's fields serve its report and its step: n sweeps make
         # n + 1 field passes per kind and no separate volume pass
@@ -458,9 +483,12 @@ class TestMeshJson:
         assert m2.elements == m.elements
         assert m2.fixed == m.fixed
 
-    @pytest.mark.parametrize("case", ["mixed", "no fixed", "float forms", "non-finite"])
+    @pytest.mark.parametrize("case", ["mixed", "no fixed", "float forms", "non-finite",
+                                      "hex grid"])
     def test_save_writes_the_json_dump_bytes(self, tmp_path, case):
         m = _corner_tets() if case == "no fixed" else _mixed_mesh()
+        if case == "hex grid":
+            m = _hex_grid(3, jitter=0.2, seed=5)
         if case in ("float forms", "non-finite"):
             v = m.vertices.copy()
             v[2] = [-0.0, 1e-300, 1.5e16]
