@@ -15,6 +15,12 @@ combination of cyclic cross-product chains) whose inner product with the
 configuration equals 18 times the element's mean volume, i.e. the field
 is the gradient of 6 x mean volume.  Prism and hexahedron additionally
 carry a structurally simpler "y" field variant that is not a gradient.
+
+One kernel, :func:`field_batch`, evaluates every field.  It gathers the
+cross-product factors from batch-minor rows (3n, B), one row per vertex
+component, and contracts them with the batch on the M axis of one
+matrix product, so that a configuration's value does not depend on the
+batch it is evaluated in.
 """
 
 from __future__ import annotations
@@ -108,11 +114,6 @@ _FIELD_TERMS = {
 }
 
 
-# Component offsets (y, z, x) and (z, x, y) within one vertex's (x, y, z).
-_YZX = np.array([[1], [2], [0]])
-_ZXY = np.array([[2], [0], [1]])
-
-
 def _compile(key):
     """Fold a field table onto distinct vertex pairs.
 
@@ -139,16 +140,16 @@ def _compile(key):
 
 # Per (kind, variant): the folded table (I, J, S) of ``_compile``.
 FIELD_PAIRS = {key: _compile(key) for key in _FIELD_TERMS}
-# The same tables as (2, 3, K) gather offsets into a flattened component-major
-# row (x_1..x_n, y_1..y_n, z_1..z_n), where component c of vertex i sits at
-# c n + i, plus S.T: component c of p_i x p_j is p_i[c+1] p_j[c+2] -
-# p_i[c+2] p_j[c+1] (indices mod 3).
-_COMPILED = {key: (np.stack([I + len(S) * _YZX, I + len(S) * _ZXY]),
-                   np.stack([J + len(S) * _ZXY, J + len(S) * _YZX]), S.T)
+# The same tables as (2, 2, K, 3) row indices into batch-minor rows, where
+# component c of vertex i is row 3 i + c, plus W.T for W = [S | -S]:
+# component c of p_i x p_j is p_i[c+1] p_j[c+2] - p_i[c+2] p_j[c+1]
+# (indices mod 3), so the left factors of both products come first, then
+# the right ones, and W folds the subtraction into the contraction.
+_YZX, _ZXY = np.array([1, 2, 0]), np.array([2, 0, 1])
+_COMPILED = {key: (np.array([[3 * I[:, None] + _YZX, 3 * I[:, None] + _ZXY],
+                             [3 * J[:, None] + _ZXY, 3 * J[:, None] + _YZX]]),
+                   np.hstack([S, -S]).T.copy())
              for key, (I, J, S) in FIELD_PAIRS.items()}
-# Configurations per field_rows call in field_batch (measured on the
-# hexahedron: 64 rows keep its largest temporary near 74 KB).
-_FIELD_BLOCK = 64
 
 
 def _check(kind: str, variant: str, p) -> np.ndarray:
@@ -188,36 +189,32 @@ def field(kind: str, variant: str, p) -> np.ndarray:
 def field_batch(kind: str, variant: str, P) -> np.ndarray:
     """Evaluate the field on a batch of configurations, shape (B, n, 3).
 
-    :func:`field_rows` on the transposed batch, in blocks of
-    ``_FIELD_BLOCK`` configurations; the result is a (B, n, 3) view of a
-    component-major array.  A block's temporaries stay small enough to be
-    reused from the heap, where a whole mesh's would be returned to the
-    system and faulted back in on every pass.  Each row is evaluated on
-    its own, so the blocks do not change the values.
+    The kernel works on batch-minor rows Q (3n, B): row 3 i + c holds
+    component c of vertex i for every configuration, which is the memory
+    of ``P.transpose(1, 2, 0)``.  A P that is a view of such rows, as the
+    mesh sweep passes it, is read without a copy; any other P is copied
+    once.  One row gather (``take(axis=0)``) reads the factors of both
+    products of every folded pair's cross product.  One matrix product of
+    those products prod (2K, 3B) with W = [S | -S] subtracts and
+    contracts them.  The batch sits on the M axis of that product,
+    ``prod.T @ W.T`` (numpy hands the transposed view to gemm without a
+    copy): each configuration is three rows of one gemm, and its value
+    does not depend on B.  The result is a (B, n, 3) view of (3, B, n)
+    memory.
     """
-    R = np.asarray(P, dtype=float).swapaxes(-1, -2)
-    if len(R) <= _FIELD_BLOCK:
-        return field_rows(kind, variant, R).swapaxes(-1, -2)
-    out = np.empty(R.shape)
-    for start in range(0, len(R), _FIELD_BLOCK):
-        out[start:start + _FIELD_BLOCK] = field_rows(
-            kind, variant, R[start:start + _FIELD_BLOCK])
-    return out.swapaxes(-1, -2)
-
-
-def field_rows(kind: str, variant: str, R) -> np.ndarray:
-    """Evaluate the field on component-major rows R (B, 3, n); returns (B, 3, n).
-
-    Row b holds the x, y and z coordinates of configuration b's vertices.
-    The cross products of the folded vertex pairs are formed component
-    by component from one flat gather, then contracted with the table as
-    ``(B, 3, K) @ S.T``.
-    """
-    R = np.asarray(R, dtype=float)
-    left, right, ST = _COMPILED[kind, variant]
-    Q = R.reshape(R.shape[:-2] + (-1,))
-    prod = Q.take(left, axis=-1) * Q.take(right, axis=-1)  # (B, 2, 3, K)
-    return (prod[..., 0, :, :] - prod[..., 1, :, :]) @ ST
+    P = np.asarray(P, dtype=float)
+    B, n, _ = P.shape
+    factors, WT = _COMPILED[kind, variant]
+    Q = P.transpose(1, 2, 0).reshape(3 * n, B)  # copies only if not batch-minor
+    # One gather for both factors, multiplied in place: glibc returns the
+    # top of the heap to the system once more than twice its largest
+    # recent allocation is free there, which two gathers of half the size
+    # reached on every call (256 minor faults per call at B = 512 hexahedra).
+    F = Q.take(factors, axis=0)  # (2, 2, K, 3, B)
+    prod = F[0]
+    prod *= F[1]
+    X = prod.reshape(-1, 3 * B).T @ WT
+    return X.reshape(3, B, n).transpose(1, 2, 0)
 
 
 def f_value(kind: str, variant: str, p) -> float:

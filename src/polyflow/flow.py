@@ -17,11 +17,13 @@ but not guarded: it depends on the gauge and is not monotone.
 
 The kernel holds its batch as component-major rows (B, 3, n): row b
 lists the x, then y, then z coordinates of configuration b.  Every
-inner product is one ``np.vecdot`` over the flat (B, 3n) view, tau is
-one subtraction of the last column, and the field is
-:func:`elements.field_rows`, which gathers through one flat offset
-table per (kind, variant).  Each row is centered by its own mean, so a
-row's rounding, and with it the run, does not depend on the batch.
+inner product is one ``np.vecdot`` over the flat (B, 3n) view, and tau
+is one subtraction of the last column.  The field comes from
+:func:`elements.field_batch`, the one field kernel, which evaluates each
+configuration as three rows of one matrix product; its batch-minor
+layout costs one transposed copy in and one out.  Each row is centered by its
+own mean, so a row's rounding, and with it the run, does not depend on
+the batch.
 """
 
 from __future__ import annotations
@@ -147,9 +149,9 @@ def _centered_quality(X, P):
     """(q_c, <X, c>) per configuration of the component-major rows P (B, 3, n).
 
     q_c = <X, c> / |c|^3, X the field rows and c = P minus its centroid:
-    the one definition of quality, shared by the flow guard and the mesh
-    quality report.  Each row is centered by its own mean, so its
-    rounding does not depend on the batch.
+    the flow guard's quality.  The mesh sweep forms the same q_c on its
+    batch-minor rows (``mesh._sweep``).  Each row is centered by its own
+    mean, so its rounding does not depend on the batch.
     """
     C = P - np.vecdot(P, _MEAN[P.shape[2]])[..., None]
     c = _flat(C)
@@ -160,9 +162,11 @@ def _centered_quality(X, P):
 def _measure(kind, variant, P):
     """(P, X, q_c) for component-major rows P (B, 3, n) on N.
 
-    The field rows X and the centered quality q_c.
+    The field rows X, from :func:`elements.field_batch`, and the centered
+    quality q_c.
     """
-    X = elements.field_rows(kind, variant, P)
+    X = elements.field_batch(kind, variant, P.swapaxes(1, 2)).swapaxes(1, 2)
+    X = np.ascontiguousarray(X)
     return P, X, _centered_quality(X, P)[0]
 
 

@@ -94,6 +94,17 @@ def test_field_batch_rows_evaluate_as_alone(rng, kind, variant):
         assert F[b].tobytes() == pf.field_batch(kind, variant, P[b:b + 1])[0].tobytes()
 
 
+@pytest.mark.parametrize("size", [2, 3, 7, 63, 64, 65, 129])
+@pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+def test_field_batch_rows_evaluate_as_alone_at_small_sizes(rng, kind, variant, size):
+    # the batch is the M axis of one matrix product, so a row's value does
+    # not depend on B, also where B is small or next to a multiple of 64
+    P = rng.normal(size=(size, pf.VERTEX_COUNT[kind], 3))
+    F = pf.field_batch(kind, variant, P)
+    for b in range(size):
+        assert F[b].tobytes() == pf.field_batch(kind, variant, P[b:b + 1])[0].tobytes()
+
+
 @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
 def test_batch_kernels_match_oracles(rng, kind, variant):
     # the pair-folded kernels against the independent per-configuration

@@ -208,10 +208,23 @@ class TestQualityReport:
 
     @pytest.mark.parametrize("kind", pf.KINDS)
     def test_reference_shape_is_one(self, kind):
+        # also far from the origin: the field is evaluated at the centered
+        # rows, where at raw coordinates q was off by 6e-5 at 1e6 and by
+        # 1.0 at 1e8
         ref = pf.reference_optimal(kind)
-        for v in (ref, 3.7 * ref - 2.5):
+        for v in (ref, 3.7 * ref - 2.5, ref + 1e6, ref + 1e8):
             q = pf.quality_report(_single(kind, v)).per_element_q[0]
             assert abs(q - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("mesh", ["hex grid", "mixed"])
+    def test_elements_evaluate_as_alone(self, mesh):
+        # an element's q is bitwise the q of a one-element mesh of it: no
+        # sum in the sweep depends on how many elements share its kind
+        m = _hex_grid(8, jitter=0.2, seed=3) if mesh == "hex grid" else _mixed_mesh()
+        q = pf.quality_report(m).per_element_q
+        for k, (kind, nodes) in enumerate(m.elements):
+            alone = pf.quality_report(_single(kind, m.vertices[list(nodes)]))
+            assert alone.per_element_q[0] == q[k], k
 
     @pytest.mark.parametrize("kind", pf.KINDS)
     def test_invariant_under_vertex_symmetries(self, kind):
@@ -449,6 +462,33 @@ class TestSmooth:
         assert len(reports) == sweeps + 1
         assert field_calls == {kind: sweeps + 1 for kind in pf.KINDS}
         assert volume_calls == []
+
+    def test_translation_far_from_origin(self):
+        # the sweep evaluates each field at the centered rows, so a grid
+        # shifted by 1e6 smooths as it does at the origin, up to the
+        # rounding of the shifted input (1e-10)
+        m = _hex_grid(8, jitter=0.2, seed=5)
+        shift = 1e6
+        runs = [pf.smooth(m.with_vertices(m.vertices + s), pf.FlowSettings(),
+                          max_iters=20, quality_tol=-1) for s in (0.0, shift)]
+        (near, near_reports), (far, far_reports) = runs
+        assert np.abs(far.vertices - shift - near.vertices).max() <= 1e-8
+        assert abs(far_reports[-1].min_q - near_reports[-1].min_q) <= 1e-8
+
+    def test_runs_share_no_state(self):
+        # each run allocates its own workspace: a run on another mesh in
+        # between does not change a run's bytes, and the one-sweep entry
+        # points give smooth's first report and first step
+        a, b = _hex_grid(3, jitter=0.2, seed=1), _mixed_mesh()
+        first = pf.smooth(a, pf.FlowSettings(), max_iters=5, quality_tol=-1)
+        pf.smooth(b, pf.FlowSettings(), max_iters=5, quality_tol=-1)
+        again = pf.smooth(a, pf.FlowSettings(), max_iters=5, quality_tol=-1)
+        assert first[0].vertices.tobytes() == again[0].vertices.tobytes()
+        assert first[1] == again[1]
+        for m in (a, b):
+            step, reports = pf.smooth(m, pf.FlowSettings(), max_iters=1, quality_tol=-1)
+            assert pf.quality_report(m) == reports[0]
+            assert pf.smooth_step(m).vertices.tobytes() == step.vertices.tobytes()
 
     def test_all_fixed_warns_identity(self):
         m = _single("hexahedron", pf.reference_optimal("hexahedron"),
