@@ -115,13 +115,16 @@ _FIELD_TERMS = {
 
 
 def _compile(key):
-    """Fold a field table onto distinct vertex pairs.
+    """Fold a field table onto distinct vertex pairs, as the kernel reads it.
 
     Each term ``coeff * nu(p, loop)`` expands to the cross products of
     consecutive loop vertices.  With a x b = -(b x a) and a x a = 0 these
-    fold onto K unordered pairs (I[k], J[k]) with I[k] < J[k], so that
-    ``field(p)[v] = sum_k S[v, k] * (p[I[k]] x p[J[k]])``.  Returns the
-    0-based vertex indices I and J, shape (K,), and the (n, K) matrix S.
+    fold onto K pairs i < j: ``field(p)[v] = sum_k S[v, k] (p_i x p_j)``.
+    Component c of p_i x p_j is p_i[c+1] p_j[c+2] - p_i[c+2] p_j[c+1]
+    (indices mod 3).  Returns the (2, 2, K, 3) indices of these factors,
+    left ones first, into batch-minor rows (component c of vertex i is
+    row 3 i + c), and W.T for W = [S | -S], which folds the subtraction
+    into the contraction.
     """
     pref, rows = _FIELD_TERMS[key]
     coeffs = {}  # (i, j), 0-based with i < j -> integer coefficient per vertex
@@ -134,22 +137,13 @@ def _compile(key):
                     row[vi] += coeff if a < b else -coeff
     pairs = sorted(pair for pair, row in coeffs.items() if any(row))
     S = pref * np.array([coeffs[pair] for pair in pairs], dtype=float).T
-    I, J = (np.array(side) for side in zip(*pairs))
-    return I, J, S
+    I, J = (3 * np.array(side)[:, None] for side in zip(*pairs))
+    yzx, zxy = np.array([1, 2, 0]), np.array([2, 0, 1])
+    return (np.array([[I + yzx, I + zxy], [J + zxy, J + yzx]]),
+            np.hstack([S, -S]).T.copy())
 
 
-# Per (kind, variant): the folded table (I, J, S) of ``_compile``.
-FIELD_PAIRS = {key: _compile(key) for key in _FIELD_TERMS}
-# The same tables as (2, 2, K, 3) row indices into batch-minor rows, where
-# component c of vertex i is row 3 i + c, plus W.T for W = [S | -S]:
-# component c of p_i x p_j is p_i[c+1] p_j[c+2] - p_i[c+2] p_j[c+1]
-# (indices mod 3), so the left factors of both products come first, then
-# the right ones, and W folds the subtraction into the contraction.
-_YZX, _ZXY = np.array([1, 2, 0]), np.array([2, 0, 1])
-_COMPILED = {key: (np.array([[3 * I[:, None] + _YZX, 3 * I[:, None] + _ZXY],
-                             [3 * J[:, None] + _ZXY, 3 * J[:, None] + _YZX]]),
-                   np.hstack([S, -S]).T.copy())
-             for key, (I, J, S) in FIELD_PAIRS.items()}
+_COMPILED = {key: _compile(key) for key in _FIELD_TERMS}
 
 
 def _check(kind: str, variant: str, p) -> np.ndarray:

@@ -314,8 +314,7 @@ def shape_metrics(kind: str, p) -> dict:
     kinds with only triangular faces).
     """
     p = np.asarray(p, dtype=float)
-    lengths = np.array([np.linalg.norm(p[a - 1] - p[b - 1])
-                        for a, b in elements.EDGES[kind]])
+    lengths = _edge_lengths(kind, p[None])
     planarity = 0.0
     for cycle in elements.QUAD_FACES[kind]:
         a, b, c, d = (p[i - 1] for i in cycle)
@@ -330,8 +329,7 @@ def shape_metrics(kind: str, p) -> dict:
     return {
         "edge_length_min": float(lengths.min()),
         "edge_length_max": float(lengths.max()),
-        "edge_length_spread": float((lengths.max() - lengths.min()) / lengths.max())
-        if lengths.max() > 0 else 0.0,
+        "edge_length_spread": float(_spread(lengths)[0]),
         "face_planarity_max_deviation": float(planarity),
         "orientation_sign": int(np.sign(vol)),
     }
@@ -341,16 +339,20 @@ def shape_metrics(kind: str, p) -> dict:
 _EDGE_ENDS = {kind: tuple(np.array(edges).T - 1) for kind, edges in elements.EDGES.items()}
 
 
-def _edge_spread(kind, P) -> np.ndarray:
-    """``shape_metrics``'s edge_length_spread for each configuration of P (R, n, 3).
+def _edge_lengths(kind, P) -> np.ndarray:
+    """The canonical edge lengths of each configuration of P (R, n, 3), shape (R, E).
 
     Each edge vector is dotted with itself as ``np.linalg.norm`` does it
-    (a vector-vector matmul is a dot), so the values are bitwise those of
-    ``shape_metrics``.
+    (a vector-vector matmul is a dot), so a length has the bits of
+    ``np.linalg.norm(p[a] - p[b])``.
     """
     a, b = _EDGE_ENDS[kind]
     D = P[:, a] - P[:, b]
-    lengths = np.sqrt((D[..., None, :] @ D[..., :, None])[..., 0, 0])
+    return np.sqrt((D[..., None, :] @ D[..., :, None])[..., 0, 0])
+
+
+def _spread(lengths) -> np.ndarray:
+    """The relative spread (max - min) / max of each row of lengths, 0 where max is 0."""
     top = lengths.max(axis=1)
     return np.divide(top - lengths.min(axis=1), top, out=np.zeros_like(top),
                      where=top > 0)
@@ -362,7 +364,7 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     Columns: iteration, f, residual, lambda, edge_spread.  Floats are
     printed with 17 significant digits, '.' decimal separator.
     """
-    spread = _edge_spread(traj.kind, np.array([row[1] for row in traj.points]))
+    spread = _spread(_edge_lengths(traj.kind, np.array([row[1] for row in traj.points])))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "f", "residual", "lambda", "edge_spread"])

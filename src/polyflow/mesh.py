@@ -345,8 +345,8 @@ def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
     n + 1 field passes.  The sweeps write into one workspace, allocated
     once per run.  A mesh with every vertex fixed is returned
     unchanged with a warning.
-    Non-finite vertices raise :class:`FlowDivergenceError` with the
-    failing iteration.
+    A step that leaves an element's quality non-finite raises
+    :class:`FlowDivergenceError` with the iteration of the state it leads to.
     """
     if len(m.fixed) >= len(m.vertices):
         reports = [quality_report(m)]
@@ -368,8 +368,6 @@ def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
                 it >= window and report.min_q - reports[-1 - window].min_q < quality_tol):
             break
         m = m.with_vertices(moved)
-        if not np.all(np.isfinite(moved)):
-            raise FlowDivergenceError(it + 1)
     return m, reports
 
 

@@ -2,12 +2,12 @@
 
 The second-order structure of the restricted volume at a singularity is
 read off the Jacobian of the pinned-and-projected field.  The raw field
-is a sum of cross products ``S[v, k] * (p[I[k]] x p[J[k]])`` over the
-tables of ``elements.FIELD_PAIRS``, so both Jacobians are exact in
-closed form.  At a representative on N the ambient Jacobian has real
-spectrum at the optimal shapes; its nonzero eigenvalues and their
-multiplicities identify the critical manifold, and exactly six
-eigenvalues vanish (three translation directions, three rotations).
+is a symmetric bilinear form of the centered configuration, so one batch
+of the field kernel gives its Jacobian exactly, and the projected
+Jacobian follows in closed form.  At a representative on N the ambient
+Jacobian has real spectrum at the optimal shapes; its nonzero
+eigenvalues and their multiplicities identify the critical manifold, and
+exactly six eigenvalues vanish (three translations, three rotations).
 
 Whether a field variant is a gradient is a property of the raw field,
 not of the projection: the raw field Jacobian is symmetric exactly for
@@ -41,23 +41,25 @@ def pushed_field(kind: str, variant: str, p) -> np.ndarray:
 
 
 def _raw_jacobian(kind, variant, p):
-    """The raw field at p and its exact (3n, 3n) Jacobian.
+    """The raw field at p and its exact (3n, 3n) Jacobian, from one kernel batch.
 
-    Block (v, u) sums ``S[v, k] * -[p_J]x`` over the pairs with I[k] = u
-    and ``S[v, k] * [p_I]x`` over the pairs with J[k] = u, where row m
-    of the cross-product matrix [a]x is e_m x a.
+    The field is translation invariant and X(c) = B(c, c) for a symmetric
+    bilinear B of the centered c, with B(e, e) = 0 when e moves one
+    coordinate.  So X(c + h e_j) - X(c) = h J e_j exactly, and one
+    ``field_batch`` call on [c, c + h e_1, ..., c + h e_3n] gives X and J.
+    The step h is the power of two above max|c|: both terms have the
+    magnitude of X, and the division by h is exact.
     """
-    X = elements.field(kind, variant, p)  # validates kind, variant and shape
-    p = np.asarray(p, dtype=float)
-    I, J, S = elements.FIELD_PAIRS[kind, variant]
-    n, e = len(p), np.eye(3)
-    blocks = (np.einsum("vk,ku,kab->vaub", S, np.eye(n)[I], np.cross(p[J, None], e))
-              + np.einsum("vk,ku,kab->vaub", S, np.eye(n)[J], np.cross(e, p[I, None])))
-    return X, blocks.reshape(3 * n, 3 * n)
+    p = elements._check(kind, variant, p)  # validates kind, variant and shape
+    c = (p - p.mean(axis=0)).ravel()
+    h = np.ldexp(1.0, np.frexp(np.abs(c).max())[1])  # 1 when c = 0
+    P = np.vstack([c, c + h * np.eye(c.size)]).reshape(-1, *p.shape)
+    X = elements.field_batch(kind, variant, P)
+    return X[0], ((X[1:] - X[0]).reshape(c.size, c.size) / h).T
 
 
 def field_jacobian(kind: str, variant: str, p) -> np.ndarray:
-    """Exact Jacobian of the raw (unprojected) field at p, shape (3n, 3n)."""
+    """Exact (3n, 3n) Jacobian of the raw field at p, from one centered kernel batch."""
     return _raw_jacobian(kind, variant, p)[1]
 
 
@@ -131,10 +133,12 @@ def hessian_spectrum(kind: str, variant: str, p,
                      zero_tol: float = ZERO_TOL) -> Spectrum:
     """Spectrum of the exact ambient Jacobian of the projected field at pi(p).
 
-    The eigenvalues are taken as computed, without symmetrization; at
-    the singular shapes the spectrum is real to rounding and
-    symmetrizing would mix the normal block into it.  Eigenvalues are
-    sorted ascending and grouped at ``grouping_tol``.
+    The raw Jacobian is one field-kernel batch at the centered q, with a
+    power-of-two step (``_raw_jacobian``).  The eigenvalues are taken as
+    computed, without symmetrization; at the singular shapes the
+    spectrum is real to rounding and symmetrizing would mix the normal
+    block into it.  Eigenvalues are sorted ascending and grouped at
+    ``grouping_tol``.
     """
     JG, JX = _projected_jacobian(kind, variant, pi(p))
     ev = np.linalg.eigvals(JG)

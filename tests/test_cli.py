@@ -213,6 +213,7 @@ class TestSmooth:
         ([True, 0.0, 0.0], None, "not a number"),
         ([10 ** 400, 0.0, 0.0], None, "out of range"),
         ([0.0, 0.0, 0.0], [], "elements is empty"),
+        ([0.0, 0.0, 0.0], {}, "elements must be a list"),
     ])
     def test_malformed_schema(self, capsys, tmp_path, vertex, elements, needle):
         path = tmp_path / "mesh.json"
@@ -266,12 +267,16 @@ class TestSpectrum:
         assert doc["zero_count"] == 6
 
 
+# The commands that read one element's configuration, less the file's path.
+over_config_commands = pytest.mark.parametrize("command", [
+    ["spectrum", "--type", "tetrahedron", "--at"],
+    ["classify", "--type", "tetrahedron", "--input"],
+    ["regularize", "--type", "tetrahedron", "--input"],
+], ids=["spectrum", "classify", "regularize"])
+
+
 class TestDegenerateConfiguration:
-    @pytest.mark.parametrize("command", [
-        ["spectrum", "--type", "tetrahedron", "--at"],
-        ["classify", "--type", "tetrahedron", "--input"],
-        ["regularize", "--type", "tetrahedron", "--input"],
-    ], ids=["spectrum", "classify", "regularize"])
+    @over_config_commands
     @pytest.mark.parametrize("vertices,needle", [
         ([[1.0, 2.0, 3.0]] * 4, "coincide"),
         ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [float("nan"), 1.0, 0.0],
@@ -293,11 +298,7 @@ class TestDegenerateConfiguration:
         assert len(err.splitlines()) == 1
 
 
-    @pytest.mark.parametrize("command", [
-        ["spectrum", "--type", "tetrahedron", "--at"],
-        ["classify", "--type", "tetrahedron", "--input"],
-        ["regularize", "--type", "tetrahedron", "--input"],
-    ], ids=["spectrum", "classify", "regularize"])
+    @over_config_commands
     def test_huge_finite_configuration_normalizes(self, capsys, tmp_path, command):
         # the squared norm overflows, the configuration does not
         path = tmp_path / "huge.json"
@@ -305,6 +306,19 @@ class TestDegenerateConfiguration:
             [1e308, 0.0, 0.0], [-1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}))
         assert cli.main(command + [str(path)]) == 0
         assert capsys.readouterr().err == ""
+
+    @over_config_commands
+    @pytest.mark.parametrize("doc,message", [
+        ({"foo": 1}, "configuration JSON needs a 'vertices' key"),
+        ([1, 2], "configuration JSON needs a 'vertices' key"),
+        ({"vertices": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+         "tetrahedron expects 4 vertices, got (3, 3)"),
+    ], ids=["no vertices", "list", "three vertices"])
+    def test_unreadable_configuration(self, capsys, tmp_path, command, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(command + [str(path)]) == 65
+        assert capsys.readouterr().err == f"malformed input: {message}\n"
 
 
 class TestClassify:

@@ -85,8 +85,8 @@ def test_field_batch_matches_single(rng, kind, variant):
 
 @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
 def test_field_batch_rows_evaluate_as_alone(rng, kind, variant):
-    # 1000 rows span many blocks of field_rows calls and a partial last
-    # one; each row of the batch is bitwise its field alone
+    # a batch of 1000 rows is one gather and one matrix product; each
+    # row of the batch is bitwise its field alone
     P = rng.normal(size=(1000, pf.VERTEX_COUNT[kind], 3))
     F = pf.field_batch(kind, variant, P)
     assert F.shape == P.shape

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import polyflow as pf
-from polyflow.flow import ACCEPT_SLACK, _evaluate
+from polyflow.flow import ACCEPT_SLACK, _edge_lengths, _evaluate
 
 
 ALL_PAIRS = [(kind, variant) for kind in pf.KINDS
@@ -338,6 +338,15 @@ class TestShapeMetrics:
     def test_mirrored_sign(self):
         p = pf.reference_optimal("tetrahedron") * np.array([1.0, 1.0, -1.0])
         assert pf.shape_metrics("tetrahedron", p)["orientation_sign"] == -1
+
+    @pytest.mark.parametrize("kind", pf.KINDS)
+    def test_edge_lengths_are_norms(self, rng, kind):
+        # the batched lengths have the bits of np.linalg.norm, edge by edge
+        P = rng.uniform(-1.0, 1.0, (300, pf.VERTEX_COUNT[kind], 3))
+        P *= 10.0 ** rng.uniform(-3.0, 3.0, (300, 1, 1))
+        loop = [[np.linalg.norm(p[a - 1] - p[b - 1]) for a, b in pf.EDGES[kind]]
+                for p in P]
+        assert _edge_lengths(kind, P).tobytes() == np.array(loop).tobytes()
 
 
 def test_trajectory_csv(tmp_path):

@@ -148,6 +148,12 @@ class TestMeshContainer:
         assert m2.elements == m.elements
         assert m2.fixed == m.fixed
 
+    def test_with_vertices_keeps_the_vertex_count(self):
+        m = _single("tetrahedron", pf.reference_optimal("tetrahedron"))
+        with pytest.raises(pf.MeshFormatError) as info:
+            m.with_vertices(np.zeros((5, 3)))
+        assert str(info.value) == "vertices must keep shape (4, 3), got (5, 3)"
+
     @pytest.mark.parametrize("nodes,fixed", [
         ([0, 1, 2.7, 3], []),
         ("0123", []),
@@ -508,6 +514,19 @@ class TestSmooth:
         with pytest.raises(pf.FlowDivergenceError):
             pf.smooth(m, pf.FlowSettings(step=1e6, normalization="none"),
                       max_iters=100)
+
+    @pytest.mark.parametrize("kind", pf.KINDS)
+    @pytest.mark.parametrize("normalization", ["psi", "none"])
+    def test_overflowing_step_names_its_iteration(self, kind, normalization):
+        # at ten times the reference size the first step moves every free
+        # vertex to infinity; the state it leads to, iteration 1, diverges
+        n = pf.VERTEX_COUNT[kind]
+        v = 10.0 * (pf.reference_optimal(kind) + np.random.default_rng(5).normal(
+            scale=0.1, size=(n, 3)))
+        m = _single(kind, v, fixed=[0])
+        with pytest.raises(pf.FlowDivergenceError) as info, np.errstate(over="ignore"):
+            pf.smooth(m, pf.FlowSettings(step=1.7e308, normalization=normalization))
+        assert info.value.iteration == 1
 
 
 class TestMeshJson:

@@ -160,6 +160,18 @@ class TestExactJacobians:
         rhs = 2.0 * pf.field(kind, variant, p).ravel()
         assert np.linalg.norm(lhs - rhs) < 1e-13 * np.linalg.norm(rhs)
 
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_far_from_origin(self, rng, kind, variant):
+        # J(s p) = s J(p) and J(p + t) = J(p): the step follows the scale
+        # of the centered configuration, at which the field is evaluated
+        p = rng.normal(size=(pf.VERTEX_COUNT[kind], 3))
+        X, J = spectral._raw_jacobian(kind, variant, p)
+        scaled = pf.field_jacobian(kind, variant, p * 1e6)
+        assert np.abs(scaled - 1e6 * J).max() < 1e-13 * np.abs(1e6 * J).max()
+        X_shifted, J_shifted = spectral._raw_jacobian(kind, variant, p + 1e6)
+        assert np.abs(J_shifted - J).max() < 1e-8
+        assert np.abs(X_shifted - X).max() < 1e-8
+
     @pytest.mark.parametrize("kind,variant", GRADIENT_PAIRS)
     def test_gradient_jacobians_exactly_symmetric(self, rng, kind, variant):
         p = pf.pi(rng.normal(size=(pf.VERTEX_COUNT[kind], 3)))
