@@ -164,6 +164,9 @@ def _cmd_regularize(parser, args) -> int:
 
 def _cmd_smooth(args) -> int:
     settings = _flow_settings(step=args.step, max_iters=args.max_iters)
+    if np.isnan(args.quality_tol):
+        sys.stderr.write("usage error: quality_tol must be a number, got nan\n")
+        return EXIT_USAGE
     m = mesh_mod.load_mesh(args.input)
     try:
         smoothed, reports = mesh_mod.smooth(m, settings, max_iters=args.max_iters,
@@ -240,6 +243,9 @@ def main(argv=None) -> int:
             return _cmd_classify(parser, args)
     except FileNotFoundError as exc:
         sys.stderr.write(f"missing file: {exc.filename}\n")
+        return EXIT_NOINPUT
+    except IsADirectoryError as exc:
+        sys.stderr.write(f"not a file: {exc.filename}\n")
         return EXIT_NOINPUT
     except (mesh_mod.MeshFormatError, DegenerateConfigurationError) as exc:
         # a degenerate configuration is raised only for the input: a

@@ -20,10 +20,12 @@ lists the x, then y, then z coordinates of configuration b.  Every
 inner product is one ``np.vecdot`` over the flat (B, 3n) view, and tau
 is one subtraction of the last column.  The field comes from
 :func:`elements.field_batch`, the one field kernel, which evaluates each
-configuration as three rows of one matrix product; its batch-minor
-layout costs one transposed copy in and one out.  Each row is centered by its
-own mean, so a row's rounding, and with it the run, does not depend on
-the batch.
+configuration as three rows of one matrix product; :func:`_field` pays
+its batch-minor layout one transposed copy in and one out.  Each row is
+centered by its own mean, so a row's rounding, and with it the run, does
+not depend on the batch.  The mesh smoother holds its elements as the
+same rows and calls the same :func:`_center`, :func:`_field` and
+:func:`_centered_quality`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import elements
-from .sphere import DegenerateConfigurationError, _sigma, is_collinear, pi, tau
+from .sphere import DegenerateConfigurationError, _root, _sigma, is_collinear, pi, tau
 
 # Guard on q_c: relative acceptance slack, the halving budget per
 # iteration, and the drop ratio separating curvature overshoot (halving
@@ -145,29 +147,41 @@ def _flat(A):
 _MEAN = {n: np.full(n, 1.0 / n) for n in set(elements.VERTEX_COUNT.values())}
 
 
-def _centered_quality(X, P):
-    """(q_c, <X, c>) per configuration of the component-major rows P (B, 3, n).
+def _center(P):
+    """c = P minus its centroid, per configuration of the component-major rows P.
 
-    q_c = <X, c> / |c|^3, X the field rows and c = P minus its centroid:
-    the flow guard's quality.  The mesh sweep forms the same q_c on its
-    batch-minor rows (``mesh._sweep``).  Each row is centered by its own
-    mean, so its rounding does not depend on the batch.
+    Each row is centered by its own mean, so its rounding does not
+    depend on the batch.
     """
-    C = P - np.vecdot(P, _MEAN[P.shape[2]])[..., None]
+    return P - np.vecdot(P, _MEAN[P.shape[2]])[..., None]
+
+
+def _centered_quality(X, C):
+    """(q_c, <X, c>) per configuration of the centered component-major rows C.
+
+    q_c = <X, c> / |c|^3, X the field rows and c = :func:`_center` of the
+    vertices: the flow guard's quality, and the mesh's quality up to the
+    kind's ceiling.
+    """
     c = _flat(C)
     xc, cc = np.vecdot(_flat(X), c), np.vecdot(c, c)
     return xc / (cc * np.sqrt(cc)), xc
 
 
-def _measure(kind, variant, P):
-    """(P, X, q_c) for component-major rows P (B, 3, n) on N.
+def _field(kind, variant, P):
+    """The field of the component-major rows P (B, 3, n), as contiguous rows (B, 3, n).
 
-    The field rows X, from :func:`elements.field_batch`, and the centered
-    quality q_c.
+    The one conversion between these rows and the (B, n, 3) layout of
+    :func:`elements.field_batch`.
     """
     X = elements.field_batch(kind, variant, P.swapaxes(1, 2)).swapaxes(1, 2)
-    X = np.ascontiguousarray(X)
-    return P, X, _centered_quality(X, P)[0]
+    return np.ascontiguousarray(X)
+
+
+def _measure(kind, variant, P):
+    """(P, X, q_c) for component-major rows P (B, 3, n) on N: the field and q_c."""
+    X = _field(kind, variant, P)
+    return P, X, _centered_quality(X, _center(P))[0]
 
 
 def _f(X, P):
@@ -259,8 +273,7 @@ def _flow(kind, variant, P, settings, record=None):
             if settings.normalization == "psi":
                 # push_tangent is linear and psi(X) = X / sqrt|X|, so the step
                 # push_tangent(P, psi(X)) is R / sqrt|X|; X != 0 as |R| >= tol.
-                x = _flat(X)
-                V = R / np.sqrt(np.sqrt(np.vecdot(x, x)))[:, None, None]
+                V = R / _root(_flat(X))[:, None, None]
             try:
                 # P + s V is pinned already.  P stays finite on N, so only an
                 # overflowing step diverges, and _sigma reports it.

@@ -15,18 +15,16 @@ translation and scaling, independent of the vertex numbering.  As it
 is read from the field, a sweep evaluates each element's field once,
 for its quality and for its step.
 
-A sweep makes one gather, one field pass and one scatter per kind.  It
-reads the kind's element rows batch-minor, (n, 3, E), with one ``take``
-of flat offsets that the mesh compiles once for its topology
-(``Mesh.plan``), and centers them in place.  ``elements.field_batch``
-evaluates their field at the centered rows, so q and the step stay
-exact far from the origin, and reads them without a copy.  The sums
-over an element's entries are elementwise adds of whole rows, never a
-reduction along the batch axis, so an element's q does not depend on
-how many elements share its kind.  The step adds the rows'
-contributions to the flat vertex array with one ``bincount`` over the
-same offsets.  ``smooth`` allocates the arrays a sweep writes once per
-run (:func:`_workspace`).
+A sweep makes one gather, one field pass and one scatter per kind, on
+the flow's component-major rows (E, 3, n): row e lists the x, then y,
+then z coordinates of element e's vertices.  One ``take`` of flat
+offsets, which the mesh compiles once for its topology (``Mesh.plan``),
+reads them; the flow's helpers center them, evaluate their field at the
+centered rows, so that q and the step stay exact far from the origin,
+and read q_c from both.  Every sum runs along an element's own row, so
+an element's q does not depend on how many elements share its kind.
+The step adds the (psi-rescaled) field rows to the flat vertex array
+with one ``bincount`` over the same offsets.
 """
 
 from __future__ import annotations
@@ -41,8 +39,8 @@ from itertools import chain
 import numpy as np
 
 from . import elements as el
-from .flow import FlowDivergenceError, FlowSettings
-from .sphere import DegenerateConfigurationError, tau
+from .flow import FlowDivergenceError, FlowSettings, _center, _centered_quality, _field
+from .sphere import DegenerateConfigurationError, psi, tau
 
 
 class MeshFormatError(ValueError):
@@ -134,7 +132,7 @@ def _plan(groups: tuple, fixed: frozenset, n: int) -> tuple:
     count = np.zeros(n)
     for _, nodes, _ in groups:
         count += np.bincount(nodes.ravel(), minlength=n)
-    return (tuple(3 * nodes.T[:, None, :] + _XYZ for _, nodes, _ in groups), free,
+    return (tuple(3 * nodes[:, None, :] + _XYZ for _, nodes, _ in groups), free,
             np.maximum(count[free, None], 1.0))
 
 
@@ -147,8 +145,8 @@ class Mesh:
     ``groups`` holds, per kind present, the (E, n) node-index array of
     its elements and their (E,) positions in ``elements``; the batched
     smoother and quality report run one pass per group.  ``plan`` holds
-    what a sweep needs of the topology: per group the (n, 3, E) offsets
-    3 node + c of the batch-minor element rows in ``vertices.ravel()``,
+    what a sweep needs of the topology: per group the (E, 3, n) offsets
+    3 node + c of the component-major element rows in ``vertices.ravel()``,
     the indices of the free vertices, and their element counts as an
     (F, 1) column (at least 1).  Both carry over to :meth:`with_vertices`.
     """
@@ -200,72 +198,42 @@ class QualityReport:
     inverted_count: int
 
 
-def _workspace(m: Mesh) -> tuple:
-    """The arrays that sweeps of ``m`` write, allocated once per smoothing run.
-
-    Per group, three arrays of its rows' (n, 3, E) shape: the centered
-    rows C, the field X and a product; then the step's flat accumulator.
-    """
-    return (tuple(tuple(np.empty(rows.shape) for _ in range(3)) for rows in m.plan[0]),
-            np.empty(m.vertices.size))
-
-
-def _inner(A, B, out):
-    """<A, B> per element of two batch-minor (n, 3, E) arrays, via ``out``.
-
-    The sums run over the vertex axis, then over the components, as
-    elementwise adds of whole rows.  Nothing is reduced along the batch
-    axis, whose pairwise summation would make an element's value depend
-    on E.
-    """
-    s = np.add.reduce(np.multiply(A, B, out=out), axis=0)
-    return s[0] + s[1] + s[2]
-
-
-def _sweep(m: Mesh, ws: tuple, settings: FlowSettings | None = None, report: bool = True):
+def _sweep(m: Mesh, settings: FlowSettings | None = None, report: bool = True):
     """One pass over the elements of ``m``: (its QualityReport, its vertices after one step).
 
-    Per kind, one ``take`` of the plan's offsets reads the element rows
-    into the workspace, batch-minor: (n, 3, E), with one row of E values
-    per vertex and component.  They are centered in place, C = rows minus
-    each element's centroid, and their gradient field is evaluated once,
-    at C, so that it stays exact far from the origin.  C's (E, n, 3) view
-    is the layout of ``field_batch``, which reads it without a copy; the
-    field X is copied back into the rows' layout.  The report reads the
+    Per kind, one ``take`` of the plan's offsets reads the element rows,
+    component-major: (E, 3, n).  They are centered, C = rows minus each
+    element's centroid, and their gradient field X is evaluated once, at
+    C, so that it stays exact far from the origin.  The report reads the
     centered quality from C and X; the step scatters the (psi-rescaled)
-    field with one ``bincount`` over the same offsets.
-    ``ws`` is :func:`_workspace` of ``m``.  The report is None unless
-    ``report``, the vertices None unless ``settings`` is given.
+    field with one ``bincount`` over the same offsets.  The report is
+    None unless ``report``, the vertices None unless ``settings`` is given.
     """
     offsets, free, count = m.plan
-    groups, acc = ws
     flat = m.vertices.ravel()
     if report:
         xc, q = np.empty(len(m.elements)), np.empty(len(m.elements))
     if settings is not None:
-        acc[:] = 0.0
-    # A field that overflows is not finite, and neither is the quality read
-    # from it, which raises below; numpy's warnings are muted.
+        acc = np.zeros(flat.size)
+    # A field or a step that overflows leaves a quality that is not finite,
+    # which raises in _summary, now or in the next sweep; numpy's warnings
+    # are muted.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for (kind, _, pos), index, (C, X, T) in zip(m.groups, offsets, groups):
-            flat.take(index, out=C, mode="clip")  # in range; "clip" writes C unbuffered
-            C -= np.add.reduce(C, axis=0) / len(C)
-            field = el.field_batch(kind, el.GRADIENT, C.transpose(2, 0, 1))
-            np.copyto(X, field.transpose(1, 2, 0))
+        for (kind, _, pos), index in zip(m.groups, offsets):
+            C = _center(flat.take(index))
+            X = _field(kind, el.GRADIENT, C)
             if report:
-                xc[pos] = x = _inner(X, C, T)
-                cc = _inner(C, C, T)
-                q[pos] = x / (cc * np.sqrt(cc)) / (18.0 * el.Q_MAX[kind])
+                qc, xc[pos] = _centered_quality(X, C)
+                q[pos] = qc / (18.0 * el.Q_MAX[kind])
             if settings is not None:
-                if settings.normalization == "psi":  # X / sqrt|X|, 0 where X = 0
-                    root = np.sqrt(np.sqrt(_inner(X, X, T)))
-                    X /= np.where(root > 0.0, root, np.inf)
+                if settings.normalization == "psi":
+                    X = psi(X)
                 acc += np.bincount(index.ravel(), weights=X.ravel(), minlength=flat.size)
-    moved = None
-    if settings is not None:
-        moved = m.vertices.copy()
-        moved[free] += settings.step * acc.reshape(-1, 3)[free] / count
-    return (_summary(m, xc, q) if report else None), moved
+        moved = None
+        if settings is not None:
+            moved = m.vertices.copy()
+            moved[free] += settings.step * acc.reshape(-1, 3)[free] / count
+        return (_summary(m, xc, q) if report else None), moved
 
 
 def _summary(m: Mesh, xc, q) -> QualityReport:
@@ -318,7 +286,7 @@ def quality_report(m: Mesh) -> QualityReport:
         Naming the first element whose q is not finite: its vertices all
         coincide, or its coordinates or volume are not finite.
     """
-    return _sweep(m, _workspace(m))[0]
+    return _sweep(m)[0]
 
 
 def smooth_step(m: Mesh, settings: FlowSettings = FlowSettings()) -> Mesh:
@@ -330,7 +298,7 @@ def smooth_step(m: Mesh, settings: FlowSettings = FlowSettings()) -> Mesh:
     by step times that average.  Fixed vertices are returned bitwise
     unchanged.
     """
-    return m.with_vertices(_sweep(m, _workspace(m), settings, report=False)[1])
+    return m.with_vertices(_sweep(m, settings, report=False)[1])
 
 
 def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
@@ -342,8 +310,7 @@ def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
     after i steps; ``reports[0]`` is the input state.  Each state's
     element rows are gathered once and their fields evaluated once; they
     serve both its report and the step that leaves it, so n sweeps cost
-    n + 1 field passes.  The sweeps write into one workspace, allocated
-    once per run.  A mesh with every vertex fixed is returned
+    n + 1 field passes.  A mesh with every vertex fixed is returned
     unchanged with a warning.
     A step that leaves an element's quality non-finite raises
     :class:`FlowDivergenceError` with the iteration of the state it leads to.
@@ -354,10 +321,9 @@ def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
         return m, reports
     window = 10
     reports = []
-    ws = _workspace(m)
     for it in range(max_iters + 1):  # state it, after it sweeps
         try:
-            report, moved = _sweep(m, ws, settings if it < max_iters else None)
+            report, moved = _sweep(m, settings if it < max_iters else None)
         except DegenerateConfigurationError as exc:
             if not it:
                 raise  # the input mesh
@@ -436,11 +402,15 @@ def mesh_from_dict(data) -> Mesh:
 
 
 def _read_json(path):
-    """The parsed JSON file; malformed JSON raises MeshFormatError with its position."""
-    with open(path) as fh:
-        text = fh.read()
+    """The parsed JSON file; malformed JSON raises MeshFormatError with its position.
+
+    The file must be UTF-8 text, as JSON requires.
+    """
     try:
-        return json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            return json.loads(fh.read())
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise MeshFormatError(exc.msg, line=exc.lineno, column=exc.colno) from exc
 

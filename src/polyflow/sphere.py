@@ -29,9 +29,9 @@ def tau(p) -> np.ndarray:
     return out
 
 
-def _dot(a, b) -> np.ndarray:
-    """Inner product over the trailing (n, 3) axes, kept as (..., 1, 1)."""
-    return np.einsum("...ij,...ij->...", a, b)[..., None, None]
+def _root(x) -> np.ndarray:
+    """sqrt|x| per row of the flat rows x (..., m): the divisor of :func:`psi`."""
+    return np.sqrt(np.sqrt(np.vecdot(x, x)))
 
 
 def sigma(p) -> np.ndarray:
@@ -96,11 +96,13 @@ def push_tangent(p, v) -> np.ndarray:
     satisfies ``<w, p> = 0`` and ``w_n = 0``.
     """
     p = np.asarray(p, dtype=float)
-    pp = _dot(p, p)
+    flat = p.reshape(p.shape[:-2] + (-1,))
+    pp = np.vecdot(flat, flat)[..., None, None]
     if np.count_nonzero(pp) < pp.size:
         raise DegenerateConfigurationError("tangent projection at zero configuration")
     w = tau(v)
-    return (w - _dot(w, p) / pp * p) / np.sqrt(pp)
+    wp = np.vecdot(w.reshape(flat.shape), flat)[..., None, None]
+    return (w - wp / pp * p) / np.sqrt(pp)
 
 
 def psi(v) -> np.ndarray:
@@ -110,7 +112,7 @@ def psi(v) -> np.ndarray:
     linearly so that flow speed is uniform across representative scale.
     """
     v = np.asarray(v, dtype=float)
-    root = np.sqrt(np.sqrt(_dot(v, v)))
+    root = _root(v.reshape(v.shape[:-2] + (-1,)))[..., None, None]
     return np.divide(v, root, out=np.zeros_like(v), where=root != 0.0)
 
 

@@ -235,6 +235,34 @@ class TestSmooth:
         assert "divergence" in capsys.readouterr().err
 
 
+    def test_overflowing_step_prints_one_line(self, perturbed_cube_mesh):
+        # the step overflows and the state it leads to is not finite: one
+        # divergence line, and no numpy warning before it
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyflow.cli", "smooth",
+             "--input", str(perturbed_cube_mesh), "--step", "1.7e308"],
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("divergence:")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+    @pytest.mark.parametrize("case,code", [("directory", 66), ("not utf-8", 65),
+                                           ("nan quality-tol", 64)])
+    def test_input_boundary(self, capsys, tmp_path, perturbed_cube_mesh, case, code):
+        # each ends in its documented exit code with a one-line message
+        argv = ["smooth", "--input", str(perturbed_cube_mesh)]
+        if case == "directory":
+            argv[2] = str(tmp_path)
+        elif case == "not utf-8":
+            path = tmp_path / "latin1.json"
+            path.write_bytes('{"vertices": [], "name": "Möbius"}'.encode("latin-1"))
+            argv[2] = str(path)
+        else:
+            argv += ["--quality-tol", "nan"]
+        assert cli.main(argv) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 class TestSpectrum:
     def test_optimal_tetrahedron(self, capsys):
         rc = cli.main(["spectrum", "--type", "tetrahedron", "--at", "optimal"])

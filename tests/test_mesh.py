@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -482,7 +483,7 @@ class TestSmooth:
         assert abs(far_reports[-1].min_q - near_reports[-1].min_q) <= 1e-8
 
     def test_runs_share_no_state(self):
-        # each run allocates its own workspace: a run on another mesh in
+        # the smoother keeps no state between runs: a run on another mesh in
         # between does not change a run's bytes, and the one-sweep entry
         # points give smooth's first report and first step
         a, b = _hex_grid(3, jitter=0.2, seed=1), _mixed_mesh()
@@ -525,6 +526,20 @@ class TestSmooth:
             scale=0.1, size=(n, 3)))
         m = _single(kind, v, fixed=[0])
         with pytest.raises(pf.FlowDivergenceError) as info, np.errstate(over="ignore"):
+            pf.smooth(m, pf.FlowSettings(step=1.7e308, normalization=normalization))
+        assert info.value.iteration == 1
+
+    @pytest.mark.parametrize("kind", pf.KINDS)
+    @pytest.mark.parametrize("normalization", ["psi", "none"])
+    def test_overflowing_step_warns_nothing(self, kind, normalization):
+        # the overflow in the step and in the diagnosis of the state it
+        # leads to stays inside the smoother
+        n = pf.VERTEX_COUNT[kind]
+        v = 10.0 * (pf.reference_optimal(kind) + np.random.default_rng(5).normal(
+            scale=0.1, size=(n, 3)))
+        m = _single(kind, v, fixed=[0])
+        with pytest.raises(pf.FlowDivergenceError) as info, warnings.catch_warnings():
+            warnings.simplefilter("error")
             pf.smooth(m, pf.FlowSettings(step=1.7e308, normalization=normalization))
         assert info.value.iteration == 1
 
