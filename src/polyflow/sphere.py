@@ -113,7 +113,7 @@ def psi(v) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     root = _root(v.reshape(v.shape[:-2] + (-1,)))[..., None, None]
-    return np.divide(v, root, out=np.zeros_like(v), where=root != 0.0)
+    return v / np.where(root == 0.0, np.inf, root)
 
 
 def is_collinear(p, tol: float = 1e-9) -> bool:
