@@ -10,6 +10,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -117,10 +118,30 @@ def _flow_settings(**kwargs) -> flow.FlowSettings:
         raise SystemExit(EXIT_USAGE) from exc
 
 
+def _check_outputs(**paths) -> None:
+    """A usage error unless each given output path can be written as a file.
+
+    Run before any work, so that a bad path writes nothing: the path must
+    not be a directory, and its parent directory must exist.
+    """
+    for flag, path in paths.items():
+        if not path:
+            continue
+        if os.path.isdir(path):
+            problem = "is a directory"
+        elif not os.path.isdir(os.path.dirname(path) or "."):
+            problem = "is in a directory that does not exist"
+        else:
+            continue
+        sys.stderr.write(f"usage error: --{flag} {path} {problem}\n")
+        raise SystemExit(EXIT_USAGE)
+
+
 def _cmd_regularize(parser, args) -> int:
     variant = _resolve_variant(parser, args.type, args.field)
     settings = _flow_settings(step=args.step, max_iters=args.max_iters,
                               tol=args.tol, normalization=args.normalization)
+    _check_outputs(output=args.output, trajectory=args.trajectory)
     if args.input is not None:
         p0 = _load_configuration(args.input, args.type)
     else:
@@ -167,6 +188,7 @@ def _cmd_smooth(args) -> int:
     if np.isnan(args.quality_tol):
         sys.stderr.write("usage error: quality_tol must be a number, got nan\n")
         return EXIT_USAGE
+    _check_outputs(output=args.output, report=args.report)
     m = mesh_mod.load_mesh(args.input)
     try:
         smoothed, reports = mesh_mod.smooth(m, settings, max_iters=args.max_iters,

@@ -40,6 +40,7 @@ import numpy as np
 
 from . import elements as el
 from .flow import FlowDivergenceError, FlowSettings, _center, _centered_quality, _field
+from .jsontext import json_list
 from .sphere import DegenerateConfigurationError, psi, tau
 
 
@@ -125,15 +126,14 @@ _XYZ = np.arange(3)[:, None]
 
 
 def _plan(groups: tuple, fixed: frozenset, n: int) -> tuple:
-    """The sweep plan of :class:`Mesh`: (offsets per group, free, count)."""
-    free = np.ones(n, dtype=bool)
+    """The sweep plan of :class:`Mesh`: (offsets per group, free mask, count)."""
+    free = np.ones((n, 1), dtype=bool)
     free[list(fixed)] = False
-    free = np.flatnonzero(free)
     count = np.zeros(n)
     for _, nodes, _ in groups:
         count += np.bincount(nodes.ravel(), minlength=n)
     return (tuple(3 * nodes[:, None, :] + _XYZ for _, nodes, _ in groups), free,
-            np.maximum(count[free, None], 1.0))
+            np.maximum(count, 1.0)[:, None])
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,9 @@ class Mesh:
     smoother and quality report run one pass per group.  ``plan`` holds
     what a sweep needs of the topology: per group the (E, 3, n) offsets
     3 node + c of the component-major element rows in ``vertices.ravel()``,
-    the indices of the free vertices, and their element counts as an
-    (F, 1) column (at least 1).  Both carry over to :meth:`with_vertices`.
+    an (n, 1) mask of the free vertices, and every vertex's element count
+    as an (n, 1) column (at least 1).  Both carry over to
+    :meth:`with_vertices`.
     """
 
     vertices: np.ndarray
@@ -232,15 +233,15 @@ def _sweep(m: Mesh, settings: FlowSettings | None = None, report: bool = True):
         moved = None
         if settings is not None:
             moved = m.vertices.copy()
-            moved[free] += settings.step * acc.reshape(-1, 3)[free] / count
+            np.add(moved, settings.step * acc.reshape(-1, 3) / count, out=moved, where=free)
         return (_summary(m, xc, q) if report else None), moved
 
 
 def _summary(m: Mesh, xc, q) -> QualityReport:
     """The QualityReport of per-element <X, c> and q (see quality_report)."""
-    bad = np.flatnonzero(~np.isfinite(q))
-    if bad.size:
-        k = int(bad[0])
+    total = q.sum()
+    if not np.isfinite(total):  # q is bounded, so its sum overflows only through a bad q
+        k = int(np.flatnonzero(~np.isfinite(q))[0])
         p = m.vertices[list(m.elements[k][1])]
         coincide = np.isfinite(p).all() and not np.ptp(p, axis=0).any()
         reason = "all vertices coincide" if coincide else "non-finite coordinates or volume"
@@ -249,9 +250,9 @@ def _summary(m: Mesh, xc, q) -> QualityReport:
         per_element_q=tuple(q.tolist()),
         mesh_mean_volume=float(xc.sum()) / 18.0,
         min_q=float(q.min()),
-        mean_q=float(np.mean(q)),
+        mean_q=float(total / q.size),
         max_q=float(q.max()),
-        inverted_count=int((q < 0).sum()),
+        inverted_count=int(np.count_nonzero(q < 0)),
     )
 
 
@@ -429,19 +430,11 @@ def mesh_to_dict(m: Mesh) -> dict:
     }
 
 
-def _json_list(items, depth: int) -> str:
-    """Encoded items as a list at nesting ``depth``, in the ``indent=2`` layout."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
-
-
 # The indent=2 text of one vertex row, and of one element per kind, as
 # %-templates of its coordinates (repr is the float text of json) and nodes.
-_VERTEX_TEXT = _json_list(["%r"] * 3, 2)
+_VERTEX_TEXT = json_list(["%r"] * 3, 2)
 _ELEMENT_TEXT = {kind: '{\n      "type": "%s",\n      "nodes": %s\n    }'
-                       % (kind, _json_list(["%d"] * n, 3))
+                       % (kind, json_list(["%d"] * n, 3))
                  for kind, n in el.VERTEX_COUNT.items()}
 
 
@@ -455,12 +448,12 @@ def save_mesh(m: Mesh, path) -> None:
     if not np.isfinite(m.vertices).all():
         text = json.dumps(mesh_to_dict(m), indent=2)
     else:
-        vertices = (_json_list([_VERTEX_TEXT] * len(m.vertices), 1)
+        vertices = (json_list([_VERTEX_TEXT] * len(m.vertices), 1)
                     % tuple(m.vertices.ravel().tolist()))
-        elements = (_json_list([_ELEMENT_TEXT[kind] for kind, _ in m.elements], 1)
+        elements = (json_list([_ELEMENT_TEXT[kind] for kind, _ in m.elements], 1)
                     % tuple(chain.from_iterable(nodes for _, nodes in m.elements)))
         text = ('{\n  "vertices": %s,\n  "elements": %s,\n  "fixed": %s\n}'
-                % (vertices, elements, _json_list(list(map(str, sorted(m.fixed))), 1)))
+                % (vertices, elements, json_list(list(map(str, sorted(m.fixed))), 1)))
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

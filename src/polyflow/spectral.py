@@ -4,7 +4,8 @@ The second-order structure of the restricted volume at a singularity is
 read off the Jacobian of the pinned-and-projected field.  The raw field
 is a symmetric bilinear form of the centered configuration, so one batch
 of the field kernel gives its Jacobian exactly, and the projected
-Jacobian follows in closed form.  At a representative on N the ambient
+Jacobian follows in closed form, with tau applied as the operator it is
+rather than as a (3n, 3n) matrix.  At a representative on N the ambient
 Jacobian has real spectrum at the optimal shapes; its nonzero
 eigenvalues and their multiplicities identify the critical manifold, and
 exactly six eigenvalues vanish (three translations, three rotations).
@@ -18,15 +19,25 @@ the unprojected field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import elements
+from .jsontext import json_list
 from .sphere import pi, tau, is_collinear
 
 GROUPING_TOL = 1e-4
 ZERO_TOL = 1e-6
+
+# Per vertex count n: the rows [0, e_1, ..., e_3n] of the Jacobian batch.
+_BASIS = {n: np.eye(3 * n + 1, 3 * n, -1) for n in set(elements.VERTEX_COUNT.values())}
+
+# The indent=2 text of a spectrum and of one eigenvalue group, as
+# %-templates (repr is the float text of json).
+_SPECTRUM_TEXT = '{\n  "eigenvalues": %s,\n  "zero_count": %d,\n  "asymmetry_ratio": %r\n}'
+_GROUP_TEXT = '{\n      "value": %r,\n      "multiplicity": %d\n    }'
 
 
 def pushed_field(kind: str, variant: str, p) -> np.ndarray:
@@ -53,8 +64,9 @@ def _raw_jacobian(kind, variant, p):
     p = elements._check(kind, variant, p)  # validates kind, variant and shape
     c = (p - p.mean(axis=0)).ravel()
     h = np.ldexp(1.0, np.frexp(np.abs(c).max())[1])  # 1 when c = 0
-    P = np.vstack([c, c + h * np.eye(c.size)]).reshape(-1, *p.shape)
-    X = elements.field_batch(kind, variant, P)
+    P = h * _BASIS[len(p)]
+    P += c
+    X = elements.field_batch(kind, variant, P.reshape(-1, *p.shape))
     return X[0], ((X[1:] - X[0]).reshape(c.size, c.size) / h).T
 
 
@@ -92,21 +104,29 @@ class Spectrum:
                 int(np.count_nonzero(self.eigenvalues < -tol)))
 
     def to_json(self) -> str:
-        return json.dumps({
-            "eigenvalues": [{"value": float(v), "multiplicity": int(m)}
-                            for v, m in self.groups],
-            "zero_count": int(self.zero_count),
-            "asymmetry_ratio": float(self.asymmetry_ratio),
-        }, indent=2)
+        """The bytes of ``json.dumps(doc, indent=2)`` of the spectrum's document.
+
+        Formed without the pure-Python encoder that ``indent`` selects; a
+        value that is not finite goes through ``json``.
+        """
+        groups = [(float(v), int(m)) for v, m in self.groups]
+        ratio = float(self.asymmetry_ratio)
+        if all(map(math.isfinite, [v for v, _ in groups] + [ratio])):
+            return _SPECTRUM_TEXT % (json_list([_GROUP_TEXT % g for g in groups], 1),
+                                     self.zero_count, ratio)
+        return json.dumps({"eigenvalues": [{"value": v, "multiplicity": m} for v, m in groups],
+                           "zero_count": int(self.zero_count), "asymmetry_ratio": ratio},
+                          indent=2)
 
 
 def _group(values, tol):
+    """((value, multiplicity), ...) of the sorted floats ``values``, grouped at ``tol``."""
     groups = []
     for v in values:
         if groups and abs(v - groups[-1][0]) < tol:
             groups[-1][1] += 1
         else:
-            groups.append([float(v), 1])
+            groups.append([v, 1])
     return tuple((v, m) for v, m in groups)
 
 
@@ -118,14 +138,22 @@ def _projected_jacobian(kind, variant, q):
     change the normal block and scramble the spectrum.  With T the
     constant matrix of tau, over all 3n ambient coordinates
 
-        J_G = T J_X - u (u^T T J_X + t^T T) - <t, u> T.
+        J_G = T J_X - u (u^T T J_X + t^T T) - <t, u> T
+            = T A - u (u^T T A + w^T T),  A = J_X - <t, u> I,  w = t + <t, u> u.
+
+    T is never formed: T A is tau applied to each column of A, and w^T T
+    is w with its last vertex row replaced by minus the sum of the others.
     """
     X, JX = _raw_jacobian(kind, variant, q)
-    n = len(X)
-    T = np.kron(np.eye(n) - np.eye(n)[-1], np.eye(3))
-    t, u = tau(X).ravel(), tau(q).ravel()
-    TJ = T @ JX
-    return TJ - np.outer(u, u @ TJ + t @ T) - np.vdot(t, u) * T, JX
+    m = JX.shape[0]
+    t, u = tau(X), tau(q)
+    s = np.vdot(t, u)
+    At = JX.T.copy()  # row k: column k of A = J_X - <t, u> I
+    At.flat[::m + 1] -= s
+    TA = tau(At.reshape(m, len(X), 3)).reshape(m, m).T
+    w = t + s * u
+    w[-1] = -w[:-1].sum(axis=0)
+    return TA - np.outer(u, u.ravel() @ TA + w.ravel()), JX
 
 
 def hessian_spectrum(kind: str, variant: str, p,
@@ -146,7 +174,7 @@ def hessian_spectrum(kind: str, variant: str, p,
     values = ev.real.copy()
     return Spectrum(
         eigenvalues=values,
-        groups=_group(values, grouping_tol),
+        groups=_group(values.tolist(), grouping_tol),
         zero_count=int(np.count_nonzero(np.abs(values) < zero_tol)),
         asymmetry_ratio=_asymmetry(JX),
         max_imag=float(np.abs(ev.imag).max()) if ev.size else 0.0,

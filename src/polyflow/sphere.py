@@ -112,8 +112,9 @@ def psi(v) -> np.ndarray:
     linearly so that flow speed is uniform across representative scale.
     """
     v = np.asarray(v, dtype=float)
-    root = _root(v.reshape(v.shape[:-2] + (-1,)))[..., None, None]
-    return v / np.where(root == 0.0, np.inf, root)
+    flat = v.reshape(v.shape[:-2] + (-1,))
+    root = _root(flat)[..., None]
+    return (flat / np.where(root == 0.0, np.inf, root)).reshape(v.shape)
 
 
 def is_collinear(p, tol: float = 1e-9) -> bool:

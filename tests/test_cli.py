@@ -427,6 +427,37 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    @pytest.mark.parametrize("command,flag", [
+        ("smooth", "--output"), ("smooth", "--report"),
+        ("regularize", "--output"), ("regularize", "--trajectory")])
+    def test_output_path_checked_before_the_run(self, capsys, tmp_path, perturbed_cube_mesh,
+                                                command, flag, where):
+        # an output path that cannot be a file is a usage error before any
+        # work: one stderr line names the flag and the path, and no output
+        # file is written, not even the command's other, valid one
+        argv, flags = {
+            "smooth": (["smooth", "--input", str(perturbed_cube_mesh)],
+                       ["--output", "--report"]),
+            "regularize": (["regularize", "--type", "tetrahedron", "--random", "1"],
+                           ["--output", "--trajectory"]),
+        }[command]
+        paths = {f: tmp_path / f"out{f}" for f in flags}
+        if where == "directory":
+            paths[flag] = tmp_path / "dir"
+            paths[flag].mkdir()
+        else:
+            paths[flag] = tmp_path / "absent" / "out"
+        for f in flags:
+            argv = argv + [f, str(paths[f])]
+        assert cli.main(argv) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and f"{flag} {paths[flag]}" in err
+        assert len(err.splitlines()) == 1
+        assert not any(paths[f].exists() for f in flags if f != flag)
+        assert where == "missing directory" or not any(paths[flag].iterdir())
+
 
 # Values a mutation may put where the schema expects a coordinate, a node
 # index or a flag value.

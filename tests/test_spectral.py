@@ -34,6 +34,16 @@ def _projected(kind, variant, q):
     return t - np.vdot(t, u) * u
 
 
+def _dense_projected_jacobian(kind, variant, q):
+    """Reference: J_G = T J_X - u (u^T T J_X + t^T T) - <t, u> T with T built densely."""
+    X, JX = spectral._raw_jacobian(kind, variant, q)
+    n = len(X)
+    T = np.kron(np.eye(n) - np.eye(n)[-1], np.eye(3))
+    t, u = pf.tau(X).ravel(), pf.tau(q).ravel()
+    TJ = T @ JX
+    return TJ - np.outer(u, u @ TJ + t @ T) - np.vdot(t, u) * T
+
+
 def _grouped(spec):
     return [(round(v, 6), m) for v, m in spec.groups]
 
@@ -153,6 +163,26 @@ class TestExactJacobians:
             assert np.array_equal(JX, pf.field_jacobian(kind, variant, q))
 
     @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_projected_matches_dense_formula(self, rng, kind, variant):
+        # tau applied as an operator gives the matrix of the dense formula
+        qs = [pf.pi(rng.normal(size=(pf.VERTEX_COUNT[kind], 3))) for _ in range(5)]
+        if (kind, variant) in GRADIENT_PAIRS:
+            qs.append(pf.pi(pf.reference_optimal(kind)))
+        for q in qs:
+            JG, _ = spectral._projected_jacobian(kind, variant, q)
+            dense = _dense_projected_jacobian(kind, variant, q)
+            assert np.abs(JG - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    def test_no_dense_matrix_per_call(self, monkeypatch):
+        # tau is applied as an operator and the batch basis is built once
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense matrix built per call")
+        for name in ("kron", "eye", "identity", "vstack"):
+            monkeypatch.setattr(np, name, refuse)
+        for kind, variant in ALL_PAIRS:
+            pf.hessian_spectrum(kind, variant, pf.reference_optimal(kind))
+
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
     def test_euler_identity(self, rng, kind, variant):
         # the field is homogeneous quadratic, so J(p) p = 2 X(p) exactly
         p = rng.normal(size=(pf.VERTEX_COUNT[kind], 3))
@@ -213,6 +243,42 @@ class TestSpectrumJson:
             assert set(entry) == {"value", "multiplicity"}
         total = sum(e["multiplicity"] for e in doc["eigenvalues"])
         assert total == 12  # 3n ambient directions
+
+    @staticmethod
+    def _assert_json_bytes(spec):
+        doc = {"eigenvalues": [{"value": float(v), "multiplicity": int(m)}
+                               for v, m in spec.groups],
+               "zero_count": int(spec.zero_count),
+               "asymmetry_ratio": float(spec.asymmetry_ratio)}
+        assert spec.to_json() == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_bytes_of_json_dumps(self, rng, kind, variant):
+        p = pf.reference_optimal(kind)
+        for point in (p, p * np.array([1.0, 1.0, -1.0]),
+                      rng.normal(size=(pf.VERTEX_COUNT[kind], 3))):
+            self._assert_json_bytes(pf.hessian_spectrum(kind, variant, point))
+
+    def test_bytes_of_json_dumps_collinear(self):
+        self._assert_json_bytes(pf.hessian_spectrum(
+            "tetrahedron", pf.GRADIENT, pf.collinear_tetrahedron()))
+
+    @pytest.mark.parametrize("groups,ratio", [
+        (((-1.5, 2), (0.0, 6)), float("nan")),
+        (((-1.5, 2), (0.0, 6)), float("inf")),
+        (((2.0, 3),), -float("inf")),
+        (((float("nan"), 1), (0.25, 1)), 0.0),
+        (((-0.0, 6), (1e-300, 1)), 0.0),
+        (((-0.0, 1),), -0.0),
+        ((), 0.5),
+    ])
+    def test_bytes_of_hand_built(self, groups, ratio):
+        # non-finite values go through json (NaN, Infinity); -0.0 keeps its sign
+        values = np.array([v for v, m in groups for _ in range(m)])
+        spec = spectral.Spectrum(eigenvalues=values, groups=groups,
+                                 zero_count=int(np.count_nonzero(values == 0.0)),
+                                 asymmetry_ratio=ratio, max_imag=0.0)
+        self._assert_json_bytes(spec)
 
 
 class TestCollinearSignature:
