@@ -2,16 +2,20 @@
 
 Exit codes: 0 success/convergence, 2 iteration budget exhausted,
 3 divergence, 64 usage error, 65 malformed input file, 66 missing file.
+The flow's warning that a step may overshoot is one ``warning:`` line on
+stderr and leaves the exit code as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -137,6 +141,23 @@ def _check_outputs(**paths) -> None:
         raise SystemExit(EXIT_USAGE)
 
 
+@contextlib.contextmanager
+def _warnings_as_lines():
+    """Write each UserWarning raised in the block as one ``warning:`` line on stderr.
+
+    Any other warning is issued again, unchanged, when the block ends.
+    """
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            yield
+    finally:
+        for w in caught:
+            if issubclass(w.category, UserWarning):
+                sys.stderr.write(f"warning: {w.message}\n")
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+
+
 def _cmd_regularize(parser, args) -> int:
     variant = _resolve_variant(parser, args.type, args.field)
     settings = _flow_settings(step=args.step, max_iters=args.max_iters,
@@ -147,14 +168,15 @@ def _cmd_regularize(parser, args) -> int:
     else:
         p0 = sampling.random_configuration(args.type, args.random, variant)
     try:
-        if args.trajectory:
-            traj = flow.integrate(args.type, variant, p0, settings)
-            end = (traj.p_final, traj.residual_final, traj.iterations, traj.converged,
-                   traj.halvings, traj.monotone_breaks)
-        else:  # no recorder: the kernel on a batch of one
-            out = flow.integrate_batch(args.type, variant, p0[None], settings)
-            end = (out["p"][0], float(out["residual"][0]), int(out["iterations"][0]),
-                   bool(out["converged"][0]), out["halvings"], out["monotone_breaks"])
+        with _warnings_as_lines():
+            if args.trajectory:
+                traj = flow.integrate(args.type, variant, p0, settings)
+                end = (traj.p_final, traj.residual_final, traj.iterations, traj.converged,
+                       traj.halvings, traj.monotone_breaks)
+            else:  # no recorder: the kernel on a batch of one
+                out = flow.integrate_batch(args.type, variant, p0[None], settings)
+                end = (out["p"][0], float(out["residual"][0]), int(out["iterations"][0]),
+                       bool(out["converged"][0]), out["halvings"], out["monotone_breaks"])
     except flow.FlowDivergenceError as exc:
         sys.stderr.write(f"divergence: {exc}\n")
         return EXIT_DIVERGENCE

@@ -18,9 +18,10 @@ carry a structurally simpler "y" field variant that is not a gradient.
 
 One kernel, :func:`field_batch`, evaluates every field.  It gathers the
 cross-product factors from batch-minor rows (3n, B), one row per vertex
-component, and contracts them with the batch on the M axis of one
-matrix product, so that a configuration's value does not depend on the
-batch it is evaluated in.
+component, component-major (row c n + i holds component c of vertex i),
+and contracts them with the batch on the M axis of one matrix product,
+so that a configuration's value does not depend on the batch it is
+evaluated in.
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ def _compile(key):
     fold onto K pairs i < j: ``field(p)[v] = sum_k S[v, k] (p_i x p_j)``.
     Component c of p_i x p_j is p_i[c+1] p_j[c+2] - p_i[c+2] p_j[c+1]
     (indices mod 3).  Returns the (2, 2, K, 3) indices of these factors,
-    left ones first, into batch-minor rows (component c of vertex i is
-    row 3 i + c), and W.T for W = [S | -S], which folds the subtraction
-    into the contraction.
+    left ones first, into component-major rows (component c of vertex i
+    is row c n + i), and W.T for W = [S | -S], which folds the
+    subtraction into the contraction.
     """
     pref, rows = _FIELD_TERMS[key]
     coeffs = {}  # (i, j), 0-based with i < j -> integer coefficient per vertex
@@ -137,8 +138,9 @@ def _compile(key):
                     row[vi] += coeff if a < b else -coeff
     pairs = sorted(pair for pair, row in coeffs.items() if any(row))
     S = pref * np.array([coeffs[pair] for pair in pairs], dtype=float).T
-    I, J = (3 * np.array(side)[:, None] for side in zip(*pairs))
-    yzx, zxy = np.array([1, 2, 0]), np.array([2, 0, 1])
+    I, J = (np.array(side)[:, None] for side in zip(*pairs))
+    n = len(rows)
+    yzx, zxy = n * np.array([1, 2, 0]), n * np.array([2, 0, 1])
     return (np.array([[I + yzx, I + zxy], [J + zxy, J + yzx]]),
             np.hstack([S, -S]).T.copy())
 
@@ -183,23 +185,27 @@ def field(kind: str, variant: str, p) -> np.ndarray:
 def field_batch(kind: str, variant: str, P) -> np.ndarray:
     """Evaluate the field on a batch of configurations, shape (B, n, 3).
 
-    The kernel works on batch-minor rows Q (3n, B): row 3 i + c holds
-    component c of vertex i for every configuration, which is the memory
-    of ``P.transpose(1, 2, 0)``.  A P that is a view of such rows, as the
-    mesh sweep passes it, is read without a copy; any other P is copied
-    once.  One row gather (``take(axis=0)``) reads the factors of both
-    products of every folded pair's cross product.  One matrix product of
-    those products prod (2K, 3B) with W = [S | -S] subtracts and
-    contracts them.  The batch sits on the M axis of that product,
-    ``prod.T @ W.T`` (numpy hands the transposed view to gemm without a
-    copy): each configuration is three rows of one gemm, and its value
-    does not depend on B.  The result is a (B, n, 3) view of (3, B, n)
-    memory.
+    The kernel works on batch-minor rows Q (3n, B): row c n + i holds
+    component c of vertex i for every configuration, which is
+    ``P.transpose(2, 1, 0)``.  The flows and the mesh sweep hold
+    component-major rows (B, 3, n) and pass their (B, n, 3) view, so Q is
+    the transposed view of their flat (B, 3n) rows.  At B = 1 it is read
+    without a copy; at B > 1 the row gather copies the strided rows once
+    (a column gather from the (B, 3n) rows measured 2.7x slower).  A
+    vertex-major P, such as ``field``'s, is copied once.
+    One row gather (``take(axis=0)``) reads the factors of both products
+    of every folded pair's cross product.  One matrix product of those
+    products prod (2K, 3B) with W = [S | -S] subtracts and contracts
+    them.  The batch sits on the M axis of that product, ``prod.T @ W.T``
+    (numpy hands the transposed view to gemm without a copy): each
+    configuration is three rows of one gemm, and its value does not
+    depend on B.  The result is a (B, n, 3) view of (3, B, n) memory: at
+    B = 1 a view of component-major rows.
     """
     P = np.asarray(P, dtype=float)
     B, n, _ = P.shape
     factors, WT = _COMPILED[kind, variant]
-    Q = P.transpose(1, 2, 0).reshape(3 * n, B)  # copies only if not batch-minor
+    Q = P.transpose(2, 1, 0).reshape(3 * n, B)
     # One gather for both factors, multiplied in place: glibc returns the
     # top of the heap to the system once more than twice its largest
     # recent allocation is free there, which two gathers of half the size
@@ -218,7 +224,7 @@ def f_value(kind: str, variant: str, p) -> float:
     homogeneity of volume plus the gradient relation).
     """
     p = _check(kind, variant, p)
-    return float(np.vdot(field(kind, variant, p), p))
+    return float(np.vdot(field_batch(kind, variant, p[None])[0], p))
 
 
 # Triangulation tables: per kind, a tuple of triangulations, each a tuple

@@ -18,14 +18,18 @@ but not guarded: it depends on the gauge and is not monotone.
 The kernel holds its batch as component-major rows (B, 3, n): row b
 lists the x, then y, then z coordinates of configuration b.  Every
 inner product is one ``np.vecdot`` over the flat (B, 3n) view, and tau
-is one subtraction of the last column.  The field comes from
-:func:`elements.field_batch`, the one field kernel, which evaluates each
-configuration as three rows of one matrix product; :func:`_field` pays
-its batch-minor layout one transposed copy in and one out.  Each row is
-centered by its own mean, so a row's rounding, and with it the run, does
-not depend on the batch.  The mesh smoother holds its elements as the
-same rows and calls the same :func:`_center`, :func:`_field` and
-:func:`_centered_quality`.
+is one subtraction of the last column.  A step is normalized by one
+norm; a zero, overflowing or non-finite norm leaves a NaN q_c, which the
+guard's one test catches before :func:`sphere.sigma`'s rescue runs.
+The field comes from :func:`elements.field_batch`, the one field
+kernel, which evaluates each configuration as three rows of one matrix
+product.  It reads the transposed view of the flat rows, so at B = 1
+:func:`_field` copies nothing; at B > 1 the kernel's gather copies the
+strided rows in and :func:`_field` copies its (3, B, n) result out.
+Each row is centered by its own mean, so a row's rounding, and with it
+the run, does not depend on the batch.  The mesh smoother holds its
+elements as the same rows and calls the same :func:`_center`,
+:func:`_field` and :func:`_centered_quality`.
 """
 
 from __future__ import annotations
@@ -138,11 +142,6 @@ class Trajectory:
         return self.points[-1][3]
 
 
-def _flat(A):
-    """The (B, 3n) view of a contiguous batch A (B, 3, n)."""
-    return A.reshape(len(A), -1)
-
-
 # Per vertex count n: the weights 1/n of the mean over the vertex axis.
 _MEAN = {n: np.full(n, 1.0 / n) for n in set(elements.VERTEX_COUNT.values())}
 
@@ -163,8 +162,8 @@ def _centered_quality(X, C):
     vertices: the flow guard's quality, and the mesh's quality up to the
     kind's ceiling.
     """
-    c = _flat(C)
-    xc, cc = np.vecdot(_flat(X), c), np.vecdot(c, c)
+    c = C.reshape(len(C), -1)
+    xc, cc = np.vecdot(X.reshape(c.shape), c), np.vecdot(c, c)
     return xc / (cc * np.sqrt(cc)), xc
 
 
@@ -172,7 +171,9 @@ def _field(kind, variant, P):
     """The field of the component-major rows P (B, 3, n), as contiguous rows (B, 3, n).
 
     The one conversion between these rows and the (B, n, 3) layout of
-    :func:`elements.field_batch`.
+    :func:`elements.field_batch`.  The kernel's result is (3, B, n)
+    memory, which at B = 1 already is the contiguous rows; at B > 1 it is
+    copied once.
     """
     X = elements.field_batch(kind, variant, P.swapaxes(1, 2)).swapaxes(1, 2)
     return np.ascontiguousarray(X)
@@ -184,18 +185,13 @@ def _measure(kind, variant, P):
     return P, X, _centered_quality(X, _center(P))[0]
 
 
-def _f(X, P):
-    """f = <X, p> per configuration of the component-major rows X and P."""
-    return np.vecdot(_flat(X), _flat(P))
-
-
 def _evaluate(kind, variant, P):
     """(P, X, f, q_c) of a batch P (B, n, 3) on N: :func:`_measure` plus f.
 
     P and X come back as component-major rows (B, 3, n).
     """
     P, X, Q = _measure(kind, variant, np.ascontiguousarray(P.swapaxes(1, 2)))
-    return P, X, _f(X, P), Q
+    return P, X, np.vecdot(X.reshape(len(X), -1), P.reshape(len(P), -1)), Q
 
 
 def _halve(kind, variant, P, V, Q, step, full, out):
@@ -237,7 +233,8 @@ def _flow(kind, variant, P, settings, record=None):
     """
     elements._check(kind, variant, P[0])
     P, X, _, Q = _evaluate(kind, variant, P)
-    bound = 3.0 * float(np.sqrt(np.vecdot(_flat(X), _flat(X))).max())
+    x = X.reshape(len(X), -1)
+    bound = 3.0 * float(np.sqrt(np.vecdot(x, x)).max())
     if settings.step * bound >= 2.0:
         warnings.warn(
             f"step {settings.step} times field scale estimate {bound:.3g} "
@@ -248,40 +245,51 @@ def _flow(kind, variant, P, settings, record=None):
                converged=np.zeros(B, dtype=bool), halvings=0, monotone_breaks=0)
     rows = np.arange(B)  # the output row of each running configuration
     step, tol, last = settings.step, settings.tol, settings.max_iters
-    with np.errstate(over="ignore"):  # _sigma rescues an overflowing norm
+    psi = settings.normalization == "psi"
+    # A step whose norm is zero, overflows or is not finite gives a NaN q_c,
+    # which the guard catches; numpy's warnings about it are muted.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for it in range(last + 1):
-            T = X - X[:, :, -1:]  # tau(X): the last column is exactly 0
-            lam = np.vecdot(_flat(T), _flat(P))
-            R = T - lam[:, None, None] * P  # = push_tangent(P, X), as |P| = 1
-            r = _flat(R)
+            # flat (B, 3n) views of the rows, for every inner product
+            p, x = P.reshape(len(P), -1), X.reshape(len(X), -1)
+            t = (X - X[:, :, -1:]).reshape(p.shape)  # tau(X): the last column is exactly 0
+            lam = np.vecdot(t, p)
+            r = t - lam[:, None] * p  # = push_tangent(P, X), as |P| = 1
             residual = np.sqrt(np.vecdot(r, r))
             if record is not None:
-                record(it, P, _f(X, P), residual, lam)
+                record(it, P, np.vecdot(x, p), residual, lam)
             converged = residual < tol
             if np.count_nonzero(converged) or it == last:
                 stop = converged | (it == last)
                 out["p"][rows[stop]] = P[stop].swapaxes(1, 2)
-                out["f"][rows[stop]] = _f(X[stop], P[stop])
+                out["f"][rows[stop]] = np.vecdot(x[stop], p[stop])
                 for key, value in zip(("residual", "lam", "converged"),
                                       (residual, lam, converged)):
                     out[key][rows[stop]] = value[stop]
                 out["iterations"][rows[stop]] = it
                 if np.count_nonzero(stop) == len(stop):
                     break
-                rows, P, X, Q, R = (a[~stop] for a in (rows, P, X, Q, R))
-            V = R
-            if settings.normalization == "psi":
+                rows, P, Q, p, x, r = (a[~stop] for a in (rows, P, Q, p, x, r))
+            if psi:
                 # push_tangent is linear and psi(X) = X / sqrt|X|, so the step
                 # push_tangent(P, psi(X)) is R / sqrt|X|; X != 0 as |R| >= tol.
-                V = R / _root(_flat(X))[:, None, None]
-            try:
-                # P + s V is pinned already.  P stays finite on N, so only an
-                # overflowing step diverges, and _sigma reports it.
-                full = _measure(kind, variant, _sigma(P + step * V))
-                if np.count_nonzero(full[2] < Q):  # rare on gradient fields
-                    _halve(kind, variant, P, V, Q, step, full, out)
-            except DegenerateConfigurationError as exc:
-                raise FlowDivergenceError(it) from exc
+                r = r / _root(x)[:, None]
+            w = p + step * r  # pinned already
+            full = _measure(kind, variant,
+                            (w / np.sqrt(np.vecdot(w, w))[:, None]).reshape(P.shape))
+            # One test catches a q_c drop and the NaN q_c of a bad norm.
+            if np.count_nonzero(full[2] >= Q) < len(Q):
+                try:
+                    bad = np.isnan(full[2])
+                    if np.count_nonzero(bad):
+                        # A zero, overflowing or non-finite norm: _sigma rescues
+                        # the step, or raises where it is not finite.
+                        half = _measure(kind, variant, _sigma(w.reshape(P.shape)[bad]))
+                        for dest, src in zip(full, half):
+                            dest[bad] = src
+                    _halve(kind, variant, P, r.reshape(P.shape), Q, step, full, out)
+                except DegenerateConfigurationError as exc:
+                    raise FlowDivergenceError(it) from exc
             P, X, Q = full
     return out
 

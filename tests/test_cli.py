@@ -103,6 +103,21 @@ class TestRegularize:
         assert doc["converged"] is False
         assert doc["iterations"] == 3
 
+    @pytest.mark.parametrize("trajectory", [False, True])
+    def test_overshoot_warning_is_one_line(self, capsys, tmp_path, trajectory):
+        # the library warns; the CLI prints that warning as one line and
+        # keeps the exit code of the run (here: budget exhausted)
+        argv = ["regularize", "--type", "tetrahedron", "--random", "0",
+                "--step", "5", "--max-iters", "3"]
+        if trajectory:
+            argv += ["--trajectory", str(tmp_path / "t.csv")]
+        rc = cli.main(argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("warning: step 5.0 times field scale estimate")
+        assert err.endswith("may overshoot\n")
+        assert len(err.splitlines()) == 1, err
+
     def test_output_and_trajectory_files(self, capsys, tmp_path):
         out = tmp_path / "result.json"
         traj1 = tmp_path / "t1.csv"

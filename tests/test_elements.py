@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import polyflow as pf
+from polyflow.flow import _field
 
 from conftest import finite_points
 
@@ -103,6 +104,17 @@ def test_field_batch_rows_evaluate_as_alone_at_small_sizes(rng, kind, variant, s
     F = pf.field_batch(kind, variant, P)
     for b in range(size):
         assert F[b].tobytes() == pf.field_batch(kind, variant, P[b:b + 1])[0].tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 100])
+@pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+def test_field_batch_layouts_agree(rng, kind, variant, size):
+    # the kernel reads vertex-major (B, n, 3) input through a copy, and the
+    # flows' component-major (B, 3, n) rows as a view: the same bits
+    P = rng.normal(size=(size, pf.VERTEX_COUNT[kind], 3))
+    X = _field(kind, variant, np.ascontiguousarray(P.swapaxes(1, 2)))
+    assert X.flags.c_contiguous
+    assert X.swapaxes(1, 2).tobytes() == pf.field_batch(kind, variant, P).tobytes()
 
 
 @pytest.mark.parametrize("kind,variant", ALL_PAIRS)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import polyflow as pf
+from polyflow import flow
 from polyflow.flow import ACCEPT_SLACK, _edge_lengths, _evaluate
 
 
@@ -238,6 +239,38 @@ class TestIntegrate:
             X = pf.field(kind, variant, p)
             w = pf.psi(X) if normalization == "psi" else X
             p = pf.pi(p + settings.step * pf.push_tangent(p, w))
+
+    @pytest.mark.filterwarnings("ignore:.*overshoot")
+    @pytest.mark.parametrize("normalization", ["psi", "none"])
+    @pytest.mark.parametrize("step", [1e200, 1.7e308])
+    @pytest.mark.parametrize("kind,variant", [("tetrahedron", pf.GRADIENT),
+                                              ("hexahedron", pf.GRADIENT),
+                                              ("prism", pf.Y_VARIANT)])
+    def test_overflowing_norm_matches_sphere_operation_reference(
+            self, kind, variant, step, normalization):
+        # |P + s V|^2 overflows although every entry is finite: the guard
+        # sees the NaN q_c of that norm and sigma's rescue normalizes the
+        # step.  Every halving leaves q_c falling, so each full step is kept.
+        settings = pf.FlowSettings(step=step, max_iters=5, normalization=normalization)
+        p = pf.pi(pf.random_configuration(kind, 2, variant))
+        t = pf.integrate(kind, variant, p, settings)
+        assert len(t.points) == 6
+        assert t.halvings == t.monotone_breaks > 0
+        for it, q, *_ in t.points:
+            assert np.abs(q - p).max() < 1e-13, it
+            X = pf.field(kind, variant, p)
+            w = pf.psi(X) if normalization == "psi" else X
+            p = pf.pi(p + step * pf.push_tangent(p, w))
+
+    def test_non_finite_step_diverges(self, monkeypatch):
+        # a zero psi divisor makes P + s V non-finite: sigma's rescue
+        # refuses it, and the flow reports the iteration
+        monkeypatch.setattr(flow, "_root", lambda x: np.zeros(len(x)))
+        p = pf.pi(pf.random_configuration("tetrahedron", 2))
+        with pytest.raises(pf.FlowDivergenceError) as info:
+            pf.integrate("tetrahedron", pf.GRADIENT, p)
+        assert info.value.iteration == 0
+        assert isinstance(info.value.__cause__, pf.DegenerateConfigurationError)
 
     def test_representative_invariance(self, rng):
         # integrating any representative of the class gives the same path
