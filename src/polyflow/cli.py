@@ -2,8 +2,12 @@
 
 Exit codes: 0 success/convergence, 2 iteration budget exhausted,
 3 divergence, 64 usage error, 65 malformed input file, 66 missing file.
-The flow's warning that a step may overshoot is one ``warning:`` line on
-stderr and leaves the exit code as it is.
+The flow's warning that a step may overshoot, and the smoother's that
+every vertex is fixed, are one ``warning:`` line on stderr each and leave
+the exit code as it is.
+
+A command line that starts with a known command goes straight to that
+command's own subparser; any other goes through the top-level parser.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="polyflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, for main's dispatch
 
     reg = sub.add_parser("regularize", help="flow a single element to a singular shape")
     reg.add_argument("--type", required=True, choices=elements.KINDS)
@@ -213,8 +218,9 @@ def _cmd_smooth(args) -> int:
     _check_outputs(output=args.output, report=args.report)
     m = mesh_mod.load_mesh(args.input)
     try:
-        smoothed, reports = mesh_mod.smooth(m, settings, max_iters=args.max_iters,
-                                            quality_tol=args.quality_tol)
+        with _warnings_as_lines():
+            smoothed, reports = mesh_mod.smooth(m, settings, max_iters=args.max_iters,
+                                                quality_tol=args.quality_tol)
     except flow.FlowDivergenceError as exc:
         sys.stderr.write(f"divergence: {exc}\n")
         return EXIT_DIVERGENCE
@@ -273,10 +279,28 @@ def _cmd_classify(parser, args) -> int:
     return EXIT_OK
 
 
+def _parse(parser, argv) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, with a known command parsed by its own subparser.
+
+    The subparser gets the arguments the top-level pass would hand it, and
+    leftovers are the top-level parser's error, so output and exit codes
+    are those of ``parse_args``.  The top-level pass, skipped here, costs
+    about as much as the subparser's own.
+    """
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
         if args.command == "regularize":
             return _cmd_regularize(parser, args)
         if args.command == "smooth":

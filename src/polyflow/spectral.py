@@ -8,7 +8,10 @@ Jacobian follows in closed form, with tau applied as the operator it is
 rather than as a (3n, 3n) matrix.  At a representative on N the ambient
 Jacobian has real spectrum at the optimal shapes; its nonzero
 eigenvalues and their multiplicities identify the critical manifold, and
-exactly six eigenvalues vanish (three translations, three rotations).
+six eigenvalues vanish (three translations, three rotations).  The
+pinned last vertex makes three rows of the Jacobian exactly zero, so the
+eigen-solve runs on the leading (3n - 3) block and the three translation
+zeros are exact.
 
 Whether a field variant is a gradient is a property of the raw field,
 not of the projection: the raw field Jacobian is symmetric exactly for
@@ -33,6 +36,9 @@ ZERO_TOL = 1e-6
 
 # Per vertex count n: the rows [0, e_1, ..., e_3n] of the Jacobian batch.
 _BASIS = {n: np.eye(3 * n + 1, 3 * n, -1) for n in set(elements.VERTEX_COUNT.values())}
+
+# The eigenvalues of J_G's three zero rows, those of the pinned last vertex.
+_PINNED_ZEROS = np.zeros(3)
 
 # The indent=2 text of a spectrum and of one eigenvalue group, as
 # %-templates (repr is the float text of json).
@@ -62,7 +68,7 @@ def _raw_jacobian(kind, variant, p):
     magnitude of X, and the division by h is exact.
     """
     p = elements._check(kind, variant, p)  # validates kind, variant and shape
-    c = (p - p.mean(axis=0)).ravel()
+    c = (p - p.sum(axis=0) / len(p)).ravel()  # the bits of p.mean(axis=0)
     h = np.ldexp(1.0, np.frexp(np.abs(c).max())[1])  # 1 when c = 0
     P = h * _BASIS[len(p)]
     P += c
@@ -133,20 +139,24 @@ def _group(values, tol):
 def _projected_jacobian(kind, variant, q):
     """Exact Jacobians of the projected field and of the raw field at q.
 
-    The pushed field is extended off N as G = t - <t, u> u, with
-    t = tau(X(q)) and u = tau(q) not re-normalized; re-normalizing would
-    change the normal block and scramble the spectrum.  With T the
-    constant matrix of tau, over all 3n ambient coordinates
+    Precondition: q is on N, as ``pi`` returns it, so its last vertex is
+    exactly zero and tau(q) = q bitwise.  The pushed field is extended off
+    N as G = t - <t, u> u, with t = tau(X(q)) and u = q not re-normalized;
+    re-normalizing would change the normal block and scramble the
+    spectrum.  With T the constant matrix of tau, over all 3n ambient
+    coordinates
 
         J_G = T J_X - u (u^T T J_X + t^T T) - <t, u> T
             = T A - u (u^T T A + w^T T),  A = J_X - <t, u> I,  w = t + <t, u> u.
 
     T is never formed: T A is tau applied to each column of A, and w^T T
     is w with its last vertex row replaced by minus the sum of the others.
+    The last vertex's three rows of J_G are exactly zero: tau zeroes them
+    in T A, and u is zero there.
     """
     X, JX = _raw_jacobian(kind, variant, q)
     m = JX.shape[0]
-    t, u = tau(X), tau(q)
+    t, u = tau(X), q
     s = np.vdot(t, u)
     At = JX.T.copy()  # row k: column k of A = J_X - <t, u> I
     At.flat[::m + 1] -= s
@@ -165,11 +175,15 @@ def hessian_spectrum(kind: str, variant: str, p,
     power-of-two step (``_raw_jacobian``).  The eigenvalues are taken as
     computed, without symmetrization; at the singular shapes the
     spectrum is real to rounding and symmetrizing would mix the normal
-    block into it.  Eigenvalues are sorted ascending and grouped at
-    ``grouping_tol``.
+    block into it.  The last three rows of J_G are exactly zero, so
+    J_G = [[M, b], [0, 0]] and its spectrum is that of the leading
+    (3n - 3) block M plus three exact zeros, the translations.  At a
+    critical point the three rotation zeros come from M, zero to rounding.
+    Eigenvalues are sorted ascending and grouped at ``grouping_tol``.
     """
     JG, JX = _projected_jacobian(kind, variant, pi(p))
-    ev = np.linalg.eigvals(JG)
+    m = len(JG) - 3
+    ev = np.concatenate((np.linalg.eigvals(JG[:m, :m]), _PINNED_ZEROS))
     ev = ev[np.argsort(ev.real)]
     values = ev.real.copy()
     return Spectrum(

@@ -175,7 +175,7 @@ class TestSmooth:
              "--input", str(path), "--output", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0
-        assert "fixed" in proc.stderr
+        assert proc.stderr == "warning: all vertices fixed; smoothing is the identity\n"
         m2 = pf.load_mesh(out)
         assert m2.vertices.tobytes() == v.tobytes()
 
@@ -417,6 +417,41 @@ class TestUsage:
         finally:
             cli._parser.cache_clear()
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["regularize", "--type", "tetrahedron", "--random", "1"],
+        ["smooth", "--input", "{mesh}", "--max-iters", "3"],
+        ["spectrum", "--type", "tetrahedron", "--at", "optimal"],
+        ["classify", "--type", "hexahedron", "--input", "{cube}"],
+        ["spectrum", "--type", "tetrahedron", "--at", "optimal", "--fie", "gradient"],
+        ["spectrum", "--type", "cube", "--at", "optimal"],
+        ["spectrum", "--type", "tetrahedron", "--at", "optimal", "--bogus"],
+        ["spectrum", "--type", "tetrahedron", "--at", "optimal", "extra"],
+        ["regularize", "--", "--type", "tetrahedron"],
+        ["spectrum", "-h"],
+        [],
+        ["polish"],
+        ["-h"],
+    ], ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_dispatch_is_invisible(self, monkeypatch, capsys, perturbed_cube_mesh,
+                                   cube_config, argv):
+        # a command parsed by its own subparser gives what parse_args gives:
+        # the same namespace, or the same exit code and output
+        monkeypatch.setenv("COLUMNS", "80")  # one help width in and out of process
+        argv = [a.format(mesh=perturbed_cube_mesh, cube=cube_config) for a in argv]
+        parser = cli._parser()
+
+        def parsed(parse):
+            try:
+                return parse(argv), capsys.readouterr()
+            except SystemExit as exc:
+                return exc.code, capsys.readouterr()
+
+        assert parsed(lambda a: cli._parse(parser, a)) == parsed(parser.parse_args)
+        proc = subprocess.run([sys.executable, "-m", "polyflow.cli"] + argv,
+                              capture_output=True, text=True)
+        assert cli.main(argv) == proc.returncode
+        assert capsys.readouterr() == (proc.stdout, proc.stderr)
 
     @pytest.mark.parametrize("flags,needle", [
         (["--step", "-1"], "step"),

@@ -173,6 +173,32 @@ class TestExactJacobians:
             dense = _dense_projected_jacobian(kind, variant, q)
             assert np.abs(JG - dense).max() <= 1e-14 * np.abs(dense).max()
 
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_pinned_rows_solved_apart(self, monkeypatch, rng, kind, variant):
+        # the pinned vertex's rows of J_G are exactly zero, so only the
+        # (3n - 3) free block is solved and three exact zeros are added: the
+        # spectrum matches the full solve in values, zero count and
+        # multiplicities
+        eigvals, solved = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: solved.append(np.shape(a)) or eigvals(a))
+        p = pf.reference_optimal(kind)
+        points = [p, p * np.array([1.0, 1.0, -1.0])]
+        points += [rng.normal(size=(pf.VERTEX_COUNT[kind], 3)) for _ in range(3)]
+        for point in points:
+            JG, _ = spectral._projected_jacobian(kind, variant, pf.pi(point))
+            assert np.all(JG[-3:] == 0.0)
+            full = np.sort(eigvals(JG).real)
+            spec = pf.hessian_spectrum(kind, variant, point)
+            m = JG.shape[0] - 3
+            assert solved.pop() == (m, m)
+            assert np.abs(spec.eigenvalues - full).max() <= 1e-12 * np.abs(JG).max()
+            assert spec.zero_count == np.count_nonzero(np.abs(full) < spectral.ZERO_TOL)
+            assert ([mult for _, mult in spec.groups]
+                    == [mult for _, mult in spectral._group(full.tolist(),
+                                                             spectral.GROUPING_TOL)])
+            assert np.count_nonzero(spec.eigenvalues == 0.0) >= 3
+
     def test_no_dense_matrix_per_call(self, monkeypatch):
         # tau is applied as an operator and the batch basis is built once
         def refuse(*args, **kwargs):
