@@ -35,6 +35,12 @@ EXIT_NOINPUT = 66
 
 _FIELD_NAMES = {"gradient": elements.GRADIENT, "y-variant": elements.Y_VARIANT}
 
+_DESCRIPTION = ("Flow polyhedral elements along the gradient of their mean volume: "
+                "regularize one element, smooth a mesh, print the spectrum at a "
+                "fixed point, or classify a configuration.")
+_EPILOG = ("exit codes: 0 success, 2 iteration budget exhausted, 3 divergence, "
+           "64 usage error, 65 malformed input file, 66 missing file")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with BSD-style usage exit code."""
@@ -46,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="polyflow", description=__doc__)
+    parser = _Parser(prog="polyflow", description=_DESCRIPTION, epilog=_EPILOG)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # name -> subparser, for main's dispatch
 
@@ -210,7 +216,7 @@ def _cmd_regularize(parser, args) -> int:
     return EXIT_OK if converged else EXIT_MAX_ITERS
 
 
-def _cmd_smooth(args) -> int:
+def _cmd_smooth(parser, args) -> int:
     settings = _flow_settings(step=args.step, max_iters=args.max_iters)
     if np.isnan(args.quality_tol):
         sys.stderr.write("usage error: quality_tol must be a number, got nan\n")
@@ -279,6 +285,10 @@ def _cmd_classify(parser, args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"regularize": _cmd_regularize, "smooth": _cmd_smooth,
+             "spectrum": _cmd_spectrum, "classify": _cmd_classify}
+
+
 def _parse(parser, argv) -> argparse.Namespace:
     """``parser.parse_args(argv)``, with a known command parsed by its own subparser.
 
@@ -301,14 +311,7 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
-        if args.command == "regularize":
-            return _cmd_regularize(parser, args)
-        if args.command == "smooth":
-            return _cmd_smooth(args)
-        if args.command == "spectrum":
-            return _cmd_spectrum(parser, args)
-        if args.command == "classify":
-            return _cmd_classify(parser, args)
+        return _COMMANDS[args.command](parser, args)
     except FileNotFoundError as exc:
         sys.stderr.write(f"missing file: {exc.filename}\n")
         return EXIT_NOINPUT
@@ -322,8 +325,6 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -10,11 +10,12 @@ vertex numbering:
 * octahedron: poles 1 and 6, equator cycle (2,3,4,5), opposite
   pairs (1,6), (2,4), (3,5)
 
-Every kind carries a closed-form per-vertex tangent field (a linear
-combination of cyclic cross-product chains) whose inner product with the
-configuration equals 18 times the element's mean volume, i.e. the field
-is the gradient of 6 x mean volume.  Prism and hexahedron additionally
-carry a structurally simpler "y" field variant that is not a gradient.
+One table, ``TRIANGULATIONS``, defines the mean volume and its field: the
+tetrahedron's field (cyclic cross-product chains) lifted onto every tet of
+a kind's triangulations and divided by their number is the gradient of
+6 x mean volume.  Hexahedron y lifts the central tets (1, 3, 8, 6) and
+(2, 4, 5, 7) once more: it is the gradient of 6 x (mean volume +
+(V_1386 + V_2457) / 2).  Prism y has hand-written loops and is not a gradient.
 
 One kernel, :func:`field_batch`, evaluates every field.  It gathers the
 cross-product factors from batch-minor rows (3n, B), one row per vertex
@@ -50,103 +51,6 @@ VARIANTS_BY_KIND = {
     "hexahedron": (GRADIENT, Y_VARIANT),
     "octahedron": (GRADIENT,),
 }
-
-# Closed-form field tables: per (kind, variant), a scalar prefactor and,
-# for each vertex, a list of (coefficient, 1-based index loop) terms.
-# Each term contributes coefficient * nu(p, loop) to that vertex.
-_FIELD_TERMS = {
-    ("tetrahedron", GRADIENT): (1.0, [
-        [(1, (4, 3, 2))],
-        [(1, (4, 1, 3))],
-        [(1, (4, 2, 1))],
-        [(1, (1, 2, 3))],
-    ]),
-    ("pyramid", GRADIENT): (0.5, [
-        [(1, (5, 4, 2)), (1, (5, 4, 3, 2))],
-        [(1, (5, 1, 3)), (1, (5, 1, 4, 3))],
-        [(1, (5, 2, 4)), (1, (5, 2, 1, 4))],
-        [(1, (5, 3, 1)), (1, (5, 3, 2, 1))],
-        [(2, (1, 2, 3, 4))],
-    ]),
-    ("prism", GRADIENT): (0.5, [
-        [(1, (3, 2, 4)), (1, (2, 5, 4, 6, 3))],
-        [(1, (1, 3, 5)), (1, (3, 6, 5, 4, 1))],
-        [(1, (2, 1, 6)), (1, (1, 4, 6, 5, 2))],
-        [(1, (5, 6, 1)), (1, (6, 3, 1, 2, 5))],
-        [(1, (6, 4, 2)), (1, (4, 1, 2, 3, 6))],
-        [(1, (4, 5, 3)), (1, (5, 2, 3, 1, 4))],
-    ]),
-    ("prism", Y_VARIANT): (1.0, [
-        [(1, (3, 2, 5, 4, 6))],
-        [(1, (1, 3, 6, 5, 4))],
-        [(1, (2, 1, 4, 6, 5))],
-        [(1, (5, 6, 3, 1, 2))],
-        [(1, (6, 4, 1, 2, 3))],
-        [(1, (4, 5, 2, 3, 1))],
-    ]),
-    ("hexahedron", GRADIENT): (0.5, [
-        [(1, (2, 5, 4)), (1, (6, 5, 8, 4, 3, 2))],
-        [(1, (3, 6, 1)), (1, (7, 6, 5, 1, 4, 3))],
-        [(1, (4, 7, 2)), (1, (8, 7, 6, 2, 1, 4))],
-        [(1, (1, 8, 3)), (1, (5, 8, 7, 3, 2, 1))],
-        [(1, (1, 6, 8)), (1, (6, 7, 8, 4, 1, 2))],
-        [(1, (2, 7, 5)), (1, (7, 8, 5, 1, 2, 3))],
-        [(1, (3, 8, 6)), (1, (8, 5, 6, 2, 3, 4))],
-        [(1, (4, 5, 7)), (1, (5, 6, 7, 3, 4, 1))],
-    ]),
-    ("hexahedron", Y_VARIANT): (0.5, [
-        [(1, (3, 6, 8)), (1, (2, 5, 4)), (1, (6, 5, 8, 4, 3, 2))],
-        [(1, (4, 7, 5)), (1, (3, 6, 1)), (1, (7, 6, 5, 1, 4, 3))],
-        [(1, (1, 8, 6)), (1, (4, 7, 2)), (1, (8, 7, 6, 2, 1, 4))],
-        [(1, (2, 5, 7)), (1, (1, 8, 3)), (1, (5, 8, 7, 3, 2, 1))],
-        [(1, (2, 7, 4)), (1, (1, 6, 8)), (1, (6, 7, 8, 4, 1, 2))],
-        [(1, (3, 8, 1)), (1, (2, 7, 5)), (1, (7, 8, 5, 1, 2, 3))],
-        [(1, (4, 5, 2)), (1, (3, 8, 6)), (1, (8, 5, 6, 2, 3, 4))],
-        [(1, (1, 6, 3)), (1, (4, 5, 7)), (1, (5, 6, 7, 3, 4, 1))],
-    ]),
-    ("octahedron", GRADIENT): (1.0, [
-        [(1, (2, 3, 4, 5))],
-        [(1, (1, 5, 6, 3))],
-        [(1, (1, 2, 6, 4))],
-        [(1, (1, 3, 6, 5))],
-        [(1, (1, 4, 6, 2))],
-        [(1, (2, 5, 4, 3))],
-    ]),
-}
-
-
-def _compile(key):
-    """Fold a field table onto distinct vertex pairs, as the kernel reads it.
-
-    Each term ``coeff * nu(p, loop)`` expands to the cross products of
-    consecutive loop vertices.  With a x b = -(b x a) and a x a = 0 these
-    fold onto K pairs i < j: ``field(p)[v] = sum_k S[v, k] (p_i x p_j)``.
-    Component c of p_i x p_j is p_i[c+1] p_j[c+2] - p_i[c+2] p_j[c+1]
-    (indices mod 3).  Returns the (2, 2, K, 3) indices of these factors,
-    left ones first, into component-major rows (component c of vertex i
-    is row c n + i), and W.T for W = [S | -S], which folds the
-    subtraction into the contraction.
-    """
-    pref, rows = _FIELD_TERMS[key]
-    coeffs = {}  # (i, j), 0-based with i < j -> integer coefficient per vertex
-    for vi, terms in enumerate(rows):
-        for coeff, loop in terms:
-            for a, b in zip(loop, loop[1:] + loop[:1]):
-                if a != b:
-                    row = coeffs.setdefault((min(a, b) - 1, max(a, b) - 1),
-                                            [0] * len(rows))
-                    row[vi] += coeff if a < b else -coeff
-    pairs = sorted(pair for pair, row in coeffs.items() if any(row))
-    S = pref * np.array([coeffs[pair] for pair in pairs], dtype=float).T
-    I, J = (np.array(side)[:, None] for side in zip(*pairs))
-    n = len(rows)
-    yzx, zxy = n * np.array([1, 2, 0]), n * np.array([2, 0, 1])
-    return (np.array([[I + yzx, I + zxy], [J + zxy, J + yzx]]),
-            np.hstack([S, -S]).T.copy())
-
-
-_COMPILED = {key: _compile(key) for key in _FIELD_TERMS}
-
 
 def _check(kind: str, variant: str, p) -> np.ndarray:
     if kind not in KINDS:
@@ -304,7 +208,69 @@ def mean_volume_batch(kind: str, P) -> np.ndarray:
     return weight * det.sum(axis=-1)
 
 
+# The tetrahedron's field, the gradient of 6 x its volume: per vertex, one
+# (coefficient, 1-based index loop) term contributing coefficient * nu(p, loop).
 _TET_ROWS = [(1, (4, 3, 2)), (1, (4, 1, 3)), (1, (4, 2, 1)), (1, (1, 2, 3))]
+
+
+def _lift(kind, extra=()):
+    """(divisor, per-vertex terms) of ``_TET_ROWS`` lifted onto a kind's tets.
+
+    The tets are those of every triangulation, then ``extra``; the divisor
+    is the number of triangulations.
+    """
+    tables = TRIANGULATIONS[kind]
+    rows = [[] for _ in range(VERTEX_COUNT[kind])]
+    for tet in [tet for table in tables for tet in table] + list(extra):
+        for slot, (coeff, loop) in zip(tet, _TET_ROWS):
+            rows[slot - 1].append((coeff, tuple(tet[i - 1] for i in loop)))
+    return len(tables), rows
+
+
+def _compile(divisor, rows):
+    """Fold a field table onto distinct vertex pairs, as the kernel reads it.
+
+    Each term ``coeff * nu(p, loop)`` expands to the cross products of
+    consecutive loop vertices.  With a x b = -(b x a) and a x a = 0 these
+    fold onto K pairs i < j with integer counts, and
+    ``field(p)[v] = sum_k S[v, k] (p_i x p_j)`` for S = counts / divisor, a
+    true division: exact wherever the quotient is, which multiplying by
+    an inexact 1/divisor (1/6) does not promise.
+    Component c of p_i x p_j is p_i[c+1] p_j[c+2] - p_i[c+2] p_j[c+1]
+    (indices mod 3).  Returns the (2, 2, K, 3) indices of these factors,
+    left ones first, into component-major rows (component c of vertex i
+    is row c n + i), and W.T for W = [S | -S], which folds the
+    subtraction into the contraction.
+    """
+    coeffs = {}  # (i, j), 0-based with i < j -> integer coefficient per vertex
+    for vi, terms in enumerate(rows):
+        for coeff, loop in terms:
+            for a, b in zip(loop, loop[1:] + loop[:1]):
+                if a != b:
+                    row = coeffs.setdefault((min(a, b) - 1, max(a, b) - 1),
+                                            [0] * len(rows))
+                    row[vi] += coeff if a < b else -coeff
+    pairs = sorted(pair for pair, row in coeffs.items() if any(row))
+    S = np.array([coeffs[pair] for pair in pairs], dtype=float).T / divisor
+    I, J = (np.array(side)[:, None] for side in zip(*pairs))
+    n = len(rows)
+    yzx, zxy = n * np.array([1, 2, 0]), n * np.array([2, 0, 1])
+    return (np.array([[I + yzx, I + zxy], [J + zxy, J + yzx]]),
+            np.hstack([S, -S]).T.copy())
+
+
+# Per (kind, variant); prism y is not a gradient and keeps hand-written loops.
+_COMPILED = {(kind, GRADIENT): _compile(*_lift(kind)) for kind in KINDS}
+_COMPILED["hexahedron", Y_VARIANT] = _compile(*_lift("hexahedron",
+                                                     ((1, 3, 8, 6), (2, 4, 5, 7))))
+_COMPILED["prism", Y_VARIANT] = _compile(1, [
+    [(1, (3, 2, 5, 4, 6))],
+    [(1, (1, 3, 6, 5, 4))],
+    [(1, (2, 1, 4, 6, 5))],
+    [(1, (5, 6, 3, 1, 2))],
+    [(1, (6, 4, 1, 2, 3))],
+    [(1, (4, 5, 2, 3, 1))],
+])
 
 
 def field_from_triangulations(kind: str, p) -> np.ndarray:

@@ -103,19 +103,18 @@ def singularity_residual(kind: str, variant: str, p) -> tuple[float, float]:
     return float(np.linalg.norm(t - lam * p)), lam
 
 
-def classify(kind: str, variant: str, p, tol: float = 1e-10,
-             lambda_tol: float = LAMBDA_TOL) -> SingularityClass:
+def classify(kind: str, variant: str, p, tol: float = 1e-10) -> SingularityClass:
     """Classify a configuration on N by its fixed-point residual and lambda.
 
     ``optimal_positive`` / ``optimal_negative`` require the residual
-    below ``tol`` and ``|lam|`` above ``lambda_tol``; a small residual
+    below ``tol`` and ``|lam|`` above ``LAMBDA_TOL``; a small residual
     with small ``|lam|`` is ``level0_singular``.  Collinear
     configurations are never classified optimal.
     """
     residual, lam = singularity_residual(kind, variant, p)
     if residual >= tol:
         return SingularityClass("nonsingular", lam, residual)
-    if abs(lam) < lambda_tol or is_collinear(p):
+    if abs(lam) < LAMBDA_TOL or is_collinear(p):
         return SingularityClass("level0_singular", lam, residual)
     tag = "optimal_positive" if lam > 0 else "optimal_negative"
     return SingularityClass(tag, lam, residual)

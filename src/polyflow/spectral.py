@@ -104,10 +104,10 @@ class Spectrum:
     asymmetry_ratio: float  # of the raw field Jacobian at the same point
     max_imag: float  # largest imaginary part magnitude before discarding
 
-    def signature(self, tol: float = ZERO_TOL) -> tuple[int, int]:
-        """Counts of eigenvalues above ``tol`` and below ``-tol``."""
-        return (int(np.count_nonzero(self.eigenvalues > tol)),
-                int(np.count_nonzero(self.eigenvalues < -tol)))
+    def signature(self) -> tuple[int, int]:
+        """Counts of eigenvalues above ``ZERO_TOL`` and below ``-ZERO_TOL``."""
+        return (int(np.count_nonzero(self.eigenvalues > ZERO_TOL)),
+                int(np.count_nonzero(self.eigenvalues < -ZERO_TOL)))
 
     def to_json(self) -> str:
         """The bytes of ``json.dumps(doc, indent=2)`` of the spectrum's document.
@@ -166,9 +166,7 @@ def _projected_jacobian(kind, variant, q):
     return TA - np.outer(u, u.ravel() @ TA + w.ravel()), JX
 
 
-def hessian_spectrum(kind: str, variant: str, p,
-                     grouping_tol: float = GROUPING_TOL,
-                     zero_tol: float = ZERO_TOL) -> Spectrum:
+def hessian_spectrum(kind: str, variant: str, p) -> Spectrum:
     """Spectrum of the exact ambient Jacobian of the projected field at pi(p).
 
     The raw Jacobian is one field-kernel batch at the centered q, with a
@@ -179,7 +177,7 @@ def hessian_spectrum(kind: str, variant: str, p,
     J_G = [[M, b], [0, 0]] and its spectrum is that of the leading
     (3n - 3) block M plus three exact zeros, the translations.  At a
     critical point the three rotation zeros come from M, zero to rounding.
-    Eigenvalues are sorted ascending and grouped at ``grouping_tol``.
+    Eigenvalues are sorted ascending and grouped at ``GROUPING_TOL``.
     """
     JG, JX = _projected_jacobian(kind, variant, pi(p))
     m = len(JG) - 3
@@ -188,14 +186,14 @@ def hessian_spectrum(kind: str, variant: str, p,
     values = ev.real.copy()
     return Spectrum(
         eigenvalues=values,
-        groups=_group(values.tolist(), grouping_tol),
-        zero_count=int(np.count_nonzero(np.abs(values) < zero_tol)),
+        groups=_group(values.tolist(), GROUPING_TOL),
+        zero_count=int(np.count_nonzero(np.abs(values) < ZERO_TOL)),
         asymmetry_ratio=_asymmetry(JX),
         max_imag=float(np.abs(ev.imag).max()) if ev.size else 0.0,
     )
 
 
-def collinear_signature(p, tol: float = ZERO_TOL) -> tuple[int, int]:
+def collinear_signature(p) -> tuple[int, int]:
     """Counts of positive and negative eigenvalues at a collinear tetrahedron.
 
     Precondition: p is a collinear 4-vertex configuration; raises
@@ -206,4 +204,4 @@ def collinear_signature(p, tol: float = ZERO_TOL) -> tuple[int, int]:
         raise ValueError("collinear signature is defined for tetrahedra")
     if not is_collinear(p):
         raise ValueError("configuration is not collinear")
-    return hessian_spectrum("tetrahedron", elements.GRADIENT, p).signature(tol)
+    return hessian_spectrum("tetrahedron", elements.GRADIENT, p).signature()

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import polyflow as pf
-from polyflow import cli
+from polyflow import cli, flow
 
 
 def _json_docs(text):
@@ -117,6 +117,15 @@ class TestRegularize:
         assert err.startswith("warning: step 5.0 times field scale estimate")
         assert err.endswith("may overshoot\n")
         assert len(err.splitlines()) == 1, err
+
+    def test_non_finite_step_diverges(self, monkeypatch, capsys):
+        # a zero psi divisor makes the step non-finite: one divergence line
+        monkeypatch.setattr(flow, "_root", lambda x: np.zeros(len(x)))
+        rc = cli.main(["regularize", "--type", "tetrahedron", "--random", "2"])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("divergence:") and len(err.splitlines()) == 1, err
 
     def test_output_and_trajectory_files(self, capsys, tmp_path):
         out = tmp_path / "result.json"
@@ -417,6 +426,21 @@ class TestUsage:
         finally:
             cli._parser.cache_clear()
         assert len(builds) == 1
+
+    def test_top_level_help_is_plain_text(self, capsys):
+        assert cli.main(["-h"]) == 0
+        out = capsys.readouterr().out
+        assert "exit codes:" in out and "``" not in out
+
+    def test_warnings_as_lines_reissues_other_warnings(self, capsys):
+        # only a UserWarning becomes a line; a RuntimeWarning is issued again
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with cli._warnings_as_lines():
+                warnings.warn("overflow in multiply", RuntimeWarning)
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (RuntimeWarning, "overflow in multiply", __file__)]
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv", [
         ["regularize", "--type", "tetrahedron", "--random", "1"],

@@ -36,6 +36,10 @@ def test_field_rejects_bad_input():
         pf.field("tetrahedron", pf.Y_VARIANT, p)
     with pytest.raises(ValueError):
         pf.field("tetrahedron", pf.GRADIENT, np.zeros((5, 3)))
+    with pytest.raises(ValueError):
+        pf.reference_optimal("cube")
+    with pytest.raises(ValueError):
+        pf.triangulations("cube")
 
 
 def test_field_corner_tetrahedron():
@@ -220,6 +224,30 @@ def test_mean_volume_examples():
     assert pf.mean_volume("tetrahedron", tet) == pytest.approx(1.0 / 6.0)
     octa = pf.reference_optimal("octahedron")
     assert pf.mean_volume("octahedron", octa) == pytest.approx(4.0 / 3.0)
+
+
+def _hexahedron_y_potential(p):
+    # 6 x (mean volume + (V_1386 + V_2457) / 2): the two central tets of
+    # the hexahedron triangulations counted once more
+    central = sum(pf.tet_signed_volume(*(p[i - 1] for i in tet))
+                  for tet in ((1, 3, 8, 6), (2, 4, 5, 7)))
+    return 6.0 * (pf.mean_volume("hexahedron", p) + 0.5 * central)
+
+
+def test_hexahedron_y_field_is_a_gradient(rng):
+    h = 1e-6
+    for _ in range(20):
+        p = rng.normal(size=(8, 3))
+        X = pf.field("hexahedron", pf.Y_VARIANT, p)
+        fd = np.zeros_like(p)
+        for i in range(8):
+            for c in range(3):
+                q = p.copy()
+                q[i, c] += h
+                up = _hexahedron_y_potential(q)
+                q[i, c] -= 2 * h
+                fd[i, c] = (up - _hexahedron_y_potential(q)) / (2 * h)
+        assert np.abs(X - fd).max() <= 1e-6 * max(np.abs(X).max(), 1e-12)
 
 
 @pytest.mark.parametrize("kind", pf.KINDS)

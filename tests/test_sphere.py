@@ -126,6 +126,12 @@ def test_is_collinear():
     assert not pf.is_collinear(pf.reference_optimal("tetrahedron"))
     wiggled = line + 1e-12 * np.arange(12).reshape(4, 3)
     assert pf.is_collinear(wiggled, tol=1e-9)
+    assert pf.is_collinear(np.ones((4, 3)))  # four coincident points
+
+
+def test_push_tangent_at_zero_configuration():
+    with pytest.raises(pf.DegenerateConfigurationError, match="zero configuration"):
+        pf.push_tangent(np.zeros((4, 3)), np.ones((4, 3)))
 
 
 def test_quotient_field_well_defined(rng):
