@@ -124,10 +124,10 @@ def _load_configuration(path, kind) -> np.ndarray:
     return p
 
 
-def _flow_settings(**kwargs) -> flow.FlowSettings:
-    """FlowSettings from command-line values; an invalid one is a usage error."""
+def _usage_checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)`` of command-line values; a ValueError is a usage error."""
     try:
-        return flow.FlowSettings(**kwargs)
+        return make(*args, **kwargs)
     except ValueError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         raise SystemExit(EXIT_USAGE) from exc
@@ -171,8 +171,9 @@ def _warnings_as_lines():
 
 def _cmd_regularize(parser, args) -> int:
     variant = _resolve_variant(parser, args.type, args.field)
-    settings = _flow_settings(step=args.step, max_iters=args.max_iters,
-                              tol=args.tol, normalization=args.normalization)
+    settings = _usage_checked(flow.FlowSettings, step=args.step,
+                              max_iters=args.max_iters, tol=args.tol,
+                              normalization=args.normalization)
     _check_outputs(output=args.output, trajectory=args.trajectory)
     if args.input is not None:
         p0 = _load_configuration(args.input, args.type)
@@ -217,7 +218,7 @@ def _cmd_regularize(parser, args) -> int:
 
 
 def _cmd_smooth(parser, args) -> int:
-    settings = _flow_settings(step=args.step, max_iters=args.max_iters)
+    settings = _usage_checked(flow.FlowSettings, step=args.step, max_iters=args.max_iters)
     if np.isnan(args.quality_tol):
         sys.stderr.write("usage error: quality_tol must be a number, got nan\n")
         return EXIT_USAGE
@@ -276,7 +277,7 @@ def _cmd_spectrum(parser, args) -> int:
 def _cmd_classify(parser, args) -> int:
     variant = _resolve_variant(parser, args.type, args.field)
     p = _load_configuration(args.input, args.type)
-    cls = flow.classify(args.type, variant, pi(p), tol=args.tol)
+    cls = _usage_checked(flow.classify, args.type, variant, pi(p), tol=args.tol)
     print(json.dumps({
         "classification": cls.tag,
         "lambda": cls.lam,

@@ -10,19 +10,22 @@ vertex numbering:
 * octahedron: poles 1 and 6, equator cycle (2,3,4,5), opposite
   pairs (1,6), (2,4), (3,5)
 
-One table, ``TRIANGULATIONS``, defines the mean volume and its field: the
-tetrahedron's field (cyclic cross-product chains) lifted onto every tet of
-a kind's triangulations and divided by their number is the gradient of
-6 x mean volume.  Hexahedron y lifts the central tets (1, 3, 8, 6) and
-(2, 4, 5, 7) once more: it is the gradient of 6 x (mean volume +
-(V_1386 + V_2457) / 2).  Prism y has hand-written loops and is not a gradient.
+One table, ``TRIANGULATIONS``, compiled once, here, defines the mean
+volume and its field: the tetrahedron's field (cyclic cross-product
+chains) lifted onto every tet of a kind's triangulations and divided by
+their number is the gradient of 6 x mean volume.  Hexahedron y lifts
+the central tets (1, 3, 8, 6) and (2, 4, 5, 7) once more: it is the
+gradient of 6 x (mean volume + (V_1386 + V_2457) / 2).  Prism y has
+hand-written loops and is not a gradient.
 
 One kernel, :func:`field_batch`, evaluates every field.  It gathers the
 cross-product factors from batch-minor rows (3n, B), one row per vertex
 component, component-major (row c n + i holds component c of vertex i),
 and contracts them with the batch on the M axis of one matrix product,
 so that a configuration's value does not depend on the batch it is
-evaluated in.
+evaluated in.  The flow and the mesh read the centered measure from here
+(``_center``, ``_field``, ``_centered_quality``), and every volume is
+<X, c> / 18 of the gradient field at the centered rows (Euler's identity).
 """
 
 from __future__ import annotations
@@ -125,7 +128,8 @@ def f_value(kind: str, variant: str, p) -> float:
     """Inner product of the field with the configuration over all 3n coordinates.
 
     For the gradient variant this equals 18 x mean_volume (cubic
-    homogeneity of volume plus the gradient relation).
+    homogeneity of volume plus the gradient relation), up to rounding:
+    ``mean_volume`` forms <X, c> at the centered configuration.
     """
     p = _check(kind, variant, p)
     return float(np.vdot(field_batch(kind, variant, p[None])[0], p))
@@ -164,48 +168,6 @@ def triangulations(kind: str):
     if kind not in KINDS:
         raise ValueError(f"unknown element kind {kind!r}")
     return TRIANGULATIONS[kind]
-
-
-def mean_volume(kind: str, p) -> float:
-    """Signed mean volume: triangulate, sum tet volumes, average over tables.
-
-    ``field(kind, mean_volume_gradient, p)`` is exactly the gradient of
-    ``6 * mean_volume(kind, p)`` for every kind.
-    """
-    p = _check(kind, VARIANTS_BY_KIND[kind][0], p)
-    return float(mean_volume_batch(kind, p[None])[0])
-
-
-def _compile_volume(kind):
-    """Flatten a triangulation table into 0-based tet corners and one weight.
-
-    The weight folds the 1/6 of each tet volume and the average over the
-    table's triangulations.
-    """
-    tables = TRIANGULATIONS[kind]
-    tets = np.array([tet for table in tables for tet in table]) - 1
-    return tets.T, 1.0 / (6.0 * len(tables))
-
-
-_VOLUMES = {kind: _compile_volume(kind) for kind in KINDS}
-
-
-def mean_volume_batch(kind: str, P) -> np.ndarray:
-    """Signed mean volume of a batch of configurations, (B, n, 3) -> (B,).
-
-    One determinant per tet of the compiled triangulations, formed
-    component by component as (b - a) x (c - a) . (d - a), summed with
-    the table's weight.
-    """
-    P = np.asarray(P, dtype=float)
-    (a, b, c, d), weight = _VOLUMES[kind]
-    o = P[..., a, :]
-    ux, uy, uz = np.moveaxis(P[..., b, :] - o, -1, 0)
-    vx, vy, vz = np.moveaxis(P[..., c, :] - o, -1, 0)
-    wx, wy, wz = np.moveaxis(P[..., d, :] - o, -1, 0)
-    det = ((uy * vz - uz * vy) * wx + (uz * vx - ux * vz) * wy
-           + (ux * vy - uy * vx) * wz)
-    return weight * det.sum(axis=-1)
 
 
 # The tetrahedron's field, the gradient of 6 x its volume: per vertex, one
@@ -271,6 +233,70 @@ _COMPILED["prism", Y_VARIANT] = _compile(1, [
     [(1, (6, 4, 1, 2, 3))],
     [(1, (4, 5, 2, 3, 1))],
 ])
+
+
+# Per vertex count n: the weights 1/n of the mean over the vertex axis.
+_MEAN = {n: np.full(n, 1.0 / n) for n in set(VERTEX_COUNT.values())}
+
+
+def _center(P):
+    """c = P minus its centroid, per configuration of the component-major rows P.
+
+    Each row is centered by its own mean, so its rounding does not
+    depend on the batch.
+    """
+    return P - np.vecdot(P, _MEAN[P.shape[2]])[..., None]
+
+
+def _field(kind, variant, P):
+    """The field of the component-major rows P (B, 3, n), as contiguous rows (B, 3, n).
+
+    The one conversion between these rows and the (B, n, 3) layout of
+    :func:`field_batch`.  The kernel's result is (3, B, n) memory, which
+    at B = 1 already is the contiguous rows; at B > 1 it is copied once.
+    """
+    X = field_batch(kind, variant, P.swapaxes(1, 2)).swapaxes(1, 2)
+    return np.ascontiguousarray(X)
+
+
+def _inner(X, C):
+    """<X, c> per configuration of the component-major rows X and C.
+
+    18 x the mean volume where X is the gradient field of the centered C.
+    """
+    return np.vecdot(X.reshape(len(X), -1), C.reshape(len(C), -1))
+
+
+def _centered_quality(X, C):
+    """(q_c, <X, c>) per configuration of the centered component-major rows C.
+
+    q_c = <X, c> / |c|^3, X the field rows and c = :func:`_center` of the
+    vertices: the flow guard's quality, and the mesh's quality up to the
+    kind's ceiling.
+    """
+    xc, c = _inner(X, C), C.reshape(len(C), -1)
+    cc = np.vecdot(c, c)
+    return xc / (cc * np.sqrt(cc)), xc
+
+
+def mean_volume_batch(kind: str, P) -> np.ndarray:
+    """Signed mean volume of a batch of configurations, (B, n, 3) -> (B,).
+
+    <X, c> / 18 on the centered component-major rows c, X their gradient
+    field: the volume the mesh report and the flow's q_c read.
+    """
+    C = _center(np.ascontiguousarray(np.asarray(P, dtype=float).swapaxes(1, 2)))
+    return _inner(_field(kind, GRADIENT, C), C) / 18.0
+
+
+def mean_volume(kind: str, p) -> float:
+    """Signed mean volume: a batch of one of :func:`mean_volume_batch`.
+
+    ``field(kind, mean_volume_gradient, p)`` is exactly the gradient of
+    ``6 * mean_volume(kind, p)`` for every kind.
+    """
+    p = _check(kind, GRADIENT, p)
+    return float(mean_volume_batch(kind, p[None])[0])
 
 
 def field_from_triangulations(kind: str, p) -> np.ndarray:

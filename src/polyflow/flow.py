@@ -24,12 +24,11 @@ guard's one test catches before :func:`sphere.sigma`'s rescue runs.
 The field comes from :func:`elements.field_batch`, the one field
 kernel, which evaluates each configuration as three rows of one matrix
 product.  It reads the transposed view of the flat rows, so at B = 1
-:func:`_field` copies nothing; at B > 1 the kernel's gather copies the
-strided rows in and :func:`_field` copies its (3, B, n) result out.
+``elements._field`` copies nothing; at B > 1 the kernel's gather copies
+the strided rows in and ``_field`` copies its (3, B, n) result out.
 Each row is centered by its own mean, so a row's rounding, and with it
 the run, does not depend on the batch.  The mesh smoother holds its
-elements as the same rows and calls the same :func:`_center`,
-:func:`_field` and :func:`_centered_quality`.
+elements as the same rows and calls the same helpers of :mod:`elements`.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import elements
+from .elements import _center, _centered_quality, _field
 from .sphere import DegenerateConfigurationError, _root, _sigma, is_collinear, pi, tau
 
 # Guard on q_c: relative acceptance slack, the halving budget per
@@ -109,8 +109,11 @@ def classify(kind: str, variant: str, p, tol: float = 1e-10) -> SingularityClass
     ``optimal_positive`` / ``optimal_negative`` require the residual
     below ``tol`` and ``|lam|`` above ``LAMBDA_TOL``; a small residual
     with small ``|lam|`` is ``level0_singular``.  Collinear
-    configurations are never classified optimal.
+    configurations are never classified optimal.  ``tol`` must be
+    positive, as in :class:`FlowSettings`.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     residual, lam = singularity_residual(kind, variant, p)
     if residual >= tol:
         return SingularityClass("nonsingular", lam, residual)
@@ -139,43 +142,6 @@ class Trajectory:
     @property
     def residual_final(self) -> float:
         return self.points[-1][3]
-
-
-# Per vertex count n: the weights 1/n of the mean over the vertex axis.
-_MEAN = {n: np.full(n, 1.0 / n) for n in set(elements.VERTEX_COUNT.values())}
-
-
-def _center(P):
-    """c = P minus its centroid, per configuration of the component-major rows P.
-
-    Each row is centered by its own mean, so its rounding does not
-    depend on the batch.
-    """
-    return P - np.vecdot(P, _MEAN[P.shape[2]])[..., None]
-
-
-def _centered_quality(X, C):
-    """(q_c, <X, c>) per configuration of the centered component-major rows C.
-
-    q_c = <X, c> / |c|^3, X the field rows and c = :func:`_center` of the
-    vertices: the flow guard's quality, and the mesh's quality up to the
-    kind's ceiling.
-    """
-    c = C.reshape(len(C), -1)
-    xc, cc = np.vecdot(X.reshape(c.shape), c), np.vecdot(c, c)
-    return xc / (cc * np.sqrt(cc)), xc
-
-
-def _field(kind, variant, P):
-    """The field of the component-major rows P (B, 3, n), as contiguous rows (B, 3, n).
-
-    The one conversion between these rows and the (B, n, 3) layout of
-    :func:`elements.field_batch`.  The kernel's result is (3, B, n)
-    memory, which at B = 1 already is the contiguous rows; at B > 1 it is
-    copied once.
-    """
-    X = elements.field_batch(kind, variant, P.swapaxes(1, 2)).swapaxes(1, 2)
-    return np.ascontiguousarray(X)
 
 
 def _measure(kind, variant, P):

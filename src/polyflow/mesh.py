@@ -19,10 +19,12 @@ A sweep makes one gather, one field pass and one scatter per kind, on
 the flow's component-major rows (E, 3, n): row e lists the x, then y,
 then z coordinates of element e's vertices.  One ``take`` of flat
 offsets, which the mesh compiles once for its topology (``Mesh.plan``),
-reads them; the flow's helpers center them, evaluate their field at the
-centered rows, so that q and the step stay exact far from the origin,
-and read q_c from both.  Every sum runs along an element's own row, so
-an element's q does not depend on how many elements share its kind.
+reads them; the field kernel's helpers in :mod:`elements`, which the
+flow uses too, center them, evaluate their field at the centered rows,
+so that q and the step stay exact far from the origin, and read q_c
+from both, and its volume <X, c> / 18.  Every sum runs along an
+element's own row, so an element's q does not depend on how many
+elements share its kind.
 The step adds the (psi-rescaled) field rows to the flat vertex array
 with one ``bincount`` over the same offsets.
 """
@@ -39,9 +41,10 @@ from itertools import chain
 import numpy as np
 
 from . import elements as el
-from .flow import FlowDivergenceError, FlowSettings, _center, _centered_quality, _field
+from .elements import _center, _centered_quality, _field, _inner
+from .flow import FlowDivergenceError, FlowSettings
 from .jsontext import json_list
-from .sphere import DegenerateConfigurationError, psi, tau
+from .sphere import DegenerateConfigurationError, psi
 
 
 class MeshFormatError(ValueError):
@@ -259,13 +262,16 @@ def _summary(m: Mesh, xc, q) -> QualityReport:
 def mesh_mean_volume(m: Mesh) -> float:
     """Sum of element mean volumes (signed; additive over elements).
 
-    The triangulation sum: one batched volume evaluation per kind, on the
-    pinned configurations tau(p), as the volume is translation invariant.
+    Each element's <X, c> is read from its centered rows as in a sweep,
+    and their sum in element order is divided by 18, so this is the
+    quality report's ``mesh_mean_volume`` to the bit, and 0 for an
+    element whose vertices coincide.
     """
-    volume = np.empty(len(m.elements))
-    for kind, nodes, pos in m.groups:
-        volume[pos] = el.mean_volume_batch(kind, tau(m.vertices[nodes]))
-    return float(volume.sum())
+    flat, xc = m.vertices.ravel(), np.empty(len(m.elements))
+    for (kind, _, pos), index in zip(m.groups, m.plan[0]):
+        C = _center(flat.take(index))
+        xc[pos] = _inner(_field(kind, el.GRADIENT, C), C)
+    return float(xc.sum()) / 18.0
 
 
 def quality_report(m: Mesh) -> QualityReport:

@@ -395,6 +395,20 @@ class TestClassify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["classification"] == "level0_singular"
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_tol_must_be_positive(self, capsys, tmp_path, tol):
+        # residual >= nan is False: a NaN tol would call any shape optimal
+        path = tmp_path / "tet.json"
+        path.write_text(json.dumps({"vertices": [[0, 0, 0], [1, 0, 0], [0.2, 1, 0],
+                                                 [0.3, 0.1, 0.5]]}))
+        rc = cli.main(["classify", "--type", "tetrahedron", "--input", str(path),
+                       f"--tol={tol}"])
+        assert rc == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and "tol" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):

@@ -113,6 +113,12 @@ class TestClassify:
                           pf.pi(rng.normal(size=(4, 3))))
         assert cls.tag == "nonsingular"
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            pf.classify("tetrahedron", pf.GRADIENT,
+                        pf.pi(pf.reference_optimal("tetrahedron")), tol=tol)
+
 
 class TestFlowSettings:
     def test_defaults(self):

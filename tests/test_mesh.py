@@ -186,6 +186,29 @@ class TestMeshMeanVolume:
                     fixed=frozenset())
         assert pf.mesh_mean_volume(m) == pytest.approx(0.0, abs=1e-15)
 
+    def test_one_volume_rule_mixed(self):
+        # mesh_mean_volume and the report read the same <X, c> / 18
+        m = _mixed_mesh()
+        assert pf.mesh_mean_volume(m) == pf.quality_report(m).mesh_mean_volume
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_volume_rule_hex_grid(self, seed):
+        m = _hex_grid(8, jitter=0.2, seed=seed)
+        assert pf.mesh_mean_volume(m) == pf.quality_report(m).mesh_mean_volume
+
+    def test_coincident_element_is_zero(self):
+        # an element whose vertices coincide adds 0, with no numpy warning
+        v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                      [2, 2, 2]], float)
+        m = pf.Mesh(vertices=v,
+                    elements=(("tetrahedron", (0, 1, 2, 3)),
+                              ("tetrahedron", (4, 4, 4, 4))),
+                    fixed=frozenset())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pf.mesh_mean_volume(m) == pf.mesh_mean_volume(
+                _single("tetrahedron", v[:4]))
+
 
 class TestQualityReport:
     def test_reference_cube(self):

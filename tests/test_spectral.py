@@ -307,6 +307,40 @@ class TestSpectrumJson:
         self._assert_json_bytes(spec)
 
 
+def _nullity_and_gap(p):
+    """(zero_count, largest |zero|, smallest |nonzero|) of the tetrahedron's spectrum at p."""
+    spec = pf.hessian_spectrum("tetrahedron", pf.GRADIENT, p)
+    size = np.abs(spec.eigenvalues)
+    zero = size < spectral.ZERO_TOL
+    return spec.zero_count, size[zero].max(), size[~zero].min()
+
+
+class TestMorseBottNullity:
+    # The critical sets of the tetrahedron are Morse-Bott: the kernel of
+    # the Jacobian is the pinned translations (3), plus the radial
+    # direction where lambda = 0, plus the tangent space of the critical
+    # set, and a gap separates it from the rest of the spectrum.
+    def test_regular_tetrahedron(self):
+        # 3 pinned translations and the 3 rotations, the tangent of the
+        # critical set: nullity 3 on the tangent space of N
+        count, zero, gap = _nullity_and_gap(pf.reference_optimal("tetrahedron"))
+        assert count == 6, f"zero_count {count}, gap {gap}"
+        assert zero <= 1e-15, f"largest zero {zero}, gap {gap}"
+        assert gap >= 1.5, f"gap {gap}"
+
+    @pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (0.3, -0.5, 0.8)])
+    @pytest.mark.parametrize("spacings", [(1.0, 2.0, 3.0), (1.0, 1.0, 1.0),
+                                          (0.3, 2.9, 0.5), (3.0, 0.3, 3.0)])
+    def test_collinear_set(self, spacings, direction):
+        # 3 pinned translations, the radial direction (lambda = 0 there)
+        # and the 4 dimensions of the collinear set on N
+        p = pf.collinear_tetrahedron(spacings=spacings, direction=direction)
+        count, zero, gap = _nullity_and_gap(p)
+        assert count == 8, f"zero_count {count}, gap {gap}"
+        assert zero <= 1e-15, f"largest zero {zero}, gap {gap}"
+        assert gap >= 1.0, f"gap {gap}"
+
+
 class TestCollinearSignature:
     def test_factory_configuration(self):
         assert pf.collinear_signature(pf.collinear_tetrahedron()) == (2, 2)
