@@ -1,7 +1,8 @@
 """Command-line front end: regularize, smooth, spectrum, classify.
 
-Exit codes: 0 success/convergence, 2 iteration budget exhausted,
-3 divergence, 64 usage error, 65 malformed input file, 66 missing file.
+Exit codes: 0 success/convergence, 2 iteration budget exhausted
+(regularize; smooth exits 0 when its sweep budget ends), 3 divergence,
+64 usage error, 65 malformed input file, 66 missing file.
 The flow's warning that a step may overshoot, and the smoother's that
 every vertex is fixed, are one ``warning:`` line on stderr each and leave
 the exit code as it is.
@@ -110,12 +111,13 @@ def _load_configuration(path, kind) -> np.ndarray:
     data = mesh_mod._read_json(path)
     if isinstance(data, dict) and "elements" in data:
         m = mesh_mod.mesh_from_dict(data)
-        if len(m.elements) != 1 or m.elements[0][0] != kind:
+        (kind_read, nodes, _), *others = m.groups
+        if others or len(nodes) != 1 or kind_read != kind:
             raise mesh_mod.MeshFormatError(
                 f"expected a single {kind} element in {path}")
-        p = m.vertices[list(m.elements[0][1])]
+        p = m.vertices[nodes[0]]
     elif isinstance(data, dict) and "vertices" in data:
-        p = mesh_mod._parse_vertices(data["vertices"])
+        p = mesh_mod._finite(mesh_mod._coordinates(data["vertices"]))
     else:
         raise mesh_mod.MeshFormatError("configuration JSON needs a 'vertices' key")
     if p.shape != (elements.VERTEX_COUNT[kind], 3):

@@ -26,7 +26,14 @@ from both, and its volume <X, c> / 18.  Every sum runs along an
 element's own row, so an element's q does not depend on how many
 elements share its kind.
 The step adds the (psi-rescaled) field rows to the flat vertex array
-with one ``bincount`` over the same offsets.
+with one ``bincount`` over the same offsets.  ``smooth``, ``smooth_step``
+and ``quality_report`` run one loop of sweeps, which steps one vertex
+array in place; ``smooth`` builds one Mesh, at the end.
+
+A Mesh is held as arrays: its vertices and, per kind, its node indices
+and element positions.  Mesh JSON is read and written per kind, through
+those arrays; the (kind, nodes) tuples of ``Mesh.elements`` are built
+only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -35,8 +42,10 @@ import copy
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
+from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -79,49 +88,81 @@ def _int_indices(values: list, n: int):
     if set(map(type, values)) - {int}:  # a bool or numpy integer is not an int here
         return None
     try:
-        a = np.array(values, dtype=np.intp)
+        a = np.fromiter(values, np.intp, len(values))
     except OverflowError:  # an int beyond the index type
         return None
     return None if np.count_nonzero((a < 0) | (a >= n)) else a
 
 
-def _groups(elements: tuple, n: int):
-    """Per kind present: its (E, n) node-index array and (E,) positions.
+def _groups(kinds: list, nodes: list, n: int):
+    """Per kind present, in order of first use: (kind, (E, k) node indices, (E,) positions).
 
-    None if an element has an unknown kind, the wrong node count, or an
-    index that is not a Python int in 0..n-1.
+    ``kinds[e]`` and ``nodes[e]`` describe element e.  None unless every
+    kind is a known name, every node list has its kind's length and every
+    index is a Python int in 0..n-1.  The checks are set operations over
+    all elements at once, so they name no element; :func:`_checked` does.
     """
-    by_kind = {}
-    for k, (kind, nodes) in enumerate(elements):
-        if kind not in el.KINDS or len(nodes) != el.VERTEX_COUNT[kind]:
-            return None
-        by_kind.setdefault(kind, []).append(k)
+    try:
+        order = list(dict.fromkeys(kinds))
+    except TypeError:  # an unhashable kind
+        return None
+    if not set(order).issubset(el.KINDS):
+        return None
+    if len(order) == 1:
+        split = [(order[0], nodes, np.arange(len(nodes)))]
+    else:
+        code = np.fromiter(map({kind: i for i, kind in enumerate(order)}.__getitem__, kinds),
+                           np.intp, len(kinds))
+        split = []
+        for i, kind in enumerate(order):
+            pos = np.flatnonzero(code == i)
+            split.append((kind, [nodes[k] for k in pos.tolist()], pos))
     groups = []
-    for kind, pos in by_kind.items():
-        nodes = _int_indices(list(chain.from_iterable(elements[k][1] for k in pos)), n)
-        if nodes is None:
+    for kind, rows, pos in split:
+        if set(map(len, rows)) != {el.VERTEX_COUNT[kind]}:
             return None
-        groups.append((kind, nodes.reshape(len(pos), -1), np.array(pos, dtype=np.intp)))
+        a = _int_indices(list(chain.from_iterable(rows)), n)
+        if a is None:
+            return None
+        groups.append((kind, a.reshape(len(pos), -1), pos))
     return tuple(groups)
 
 
-def _checked(elements: tuple, n: int) -> tuple:
-    """The elements with every index checked by :func:`_index`, in order.
+def _checked(kinds: list, nodes: list, n: int):
+    """``kinds, nodes`` with every kind and index checked by :func:`_index`, in order.
 
-    Raises MeshFormatError naming the first bad ``elements[k]``.
+    Raises MeshFormatError naming the first bad ``elements[k]``.  The
+    indices come back as Python ints.
     """
-    out = []
-    for k, (kind, nodes) in enumerate(elements):
+    rows = []
+    for k, (kind, row) in enumerate(zip(kinds, nodes)):
         if kind not in el.KINDS:
             raise MeshFormatError(f"elements[{k}]: unknown type {kind!r}")
         label = f"elements[{k}]: node index"
-        nodes = tuple([_index(i, label, n) for i in nodes])
-        if len(nodes) != el.VERTEX_COUNT[kind]:
+        row = [_index(i, label, n) for i in row]
+        if len(row) != el.VERTEX_COUNT[kind]:
             raise MeshFormatError(
-                f"elements[{k}]: {kind} needs {el.VERTEX_COUNT[kind]} nodes, "
-                f"got {len(nodes)}")
-        out.append((kind, nodes))
-    return tuple(out)
+                f"elements[{k}]: {kind} needs {el.VERTEX_COUNT[kind]} nodes, got {len(row)}")
+        rows.append(row)
+    return kinds, rows
+
+
+def _size(groups: tuple) -> int:
+    """The number of elements in ``groups`` (see :class:`Mesh`)."""
+    return sum(len(pos) for _, _, pos in groups)
+
+
+def _element_rows(groups: tuple):
+    """Each element's kind and node indices, in element order.
+
+    The node indices are the rows of an (E, 8) array, padded with -1.
+    """
+    kinds = np.empty(_size(groups), dtype=object)
+    rows = np.full((len(kinds), max(el.VERTEX_COUNT.values())), -1)
+    for kind, nodes, pos in groups:
+        kinds[pos] = kind
+        rows[pos, :nodes.shape[1]] = nodes
+    return kinds.tolist(), rows
 
 
 # Component c of vertex i sits at 3 i + c of the flat (n, 3) vertex array.
@@ -139,45 +180,55 @@ def _plan(groups: tuple, fixed: frozenset, n: int) -> tuple:
             np.maximum(count, 1.0)[:, None])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Mesh:
     """Vertex pool, typed elements, and immobile vertex set.
 
-    ``elements`` holds (kind, nodes) pairs with 0-based node indices in
-    canonical order; ``fixed`` is a frozenset of 0-based vertex indices.
-    ``groups`` holds, per kind present, the (E, n) node-index array of
-    its elements and their (E,) positions in ``elements``; the batched
-    smoother and quality report run one pass per group.  ``plan`` holds
-    what a sweep needs of the topology: per group the (E, 3, n) offsets
-    3 node + c of the component-major element rows in ``vertices.ravel()``,
-    an (n, 1) mask of the free vertices, and every vertex's element count
-    as an (n, 1) column (at least 1).  Both carry over to
-    :meth:`with_vertices`.
+    The mesh is held as arrays.  ``vertices`` is the (n, 3) float array;
+    ``groups`` holds, per kind present in order of first use, the (E, n)
+    node-index array of its elements (canonical order, 0-based) and their
+    (E,) positions in the element order; ``fixed`` is a frozenset of
+    0-based vertex indices.  ``plan`` holds what a sweep needs of the
+    topology: per group the (E, 3, n) offsets 3 node + c of the
+    component-major element rows in ``vertices.ravel()``, an (n, 1) mask
+    of the free vertices, and every vertex's element count as an (n, 1)
+    column (at least 1).  All of it carries over to :meth:`with_vertices`.
+
+    ``elements``, the (kind, nodes) pairs in element order with the nodes
+    a tuple of ints, is built from ``groups`` when first read, and kept.
     """
 
     vertices: np.ndarray
-    elements: tuple
+    groups: tuple = dataclass_field(repr=False)
     fixed: frozenset
-    groups: tuple = dataclass_field(init=False, repr=False, compare=False)
-    plan: tuple = dataclass_field(init=False, repr=False, compare=False)
+    plan: tuple = dataclass_field(repr=False)
 
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+    def __init__(self, vertices, elements, fixed):
+        elements = [(kind, tuple(nodes)) for kind, nodes in elements]
+        self._build(vertices, [kind for kind, _ in elements],
+                    [nodes for _, nodes in elements], fixed)
+
+    def _build(self, vertices, kinds: list, nodes: list, fixed) -> None:
+        """Check the vertices, the elements ``zip(kinds, nodes)`` and ``fixed``; set the arrays."""
+        v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshFormatError("vertices must be an (n, 3) array")
-        object.__setattr__(self, "vertices", v)
-        elems = tuple((kind, tuple(nodes)) for kind, nodes in self.elements)
-        groups = _groups(elems, len(v))
+        groups = _groups(kinds, nodes, len(v))
         if groups is None:
-            elems = _checked(elems, len(v))
-            groups = _groups(elems, len(v))
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "groups", groups)
-        fixed = list(self.fixed)
+            groups = _groups(*_checked(kinds, nodes, len(v)), len(v))
+        fixed = list(fixed)
         if _int_indices(fixed, len(v)) is None:
             fixed = [_index(i, "fixed vertex index", len(v)) for i in fixed]
-        object.__setattr__(self, "fixed", frozenset(fixed))
-        object.__setattr__(self, "plan", _plan(groups, self.fixed, len(v)))
+        fixed = frozenset(fixed)
+        for name, value in (("vertices", v), ("groups", groups), ("fixed", fixed),
+                            ("plan", _plan(groups, fixed, len(v)))):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def elements(self) -> tuple:
+        kinds, rows = _element_rows(self.groups)
+        return tuple((kind, tuple(row[:el.VERTEX_COUNT[kind]]))
+                     for kind, row in zip(kinds, rows.tolist()))
 
     def with_vertices(self, vertices) -> "Mesh":
         """The same elements and fixed set over new positions of the same vertices."""
@@ -190,67 +241,101 @@ class Mesh:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QualityReport:
-    """Per-element normalized quality and mesh-level summary."""
+    """Per-element normalized quality and mesh-level summary.
 
-    per_element_q: tuple
+    ``per_element_q`` is a read-only float array in element order.  Two
+    reports are equal when all their fields are.
+    """
+
+    per_element_q: np.ndarray
     mesh_mean_volume: float
     min_q: float
     mean_q: float
     max_q: float
     inverted_count: int
 
+    def __eq__(self, other):
+        if not isinstance(other, QualityReport):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
-def _sweep(m: Mesh, settings: FlowSettings | None = None, report: bool = True):
-    """One pass over the elements of ``m``: (its QualityReport, its vertices after one step).
 
-    Per kind, one ``take`` of the plan's offsets reads the element rows,
-    component-major: (E, 3, n).  They are centered, C = rows minus each
-    element's centroid, and their gradient field X is evaluated once, at
-    C, so that it stays exact far from the origin.  The report reads the
-    centered quality from C and X; the step scatters the (psi-rescaled)
-    field with one ``bincount`` over the same offsets.  The report is
-    None unless ``report``, the vertices None unless ``settings`` is given.
+# smooth stops when min_q has not risen by quality_tol over this many sweeps
+_WINDOW = 10
+
+
+def _sweeps(m: Mesh, settings: FlowSettings | None = None, sweeps: int = 0,
+            quality_tol: float = -np.inf, report: bool = True):
+    """The vertices of ``m`` after up to ``sweeps`` sweeps, and the reports of its states.
+
+    The state after i sweeps is one vertex array, stepped in place.  Per
+    kind, one ``take`` of the plan's offsets reads its element rows
+    (E, 3, n); their field X is evaluated once, at the centered rows C.
+    The state's report (if ``report``) reads q from C and X; the step
+    scatters the (psi-rescaled) X with one ``bincount`` over the same
+    offsets.  The sweeps stop when min_q has not risen by ``quality_tol``
+    over ``_WINDOW`` sweeps.  A state whose quality is not finite raises:
+    the input with DegenerateConfigurationError, a later one with
+    FlowDivergenceError.
     """
     offsets, free, count = m.plan
-    flat = m.vertices.ravel()
-    if report:
-        xc, q = np.empty(len(m.elements)), np.empty(len(m.elements))
-    if settings is not None:
-        acc = np.zeros(flat.size)
+    size = _size(m.groups)
+    v = m.vertices.copy()
+    flat = v.ravel()
+    reports = []
     # A field or a step that overflows leaves a quality that is not finite,
     # which raises in _summary, now or in the next sweep; numpy's warnings
     # are muted.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for (kind, _, pos), index in zip(m.groups, offsets):
-            C = _center(flat.take(index))
-            X = _field(kind, el.GRADIENT, C)
+        for it in range(sweeps + 1):  # state it, after it sweeps
+            step = it < sweeps
+            if not (step or report):
+                break
             if report:
-                qc, xc[pos] = _centered_quality(X, C)
-                q[pos] = qc / (18.0 * el.Q_MAX[kind])
-            if settings is not None:
-                if settings.normalization == "psi":
-                    X = psi(X)
-                acc += np.bincount(index.ravel(), weights=X.ravel(), minlength=flat.size)
-        moved = None
-        if settings is not None:
-            moved = m.vertices.copy()
-            np.add(moved, settings.step * acc.reshape(-1, 3) / count, out=moved, where=free)
-        return (_summary(m, xc, q) if report else None), moved
+                xc, q = np.empty(size), np.empty(size)
+            if step:
+                acc = np.zeros(flat.size)
+            for (kind, _, pos), index in zip(m.groups, offsets):
+                C = _center(flat.take(index))
+                X = _field(kind, el.GRADIENT, C)
+                if report:
+                    qc, xc[pos] = _centered_quality(X, C)
+                    q[pos] = qc / (18.0 * el.Q_MAX[kind])
+                if step:
+                    if settings.normalization == "psi":
+                        X = psi(X)
+                    acc += np.bincount(index.ravel(), weights=X.ravel(), minlength=flat.size)
+            if report:
+                try:
+                    reports.append(_summary(m, v, xc, q))
+                except DegenerateConfigurationError as exc:
+                    if not it:
+                        raise  # the input mesh
+                    # an element collapsed to a point; the sweep cannot continue
+                    raise FlowDivergenceError(it) from exc
+                if (it >= _WINDOW
+                        and reports[-1].min_q - reports[-1 - _WINDOW].min_q < quality_tol):
+                    break
+            if step:
+                np.add(v, settings.step * acc.reshape(-1, 3) / count, out=v, where=free)
+    return v, reports
 
 
-def _summary(m: Mesh, xc, q) -> QualityReport:
-    """The QualityReport of per-element <X, c> and q (see quality_report)."""
+def _summary(m: Mesh, v: np.ndarray, xc, q) -> QualityReport:
+    """The QualityReport of per-element <X, c> and q at vertices ``v`` (see quality_report)."""
     total = q.sum()
     if not np.isfinite(total):  # q is bounded, so its sum overflows only through a bad q
         k = int(np.flatnonzero(~np.isfinite(q))[0])
-        p = m.vertices[list(m.elements[k][1])]
+        p = v[list(m.elements[k][1])]
         coincide = np.isfinite(p).all() and not np.ptp(p, axis=0).any()
         reason = "all vertices coincide" if coincide else "non-finite coordinates or volume"
         raise DegenerateConfigurationError(f"element {k}: {reason}")
+    q.flags.writeable = False
     return QualityReport(
-        per_element_q=tuple(q.tolist()),
+        per_element_q=q,
         mesh_mean_volume=float(xc.sum()) / 18.0,
         min_q=float(q.min()),
         mean_q=float(total / q.size),
@@ -267,7 +352,7 @@ def mesh_mean_volume(m: Mesh) -> float:
     quality report's ``mesh_mean_volume`` to the bit, and 0 for an
     element whose vertices coincide.
     """
-    flat, xc = m.vertices.ravel(), np.empty(len(m.elements))
+    flat, xc = m.vertices.ravel(), np.empty(_size(m.groups))
     for (kind, _, pos), index in zip(m.groups, m.plan[0]):
         C = _center(flat.take(index))
         xc[pos] = _inner(_field(kind, el.GRADIENT, C), C)
@@ -293,7 +378,7 @@ def quality_report(m: Mesh) -> QualityReport:
         Naming the first element whose q is not finite: its vertices all
         coincide, or its coordinates or volume are not finite.
     """
-    return _sweep(m)[0]
+    return _sweeps(m)[1][0]
 
 
 def smooth_step(m: Mesh, settings: FlowSettings = FlowSettings()) -> Mesh:
@@ -305,7 +390,7 @@ def smooth_step(m: Mesh, settings: FlowSettings = FlowSettings()) -> Mesh:
     by step times that average.  Fixed vertices are returned bitwise
     unchanged.
     """
-    return m.with_vertices(_sweep(m, settings, report=False)[1])
+    return m.with_vertices(_sweeps(m, settings, 1, report=False)[0])
 
 
 def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
@@ -326,57 +411,71 @@ def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
         reports = [quality_report(m)]
         warnings.warn("all vertices fixed; smoothing is the identity", stacklevel=2)
         return m, reports
-    window = 10
-    reports = []
-    for it in range(max_iters + 1):  # state it, after it sweeps
-        try:
-            report, moved = _sweep(m, settings if it < max_iters else None)
-        except DegenerateConfigurationError as exc:
-            if not it:
-                raise  # the input mesh
-            # an element collapsed to a point; the sweep cannot continue
-            raise FlowDivergenceError(it) from exc
-        reports.append(report)
-        if moved is None or (
-                it >= window and report.min_q - reports[-1 - window].min_q < quality_tol):
-            break
-        m = m.with_vertices(moved)
-    return m, reports
+    v, reports = _sweeps(m, settings, max_iters, quality_tol)
+    return m.with_vertices(v), reports
 
 
 def _coordinates(verts) -> np.ndarray:
-    """The float array of a JSON list of [x, y, z] number triples."""
-    if (not isinstance(verts, list)
-            or any(not isinstance(v, list) or len(v) != 3 for v in verts)):
-        raise MeshFormatError("vertices must be a list of [x, y, z] triples")
+    """The float array of a JSON list of [x, y, z] number triples.
+
+    Set-based type checks pass the common case; only a failing one looks
+    for the first bad row or coordinate, to name it.
+    """
+    if not (isinstance(verts, list) and set(map(type, verts)) <= {list}
+            and set(map(len, verts)) <= {3}):
+        if (not isinstance(verts, list)
+                or any(not isinstance(v, list) or len(v) != 3 for v in verts)):
+            raise MeshFormatError("vertices must be a list of [x, y, z] triples")
+    flat = list(chain.from_iterable(verts))
     # JSON numbers only: a bool, a string or null is no coordinate
-    odd = [x for v in verts for x in v if type(x) is not float and type(x) is not int]
-    if odd:
-        raise MeshFormatError(f"vertex coordinate {odd[0]!r} is not a number")
+    if set(map(type, flat)) - {float, int}:
+        odd = next(x for x in flat if type(x) is not float and type(x) is not int)
+        raise MeshFormatError(f"vertex coordinate {odd!r} is not a number")
     try:
-        return np.array(verts, dtype=float)
+        a = np.fromiter(flat, float, len(flat))
     except OverflowError as exc:  # an integer beyond the float range
         raise MeshFormatError(f"vertex coordinate out of range: {exc}") from exc
+    return a.reshape(-1, 3) if verts else a
 
 
-def _finite(v: np.ndarray, elements: tuple = ()) -> np.ndarray:
+def _finite(v: np.ndarray, groups: tuple = ()) -> np.ndarray:
     """``v`` if every coordinate is finite.
 
-    Else MeshFormatError naming the first of ``elements`` that uses a
-    vertex with a NaN or infinite coordinate, or the first such vertex
-    if no element uses one.
+    Else MeshFormatError naming the first element of ``groups`` (see
+    :class:`Mesh`) that uses a vertex with a NaN or infinite coordinate,
+    or the first such vertex if no element uses one.
     """
     if not np.isfinite(v).all():
         bad = ~np.isfinite(v).all(axis=-1)
-        used = [k for k, (_, nodes) in enumerate(elements) if bad[list(nodes)].any()]
-        where = f"element {used[0]}" if used else f"vertex {np.flatnonzero(bad)[0]}"
+        used = np.concatenate([pos[bad[nodes].any(axis=1)] for _, nodes, pos in groups]
+                              or [np.empty(0, dtype=np.intp)])
+        where = f"element {used.min()}" if used.size else f"vertex {np.flatnonzero(bad)[0]}"
         raise MeshFormatError(f"{where}: vertex coordinates must be finite")
     return v
 
 
-def _parse_vertices(verts) -> np.ndarray:
-    """The (n, 3) float array of a JSON list of [x, y, z] finite number triples."""
-    return _finite(_coordinates(verts))
+def _entry_fields(entries: list):
+    """The lists of the 'type' and of the 'nodes' of the JSON element entries.
+
+    Set-based type checks pass the common case; else each entry is
+    checked in order, and the first bad one is named.
+    """
+    if set(map(type, entries)) == {dict}:
+        try:
+            kinds = list(map(itemgetter("type"), entries))
+            nodes = list(map(itemgetter("nodes"), entries))
+        except KeyError:
+            pass
+        else:
+            if set(map(type, nodes)) == {list}:
+                return kinds, nodes
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "type" not in entry or "nodes" not in entry:
+            raise MeshFormatError(f"elements[{k}] must have 'type' and 'nodes'")
+        if not isinstance(entry["nodes"], list):
+            raise MeshFormatError(
+                f"elements[{k}]: nodes must be a list of vertex indices")
+    return [entry["type"] for entry in entries], [entry["nodes"] for entry in entries]
 
 
 def mesh_from_dict(data) -> Mesh:
@@ -387,24 +486,18 @@ def mesh_from_dict(data) -> Mesh:
         if key not in data:
             raise MeshFormatError(f"missing required key {key!r}")
     verts = _coordinates(data["vertices"])
-    elems = []
     if not isinstance(data["elements"], list):
         raise MeshFormatError("elements must be a list")
     if not data["elements"]:
         raise MeshFormatError("elements is empty; a mesh needs at least one element")
-    for k, entry in enumerate(data["elements"]):
-        if not isinstance(entry, dict) or "type" not in entry or "nodes" not in entry:
-            raise MeshFormatError(f"elements[{k}] must have 'type' and 'nodes'")
-        if not isinstance(entry["nodes"], list):
-            raise MeshFormatError(
-                f"elements[{k}]: nodes must be a list of vertex indices")
-        elems.append((entry["type"], tuple(entry["nodes"])))
+    kinds, nodes = _entry_fields(data["elements"])
     fixed = data.get("fixed", [])
     if not isinstance(fixed, list):
         raise MeshFormatError("fixed must be a list of vertex indices")
-    # Mesh validates each index (JSON integers only) before building the set.
-    m = Mesh(vertices=verts, elements=tuple(elems), fixed=tuple(fixed))
-    _finite(m.vertices, m.elements)  # on unused vertices too
+    # Mesh checks each kind and index (JSON integers only) before building arrays.
+    m = Mesh.__new__(Mesh)
+    m._build(verts, kinds, nodes, fixed)
+    _finite(m.vertices, m.groups)  # on unused vertices too
     return m
 
 
@@ -456,8 +549,9 @@ def save_mesh(m: Mesh, path) -> None:
     else:
         vertices = (json_list([_VERTEX_TEXT] * len(m.vertices), 1)
                     % tuple(m.vertices.ravel().tolist()))
-        elements = (json_list([_ELEMENT_TEXT[kind] for kind, _ in m.elements], 1)
-                    % tuple(chain.from_iterable(nodes for _, nodes in m.elements)))
+        kinds, rows = _element_rows(m.groups)
+        elements = (json_list([_ELEMENT_TEXT[kind] for kind in kinds], 1)
+                    % tuple(rows[rows >= 0].tolist()))
         text = ('{\n  "vertices": %s,\n  "elements": %s,\n  "fixed": %s\n}'
                 % (vertices, elements, json_list(list(map(str, sorted(m.fixed))), 1)))
     with open(path, "w") as fh:
@@ -469,5 +563,6 @@ def quality_to_csv(report: QualityReport, m: Mesh, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "type", "q"])
-        for k, ((kind, _), q) in enumerate(zip(m.elements, report.per_element_q)):
-            writer.writerow([k, kind, format(q, ".17g")])
+        kinds = _element_rows(m.groups)[0]
+        writer.writerows(zip(range(len(kinds)), kinds,
+                             [format(q, ".17g") for q in report.per_element_q.tolist()]))

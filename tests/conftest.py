@@ -1,8 +1,18 @@
+import os
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import polyflow as pf
+
+# Tests that start `python -m polyflow.cli` in a child process import the
+# sources under test there too: pyproject's pythonpath reaches only this
+# process.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(pathlib.Path(__file__).resolve().parents[1] / "src")]
+    + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 
 def finite_points(n, lo=-5.0, hi=5.0):

@@ -1,5 +1,7 @@
 """Tests for mesh containers, quality reporting, smoothing, and mesh JSON."""
 
+import csv
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -169,6 +171,117 @@ class TestMeshContainer:
             pf.mesh_from_dict(data)
 
 
+def _assert_same_arrays(a, b):
+    # the array data of two meshes: elements, groups, plan and fixed
+    assert a.elements == b.elements
+    assert a.fixed == b.fixed
+    assert len(a.groups) == len(b.groups)
+    for (kind_a, nodes_a, pos_a), (kind_b, nodes_b, pos_b) in zip(a.groups, b.groups):
+        assert kind_a == kind_b
+        assert nodes_a.dtype == nodes_b.dtype == np.intp
+        assert np.array_equal(nodes_a, nodes_b) and np.array_equal(pos_a, pos_b)
+    (offsets_a, *rest_a), (offsets_b, *rest_b) = a.plan, b.plan
+    assert len(offsets_a) == len(offsets_b)
+    assert all(np.array_equal(x, y) for x, y in zip(offsets_a, offsets_b))
+    assert all(np.array_equal(x, y) for x, y in zip(rest_a, rest_b))
+
+
+class TestArrayMesh:
+    """The JSON array path and the constructor build the same Mesh."""
+
+    @pytest.mark.parametrize("mesh", ["mixed", "hex grid"])
+    def test_dict_path_matches_constructor(self, mesh):
+        m = _mixed_mesh() if mesh == "mixed" else _hex_grid(4, jitter=0.2, seed=2)
+        built = pf.Mesh(vertices=m.vertices, elements=m.elements, fixed=m.fixed)
+        read = pf.mesh_from_dict(pf.mesh_to_dict(m))
+        assert read.vertices.tobytes() == built.vertices.tobytes()
+        _assert_same_arrays(read, built)
+
+    def test_groups_follow_first_use(self):
+        # kinds in order of first use, positions in element order
+        m = _mixed_mesh()
+        assert [kind for kind, _, _ in m.groups] == [
+            "hexahedron", "tetrahedron", "pyramid", "prism", "octahedron"]
+        assert [pos.tolist() for _, _, pos in m.groups] == [[0], [1, 5], [2], [3], [4]]
+        assert m.groups[1][1].tolist() == [[0, 4, 3, 11], [2, 3, 7, 17]]
+
+    def test_elements_are_built_once(self):
+        m = _mixed_mesh()
+        assert m.elements is m.elements
+        assert m.elements[5] == ("tetrahedron", (2, 3, 7, 17))
+        assert {type(i) for _, nodes in m.elements for i in nodes} == {int}
+
+    def test_load_keeps_the_interleaved_order(self, tmp_path):
+        m = _mixed_mesh()
+        path = tmp_path / "mesh.json"
+        pf.save_mesh(m, path)
+        loaded = pf.load_mesh(path)
+        assert loaded.vertices.tobytes() == m.vertices.tobytes()
+        _assert_same_arrays(loaded, m)
+        assert [kind for kind, _ in loaded.elements] == [
+            "hexahedron", "tetrahedron", "pyramid", "prism", "octahedron", "tetrahedron"]
+
+
+def _bad_document(changes):
+    # a four-element mesh of two kinds with every change applied
+    doc = {"vertices": np.vstack([pf.reference_optimal("tetrahedron"),
+                                  [[2.0, 2.0, 2.0], [3.0, 2.0, 2.0]]]).tolist(),
+           "elements": [{"type": "tetrahedron", "nodes": [0, 1, 2, 3]},
+                        {"type": "tetrahedron", "nodes": [1, 2, 3, 4]},
+                        {"type": "pyramid", "nodes": [0, 1, 2, 3, 5]},
+                        {"type": "tetrahedron", "nodes": [0, 2, 3, 5]}],
+           "fixed": [0]}
+    for path, value in changes:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("changes,message", [
+    # each message names the first bad entry, whatever follows it
+    ([(("vertices", 1, 0), None), (("vertices", 2, 1), "a")],
+     "vertex coordinate None is not a number"),
+    ([(("vertices", 1, 2), True), (("vertices", 4, 0), None)],
+     "vertex coordinate True is not a number"),
+    ([(("vertices", 3, 0), "a"), (("vertices", 3, 1), [0])],
+     "vertex coordinate 'a' is not a number"),
+    ([(("vertices", 0, 0), [0]), (("vertices", 5, 0), True)],
+     "vertex coordinate [0] is not a number"),
+    ([(("vertices", 2), [0.0, 0.0]), (("vertices", 4, 0), None)],
+     "vertices must be a list of [x, y, z] triples"),
+    ([(("vertices", 5), [0.0, 0.0, 0.0, 0.0]), (("elements", 0), 7)],
+     "vertices must be a list of [x, y, z] triples"),
+    ([(("elements", 1), 7), (("elements", 2), {"type": "pyramid"})],
+     "elements[1] must have 'type' and 'nodes'"),
+    ([(("elements", 2), {"type": "pyramid"}), (("elements", 3), None)],
+     "elements[2] must have 'type' and 'nodes'"),
+    ([(("elements", 1, "nodes"), "1234"), (("elements", 3, "nodes"), 5)],
+     "elements[1]: nodes must be a list of vertex indices"),
+    ([(("elements", 0, "type"), ["tetrahedron"]), (("elements", 2, "type"), {})],
+     "elements[0]: unknown type ['tetrahedron']"),
+    ([(("elements", 1, "type"), {}), (("elements", 2, "type"), "cube")],
+     "elements[1]: unknown type {}"),
+    ([(("elements", 3, "type"), "cube"), (("elements", 2, "nodes", 0), 9)],
+     "elements[2]: node index 9 out of range"),
+    ([(("elements", 2, "type"), "tetrahedron"), (("elements", 3, "nodes", 1), True)],
+     "elements[2]: tetrahedron needs 4 nodes, got 5"),
+    ([(("fixed",), [True]), (("elements", 3, "nodes", 1), 2.5)],
+     "elements[3]: node index 2.5 is not an integer"),
+    ([(("fixed",), [0, None]), (("vertices", 5, 0), float("nan"))],
+     "fixed vertex index None is not an integer"),
+    ([(("vertices", 5, 0), float("nan")), (("vertices", 3, 0), float("inf"))],
+     "element 0: vertex coordinates must be finite"),
+    ([(("vertices", 5, 0), float("nan"))],
+     "element 2: vertex coordinates must be finite"),
+])
+def test_fast_checks_name_the_first_bad_entry(changes, message):
+    with pytest.raises(pf.MeshFormatError) as info:
+        pf.mesh_from_dict(_bad_document(changes))
+    assert str(info.value) == message
+
+
 class TestMeshMeanVolume:
     def test_two_corner_tets(self):
         assert pf.mesh_mean_volume(_corner_tets()) == pytest.approx(1.0 / 3.0)
@@ -273,6 +386,26 @@ class TestQualityReport:
                     fixed=frozenset())
         q = np.array(pf.quality_report(m).per_element_q)
         assert np.abs(q - q[0]).max() <= 1e-14 * abs(q[0])
+
+    def test_reports_compare_by_value(self):
+        m = _mixed_mesh()
+        rep = pf.quality_report(m)
+        assert rep == pf.quality_report(m.with_vertices(m.vertices.copy()))
+        assert rep != pf.quality_report(pf.smooth_step(m))
+        assert rep != dataclasses.replace(rep, min_q=rep.min_q - 1.0)
+        q = rep.per_element_q.copy()
+        q[3] = 0.5
+        assert rep != dataclasses.replace(rep, per_element_q=q)
+        assert rep != rep.min_q
+
+    def test_per_element_q_is_read_only(self):
+        m = _mixed_mesh()
+        for rep in (pf.quality_report(m),
+                    *pf.smooth(m, pf.FlowSettings(), max_iters=3, quality_tol=-1)[1]):
+            q = rep.per_element_q
+            assert q.dtype == np.float64 and q.shape == (len(m.elements),)
+            with pytest.raises(ValueError):
+                q[0] = 1.0
 
     @pytest.mark.parametrize("kind", pf.KINDS)
     def test_at_most_one_on_random_shapes(self, kind):
@@ -639,3 +772,18 @@ def test_quality_csv(tmp_path):
     idx, kind, q = lines[1].split(",")
     assert (idx, kind) == ("0", "tetrahedron")
     assert float(q) == pytest.approx(rep.per_element_q[0], rel=1e-16)
+
+
+def test_quality_csv_bytes_mixed(tmp_path):
+    # the element loop over Mesh.elements is the reference for the bytes
+    m = _mixed_mesh()
+    rep = pf.quality_report(m)
+    path = tmp_path / "q.csv"
+    pf.quality_to_csv(rep, m, path)
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "type", "q"])
+        for k, ((kind, _), q) in enumerate(zip(m.elements, rep.per_element_q)):
+            writer.writerow([k, kind, format(float(q), ".17g")])
+    assert path.read_bytes() == want.read_bytes()
