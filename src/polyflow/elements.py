@@ -23,9 +23,10 @@ cross-product factors from batch-minor rows (3n, B), one row per vertex
 component, component-major (row c n + i holds component c of vertex i),
 and contracts them with the batch on the M axis of one matrix product,
 so that a configuration's value does not depend on the batch it is
-evaluated in.  The flow and the mesh read the centered measure from here
-(``_center``, ``_field``, ``_centered_quality``), and every volume is
-<X, c> / 18 of the gradient field at the centered rows (Euler's identity).
+evaluated in.  The flow and the mesh read the one measure of a
+configuration from here (``_measure``: the centered rows, the field at
+them, q_c and <X, c>), and every volume is <X, c> / 18 of the gradient
+field at the centered rows (Euler's identity).
 """
 
 from __future__ import annotations
@@ -171,12 +172,12 @@ def triangulations(kind: str):
 
 
 # The tetrahedron's field, the gradient of 6 x its volume: per vertex, one
-# (coefficient, 1-based index loop) term contributing coefficient * nu(p, loop).
-_TET_ROWS = [(1, (4, 3, 2)), (1, (4, 1, 3)), (1, (4, 2, 1)), (1, (1, 2, 3))]
+# 1-based index loop contributing nu(p, loop).
+_TET_ROWS = [(4, 3, 2), (4, 1, 3), (4, 2, 1), (1, 2, 3)]
 
 
 def _lift(kind, extra=()):
-    """(divisor, per-vertex terms) of ``_TET_ROWS`` lifted onto a kind's tets.
+    """(divisor, per-vertex loops) of ``_TET_ROWS`` lifted onto a kind's tets.
 
     The tets are those of every triangulation, then ``extra``; the divisor
     is the number of triangulations.
@@ -184,15 +185,15 @@ def _lift(kind, extra=()):
     tables = TRIANGULATIONS[kind]
     rows = [[] for _ in range(VERTEX_COUNT[kind])]
     for tet in [tet for table in tables for tet in table] + list(extra):
-        for slot, (coeff, loop) in zip(tet, _TET_ROWS):
-            rows[slot - 1].append((coeff, tuple(tet[i - 1] for i in loop)))
+        for slot, loop in zip(tet, _TET_ROWS):
+            rows[slot - 1].append(tuple(tet[i - 1] for i in loop))
     return len(tables), rows
 
 
 def _compile(divisor, rows):
     """Fold a field table onto distinct vertex pairs, as the kernel reads it.
 
-    Each term ``coeff * nu(p, loop)`` expands to the cross products of
+    Each loop's term ``nu(p, loop)`` expands to the cross products of
     consecutive loop vertices.  With a x b = -(b x a) and a x a = 0 these
     fold onto K pairs i < j with integer counts, and
     ``field(p)[v] = sum_k S[v, k] (p_i x p_j)`` for S = counts / divisor, a
@@ -205,13 +206,13 @@ def _compile(divisor, rows):
     subtraction into the contraction.
     """
     coeffs = {}  # (i, j), 0-based with i < j -> integer coefficient per vertex
-    for vi, terms in enumerate(rows):
-        for coeff, loop in terms:
+    for vi, loops in enumerate(rows):
+        for loop in loops:
             for a, b in zip(loop, loop[1:] + loop[:1]):
                 if a != b:
                     row = coeffs.setdefault((min(a, b) - 1, max(a, b) - 1),
                                             [0] * len(rows))
-                    row[vi] += coeff if a < b else -coeff
+                    row[vi] += 1 if a < b else -1
     pairs = sorted(pair for pair, row in coeffs.items() if any(row))
     S = np.array([coeffs[pair] for pair in pairs], dtype=float).T / divisor
     I, J = (np.array(side)[:, None] for side in zip(*pairs))
@@ -226,26 +227,17 @@ _COMPILED = {(kind, GRADIENT): _compile(*_lift(kind)) for kind in KINDS}
 _COMPILED["hexahedron", Y_VARIANT] = _compile(*_lift("hexahedron",
                                                      ((1, 3, 8, 6), (2, 4, 5, 7))))
 _COMPILED["prism", Y_VARIANT] = _compile(1, [
-    [(1, (3, 2, 5, 4, 6))],
-    [(1, (1, 3, 6, 5, 4))],
-    [(1, (2, 1, 4, 6, 5))],
-    [(1, (5, 6, 3, 1, 2))],
-    [(1, (6, 4, 1, 2, 3))],
-    [(1, (4, 5, 2, 3, 1))],
+    [(3, 2, 5, 4, 6)],
+    [(1, 3, 6, 5, 4)],
+    [(2, 1, 4, 6, 5)],
+    [(5, 6, 3, 1, 2)],
+    [(6, 4, 1, 2, 3)],
+    [(4, 5, 2, 3, 1)],
 ])
 
 
 # Per vertex count n: the weights 1/n of the mean over the vertex axis.
 _MEAN = {n: np.full(n, 1.0 / n) for n in set(VERTEX_COUNT.values())}
-
-
-def _center(P):
-    """c = P minus its centroid, per configuration of the component-major rows P.
-
-    Each row is centered by its own mean, so its rounding does not
-    depend on the batch.
-    """
-    return P - np.vecdot(P, _MEAN[P.shape[2]])[..., None]
 
 
 def _field(kind, variant, P):
@@ -259,24 +251,21 @@ def _field(kind, variant, P):
     return np.ascontiguousarray(X)
 
 
-def _inner(X, C):
-    """<X, c> per configuration of the component-major rows X and C.
+def _measure(kind, variant, P):
+    """(C, X, q_c, <X, c>) per configuration of the component-major rows P (B, 3, n).
 
-    18 x the mean volume where X is the gradient field of the centered C.
+    C is P minus its centroid, each row centered by its own mean so that
+    its rounding does not depend on the batch; X is the field evaluated
+    at C, which keeps it exact far from the origin; and
+    q_c = <X, c> / |c|^3.  The one measure of a configuration: the flow's
+    state and guard, the mesh's quality (q_c up to the kind's ceiling)
+    and every volume (<X, c> / 18 of the gradient field) read it.
     """
-    return np.vecdot(X.reshape(len(X), -1), C.reshape(len(C), -1))
-
-
-def _centered_quality(X, C):
-    """(q_c, <X, c>) per configuration of the centered component-major rows C.
-
-    q_c = <X, c> / |c|^3, X the field rows and c = :func:`_center` of the
-    vertices: the flow guard's quality, and the mesh's quality up to the
-    kind's ceiling.
-    """
-    xc, c = _inner(X, C), C.reshape(len(C), -1)
-    cc = np.vecdot(c, c)
-    return xc / (cc * np.sqrt(cc)), xc
+    C = P - np.vecdot(P, _MEAN[P.shape[2]])[..., None]
+    X = _field(kind, variant, C)
+    c = C.reshape(len(C), -1)
+    xc, cc = np.vecdot(X.reshape(len(X), -1), c), np.vecdot(c, c)
+    return C, X, xc / (cc * np.sqrt(cc)), xc
 
 
 def mean_volume_batch(kind: str, P) -> np.ndarray:
@@ -285,8 +274,9 @@ def mean_volume_batch(kind: str, P) -> np.ndarray:
     <X, c> / 18 on the centered component-major rows c, X their gradient
     field: the volume the mesh report and the flow's q_c read.
     """
-    C = _center(np.ascontiguousarray(np.asarray(P, dtype=float).swapaxes(1, 2)))
-    return _inner(_field(kind, GRADIENT, C), C) / 18.0
+    P = np.ascontiguousarray(np.asarray(P, dtype=float).swapaxes(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # q_c of coincident vertices
+        return _measure(kind, GRADIENT, P)[3] / 18.0
 
 
 def mean_volume(kind: str, p) -> float:
@@ -313,8 +303,8 @@ def field_from_triangulations(kind: str, p) -> np.ndarray:
     for table in tables:
         for tet in table:
             q = p[[i - 1 for i in tet]]
-            for slot, (coeff, loop) in zip(tet, _TET_ROWS):
-                acc[slot - 1] += coeff * nu(q, loop)
+            for slot, loop in zip(tet, _TET_ROWS):
+                acc[slot - 1] += nu(q, loop)
     return acc / len(tables)
 
 

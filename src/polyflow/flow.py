@@ -18,17 +18,16 @@ but not guarded: it depends on the gauge and is not monotone.
 The kernel holds its batch as component-major rows (B, 3, n): row b
 lists the x, then y, then z coordinates of configuration b.  Every
 inner product is one ``np.vecdot`` over the flat (B, 3n) view, and tau
-is one subtraction of the last column.  A step is normalized by one
-norm; a zero, overflowing or non-finite norm leaves a NaN q_c, which the
-guard's one test catches before :func:`sphere.sigma`'s rescue runs.
-The field comes from :func:`elements.field_batch`, the one field
-kernel, which evaluates each configuration as three rows of one matrix
-product.  It reads the transposed view of the flat rows, so at B = 1
-``elements._field`` copies nothing; at B > 1 the kernel's gather copies
-the strided rows in and ``_field`` copies its (3, B, n) result out.
-Each row is centered by its own mean, so a row's rounding, and with it
-the run, does not depend on the batch.  The mesh smoother holds its
-elements as the same rows and calls the same helpers of :mod:`elements`.
+is one subtraction of the last column (``sphere._push``, which
+:func:`singularity_residual` and ``spectral.pushed_field`` apply too).
+A step is normalized by one norm; a zero, overflowing or non-finite
+norm leaves a NaN q_c, which the guard's one test catches before
+:func:`sphere.sigma`'s rescue runs.  The state and every candidate step
+are measured by ``elements._measure``, as the mesh smoother measures its
+elements: the rows are centered, each by its own mean, so a row's
+rounding, and with it the run, does not depend on the batch; the field
+is evaluated at the centered rows by :func:`elements.field_batch`, the
+one field kernel, and q_c is read from both.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import elements
-from .elements import _center, _centered_quality, _field
-from .sphere import DegenerateConfigurationError, _root, _sigma, is_collinear, pi, tau
+from .elements import _measure
+from .sphere import DegenerateConfigurationError, _push, _root, _sigma, is_collinear, pi
 
 # Guard on q_c: relative acceptance slack, the halving budget per
 # iteration, and the drop ratio separating curvature overshoot (halving
@@ -95,12 +94,14 @@ def singularity_residual(kind: str, variant: str, p) -> tuple[float, float]:
 
     Returns ``(residual, lam)`` with ``lam = <tau(X_p), p>`` and
     ``residual = |tau(X_p) - lam p|``.  The residual vanishes exactly at
-    the singularities of the quotient field.
+    the singularities of the quotient field.  X is evaluated at p's
+    centered rows and both come from the flow kernel's own arithmetic,
+    so at a flow's final p they are its ``residual`` and ``lam`` to the bit.
     """
-    p = np.asarray(p, dtype=float)
-    t = tau(elements.field(kind, variant, p))
-    lam = float(np.vdot(t, p))
-    return float(np.linalg.norm(t - lam * p)), lam
+    P = np.ascontiguousarray(elements._check(kind, variant, p).T[None])
+    with np.errstate(divide="ignore", invalid="ignore"):  # q_c of coincident vertices
+        _, lam, residual = _push(P, _measure(kind, variant, P)[1])
+    return float(residual[0]), float(lam[0])
 
 
 def classify(kind: str, variant: str, p, tol: float = 1e-10) -> SingularityClass:
@@ -144,25 +145,16 @@ class Trajectory:
         return self.points[-1][3]
 
 
-def _measure(kind, variant, P):
-    """(P, X, q_c) for component-major rows P (B, 3, n) on N: the field and q_c."""
-    X = _field(kind, variant, P)
-    return P, X, _centered_quality(X, _center(P))[0]
-
-
-def _evaluate(kind, variant, P):
-    """(P, X, f, q_c) of a batch P (B, n, 3) on N: :func:`_measure` plus f.
-
-    P and X come back as component-major rows (B, 3, n).
-    """
-    P, X, Q = _measure(kind, variant, np.ascontiguousarray(P.swapaxes(1, 2)))
-    return P, X, np.vecdot(X.reshape(len(X), -1), P.reshape(len(P), -1)), Q
+def _state(kind, variant, P):
+    """(P, X, q_c) of component-major rows P (B, 3, n) on N, from :func:`elements._measure`."""
+    _, X, Q, _ = _measure(kind, variant, P)
+    return P, X, Q
 
 
 def _halve(kind, variant, P, V, Q, step, full, out):
     """Halve the steps P + step V that lowered q_c beyond the slack.
 
-    ``full`` holds :func:`_measure` of the full steps; a row's first
+    ``full`` holds :func:`_state` of the full steps; a row's first
     halved step that keeps q_c within the slack replaces it there.  A
     row keeps its full step, counted as a monotone break, when the
     halvings run out or barely shrink the decrease (a true negative slope).
@@ -177,7 +169,7 @@ def _halve(kind, variant, P, V, Q, step, full, out):
         if not rows.size:
             break
         step *= 0.5
-        half = _measure(kind, variant, _sigma(P[rows] + step * V[rows]))
+        half = _state(kind, variant, _sigma(P[rows] + step * V[rows]))
         shrunk = Q[rows] - half[2]
         ok = shrunk <= slack[rows]
         for dest, src in zip(full, half):
@@ -197,7 +189,7 @@ def _flow(kind, variant, P, settings, record=None):
     recorded and for the rows that stop.
     """
     elements._check(kind, variant, P[0])
-    P, X, _, Q = _evaluate(kind, variant, P)
+    P, X, Q = _state(kind, variant, np.ascontiguousarray(P.swapaxes(1, 2)))
     x = X.reshape(len(X), -1)
     bound = 3.0 * float(np.sqrt(np.vecdot(x, x)).max())
     if settings.step * bound >= 2.0:
@@ -217,10 +209,7 @@ def _flow(kind, variant, P, settings, record=None):
         for it in range(last + 1):
             # flat (B, 3n) views of the rows, for every inner product
             p, x = P.reshape(len(P), -1), X.reshape(len(X), -1)
-            t = (X - X[:, :, -1:]).reshape(p.shape)  # tau(X): the last column is exactly 0
-            lam = np.vecdot(t, p)
-            r = t - lam[:, None] * p  # = push_tangent(P, X), as |P| = 1
-            residual = np.sqrt(np.vecdot(r, r))
+            r, lam, residual = _push(P, X)
             if record is not None:
                 record(it, P, np.vecdot(x, p), residual, lam)
             converged = residual < tol
@@ -240,8 +229,8 @@ def _flow(kind, variant, P, settings, record=None):
                 # push_tangent(P, psi(X)) is R / sqrt|X|; X != 0 as |R| >= tol.
                 r = r / _root(x)[:, None]
             w = p + step * r  # pinned already
-            full = _measure(kind, variant,
-                            (w / np.sqrt(np.vecdot(w, w))[:, None]).reshape(P.shape))
+            full = _state(kind, variant,
+                          (w / np.sqrt(np.vecdot(w, w))[:, None]).reshape(P.shape))
             # One test catches a q_c drop and the NaN q_c of a bad norm.
             if np.count_nonzero(full[2] >= Q) < len(Q):
                 try:
@@ -249,7 +238,7 @@ def _flow(kind, variant, P, settings, record=None):
                     if np.count_nonzero(bad):
                         # A zero, overflowing or non-finite norm: _sigma rescues
                         # the step, or raises where it is not finite.
-                        half = _measure(kind, variant, _sigma(w.reshape(P.shape)[bad]))
+                        half = _state(kind, variant, _sigma(w.reshape(P.shape)[bad]))
                         for dest, src in zip(full, half):
                             dest[bad] = src
                     _halve(kind, variant, P, r.reshape(P.shape), Q, step, full, out)

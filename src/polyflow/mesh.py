@@ -19,10 +19,10 @@ A sweep makes one gather, one field pass and one scatter per kind, on
 the flow's component-major rows (E, 3, n): row e lists the x, then y,
 then z coordinates of element e's vertices.  One ``take`` of flat
 offsets, which the mesh compiles once for its topology (``Mesh.plan``),
-reads them; the field kernel's helpers in :mod:`elements`, which the
-flow uses too, center them, evaluate their field at the centered rows,
-so that q and the step stay exact far from the origin, and read q_c
-from both, and its volume <X, c> / 18.  Every sum runs along an
+reads them; ``elements._measure``, which measures the flow's states
+too, centers them, evaluates their field at the centered rows, so that
+q and the step stay exact far from the origin, and reads q_c from both,
+and its volume <X, c> / 18.  Every sum runs along an
 element's own row, so an element's q does not depend on how many
 elements share its kind.
 The step adds the (psi-rescaled) field rows to the flat vertex array
@@ -50,7 +50,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import elements as el
-from .elements import _center, _centered_quality, _field, _inner
+from .elements import _measure
 from .flow import FlowDivergenceError, FlowSettings
 from .jsontext import json_list
 from .sphere import DegenerateConfigurationError, psi
@@ -299,11 +299,9 @@ def _sweeps(m: Mesh, settings: FlowSettings | None = None, sweeps: int = 0,
             if step:
                 acc = np.zeros(flat.size)
             for (kind, _, pos), index in zip(m.groups, offsets):
-                C = _center(flat.take(index))
-                X = _field(kind, el.GRADIENT, C)
+                _, X, qc, inner = _measure(kind, el.GRADIENT, flat.take(index))
                 if report:
-                    qc, xc[pos] = _centered_quality(X, C)
-                    q[pos] = qc / (18.0 * el.Q_MAX[kind])
+                    xc[pos], q[pos] = inner, qc / (18.0 * el.Q_MAX[kind])
                 if step:
                     if settings.normalization == "psi":
                         X = psi(X)
@@ -353,9 +351,9 @@ def mesh_mean_volume(m: Mesh) -> float:
     element whose vertices coincide.
     """
     flat, xc = m.vertices.ravel(), np.empty(_size(m.groups))
-    for (kind, _, pos), index in zip(m.groups, m.plan[0]):
-        C = _center(flat.take(index))
-        xc[pos] = _inner(_field(kind, el.GRADIENT, C), C)
+    with np.errstate(divide="ignore", invalid="ignore"):  # q_c of coincident vertices
+        for (kind, _, pos), index in zip(m.groups, m.plan[0]):
+            xc[pos] = _measure(kind, el.GRADIENT, flat.take(index))[3]
     return float(xc.sum()) / 18.0
 
 
@@ -504,7 +502,9 @@ def mesh_from_dict(data) -> Mesh:
 def _read_json(path):
     """The parsed JSON file; malformed JSON raises MeshFormatError with its position.
 
-    The file must be UTF-8 text, as JSON requires.
+    The file must be UTF-8 text, as JSON requires.  Nesting too deep for
+    the parser, and an integer beyond Python's digit limit, are
+    malformed input too.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -513,6 +513,10 @@ def _read_json(path):
         raise MeshFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise MeshFormatError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise MeshFormatError("JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise MeshFormatError(str(exc).partition(";")[0]) from exc
 
 
 def load_mesh(path) -> Mesh:

@@ -3,7 +3,7 @@
 Coordinates come from a 64-bit linear congruential generator (multiplier
 6364136223846793005, increment 1442695040888963407, modulus 2**64).
 Each draw advances the state once and maps the top 53 bits to [0, 1);
-coordinates are stretched to [-1, 1] and consumed vertex by vertex in
+coordinates are stretched to [-1, 1) and consumed vertex by vertex in
 x, y, z order.  The initial state is the seed itself.  This is fully
 specified so results can be reproduced outside this library.
 """
@@ -37,13 +37,13 @@ class Lcg:
         return (self.next_uint() >> 11) / float(1 << 53)
 
     def next_coord(self) -> float:
-        """Uniform in [-1, 1]."""
+        """Uniform in [-1, 1): 2u - 1 for u = :meth:`next_unit` < 1."""
         return 2.0 * self.next_unit() - 1.0
 
 
 def random_configuration(kind: str, seed: int,
                          variant: str = elements.GRADIENT) -> np.ndarray:
-    """Seeded random configuration with coordinates i.i.d. uniform in [-1, 1].
+    """Seeded random configuration with coordinates i.i.d. uniform in [-1, 1).
 
     Configurations whose f value after projection to N is within
     ``F_REJECT`` of zero are rejected and redrawn, so sampling never

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import elements
 from .jsontext import json_list
-from .sphere import pi, tau, is_collinear
+from .sphere import _push, pi, tau, is_collinear
 
 GROUPING_TOL = 1e-4
 ZERO_TOL = 1e-6
@@ -52,9 +52,8 @@ def pushed_field(kind: str, variant: str, p) -> np.ndarray:
     Vanishes exactly at critical configurations; always orthogonal to
     pi(p) with last vertex zero.
     """
-    q = pi(p)
-    t = tau(elements.field(kind, variant, q))
-    return t - np.vdot(t, q) * q
+    P = np.ascontiguousarray(elements._check(kind, variant, pi(p)).T[None])
+    return _push(P, elements._measure(kind, variant, P)[1])[0].reshape(3, -1).T
 
 
 def _raw_jacobian(kind, variant, p):

@@ -105,6 +105,21 @@ def push_tangent(p, v) -> np.ndarray:
     return (w - wp / pp * p) / np.sqrt(pp)
 
 
+def _push(P, X):
+    """(r, lam, |r|) of the field rows X at the component-major rows P (B, 3, n) on N.
+
+    t = tau(X) is X minus its last column, lam = <t, p>, and
+    r = t - lam p, flat (B, 3n), is :func:`push_tangent` of X at p, as
+    |p| = 1.  The one rule of the fixed-point equation: the flow kernel,
+    ``flow.singularity_residual`` and ``spectral.pushed_field`` apply it.
+    """
+    p = P.reshape(len(P), -1)
+    t = (X - X[:, :, -1:]).reshape(p.shape)  # the last column is exactly 0
+    lam = np.vecdot(t, p)
+    r = t - lam[:, None] * p
+    return r, lam, np.sqrt(np.vecdot(r, r))
+
+
 def psi(v) -> np.ndarray:
     """Square-root norm rescaling: v / sqrt(|v|), with 0 mapped to 0.
 

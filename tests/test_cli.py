@@ -373,6 +373,33 @@ class TestDegenerateConfiguration:
         assert capsys.readouterr().err == f"malformed input: {message}\n"
 
 
+_TET = '[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, %s]]'
+
+
+class TestParserLimits:
+    # JSON that the parser itself gives up on: too deep for its recursion,
+    # or an integer beyond Python's digit limit for int()
+    @pytest.mark.parametrize("command", [
+        ["smooth", "--input"],
+        ["spectrum", "--type", "tetrahedron", "--at"],
+        ["classify", "--type", "tetrahedron", "--input"],
+        ["regularize", "--type", "tetrahedron", "--input"],
+    ], ids=["smooth", "spectrum", "classify", "regularize"])
+    @pytest.mark.parametrize("text,needle", [
+        ("[" * 2000 + "]" * 2000, "nested too deeply"),
+        ('{"vertices": %s}' % (_TET % ("1" * 5000)), "digits"),
+        ('{"vertices": %s, "elements": [{"type": "tetrahedron", "nodes": [0, 1, 2, %s]}]}'
+         % (_TET % 1, "3" * 5000), "digits"),
+    ], ids=["deep", "long coordinate", "long node index"])
+    def test_exit_65(self, capsys, tmp_path, command, text, needle):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert cli.main(command + [str(path)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input:") and needle in err
+        assert len(err.splitlines()) == 1
+
+
 class TestClassify:
     def test_reference_pyramid(self, capsys, tmp_path):
         path = tmp_path / "pyr.json"

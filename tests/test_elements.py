@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import polyflow as pf
-from polyflow.flow import _field
+from polyflow.elements import _field
 
 from conftest import finite_points
 

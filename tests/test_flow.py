@@ -1,11 +1,14 @@
 """Tests for singularity classification and the discrete regularizing flow."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import polyflow as pf
 from polyflow import flow
-from polyflow.flow import ACCEPT_SLACK, _edge_lengths, _evaluate
+from polyflow.elements import _measure
+from polyflow.flow import ACCEPT_SLACK, _edge_lengths
 
 
 ALL_PAIRS = [(kind, variant) for kind in pf.KINDS
@@ -19,6 +22,13 @@ def _centered_quality(kind, variant, p):
     """Oracle for q_c = <X, c> / |c|^3, c = p minus its centroid."""
     c = p - p.mean(axis=0)
     return float(np.vdot(pf.field(kind, variant, p), c)) / np.linalg.norm(c) ** 3
+
+
+def _measured(kind, variant, P):
+    """(C, X, q_c, <X, c>) of ``elements._measure`` on a batch P (B, n, 3) on N, plus f = <X, p>."""
+    R = np.ascontiguousarray(P.swapaxes(1, 2))
+    C, X, q, xc = _measure(kind, variant, R)
+    return C, X, q, xc, np.vecdot(X.reshape(len(X), -1), R.reshape(len(R), -1))
 
 
 def _prism(a: float, h: float) -> np.ndarray:
@@ -83,6 +93,13 @@ class TestSingularityResidual:
         p = pf.pi(rng.normal(size=(4, 3)))
         res, _ = pf.singularity_residual("tetrahedron", pf.GRADIENT, p)
         assert res > 1e-4
+
+    def test_coincident_vertices_are_zero_without_warning(self):
+        # the field is measured with q_c, which is 0/0 here; numpy stays quiet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pf.singularity_residual("tetrahedron", pf.GRADIENT,
+                                           np.ones((4, 3))) == (0.0, 0.0)
 
 
 class TestClassify:
@@ -219,7 +236,7 @@ class TestIntegrate:
             t = pf.integrate(kind, variant,
                              pf.random_configuration(kind, seed, variant))
             P = np.stack([row[1] for row in t.points])
-            q = _evaluate(kind, variant, P)[3]
+            q = _measured(kind, variant, P)[2]
             oracle = [_centered_quality(kind, variant, p) for p in P]
             assert np.abs(q - oracle).max() < 1e-12
             falls = q[:-1] - q[1:] > ACCEPT_SLACK * np.maximum(1.0, np.abs(q[:-1]))
@@ -337,14 +354,36 @@ class TestIntegrateBatch:
 
     @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
     def test_rows_evaluate_as_alone(self, kind, variant):
-        # the kernel's arithmetic is per row: a row's field, f and q_c are
-        # bitwise the same in a batch of 100 as in a batch of one
+        # the kernel's arithmetic is per row: a row's centered rows, field,
+        # q_c, <X, c> and f are bitwise the same in a batch of 100 as in a
+        # batch of one
         P = np.stack([pf.pi(pf.random_configuration(kind, s, variant))
                       for s in range(100)])
-        batch = _evaluate(kind, variant, P)
+        batch = _measured(kind, variant, P)
         for i in range(len(P)):
-            for a, b in zip(batch, _evaluate(kind, variant, P[i:i + 1])):
+            for a, b in zip(batch, _measured(kind, variant, P[i:i + 1])):
                 assert np.array_equal(a[i], b[0]), i
+
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_classify_reads_the_kernels_residual_and_lambda(self, kind, variant):
+        # one rule for lambda and the residual, on the field at the centered
+        # rows: classify at the final p repeats the kernel's numbers bit for bit
+        P0 = np.stack([pf.random_configuration(kind, s, variant) for s in range(10)])
+        out = pf.integrate_batch(kind, variant, P0)
+        for i, p in enumerate(out["p"]):
+            cls = pf.classify(kind, variant, p)
+            assert (cls.residual, cls.lam) == (out["residual"][i], out["lam"][i]), i
+
+    @pytest.mark.parametrize("kind", pf.KINDS)
+    def test_final_quality_is_the_mesh_quality(self, kind):
+        # the flow's q_c at its final state, over the kind's ceiling, is the
+        # quality_report q of a one-element mesh of that shape, bit for bit
+        P0 = np.stack([pf.random_configuration(kind, s) for s in range(20)])
+        out = pf.integrate_batch(kind, pf.GRADIENT, P0)
+        qc = flow._state(kind, pf.GRADIENT, np.ascontiguousarray(out["p"].swapaxes(1, 2)))[2]
+        for i, p in enumerate(out["p"]):
+            m = pf.Mesh(p, [(kind, tuple(range(len(p))))], [])
+            assert qc[i] / (18.0 * pf.Q_MAX[kind]) == pf.quality_report(m).per_element_q[0], i
 
     def test_all_converge(self):
         batch = np.stack([pf.pi(pf.random_configuration("octahedron", s))
