@@ -29,7 +29,7 @@ for row in traj.points[:: max(1, len(traj.points) // 8)]:
 cls = pf.classify(KIND, pf.GRADIENT, traj.p_final)
 mf = pf.shape_metrics(KIND, traj.p_final)
 print(f"converged: {traj.converged} after {traj.iterations} iterations "
-      f"({traj.halvings} halvings, {traj.monotone_breaks} downhill steps)")
+      f"({traj.monotone_breaks} downhill steps)")
 print(f"classification: {cls.tag} (lambda = {cls.lam:+.6f})")
 print(f"final edge spread: {mf['edge_length_spread']:.2e}  "
       f"(a regular tetrahedron has spread 0)")

@@ -258,7 +258,7 @@ def _measure(kind, variant, P):
     its rounding does not depend on the batch; X is the field evaluated
     at C, which keeps it exact far from the origin; and
     q_c = <X, c> / |c|^3.  The one measure of a configuration: the flow's
-    state and guard, the mesh's quality (q_c up to the kind's ceiling)
+    state and monitor, the mesh's quality (q_c up to the kind's ceiling)
     and every volume (<X, c> / 18 of the gradient field) read it.
     """
     C = P - np.vecdot(P, _MEAN[P.shape[2]])[..., None]

@@ -7,13 +7,13 @@ iteration are exactly the configurations where the pinned field is
 radial, i.e. tau(X_p) = lambda p.  One batched kernel runs the flow;
 :func:`integrate` is a batch of one that records every iteration.
 
-The guard watches the centered quality q_c = <X, c> / |c|^3, c = p minus
-its centroid, which the flow ascends: modulo translations a step is
-X - lambda' c, and <grad q_c, X - lambda' c> ~ |X|^2 |c|^2 - <X, c>^2 >= 0.
-A step that lowers q_c is halved; where halving cannot cure the decrease
-(a field that is not a gradient, such as prism y) the full step is taken
-and counted in ``monotone_breaks``.  The pinned f = <X, p> is recorded
-but not guarded: it depends on the gauge and is not monotone.
+Each candidate step is measured once and taken.  A monitor watches the
+centered quality q_c = <X, c> / |c|^3, c = p minus its centroid, which
+the flow ascends: modulo translations a step is X - lambda' c, and
+<grad q_c, X - lambda' c> ~ |X|^2 |c|^2 - <X, c>^2 >= 0.  Steps that
+lower q_c all the same (prism y is not a gradient; a step may overshoot)
+are counted in ``monotone_breaks``.  The pinned f = <X, p> is recorded
+but not monitored: it depends on the gauge and is not monotone.
 
 The kernel holds its batch as component-major rows (B, 3, n): row b
 lists the x, then y, then z coordinates of configuration b.  Every
@@ -21,7 +21,7 @@ inner product is one ``np.vecdot`` over the flat (B, 3n) view, and tau
 is one subtraction of the last column (``sphere._push``, which
 :func:`singularity_residual` and ``spectral.pushed_field`` apply too).
 A step is normalized by one norm; a zero, overflowing or non-finite
-norm leaves a NaN q_c, which the guard's one test catches before
+norm leaves a NaN q_c, which the monitor's one test catches before
 :func:`sphere.sigma`'s rescue runs.  The state and every candidate step
 are measured by ``elements._measure``, as the mesh smoother measures its
 elements: the rows are centered, each by its own mean, so a row's
@@ -42,13 +42,9 @@ from . import elements
 from .elements import _measure
 from .sphere import DegenerateConfigurationError, _push, _root, _sigma, is_collinear, pi
 
-# Guard on q_c: relative acceptance slack, the halving budget per
-# iteration, and the drop ratio separating curvature overshoot (halving
-# shrinks the decrease quadratically) from a genuine negative slope
-# (the decrease shrinks only linearly, so halving cannot cure it).
+# The relative slack of the q_c monitor: a step that lowers q_c by more
+# than ACCEPT_SLACK * max(1, |q_c|) is counted as a monotone break.
 ACCEPT_SLACK = 1e-13
-MAX_HALVINGS_PER_STEP = 8
-DIP_DROP_RATIO = 0.3
 LAMBDA_TOL = 1e-8
 
 
@@ -97,8 +93,12 @@ def singularity_residual(kind: str, variant: str, p) -> tuple[float, float]:
     the singularities of the quotient field.  X is evaluated at p's
     centered rows and both come from the flow kernel's own arithmetic,
     so at a flow's final p they are its ``residual`` and ``lam`` to the bit.
+    A non-finite coordinate raises :class:`DegenerateConfigurationError`.
     """
     P = np.ascontiguousarray(elements._check(kind, variant, p).T[None])
+    if not np.isfinite(P).all():
+        raise DegenerateConfigurationError(
+            "cannot measure a configuration with non-finite coordinates")
     with np.errstate(divide="ignore", invalid="ignore"):  # q_c of coincident vertices
         _, lam, residual = _push(P, _measure(kind, variant, P)[1])
     return float(residual[0]), float(lam[0])
@@ -111,7 +111,8 @@ def classify(kind: str, variant: str, p, tol: float = 1e-10) -> SingularityClass
     below ``tol`` and ``|lam|`` above ``LAMBDA_TOL``; a small residual
     with small ``|lam|`` is ``level0_singular``.  Collinear
     configurations are never classified optimal.  ``tol`` must be
-    positive, as in :class:`FlowSettings`.
+    positive, as in :class:`FlowSettings`; a non-finite coordinate raises
+    :class:`DegenerateConfigurationError`, as in :func:`singularity_residual`.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -133,7 +134,7 @@ class Trajectory:
     points: list = dataclass_field(default_factory=list)  # (iter, p, f, residual, lam)
     converged: bool = False
     iterations: int = 0
-    halvings: int = 0
+    halvings: int = 0  # always 0: the flow takes every step at full length
     monotone_breaks: int = 0
 
     @property
@@ -145,41 +146,6 @@ class Trajectory:
         return self.points[-1][3]
 
 
-def _state(kind, variant, P):
-    """(P, X, q_c) of component-major rows P (B, 3, n) on N, from :func:`elements._measure`."""
-    _, X, Q, _ = _measure(kind, variant, P)
-    return P, X, Q
-
-
-def _halve(kind, variant, P, V, Q, step, full, out):
-    """Halve the steps P + step V that lowered q_c beyond the slack.
-
-    ``full`` holds :func:`_state` of the full steps; a row's first
-    halved step that keeps q_c within the slack replaces it there.  A
-    row keeps its full step, counted as a monotone break, when the
-    halvings run out or barely shrink the decrease (a true negative slope).
-    """
-    slack = ACCEPT_SLACK * np.maximum(1.0, np.abs(Q))
-    drop = Q - full[2]
-    rows = np.flatnonzero(drop > slack)
-    drop = drop[rows]
-    out["monotone_breaks"] += rows.size
-    out["halvings"] += rows.size
-    for _ in range(MAX_HALVINGS_PER_STEP):
-        if not rows.size:
-            break
-        step *= 0.5
-        half = _state(kind, variant, _sigma(P[rows] + step * V[rows]))
-        shrunk = Q[rows] - half[2]
-        ok = shrunk <= slack[rows]
-        for dest, src in zip(full, half):
-            dest[rows[ok]] = src[ok]
-        out["monotone_breaks"] -= rows[ok].size
-        retry = ~ok & (shrunk <= DIP_DROP_RATIO * drop)
-        rows, drop = rows[retry], shrunk[retry]
-        out["halvings"] += rows.size
-
-
 def _flow(kind, variant, P, settings, record=None):
     """The flow kernel: run each configuration of P (B, n, 3) on N to its end.
 
@@ -189,7 +155,8 @@ def _flow(kind, variant, P, settings, record=None):
     recorded and for the rows that stop.
     """
     elements._check(kind, variant, P[0])
-    P, X, Q = _state(kind, variant, np.ascontiguousarray(P.swapaxes(1, 2)))
+    P = np.ascontiguousarray(P.swapaxes(1, 2))
+    _, X, Q, _ = _measure(kind, variant, P)
     x = X.reshape(len(X), -1)
     bound = 3.0 * float(np.sqrt(np.vecdot(x, x)).max())
     if settings.step * bound >= 2.0:
@@ -204,7 +171,7 @@ def _flow(kind, variant, P, settings, record=None):
     step, tol, last = settings.step, settings.tol, settings.max_iters
     psi = settings.normalization == "psi"
     # A step whose norm is zero, overflows or is not finite gives a NaN q_c,
-    # which the guard catches; numpy's warnings about it are muted.
+    # which the monitor catches; numpy's warnings about it are muted.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for it in range(last + 1):
             # flat (B, 3n) views of the rows, for every inner product
@@ -229,22 +196,21 @@ def _flow(kind, variant, P, settings, record=None):
                 # push_tangent(P, psi(X)) is R / sqrt|X|; X != 0 as |R| >= tol.
                 r = r / _root(x)[:, None]
             w = p + step * r  # pinned already
-            full = _state(kind, variant,
-                          (w / np.sqrt(np.vecdot(w, w))[:, None]).reshape(P.shape))
+            P = (w / np.sqrt(np.vecdot(w, w))[:, None]).reshape(P.shape)
+            _, X, Qn, _ = _measure(kind, variant, P)
             # One test catches a q_c drop and the NaN q_c of a bad norm.
-            if np.count_nonzero(full[2] >= Q) < len(Q):
-                try:
-                    bad = np.isnan(full[2])
-                    if np.count_nonzero(bad):
-                        # A zero, overflowing or non-finite norm: _sigma rescues
-                        # the step, or raises where it is not finite.
-                        half = _state(kind, variant, _sigma(w.reshape(P.shape)[bad]))
-                        for dest, src in zip(full, half):
-                            dest[bad] = src
-                    _halve(kind, variant, P, r.reshape(P.shape), Q, step, full, out)
-                except DegenerateConfigurationError as exc:
-                    raise FlowDivergenceError(it) from exc
-            P, X, Q = full
+            if np.count_nonzero(Qn >= Q) < len(Q):
+                if np.count_nonzero(np.isnan(Qn)):
+                    # A zero, overflowing or non-finite norm: _sigma rescues the
+                    # step (the other rows keep their bits) or raises if not finite.
+                    try:
+                        P = _sigma(w.reshape(P.shape))
+                    except DegenerateConfigurationError as exc:
+                        raise FlowDivergenceError(it) from exc
+                    _, X, Qn, _ = _measure(kind, variant, P)
+                out["monotone_breaks"] += int(np.count_nonzero(
+                    Q - Qn > ACCEPT_SLACK * np.maximum(1.0, np.abs(Q))))
+            Q = Qn
     return out
 
 
@@ -270,11 +236,11 @@ def integrate_batch(kind: str, variant: str, P0,
                     settings: FlowSettings = FlowSettings()):
     """Run many independent trajectories of the same kind at once.
 
-    The kernel of :func:`integrate` without the per-iteration record; its
-    guard halves a step that lowers the centered quality q_c.  Returns a
-    dict of terminal arrays: ``p`` (B, n, 3), ``residual``, ``lam``, ``f``
-    (B,), ``iterations`` (B,), ``converged`` (B,) bool, plus the total
-    ``halvings`` and ``monotone_breaks``, the steps taken although q_c fell.
+    The kernel of :func:`integrate` without the per-iteration record.
+    Returns a dict of terminal arrays: ``p`` (B, n, 3), ``residual``,
+    ``lam``, ``f`` (B,), ``iterations`` (B,), ``converged`` (B,) bool,
+    plus the totals ``monotone_breaks`` and ``halvings``, which is
+    always 0 (no step is halved) and stays for the callers that read it.
     """
     return _flow(kind, variant, pi(P0), settings)
 
@@ -288,7 +254,7 @@ def shape_metrics(kind: str, p) -> dict:
     edge length of that face; the maximum over faces is reported (0 for
     kinds with only triangular faces).
     """
-    p = np.asarray(p, dtype=float)
+    p = elements._check(kind, elements.GRADIENT, p)
     lengths = _edge_lengths(kind, p[None])
     planarity = 0.0
     for cycle in elements.QUAD_FACES[kind]:

@@ -385,7 +385,8 @@ def smooth_step(m: Mesh, settings: FlowSettings = FlowSettings()) -> Mesh:
     Every element's gradient field is evaluated (square-root rescaled
     per element under the ``psi`` normalization); each vertex averages
     the contributions of the elements containing it; free vertices move
-    by step times that average.  Fixed vertices are returned bitwise
+    by step times that average; of ``settings`` only ``step`` and
+    ``normalization`` are read.  Fixed vertices are returned bitwise
     unchanged.
     """
     return m.with_vertices(_sweeps(m, settings, 1, report=False)[0])
@@ -404,6 +405,8 @@ def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
     unchanged with a warning.
     A step that leaves an element's quality non-finite raises
     :class:`FlowDivergenceError` with the iteration of the state it leads to.
+    Only ``settings.step`` and ``settings.normalization`` are read: the
+    sweep budget is ``max_iters`` and the stop rule ``quality_tol``.
     """
     if len(m.fixed) >= len(m.vertices):
         reports = [quality_report(m)]

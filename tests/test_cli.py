@@ -74,12 +74,13 @@ class TestRegularize:
         assert doc["iterations"] > 0
 
     def test_non_gradient_field_reports_guard_counts(self, capsys):
-        # prism y is not a gradient: the q_c guard halves and breaks
+        # prism y is not a gradient: the q_c monitor counts breaks, and the
+        # flow, which takes every step at full length, reports 0 halvings
         rc = cli.main(["regularize", "--type", "prism", "--field", "y-variant",
                        "--random", "0"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["halvings"] >= doc["monotone_breaks"] > 0
+        assert doc["halvings"] == 0 < doc["monotone_breaks"]
 
     def test_cube_is_already_optimal(self, capsys, cube_config):
         rc = cli.main(["regularize", "--type", "hexahedron",

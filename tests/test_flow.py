@@ -136,6 +136,16 @@ class TestClassify:
             pf.classify("tetrahedron", pf.GRADIENT,
                         pf.pi(pf.reference_optimal("tetrahedron")), tol=tol)
 
+    @pytest.mark.parametrize("measure", [pf.classify, pf.singularity_residual])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_configuration_is_degenerate(self, measure, bad):
+        # as pi does: no residual of NaN and no SVD of a non-finite
+        # configuration is returned or attempted
+        p = pf.pi(pf.reference_optimal("tetrahedron"))
+        p[1, 2] = bad
+        with pytest.raises(pf.DegenerateConfigurationError, match="non-finite"):
+            measure("tetrahedron", pf.GRADIENT, p)
+
 
 class TestFlowSettings:
     def test_defaults(self):
@@ -271,19 +281,39 @@ class TestIntegrate:
                                               ("prism", pf.Y_VARIANT)])
     def test_overflowing_norm_matches_sphere_operation_reference(
             self, kind, variant, step, normalization):
-        # |P + s V|^2 overflows although every entry is finite: the guard
+        # |P + s V|^2 overflows although every entry is finite: the monitor
         # sees the NaN q_c of that norm and sigma's rescue normalizes the
-        # step.  Every halving leaves q_c falling, so each full step is kept.
+        # step, which is taken at full length although q_c falls.
         settings = pf.FlowSettings(step=step, max_iters=5, normalization=normalization)
         p = pf.pi(pf.random_configuration(kind, 2, variant))
         t = pf.integrate(kind, variant, p, settings)
         assert len(t.points) == 6
-        assert t.halvings == t.monotone_breaks > 0
+        assert t.halvings == 0 < t.monotone_breaks
         for it, q, *_ in t.points:
             assert np.abs(q - p).max() < 1e-13, it
             X = pf.field(kind, variant, p)
             w = pf.psi(X) if normalization == "psi" else X
             p = pf.pi(p + step * pf.push_tangent(p, w))
+
+    def test_each_step_is_measured_once(self, monkeypatch):
+        # the flow takes every candidate step: one measure of the start and
+        # one per iteration, even on prism y, whose steps lower q_c
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _measure(*args)
+
+        monkeypatch.setattr(flow, "_measure", counted)
+        breaks = 0
+        for seed in range(5):
+            calls.clear()
+            t = pf.integrate("prism", pf.Y_VARIANT,
+                             pf.random_configuration("prism", seed, pf.Y_VARIANT))
+            assert len(calls) == t.iterations + 1, seed
+            assert t.halvings == 0, seed
+            breaks += t.monotone_breaks
+        assert breaks > 0
 
     def test_non_finite_step_diverges(self, monkeypatch):
         # a zero psi divisor makes P + s V non-finite: sigma's rescue
@@ -380,7 +410,7 @@ class TestIntegrateBatch:
         # quality_report q of a one-element mesh of that shape, bit for bit
         P0 = np.stack([pf.random_configuration(kind, s) for s in range(20)])
         out = pf.integrate_batch(kind, pf.GRADIENT, P0)
-        qc = flow._state(kind, pf.GRADIENT, np.ascontiguousarray(out["p"].swapaxes(1, 2)))[2]
+        qc = _measure(kind, pf.GRADIENT, np.ascontiguousarray(out["p"].swapaxes(1, 2)))[2]
         for i, p in enumerate(out["p"]):
             m = pf.Mesh(p, [(kind, tuple(range(len(p))))], [])
             assert qc[i] / (18.0 * pf.Q_MAX[kind]) == pf.quality_report(m).per_element_q[0], i
@@ -416,6 +446,13 @@ class TestShapeMetrics:
     def test_mirrored_sign(self):
         p = pf.reference_optimal("tetrahedron") * np.array([1.0, 1.0, -1.0])
         assert pf.shape_metrics("tetrahedron", p)["orientation_sign"] == -1
+
+    def test_checks_kind_and_shape(self):
+        # the same messages as every other entry point
+        with pytest.raises(ValueError, match="unknown element kind 'cube'"):
+            pf.shape_metrics("cube", pf.reference_optimal("hexahedron"))
+        with pytest.raises(ValueError, match=r"expects shape \(4, 3\)"):
+            pf.shape_metrics("tetrahedron", pf.reference_optimal("hexahedron"))
 
     @pytest.mark.parametrize("kind", pf.KINDS)
     def test_edge_lengths_are_norms(self, rng, kind):
