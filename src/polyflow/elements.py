@@ -25,8 +25,10 @@ and contracts them with the batch on the M axis of one matrix product,
 so that a configuration's value does not depend on the batch it is
 evaluated in.  The flow and the mesh read the one measure of a
 configuration from here (``_measure``: the centered rows, the field at
-them, q_c and <X, c>), and every volume is <X, c> / 18 of the gradient
-field at the centered rows (Euler's identity).
+them, q_c, <X, c> and <X, X>), and every volume is <X, c> / 18 of the
+gradient field at the centered rows (Euler's identity).  The measure
+writes into buffers that the caller may keep (the flow's workspace),
+and the kernel writes the field into them through ``out=``.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def field(kind: str, variant: str, p) -> np.ndarray:
     return field_batch(kind, variant, _check(kind, variant, p)[None])[0]
 
 
-def field_batch(kind: str, variant: str, P) -> np.ndarray:
+def field_batch(kind: str, variant: str, P, out=None) -> np.ndarray:
     """Evaluate the field on a batch of configurations, shape (B, n, 3).
 
     The kernel works on batch-minor rows Q (3n, B): row c n + i holds
@@ -109,6 +111,10 @@ def field_batch(kind: str, variant: str, P) -> np.ndarray:
     configuration is three rows of one gemm, and its value does not
     depend on B.  The result is a (B, n, 3) view of (3, B, n) memory: at
     B = 1 a view of component-major rows.
+
+    ``out``, a (B, n, 3) view of component-major rows (B, 3, n), receives
+    the result instead: at B = 1 the gemm writes the rows in place, at
+    B > 1 its (3, B, n) result is copied in.  The bits are the same.
     """
     P = np.asarray(P, dtype=float)
     B, n, _ = P.shape
@@ -121,8 +127,14 @@ def field_batch(kind: str, variant: str, P) -> np.ndarray:
     F = Q.take(factors, axis=0)  # (2, 2, K, 3, B)
     prod = F[0]
     prod *= F[1]
-    X = prod.reshape(-1, 3 * B).T @ WT
-    return X.reshape(3, B, n).transpose(1, 2, 0)
+    A = prod.reshape(-1, 3 * B).T
+    if out is None:
+        return (A @ WT).reshape(3, B, n).transpose(1, 2, 0)
+    if B == 1:
+        np.matmul(A, WT, out=out[0].T)
+    else:
+        out.transpose(2, 0, 1)[...] = (A @ WT).reshape(3, B, n)
+    return out
 
 
 def f_value(kind: str, variant: str, p) -> float:
@@ -240,32 +252,52 @@ _COMPILED["prism", Y_VARIANT] = _compile(1, [
 _MEAN = {n: np.full(n, 1.0 / n) for n in set(VERTEX_COUNT.values())}
 
 
-def _field(kind, variant, P):
-    """The field of the component-major rows P (B, 3, n), as contiguous rows (B, 3, n).
+def _measure_buffers(B, n):
+    """The arrays :func:`_measure` writes for B configurations of n vertices, as its views.
 
-    The one conversion between these rows and the (B, n, 3) layout of
-    :func:`field_batch`.  The kernel's result is (3, B, n) memory, which
-    at B = 1 already is the contiguous rows; at B > 1 it is copied once.
+    Returns C and X (B, 3, n), halves of one stack S (2, B, 3, n), and
+    their (B, n, 3) views for :func:`field_batch`; the centroids (B, 3, 1)
+    and their (B, 3) view; S as flat rows (2, B, 3n), and as the operands
+    of the dots D = [[<c, c>, <c, X>], [<X, c>, <X, X>]] (2, 2, B) of
+    every pair; D and its column [<c, c>, <X, c>]; <c, c>, <X, c> and
+    <X, X>; and q_c (B,).
     """
-    X = field_batch(kind, variant, P.swapaxes(1, 2)).swapaxes(1, 2)
-    return np.ascontiguousarray(X)
+    S, D, mean = np.empty((2, B, 3, n)), np.empty((2, 2, B)), np.empty((B, 3, 1))
+    s = S.reshape(2, B, 3 * n)
+    return (S[0], S[1], S[0].swapaxes(1, 2), S[1].swapaxes(1, 2), mean, mean[..., 0],
+            s, s[:, None], s[None], D, D[:, 0], D[0, 0], D[1, 0], D[1, 1], np.empty(B))
 
 
-def _measure(kind, variant, P):
-    """(C, X, q_c, <X, c>) per configuration of the component-major rows P (B, 3, n).
+def _measure(kind, variant, P, out=None):
+    """(C, X, q_c, <X, c>, <X, X>) per configuration of the component-major rows P (B, 3, n).
 
     C is P minus its centroid, each row centered by its own mean so that
     its rounding does not depend on the batch; X is the field evaluated
     at C, which keeps it exact far from the origin; and
     q_c = <X, c> / |c|^3.  The one measure of a configuration: the flow's
     state and monitor, the mesh's quality (q_c up to the kind's ceiling)
-    and every volume (<X, c> / 18 of the gradient field) read it.
+    and every volume (<X, c> / 18 of the gradient field) read it, and
+    psi's divisor is read from <X, X>.  ``out``, from
+    :func:`_measure_buffers`, is written in place; without it the
+    buffers are allocated.  At B = 1 one ``vecdot`` forms all four dots
+    of [c, X] (a call costs more than a spare dot there); at B > 1 two
+    calls form the three that are read.
     """
-    C = P - np.vecdot(P, _MEAN[P.shape[2]])[..., None]
-    X = _field(kind, variant, C)
-    c = C.reshape(len(C), -1)
-    xc, cc = np.vecdot(X.reshape(len(X), -1), c), np.vecdot(c, c)
-    return C, X, xc / (cc * np.sqrt(cc)), xc
+    if out is None:
+        out = _measure_buffers(len(P), P.shape[2])
+    C, X, Cv, Xv, mean, centroid, s, left, right, dots, with_c, cc, xc, xx, q = out
+    np.vecdot(P, _MEAN[P.shape[2]], out=centroid)
+    np.subtract(P, mean, out=C)
+    field_batch(kind, variant, Cv, out=Xv)
+    if len(P) == 1:
+        np.vecdot(left, right, out=dots)
+    else:
+        np.vecdot(s, s[0], out=with_c)
+        np.vecdot(s[1], s[1], out=xx)
+    np.sqrt(cc, out=q)
+    np.multiply(cc, q, out=q)
+    np.divide(xc, q, out=q)
+    return C, X, q, xc, xx
 
 
 def mean_volume_batch(kind: str, P) -> np.ndarray:

@@ -27,7 +27,19 @@ are measured by ``elements._measure``, as the mesh smoother measures its
 elements: the rows are centered, each by its own mean, so a row's
 rounding, and with it the run, does not depend on the batch; the field
 is evaluated at the centered rows by :func:`elements.field_batch`, the
-one field kernel, and q_c is read from both.
+one field kernel, and q_c is read from both; psi's divisor sqrt|X| is
+read from the measure's <X, X>.
+
+The kernel steps its batch in place, in one workspace per set of
+running rows (:func:`_workspace`), allocated at the start and again only
+when rows stop.  Every step writes into it through ufunc ``out=``
+arguments, with the same operations as on fresh arrays, so the runs
+are bit for bit the same; ``record`` receives workspace views, valid
+only during the call.  The step w is formed before the convergence
+test, so that one ``vecdot`` of the stack [r, w] gives <r, r> and
+<w, w>, and residual < tol is tested as <r, r> < s, for s the least
+float whose root reaches tol: the same test, as sqrt is correctly
+rounded.
 """
 
 from __future__ import annotations
@@ -35,12 +47,14 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field as dataclass_field
+from numbers import Integral
 
 import numpy as np
 
 from . import elements
-from .elements import _measure
-from .sphere import DegenerateConfigurationError, _push, _root, _sigma, is_collinear, pi
+from .elements import _measure, _measure_buffers
+from .sphere import (DegenerateConfigurationError, _column, _push, _push_views, _root,
+                     _sigma, is_collinear, pi)
 
 # The relative slack of the q_c monitor: a step that lowers q_c by more
 # than ACCEPT_SLACK * max(1, |q_c|) is counted as a monotone break.
@@ -56,6 +70,12 @@ class FlowDivergenceError(RuntimeError):
         self.iteration = iteration
 
 
+def _check_tol(tol):
+    """Raise ValueError unless 0 < tol < inf: residual < inf holds for every finite residual."""
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 @dataclass(frozen=True)
 class FlowSettings:
     """Parameters of the discrete flow."""
@@ -68,10 +88,11 @@ class FlowSettings:
     def __post_init__(self):
         if not 0 < self.step < float("inf"):
             raise ValueError(f"step must be positive and finite, got {self.step}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)
+                or self.max_iters < 1):
+            raise ValueError(f"max_iters must be an integer of at least 1, "
+                             f"got {self.max_iters!r}")
+        _check_tol(self.tol)
         if self.normalization not in ("psi", "none"):
             raise ValueError("normalization must be 'psi' or 'none'")
 
@@ -100,8 +121,8 @@ def singularity_residual(kind: str, variant: str, p) -> tuple[float, float]:
         raise DegenerateConfigurationError(
             "cannot measure a configuration with non-finite coordinates")
     with np.errstate(divide="ignore", invalid="ignore"):  # q_c of coincident vertices
-        _, lam, residual = _push(P, _measure(kind, variant, P)[1])
-    return float(residual[0]), float(lam[0])
+        r, lam = _push(P, _measure(kind, variant, P)[1])
+    return float(np.sqrt(np.vecdot(r, r))[0]), float(lam[0])
 
 
 def classify(kind: str, variant: str, p, tol: float = 1e-10) -> SingularityClass:
@@ -111,11 +132,11 @@ def classify(kind: str, variant: str, p, tol: float = 1e-10) -> SingularityClass
     below ``tol`` and ``|lam|`` above ``LAMBDA_TOL``; a small residual
     with small ``|lam|`` is ``level0_singular``.  Collinear
     configurations are never classified optimal.  ``tol`` must be
-    positive, as in :class:`FlowSettings`; a non-finite coordinate raises
+    positive and finite, as in :class:`FlowSettings`: an infinite tol
+    would call any start a fixed point.  A non-finite coordinate raises
     :class:`DegenerateConfigurationError`, as in :func:`singularity_residual`.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     residual, lam = singularity_residual(kind, variant, p)
     if residual >= tol:
         return SingularityClass("nonsingular", lam, residual)
@@ -146,71 +167,125 @@ class Trajectory:
         return self.points[-1][3]
 
 
+def _squared_tol(tol):
+    """The least float s whose square root rounds to tol or more.
+
+    sqrt is monotone on floats, so sqrt(rr) < tol exactly when rr < s,
+    NaN included: the flow takes the root only of the rows it reports.
+    """
+    s = tol * tol
+    with np.errstate(over="ignore"):  # past the largest float, s is inf
+        while np.sqrt(s) >= tol:
+            s = np.nextafter(s, 0.0)
+        while np.sqrt(s) < tol:
+            s = np.nextafter(s, np.inf)
+    return s
+
+
+def _workspace(B, n):
+    """The buffers of B running configurations of n vertices, for :func:`_flow`.
+
+    Returns P (B, 3, n) and its flat rows p (B, 3n); the measure's
+    buffers for the state and for the candidate step, which share all
+    but q_c (the two q_c swap roles each step); the push's buffers, whose
+    r (B, 3n) is stacked with the step w; <r, r> and <w, w> (2, B); and
+    the step's norm (B,) and its column view.
+    """
+    P, rw, dots, norm = (np.empty((B, 3, n)), np.empty((2, B, 3 * n)), np.empty((2, B)),
+                         np.empty(B))
+    state = _measure_buffers(B, n)
+    return (P, P.reshape(B, 3 * n), state, state[:-1] + (np.empty(B),),
+            _push_views(np.empty((B, 3 * n)), rw[0], np.empty(B)), rw, dots,
+            norm, norm.reshape(_column(B)))
+
+
 def _flow(kind, variant, P, settings, record=None):
     """The flow kernel: run each configuration of P (B, n, 3) on N to its end.
 
     ``record(it, P, F, residual, lam)`` is called once per iteration with
-    the still running rows, P as component-major rows (B, 3, n).  Returns
+    the still running rows, P as component-major rows (B, 3, n); the
+    arrays are workspace views, valid only during the call.  Returns
     the dict of :func:`integrate_batch`.  f is formed only for the rows
     recorded and for the rows that stop.
     """
     elements._check(kind, variant, P[0])
-    P = np.ascontiguousarray(P.swapaxes(1, 2))
-    _, X, Q, _ = _measure(kind, variant, P)
-    x = X.reshape(len(X), -1)
-    bound = 3.0 * float(np.sqrt(np.vecdot(x, x)).max())
+    B, n, _ = P.shape
+    start = P
+    P, p, state, candidate, push, rw, dots, norm, norm_column = _workspace(B, n)
+    P[...] = start.swapaxes(1, 2)
+    _, X, Q, _, xx = _measure(kind, variant, P, state)
+    bound = 3.0 * float(np.sqrt(xx).max())
     if settings.step * bound >= 2.0:
         warnings.warn(
             f"step {settings.step} times field scale estimate {bound:.3g} "
             "exceeds 2; the iteration may overshoot", stacklevel=3)
-    B, _, n = P.shape
     out = dict(p=np.empty((B, n, 3)), residual=np.empty(B), lam=np.empty(B),
                f=np.empty(B), iterations=np.empty(B, dtype=int),
                converged=np.zeros(B, dtype=bool), halvings=0, monotone_breaks=0)
     rows = np.arange(B)  # the output row of each running configuration
-    step, tol, last = settings.step, settings.tol, settings.max_iters
+    # 0-d operands: numpy converts a Python float operand on every call
+    step, below, last = (np.array(settings.step), np.array(_squared_tol(settings.tol)),
+                         settings.max_iters)
     psi = settings.normalization == "psi"
+    # flat rows x, for every inner product; the step w and <r, r>, <w, w>
+    x, column, w, (rr, ww) = X.reshape(B, -1), _column(B), rw[1], dots
     # A step whose norm is zero, overflows or is not finite gives a NaN q_c,
     # which the monitor catches; numpy's warnings about it are muted.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for it in range(last + 1):
-            # flat (B, 3n) views of the rows, for every inner product
-            p, x = P.reshape(len(P), -1), X.reshape(len(X), -1)
-            r, lam, residual = _push(P, X)
+            r, lam = _push(P, X, push)
+            # The step is formed before the rows that stop are known, so that
+            # one vecdot forms <r, r> and <w, w>; a stopping row's step is
+            # dropped (X = 0 gives r = 0, which stops).
+            if psi:
+                # push_tangent is linear and psi(X) = X / sqrt|X|, so the step
+                # push_tangent(P, psi(X)) is r / sqrt|X|.
+                np.divide(r, _root(xx).reshape(column), out=w)
+                np.multiply(step, w, out=w)
+            else:
+                np.multiply(step, r, out=w)
+            np.add(p, w, out=w)  # pinned already
+            np.vecdot(rw, rw, out=dots)
             if record is not None:
-                record(it, P, np.vecdot(x, p), residual, lam)
-            converged = residual < tol
+                record(it, P, np.vecdot(x, p), np.sqrt(rr), lam)
+            converged = rr < below  # the residual sqrt(rr) < tol
             if np.count_nonzero(converged) or it == last:
                 stop = converged | (it == last)
                 out["p"][rows[stop]] = P[stop].swapaxes(1, 2)
                 out["f"][rows[stop]] = np.vecdot(x[stop], p[stop])
                 for key, value in zip(("residual", "lam", "converged"),
-                                      (residual, lam, converged)):
+                                      (np.sqrt(rr), lam, converged)):
                     out[key][rows[stop]] = value[stop]
                 out["iterations"][rows[stop]] = it
                 if np.count_nonzero(stop) == len(stop):
                     break
-                rows, P, Q, p, x, r = (a[~stop] for a in (rows, P, Q, p, x, r))
-            if psi:
-                # push_tangent is linear and psi(X) = X / sqrt|X|, so the step
-                # push_tangent(P, psi(X)) is R / sqrt|X|; X != 0 as |R| >= tol.
-                r = r / _root(x)[:, None]
-            w = p + step * r  # pinned already
-            P = (w / np.sqrt(np.vecdot(w, w))[:, None]).reshape(P.shape)
-            _, X, Qn, _ = _measure(kind, variant, P)
+                # The running rows move to a workspace of their size, with
+                # the state that the rest of the step reads: P, X, <X, X>,
+                # q_c, w and <w, w>.
+                keep, running = ~stop, (P, X, xx, Q, w, ww)
+                rows = rows[keep]
+                P, p, state, candidate, push, rw, dots, norm, norm_column = _workspace(
+                    len(rows), n)
+                X, xx, Q, w, (rr, ww) = state[1], state[-2], state[-1], rw[1], dots
+                for a, b in zip(running, (P, X, xx, Q, w, ww)):
+                    np.compress(keep, a, axis=0, out=b)
+                x, column = X.reshape(len(rows), -1), _column(len(rows))
+            np.sqrt(ww, out=norm)
+            np.divide(w, norm_column, out=p)
+            Qn = _measure(kind, variant, P, candidate)[2]
             # One test catches a q_c drop and the NaN q_c of a bad norm.
             if np.count_nonzero(Qn >= Q) < len(Q):
                 if np.count_nonzero(np.isnan(Qn)):
                     # A zero, overflowing or non-finite norm: _sigma rescues the
                     # step (the other rows keep their bits) or raises if not finite.
                     try:
-                        P = _sigma(w.reshape(P.shape))
+                        P[...] = _sigma(w.reshape(P.shape))
                     except DegenerateConfigurationError as exc:
                         raise FlowDivergenceError(it) from exc
-                    _, X, Qn, _ = _measure(kind, variant, P)
+                    _measure(kind, variant, P, candidate)
                 out["monotone_breaks"] += int(np.count_nonzero(
                     Q - Qn > ACCEPT_SLACK * np.maximum(1.0, np.abs(Q))))
-            Q = Qn
+            state, candidate, Q = candidate, state, Qn
     return out
 
 

@@ -26,7 +26,8 @@ and its volume <X, c> / 18.  Every sum runs along an
 element's own row, so an element's q does not depend on how many
 elements share its kind.
 The step adds the (psi-rescaled) field rows to the flat vertex array
-with one ``bincount`` over the same offsets.  ``smooth``, ``smooth_step``
+with one ``bincount`` over the same offsets; psi's divisor is read from
+the measure's <X, X>.  ``smooth``, ``smooth_step``
 and ``quality_report`` run one loop of sweeps, which steps one vertex
 array in place; ``smooth`` builds one Mesh, at the end.
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import gc
 import json
 import warnings
 from dataclasses import dataclass, field as dataclass_field, fields
@@ -53,7 +55,7 @@ from . import elements as el
 from .elements import _measure
 from .flow import FlowDivergenceError, FlowSettings
 from .jsontext import json_list
-from .sphere import DegenerateConfigurationError, psi
+from .sphere import DegenerateConfigurationError, _psi
 
 
 class MeshFormatError(ValueError):
@@ -299,12 +301,12 @@ def _sweeps(m: Mesh, settings: FlowSettings | None = None, sweeps: int = 0,
             if step:
                 acc = np.zeros(flat.size)
             for (kind, _, pos), index in zip(m.groups, offsets):
-                _, X, qc, inner = _measure(kind, el.GRADIENT, flat.take(index))
+                _, X, qc, inner, xx = _measure(kind, el.GRADIENT, flat.take(index))
                 if report:
                     xc[pos], q[pos] = inner, qc / (18.0 * el.Q_MAX[kind])
                 if step:
                     if settings.normalization == "psi":
-                        X = psi(X)
+                        X = _psi(X.reshape(len(X), -1), xx)
                     acc += np.bincount(index.ravel(), weights=X.ravel(), minlength=flat.size)
             if report:
                 try:
@@ -507,11 +509,21 @@ def _read_json(path):
 
     The file must be UTF-8 text, as JSON requires.  Nesting too deep for
     the parser, and an integer beyond Python's digit limit, are
-    malformed input too.
+    malformed input too.  The parse runs with the cyclic garbage
+    collector off: the parsed lists and dicts hold no reference cycles,
+    and the collector's passes over them took a third of the parse of a
+    large mesh.  The caller's collector state is restored afterwards.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.loads(fh.read())
+            text = fh.read()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return json.loads(text)
+        finally:
+            if enabled:
+                gc.enable()
     except UnicodeDecodeError as exc:
         raise MeshFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:

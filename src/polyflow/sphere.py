@@ -29,9 +29,9 @@ def tau(p) -> np.ndarray:
     return out
 
 
-def _root(x) -> np.ndarray:
-    """sqrt|x| per row of the flat rows x (..., m): the divisor of :func:`psi`."""
-    return np.sqrt(np.sqrt(np.vecdot(x, x)))
+def _root(xx) -> np.ndarray:
+    """sqrt|x| from the squared norms xx = <x, x> of rows x: the divisor of :func:`psi`."""
+    return np.sqrt(np.sqrt(xx))
 
 
 def sigma(p) -> np.ndarray:
@@ -105,19 +105,46 @@ def push_tangent(p, v) -> np.ndarray:
     return (w - wp / pp * p) / np.sqrt(pp)
 
 
-def _push(P, X):
-    """(r, lam, |r|) of the field rows X at the component-major rows P (B, 3, n) on N.
+def _column(B):
+    """The shape of a per-row value (B,) that broadcasts over rows (B, m).
+
+    (B, 1), or () at B = 1: numpy runs a 0-d operand on its scalar loop,
+    about twice as fast as a (1, 1) broadcast.
+    """
+    return (B, 1) if B > 1 else ()
+
+
+def _push_views(t, r, lam):
+    """The ``out`` of :func:`_push` for its buffers t, r (B, 3n) and lam (B,).
+
+    Adds the views it writes them by: t as rows (B, 3, n), and lam as a
+    :func:`_column`.
+    """
+    B = len(lam)
+    return t, t.reshape(B, 3, -1), r, lam, lam.reshape(_column(B))
+
+
+def _push(P, X, out=None):
+    """(r, lam) of the field rows X at the component-major rows P (B, 3, n) on N.
 
     t = tau(X) is X minus its last column, lam = <t, p>, and
     r = t - lam p, flat (B, 3n), is :func:`push_tangent` of X at p, as
-    |p| = 1.  The one rule of the fixed-point equation: the flow kernel,
-    ``flow.singularity_residual`` and ``spectral.pushed_field`` apply it.
+    |p| = 1; the residual is |r|.  The one rule of the fixed-point
+    equation: the flow kernel, ``flow.singularity_residual`` and
+    ``spectral.pushed_field`` apply it.  ``out``, from
+    :func:`_push_views`, is written in place; without it the buffers are
+    allocated.
     """
-    p = P.reshape(len(P), -1)
-    t = (X - X[:, :, -1:]).reshape(p.shape)  # the last column is exactly 0
-    lam = np.vecdot(t, p)
-    r = t - lam[:, None] * p
-    return r, lam, np.sqrt(np.vecdot(r, r))
+    B, _, n = P.shape
+    p = P.reshape(B, 3 * n)
+    if out is None:
+        out = _push_views(np.empty((B, 3 * n)), np.empty((B, 3 * n)), np.empty(B))
+    t, T, r, lam, column = out
+    np.subtract(X, X[:, :, -1:], out=T)  # the last column is exactly 0
+    np.vecdot(t, p, out=lam)
+    np.multiply(column, p, out=r)
+    np.subtract(t, r, out=r)
+    return r, lam
 
 
 def psi(v) -> np.ndarray:
@@ -128,8 +155,13 @@ def psi(v) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     flat = v.reshape(v.shape[:-2] + (-1,))
-    root = _root(flat)[..., None]
-    return (flat / np.where(root == 0.0, np.inf, root)).reshape(v.shape)
+    return _psi(flat, np.vecdot(flat, flat)).reshape(v.shape)
+
+
+def _psi(x, xx) -> np.ndarray:
+    """:func:`psi` of the flat rows x (..., m) whose squared norms are xx."""
+    root = _root(xx)[..., None]
+    return x / np.where(root == 0.0, np.inf, root)
 
 
 def is_collinear(p, tol: float = 1e-9) -> bool:

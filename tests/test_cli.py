@@ -423,7 +423,7 @@ class TestClassify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["classification"] == "level0_singular"
 
-    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
     def test_tol_must_be_positive(self, capsys, tmp_path, tol):
         # residual >= nan is False: a NaN tol would call any shape optimal
         path = tmp_path / "tet.json"
@@ -527,6 +527,7 @@ class TestUsage:
         (["--max-iters", "0"], "max_iters"),
         (["--tol", "0"], "tol"),
         (["--tol", "nan"], "tol"),
+        (["--tol", "inf"], "tol"),
     ])
     def test_invalid_flow_settings(self, capsys, flags, needle):
         rc = cli.main(["regularize", "--type", "tetrahedron", "--random", "1"] + flags)

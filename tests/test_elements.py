@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 
 import polyflow as pf
-from polyflow.elements import _field
 
 from conftest import finite_points
 
@@ -116,10 +115,13 @@ def test_field_batch_rows_evaluate_as_alone_at_small_sizes(rng, kind, variant, s
 @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
 def test_field_batch_layouts_agree(rng, kind, variant, size):
     # the kernel reads vertex-major (B, n, 3) input through a copy, and the
-    # flows' component-major (B, 3, n) rows as a view: the same bits
+    # flows' component-major (B, 3, n) rows as a view, and writes into
+    # component-major rows through out=: the same bits
     P = rng.normal(size=(size, pf.VERTEX_COUNT[kind], 3))
-    X = _field(kind, variant, np.ascontiguousarray(P.swapaxes(1, 2)))
-    assert X.flags.c_contiguous
+    X = np.empty((size, 3, pf.VERTEX_COUNT[kind]))
+    got = pf.field_batch(kind, variant, np.ascontiguousarray(P.swapaxes(1, 2)).swapaxes(1, 2),
+                         out=X.swapaxes(1, 2))
+    assert got.base is X
     assert X.swapaxes(1, 2).tobytes() == pf.field_batch(kind, variant, P).tobytes()
 
 

@@ -25,10 +25,10 @@ def _centered_quality(kind, variant, p):
 
 
 def _measured(kind, variant, P):
-    """(C, X, q_c, <X, c>) of ``elements._measure`` on a batch P (B, n, 3) on N, plus f = <X, p>."""
+    """(C, X, q_c, <X, c>, <X, X>) of ``elements._measure`` on a batch P (B, n, 3) on N, plus f = <X, p>."""
     R = np.ascontiguousarray(P.swapaxes(1, 2))
-    C, X, q, xc = _measure(kind, variant, R)
-    return C, X, q, xc, np.vecdot(X.reshape(len(X), -1), R.reshape(len(R), -1))
+    C, X, q, xc, xx = _measure(kind, variant, R)
+    return C, X, q, xc, xx, np.vecdot(X.reshape(len(X), -1), R.reshape(len(R), -1))
 
 
 def _prism(a: float, h: float) -> np.ndarray:
@@ -130,7 +130,7 @@ class TestClassify:
                           pf.pi(rng.normal(size=(4, 3))))
         assert cls.tag == "nonsingular"
 
-    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
     def test_tol_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="tol"):
             pf.classify("tetrahedron", pf.GRADIENT,
@@ -164,6 +164,13 @@ class TestFlowSettings:
             pf.FlowSettings(tol=-1.0)
         with pytest.raises(ValueError):
             pf.FlowSettings(normalization="sqrt")
+        # an infinite tol would stop every flow at once as converged, and a
+        # max_iters that is not an integer would fail inside the flow
+        for bad in (dict(tol=float("inf")), dict(tol=float("nan")),
+                    dict(max_iters=2.5), dict(max_iters=True), dict(max_iters="3")):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                pf.FlowSettings(**bad)
+        assert pf.FlowSettings(max_iters=np.int64(3)).max_iters == 3
 
 
 class TestIntegrate:
@@ -381,6 +388,19 @@ class TestIntegrateBatch:
                 breaks += t.monotone_breaks
             assert (out["halvings"], out["monotone_breaks"]) == (halvings, breaks), \
                 (kind, variant)
+
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_rows_run_as_alone(self, kind, variant):
+        # rows stop at different iterations, and the running rows move to a
+        # smaller workspace each time: every row still ends bit for bit as
+        # it ends in a batch of one
+        P = np.stack([pf.random_configuration(kind, s, variant) for s in range(100)])
+        out = pf.integrate_batch(kind, variant, P)
+        assert len(set(out["iterations"].tolist())) > 10
+        for i in range(len(P)):
+            alone = pf.integrate_batch(kind, variant, P[i:i + 1])
+            for key in ("p", "residual", "lam", "f", "iterations", "converged"):
+                assert out[key][i].tobytes() == alone[key][0].tobytes(), (i, key)
 
     @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
     def test_rows_evaluate_as_alone(self, kind, variant):

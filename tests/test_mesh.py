@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import itertools
 import json
 import tracemalloc
@@ -612,9 +613,9 @@ class TestSmooth:
         field_calls, volume_calls = {}, []
         field_batch = elements.field_batch
 
-        def counted_field(kind, variant, P):
+        def counted_field(kind, variant, P, out=None):
             field_calls[kind] = field_calls.get(kind, 0) + 1
-            return field_batch(kind, variant, P)
+            return field_batch(kind, variant, P, out)
 
         monkeypatch.setattr(elements, "field_batch", counted_field)
         monkeypatch.setattr(elements, "mean_volume_batch",
@@ -749,6 +750,29 @@ class TestMeshJson:
             pf.load_mesh(path)
         assert err.value.line == 2
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_parse_runs_without_the_cyclic_gc(self, tmp_path, monkeypatch, collecting):
+        # the parse runs with the collector off, and the caller's state is
+        # back afterwards, after a good file and after a malformed one
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        pf.save_mesh(_corner_tets(), good)
+        bad.write_text('{"vertices": [[0, 0, 0],\n  "elements": []}\n')
+        loads, seen = json.loads, []
+        monkeypatch.setattr(json, "loads", lambda text: seen.append(gc.isenabled())
+                            or loads(text))
+        was = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            m = pf.load_mesh(good)
+            assert gc.isenabled() is collecting
+            with pytest.raises(pf.MeshFormatError):
+                pf.load_mesh(bad)
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False, False]
+        assert m.vertices.tobytes() == _corner_tets().vertices.tobytes()
 
     def test_schema_errors(self):
         with pytest.raises(pf.MeshFormatError):
