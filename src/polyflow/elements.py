@@ -25,13 +25,15 @@ and contracts them with the batch on the M axis of one matrix product,
 so that a configuration's value does not depend on the batch it is
 evaluated in.  The flow and the mesh read the one measure of a
 configuration from here (``_measure``: the centered rows, the field at
-them, q_c, <X, c> and <X, X>), and every volume is <X, c> / 18 of the
-gradient field at the centered rows (Euler's identity).  The measure
+them, q_c and <X, c>), and every volume is <X, c> / 18 of the gradient
+field at the centered rows (Euler's identity).  The measure
 writes into buffers that the caller may keep (the flow's workspace),
 and the kernel writes the field into them through ``out=``.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,52 +254,72 @@ _COMPILED["prism", Y_VARIANT] = _compile(1, [
 _MEAN = {n: np.full(n, 1.0 / n) for n in set(VERTEX_COUNT.values())}
 
 
-def _measure_buffers(B, n):
-    """The arrays :func:`_measure` writes for B configurations of n vertices, as its views.
+class _MeasureBuffers(NamedTuple):
+    """The arrays :func:`_measure` writes, and the views it writes them by.
 
-    Returns C and X (B, 3, n), halves of one stack S (2, B, 3, n), and
-    their (B, n, 3) views for :func:`field_batch`; the centroids (B, 3, 1)
-    and their (B, 3) view; S as flat rows (2, B, 3n), and as the operands
-    of the dots D = [[<c, c>, <c, X>], [<X, c>, <X, X>]] (2, 2, B) of
-    every pair; D and its column [<c, c>, <X, c>]; <c, c>, <X, c> and
-    <X, X>; and q_c (B,).
+    C and X (B, 3, n) are the halves of one stack S (2, B, 3, n), and Cv
+    and Xv their (B, n, 3) views for :func:`field_batch`; mean (B, 3, 1)
+    holds the centroids, and centroid is its (B, 3) view; left and right
+    are S's flat rows (2, B, 3n) as the operands of dots, the (2, 2, B)
+    inner products [[<c, c>, <c, X>], [<X, c>, <X, X>]] of every pair;
+    cc, xc and xx are three of them; q is q_c (B,).
     """
-    S, D, mean = np.empty((2, B, 3, n)), np.empty((2, 2, B)), np.empty((B, 3, 1))
+
+    C: np.ndarray
+    X: np.ndarray
+    Cv: np.ndarray
+    Xv: np.ndarray
+    mean: np.ndarray
+    centroid: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    dots: np.ndarray
+    cc: np.ndarray
+    xc: np.ndarray
+    xx: np.ndarray
+    q: np.ndarray
+
+
+def _measure_buffers(B, n, shared=None):
+    """The :class:`_MeasureBuffers` of B configurations of n vertices.
+
+    With ``shared``, the buffers of another measure of B configurations,
+    all but q are shared with it: a second measure whose q_c outlives
+    the next one.
+    """
+    if shared is not None:
+        return shared._replace(q=np.empty(B))
+    S, dots, mean = np.empty((2, B, 3, n)), np.empty((2, 2, B)), np.empty((B, 3, 1))
     s = S.reshape(2, B, 3 * n)
-    return (S[0], S[1], S[0].swapaxes(1, 2), S[1].swapaxes(1, 2), mean, mean[..., 0],
-            s, s[:, None], s[None], D, D[:, 0], D[0, 0], D[1, 0], D[1, 1], np.empty(B))
+    return _MeasureBuffers(S[0], S[1], S[0].swapaxes(1, 2), S[1].swapaxes(1, 2), mean,
+                           mean[..., 0], s[:, None], s[None], dots, dots[0, 0],
+                           dots[1, 0], dots[1, 1], np.empty(B))
 
 
 def _measure(kind, variant, P, out=None):
-    """(C, X, q_c, <X, c>, <X, X>) per configuration of the component-major rows P (B, 3, n).
+    """(C, X, q_c, <X, c>) per configuration of the component-major rows P (B, 3, n).
 
     C is P minus its centroid, each row centered by its own mean so that
     its rounding does not depend on the batch; X is the field evaluated
     at C, which keeps it exact far from the origin; and
     q_c = <X, c> / |c|^3.  The one measure of a configuration: the flow's
     state and monitor, the mesh's quality (q_c up to the kind's ceiling)
-    and every volume (<X, c> / 18 of the gradient field) read it, and
-    psi's divisor is read from <X, X>.  ``out``, from
-    :func:`_measure_buffers`, is written in place; without it the
-    buffers are allocated.  At B = 1 one ``vecdot`` forms all four dots
-    of [c, X] (a call costs more than a spare dot there); at B > 1 two
-    calls form the three that are read.
+    and every volume (<X, c> / 18 of the gradient field) read it.
+    ``out``, from :func:`_measure_buffers`, is written in place, <X, X>
+    (psi's divisor, which the flow reads) included; without it the
+    buffers are allocated.
     """
     if out is None:
         out = _measure_buffers(len(P), P.shape[2])
-    C, X, Cv, Xv, mean, centroid, s, left, right, dots, with_c, cc, xc, xx, q = out
+    C, X, Cv, Xv, mean, centroid, left, right, dots, cc, xc, xx, q = out
     np.vecdot(P, _MEAN[P.shape[2]], out=centroid)
     np.subtract(P, mean, out=C)
     field_batch(kind, variant, Cv, out=Xv)
-    if len(P) == 1:
-        np.vecdot(left, right, out=dots)
-    else:
-        np.vecdot(s, s[0], out=with_c)
-        np.vecdot(s[1], s[1], out=xx)
+    np.vecdot(left, right, out=dots)  # one call forms every dot, a spare <c, X> too
     np.sqrt(cc, out=q)
     np.multiply(cc, q, out=q)
     np.divide(xc, q, out=q)
-    return C, X, q, xc, xx
+    return C, X, q, xc
 
 
 def mean_volume_batch(kind: str, P) -> np.ndarray:

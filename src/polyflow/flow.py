@@ -37,9 +37,7 @@ arguments, with the same operations as on fresh arrays, so the runs
 are bit for bit the same; ``record`` receives workspace views, valid
 only during the call.  The step w is formed before the convergence
 test, so that one ``vecdot`` of the stack [r, w] gives <r, r> and
-<w, w>, and residual < tol is tested as <r, r> < s, for s the least
-float whose root reaches tol: the same test, as sqrt is correctly
-rounded.
+<w, w>.
 """
 
 from __future__ import annotations
@@ -48,13 +46,14 @@ import csv
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
 from . import elements
-from .elements import _measure, _measure_buffers
-from .sphere import (DegenerateConfigurationError, _column, _push, _push_views, _root,
-                     _sigma, is_collinear, pi)
+from .elements import _MeasureBuffers, _measure, _measure_buffers
+from .sphere import (DegenerateConfigurationError, _column, _push, _push_buffers,
+                     _PushBuffers, _root, _sigma, is_collinear, pi)
 
 # The relative slack of the q_c monitor: a step that lowers q_c by more
 # than ACCEPT_SLACK * max(1, |q_c|) is counted as a monotone break.
@@ -167,36 +166,36 @@ class Trajectory:
         return self.points[-1][3]
 
 
-def _squared_tol(tol):
-    """The least float s whose square root rounds to tol or more.
+class _Workspace(NamedTuple):
+    """The buffers of B running configurations of n vertices, for :func:`_flow`.
 
-    sqrt is monotone on floats, so sqrt(rr) < tol exactly when rr < s,
-    NaN included: the flow takes the root only of the rows it reports.
+    P (B, 3, n) and its flat rows p (B, 3n); the measure's buffers of
+    the state and of the candidate step, which share all but q_c (the
+    two q_c swap roles each step); the push's buffers, whose r (B, 3n)
+    is stacked with the step w in rw (2, B, 3n); dots, <r, r> and
+    <w, w> (2, B); the residual |r| (B,); and the step's norm (B,) with
+    its column view.
     """
-    s = tol * tol
-    with np.errstate(over="ignore"):  # past the largest float, s is inf
-        while np.sqrt(s) >= tol:
-            s = np.nextafter(s, 0.0)
-        while np.sqrt(s) < tol:
-            s = np.nextafter(s, np.inf)
-    return s
+
+    P: np.ndarray
+    p: np.ndarray
+    state: _MeasureBuffers
+    candidate: _MeasureBuffers
+    push: _PushBuffers
+    rw: np.ndarray
+    dots: np.ndarray
+    residual: np.ndarray
+    norm: np.ndarray
+    norm_column: np.ndarray
 
 
 def _workspace(B, n):
-    """The buffers of B running configurations of n vertices, for :func:`_flow`.
-
-    Returns P (B, 3, n) and its flat rows p (B, 3n); the measure's
-    buffers for the state and for the candidate step, which share all
-    but q_c (the two q_c swap roles each step); the push's buffers, whose
-    r (B, 3n) is stacked with the step w; <r, r> and <w, w> (2, B); and
-    the step's norm (B,) and its column view.
-    """
-    P, rw, dots, norm = (np.empty((B, 3, n)), np.empty((2, B, 3 * n)), np.empty((2, B)),
-                         np.empty(B))
+    """The :class:`_Workspace` of B configurations of n vertices."""
+    P, rw, norm = np.empty((B, 3, n)), np.empty((2, B, 3 * n)), np.empty(B)
     state = _measure_buffers(B, n)
-    return (P, P.reshape(B, 3 * n), state, state[:-1] + (np.empty(B),),
-            _push_views(np.empty((B, 3 * n)), rw[0], np.empty(B)), rw, dots,
-            norm, norm.reshape(_column(B)))
+    return _Workspace(P, P.reshape(B, 3 * n), state, _measure_buffers(B, n, shared=state),
+                      _push_buffers(B, n, r=rw[0]), rw, np.empty((2, B)), np.empty(B),
+                      norm, norm.reshape(_column(B)))
 
 
 def _flow(kind, variant, P, settings, record=None):
@@ -211,9 +210,10 @@ def _flow(kind, variant, P, settings, record=None):
     elements._check(kind, variant, P[0])
     B, n, _ = P.shape
     start = P
-    P, p, state, candidate, push, rw, dots, norm, norm_column = _workspace(B, n)
+    P, p, state, candidate, push, rw, dots, residual, norm, norm_column = _workspace(B, n)
     P[...] = start.swapaxes(1, 2)
-    _, X, Q, _, xx = _measure(kind, variant, P, state)
+    _, X, Q, _ = _measure(kind, variant, P, state)
+    xx = state.xx  # <X, X>, psi's divisor
     bound = 3.0 * float(np.sqrt(xx).max())
     if settings.step * bound >= 2.0:
         warnings.warn(
@@ -224,8 +224,7 @@ def _flow(kind, variant, P, settings, record=None):
                converged=np.zeros(B, dtype=bool), halvings=0, monotone_breaks=0)
     rows = np.arange(B)  # the output row of each running configuration
     # 0-d operands: numpy converts a Python float operand on every call
-    step, below, last = (np.array(settings.step), np.array(_squared_tol(settings.tol)),
-                         settings.max_iters)
+    step, tol, last = np.array(settings.step), np.array(settings.tol), settings.max_iters
     psi = settings.normalization == "psi"
     # flat rows x, for every inner product; the step w and <r, r>, <w, w>
     x, column, w, (rr, ww) = X.reshape(B, -1), _column(B), rw[1], dots
@@ -246,15 +245,16 @@ def _flow(kind, variant, P, settings, record=None):
                 np.multiply(step, r, out=w)
             np.add(p, w, out=w)  # pinned already
             np.vecdot(rw, rw, out=dots)
+            np.sqrt(rr, out=residual)
             if record is not None:
-                record(it, P, np.vecdot(x, p), np.sqrt(rr), lam)
-            converged = rr < below  # the residual sqrt(rr) < tol
+                record(it, P, np.vecdot(x, p), residual, lam)
+            converged = residual < tol
             if np.count_nonzero(converged) or it == last:
                 stop = converged | (it == last)
                 out["p"][rows[stop]] = P[stop].swapaxes(1, 2)
                 out["f"][rows[stop]] = np.vecdot(x[stop], p[stop])
                 for key, value in zip(("residual", "lam", "converged"),
-                                      (np.sqrt(rr), lam, converged)):
+                                      (residual, lam, converged)):
                     out[key][rows[stop]] = value[stop]
                 out["iterations"][rows[stop]] = it
                 if np.count_nonzero(stop) == len(stop):
@@ -264,9 +264,9 @@ def _flow(kind, variant, P, settings, record=None):
                 # q_c, w and <w, w>.
                 keep, running = ~stop, (P, X, xx, Q, w, ww)
                 rows = rows[keep]
-                P, p, state, candidate, push, rw, dots, norm, norm_column = _workspace(
-                    len(rows), n)
-                X, xx, Q, w, (rr, ww) = state[1], state[-2], state[-1], rw[1], dots
+                (P, p, state, candidate, push, rw, dots, residual, norm,
+                 norm_column) = _workspace(len(rows), n)
+                X, xx, Q, w, (rr, ww) = state.X, state.xx, state.q, rw[1], dots
                 for a, b in zip(running, (P, X, xx, Q, w, ww)):
                     np.compress(keep, a, axis=0, out=b)
                 x, column = X.reshape(len(rows), -1), _column(len(rows))

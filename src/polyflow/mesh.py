@@ -26,8 +26,7 @@ and its volume <X, c> / 18.  Every sum runs along an
 element's own row, so an element's q does not depend on how many
 elements share its kind.
 The step adds the (psi-rescaled) field rows to the flat vertex array
-with one ``bincount`` over the same offsets; psi's divisor is read from
-the measure's <X, X>.  ``smooth``, ``smooth_step``
+with one ``bincount`` over the same offsets.  ``smooth``, ``smooth_step``
 and ``quality_report`` run one loop of sweeps, which steps one vertex
 array in place; ``smooth`` builds one Mesh, at the end.
 
@@ -55,7 +54,7 @@ from . import elements as el
 from .elements import _measure
 from .flow import FlowDivergenceError, FlowSettings
 from .jsontext import json_list
-from .sphere import DegenerateConfigurationError, _psi
+from .sphere import DegenerateConfigurationError, psi
 
 
 class MeshFormatError(ValueError):
@@ -301,12 +300,12 @@ def _sweeps(m: Mesh, settings: FlowSettings | None = None, sweeps: int = 0,
             if step:
                 acc = np.zeros(flat.size)
             for (kind, _, pos), index in zip(m.groups, offsets):
-                _, X, qc, inner, xx = _measure(kind, el.GRADIENT, flat.take(index))
+                _, X, qc, inner = _measure(kind, el.GRADIENT, flat.take(index))
                 if report:
                     xc[pos], q[pos] = inner, qc / (18.0 * el.Q_MAX[kind])
                 if step:
                     if settings.normalization == "psi":
-                        X = _psi(X.reshape(len(X), -1), xx)
+                        X = psi(X)
                     acc += np.bincount(index.ravel(), weights=X.ravel(), minlength=flat.size)
             if report:
                 try:

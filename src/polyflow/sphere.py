@@ -11,6 +11,8 @@ leading batch axes.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 
@@ -114,14 +116,28 @@ def _column(B):
     return (B, 1) if B > 1 else ()
 
 
-def _push_views(t, r, lam):
-    """The ``out`` of :func:`_push` for its buffers t, r (B, 3n) and lam (B,).
+class _PushBuffers(NamedTuple):
+    """The arrays :func:`_push` writes: t and r (B, 3n) and lam (B,).
 
-    Adds the views it writes them by: t as rows (B, 3, n), and lam as a
-    :func:`_column`.
+    T is t as rows (B, 3, n), and column is lam as a :func:`_column`.
     """
-    B = len(lam)
-    return t, t.reshape(B, 3, -1), r, lam, lam.reshape(_column(B))
+
+    t: np.ndarray
+    T: np.ndarray
+    r: np.ndarray
+    lam: np.ndarray
+    column: np.ndarray
+
+
+def _push_buffers(B, n, r=None):
+    """The :class:`_PushBuffers` of B configurations of n vertices.
+
+    ``r``, if given, is the (B, 3n) array that receives r: the caller
+    may stack it with others.
+    """
+    t, lam = np.empty((B, 3 * n)), np.empty(B)
+    return _PushBuffers(t, t.reshape(B, 3, n), np.empty((B, 3 * n)) if r is None else r,
+                        lam, lam.reshape(_column(B)))
 
 
 def _push(P, X, out=None):
@@ -132,13 +148,13 @@ def _push(P, X, out=None):
     |p| = 1; the residual is |r|.  The one rule of the fixed-point
     equation: the flow kernel, ``flow.singularity_residual`` and
     ``spectral.pushed_field`` apply it.  ``out``, from
-    :func:`_push_views`, is written in place; without it the buffers are
-    allocated.
+    :func:`_push_buffers`, is written in place; without it the buffers
+    are allocated.
     """
     B, _, n = P.shape
     p = P.reshape(B, 3 * n)
     if out is None:
-        out = _push_views(np.empty((B, 3 * n)), np.empty((B, 3 * n)), np.empty(B))
+        out = _push_buffers(B, n)
     t, T, r, lam, column = out
     np.subtract(X, X[:, :, -1:], out=T)  # the last column is exactly 0
     np.vecdot(t, p, out=lam)
@@ -155,13 +171,8 @@ def psi(v) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     flat = v.reshape(v.shape[:-2] + (-1,))
-    return _psi(flat, np.vecdot(flat, flat)).reshape(v.shape)
-
-
-def _psi(x, xx) -> np.ndarray:
-    """:func:`psi` of the flat rows x (..., m) whose squared norms are xx."""
-    root = _root(xx)[..., None]
-    return x / np.where(root == 0.0, np.inf, root)
+    root = _root(np.vecdot(flat, flat))[..., None]
+    return (flat / np.where(root == 0.0, np.inf, root)).reshape(v.shape)
 
 
 def is_collinear(p, tol: float = 1e-9) -> bool:

@@ -25,10 +25,10 @@ def _centered_quality(kind, variant, p):
 
 
 def _measured(kind, variant, P):
-    """(C, X, q_c, <X, c>, <X, X>) of ``elements._measure`` on a batch P (B, n, 3) on N, plus f = <X, p>."""
+    """(C, X, q_c, <X, c>) of ``elements._measure`` on a batch P (B, n, 3) on N, plus f = <X, p>."""
     R = np.ascontiguousarray(P.swapaxes(1, 2))
-    C, X, q, xc, xx = _measure(kind, variant, R)
-    return C, X, q, xc, xx, np.vecdot(X.reshape(len(X), -1), R.reshape(len(R), -1))
+    C, X, q, xc = _measure(kind, variant, R)
+    return C, X, q, xc, np.vecdot(X.reshape(len(X), -1), R.reshape(len(R), -1))
 
 
 def _prism(a: float, h: float) -> np.ndarray:
