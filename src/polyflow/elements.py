@@ -280,15 +280,8 @@ class _MeasureBuffers(NamedTuple):
     q: np.ndarray
 
 
-def _measure_buffers(B, n, shared=None):
-    """The :class:`_MeasureBuffers` of B configurations of n vertices.
-
-    With ``shared``, the buffers of another measure of B configurations,
-    all but q are shared with it: a second measure whose q_c outlives
-    the next one.
-    """
-    if shared is not None:
-        return shared._replace(q=np.empty(B))
+def _measure_buffers(B, n):
+    """The :class:`_MeasureBuffers` of B configurations of n vertices."""
     S, dots, mean = np.empty((2, B, 3, n)), np.empty((2, 2, B)), np.empty((B, 3, 1))
     s = S.reshape(2, B, 3 * n)
     return _MeasureBuffers(S[0], S[1], S[0].swapaxes(1, 2), S[1].swapaxes(1, 2), mean,

@@ -37,7 +37,8 @@ arguments, with the same operations as on fresh arrays, so the runs
 are bit for bit the same; ``record`` receives workspace views, valid
 only during the call.  The step w is formed before the convergence
 test, so that one ``vecdot`` of the stack [r, w] gives <r, r> and
-<w, w>.
+<w, w>.  This buffer plan lives here alone: :func:`_workspace` adapts
+the general buffers of ``elements._measure`` and ``sphere._push``.
 """
 
 from __future__ import annotations
@@ -46,14 +47,13 @@ import csv
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 from numbers import Integral
-from typing import NamedTuple
 
 import numpy as np
 
 from . import elements
-from .elements import _MeasureBuffers, _measure, _measure_buffers
-from .sphere import (DegenerateConfigurationError, _column, _push, _push_buffers,
-                     _PushBuffers, _root, _sigma, is_collinear, pi)
+from .elements import _measure, _measure_buffers
+from .sphere import (DegenerateConfigurationError, _column, _push, _push_buffers, _root,
+                     _sigma, is_collinear, pi)
 
 # The relative slack of the q_c monitor: a step that lowers q_c by more
 # than ACCEPT_SLACK * max(1, |q_c|) is counted as a monotone break.
@@ -166,36 +166,21 @@ class Trajectory:
         return self.points[-1][3]
 
 
-class _Workspace(NamedTuple):
-    """The buffers of B running configurations of n vertices, for :func:`_flow`.
-
-    P (B, 3, n) and its flat rows p (B, 3n); the measure's buffers of
-    the state and of the candidate step, which share all but q_c (the
-    two q_c swap roles each step); the push's buffers, whose r (B, 3n)
-    is stacked with the step w in rw (2, B, 3n); dots, <r, r> and
-    <w, w> (2, B); the residual |r| (B,); and the step's norm (B,) with
-    its column view.
-    """
-
-    P: np.ndarray
-    p: np.ndarray
-    state: _MeasureBuffers
-    candidate: _MeasureBuffers
-    push: _PushBuffers
-    rw: np.ndarray
-    dots: np.ndarray
-    residual: np.ndarray
-    norm: np.ndarray
-    norm_column: np.ndarray
-
-
 def _workspace(B, n):
-    """The :class:`_Workspace` of B configurations of n vertices."""
+    """The buffers of :func:`_flow` for B running configurations of n vertices.
+
+    In order: P (B, 3, n) and its flat rows p (B, 3n); the measure's
+    buffers of the state and of the candidate step, which share all but
+    q_c (the two q_c swap roles each step); the push's buffers, whose r
+    (B, 3n) is stacked with the step w in rw (2, B, 3n); dots, <r, r>
+    and <w, w> (2, B); the residual |r| (B,); and the step's norm (B,)
+    with its column view.
+    """
     P, rw, norm = np.empty((B, 3, n)), np.empty((2, B, 3 * n)), np.empty(B)
     state = _measure_buffers(B, n)
-    return _Workspace(P, P.reshape(B, 3 * n), state, _measure_buffers(B, n, shared=state),
-                      _push_buffers(B, n, r=rw[0]), rw, np.empty((2, B)), np.empty(B),
-                      norm, norm.reshape(_column(B)))
+    return (P, P.reshape(B, 3 * n), state, state._replace(q=np.empty(B)),
+            _push_buffers(B, n)._replace(r=rw[0]), rw, np.empty((2, B)), np.empty(B),
+            norm, norm.reshape(_column(B)))
 
 
 def _flow(kind, variant, P, settings, record=None):

@@ -46,6 +46,7 @@ import warnings
 from dataclasses import dataclass, field as dataclass_field, fields
 from functools import cached_property
 from itertools import chain
+from numbers import Integral
 from operator import itemgetter
 
 import numpy as np
@@ -407,8 +408,13 @@ def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
     A step that leaves an element's quality non-finite raises
     :class:`FlowDivergenceError` with the iteration of the state it leads to.
     Only ``settings.step`` and ``settings.normalization`` are read: the
-    sweep budget is ``max_iters`` and the stop rule ``quality_tol``.
+    sweep budget is ``max_iters``, an integer of at least 0, and the stop
+    rule ``quality_tol``, which may not be NaN; others raise ValueError.
     """
+    if isinstance(max_iters, bool) or not isinstance(max_iters, Integral) or max_iters < 0:
+        raise ValueError(f"max_iters must be an integer of at least 0, got {max_iters!r}")
+    if np.isnan(quality_tol):
+        raise ValueError("quality_tol must be a number, got nan")
     if len(m.fixed) >= len(m.vertices):
         reports = [quality_report(m)]
         warnings.warn("all vertices fixed; smoothing is the identity", stacklevel=2)

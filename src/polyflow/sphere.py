@@ -129,15 +129,11 @@ class _PushBuffers(NamedTuple):
     column: np.ndarray
 
 
-def _push_buffers(B, n, r=None):
-    """The :class:`_PushBuffers` of B configurations of n vertices.
-
-    ``r``, if given, is the (B, 3n) array that receives r: the caller
-    may stack it with others.
-    """
+def _push_buffers(B, n):
+    """The :class:`_PushBuffers` of B configurations of n vertices."""
     t, lam = np.empty((B, 3 * n)), np.empty(B)
-    return _PushBuffers(t, t.reshape(B, 3, n), np.empty((B, 3 * n)) if r is None else r,
-                        lam, lam.reshape(_column(B)))
+    return _PushBuffers(t, t.reshape(B, 3, n), np.empty((B, 3 * n)), lam,
+                        lam.reshape(_column(B)))
 
 
 def _push(P, X, out=None):

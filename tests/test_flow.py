@@ -7,8 +7,9 @@ import pytest
 
 import polyflow as pf
 from polyflow import flow
-from polyflow.elements import _measure
+from polyflow.elements import _measure, _measure_buffers
 from polyflow.flow import ACCEPT_SLACK, _edge_lengths
+from polyflow.sphere import _push, _push_buffers
 
 
 ALL_PAIRS = [(kind, variant) for kind in pf.KINDS
@@ -442,6 +443,53 @@ class TestIntegrateBatch:
                                  pf.FlowSettings())
         assert out["converged"].all()
         assert (out["residual"] < 1e-10).all()
+
+
+def _rows(kind, variant, seeds):
+    """The component-major rows (B, 3, n) of the starts of ``seeds`` on N."""
+    P = np.stack([pf.pi(pf.random_configuration(kind, s, variant)) for s in seeds])
+    return np.ascontiguousarray(P.swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+class TestBufferContract:
+    """What the flow's workspace relies on in the buffers of _measure and _push."""
+
+    def test_measure_into_buffers_is_the_allocating_measure(self, kind, variant, B):
+        P = _rows(kind, variant, range(B))
+        buffers = _measure_buffers(B, P.shape[2])
+        into = _measure(kind, variant, P, buffers)
+        assert [a.tobytes() for a in into] == [
+            a.tobytes() for a in _measure(kind, variant, P)]
+        assert all(a is b for a, b in zip(into, (buffers.C, buffers.X, buffers.q)))
+
+    def test_candidate_shares_all_but_q(self, kind, variant, B):
+        # the candidate's measure overwrites the state's X and <X, X>, and the
+        # state's q_c outlives it
+        P, Pn = _rows(kind, variant, range(B)), _rows(kind, variant, range(B, 2 * B))
+        state = _measure_buffers(B, P.shape[2])
+        q = _measure(kind, variant, P, state)[2].tobytes()
+        candidate = state._replace(q=np.empty(B))
+        _, X, qn, xc = _measure(kind, variant, Pn, candidate)
+        assert X is state.X and candidate.xx is state.xx and qn is candidate.q
+        assert state.q.tobytes() == q
+        _, Xa, qa, xca = _measure(kind, variant, Pn)
+        assert (X.tobytes(), qn.tobytes(), xc.tobytes()) == (
+            Xa.tobytes(), qa.tobytes(), xca.tobytes())
+        x = Xa.reshape(B, -1)
+        assert np.array_equal(state.xx, np.vecdot(x, x))
+
+    def test_push_writes_r_into_a_given_row(self, kind, variant, B):
+        P = _rows(kind, variant, range(B))
+        n = P.shape[2]
+        X = _measure(kind, variant, P)[1]
+        rw = np.zeros((2, B, 3 * n))
+        row = rw[0]
+        r, lam = _push(P, X, _push_buffers(B, n)._replace(r=row))
+        assert r is row and not rw[1].any()
+        ra, lama = _push(P, X)
+        assert (rw[0].tobytes(), lam.tobytes()) == (ra.tobytes(), lama.tobytes())
 
 
 class TestShapeMetrics:

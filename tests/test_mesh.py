@@ -662,6 +662,32 @@ class TestSmooth:
         assert m2.vertices.tobytes() == m.vertices.tobytes()
         assert len(reports) == 1
 
+    @pytest.mark.parametrize("fixed", [(0,), range(8)], ids=["free", "all-fixed"])
+    @pytest.mark.parametrize("max_iters", [-1, 2.5, True, False, np.float64(3.0), "5", None])
+    def test_rejects_a_bad_sweep_budget(self, max_iters, fixed):
+        # checked before the all-fixed return, as FlowSettings checks its own
+        m = _single("hexahedron", pf.reference_optimal("hexahedron"), fixed=fixed)
+        with pytest.raises(ValueError, match="max_iters must be an integer of at least 0"):
+            pf.smooth(m, pf.FlowSettings(), max_iters=max_iters)
+
+    @pytest.mark.parametrize("fixed", [(0,), range(8)], ids=["free", "all-fixed"])
+    def test_rejects_a_nan_stop_tolerance(self, fixed):
+        m = _single("hexahedron", pf.reference_optimal("hexahedron"), fixed=fixed)
+        with pytest.raises(ValueError, match="quality_tol must be a number, got nan"):
+            pf.smooth(m, pf.FlowSettings(), quality_tol=float("nan"))
+
+    @pytest.mark.parametrize("max_iters", [0, 3, np.int64(3)])
+    def test_accepts_an_integer_sweep_budget(self, max_iters):
+        # reports[0] is the input state; a budget of 0 makes no sweep
+        m = _single("hexahedron", pf.reference_optimal("hexahedron")
+                    + np.random.default_rng(2).uniform(-0.1, 0.1, (8, 3)), fixed=(0,))
+        smoothed, reports = pf.smooth(m, pf.FlowSettings(), max_iters=max_iters,
+                                      quality_tol=-1)
+        assert len(reports) == max_iters + 1
+        assert reports[0] == pf.quality_report(m)
+        if max_iters == 0:
+            assert smoothed.vertices.tobytes() == m.vertices.tobytes()
+
     def test_blowup_raises_divergence(self):
         v = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0],
                       [0.5, 0.4, 0.08], [0.5, 0.4, -0.08]], float) * 1e3
