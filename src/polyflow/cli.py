@@ -181,19 +181,15 @@ def _cmd_regularize(parser, args) -> int:
         p0 = _load_configuration(args.input, args.type)
     else:
         p0 = sampling.random_configuration(args.type, args.random, variant)
-    try:
-        with _warnings_as_lines():
-            if args.trajectory:
-                traj = flow.integrate(args.type, variant, p0, settings)
-                end = (traj.p_final, traj.residual_final, traj.iterations, traj.converged,
-                       traj.halvings, traj.monotone_breaks)
-            else:  # no recorder: the kernel on a batch of one
-                out = flow.integrate_batch(args.type, variant, p0[None], settings)
-                end = (out["p"][0], float(out["residual"][0]), int(out["iterations"][0]),
-                       bool(out["converged"][0]), out["halvings"], out["monotone_breaks"])
-    except flow.FlowDivergenceError as exc:
-        sys.stderr.write(f"divergence: {exc}\n")
-        return EXIT_DIVERGENCE
+    with _warnings_as_lines():
+        if args.trajectory:
+            traj = flow.integrate(args.type, variant, p0, settings)
+            end = (traj.p_final, traj.residual_final, traj.iterations, traj.converged,
+                   traj.halvings, traj.monotone_breaks)
+        else:  # no recorder: the kernel on a batch of one
+            out = flow.integrate_batch(args.type, variant, p0[None], settings)
+            end = (out["p"][0], float(out["residual"][0]), int(out["iterations"][0]),
+                   bool(out["converged"][0]), out["halvings"], out["monotone_breaks"])
     p, residual, iterations, converged, halvings, breaks = end
     cls = flow.classify(args.type, variant, p, tol=args.tol)
     result = {
@@ -226,13 +222,9 @@ def _cmd_smooth(parser, args) -> int:
         return EXIT_USAGE
     _check_outputs(output=args.output, report=args.report)
     m = mesh_mod.load_mesh(args.input)
-    try:
-        with _warnings_as_lines():
-            smoothed, reports = mesh_mod.smooth(m, settings, max_iters=args.max_iters,
-                                                quality_tol=args.quality_tol)
-    except flow.FlowDivergenceError as exc:
-        sys.stderr.write(f"divergence: {exc}\n")
-        return EXIT_DIVERGENCE
+    with _warnings_as_lines():
+        smoothed, reports = mesh_mod.smooth(m, settings, max_iters=args.max_iters,
+                                            quality_tol=args.quality_tol)
     if args.output:
         mesh_mod.save_mesh(smoothed, args.output)
     if args.report:
@@ -321,6 +313,9 @@ def main(argv=None) -> int:
     except IsADirectoryError as exc:
         sys.stderr.write(f"not a file: {exc.filename}\n")
         return EXIT_NOINPUT
+    except flow.FlowDivergenceError as exc:
+        sys.stderr.write(f"divergence: {exc}\n")
+        return EXIT_DIVERGENCE
     except (mesh_mod.MeshFormatError, DegenerateConfigurationError) as exc:
         # a degenerate configuration is raised only for the input: a
         # collapse during a flow or a sweep is a FlowDivergenceError

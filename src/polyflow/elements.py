@@ -25,10 +25,10 @@ and contracts them with the batch on the M axis of one matrix product,
 so that a configuration's value does not depend on the batch it is
 evaluated in.  The flow and the mesh read the one measure of a
 configuration from here (``_measure``: the centered rows, the field at
-them, q_c and <X, c>), and every volume is <X, c> / 18 of the gradient
-field at the centered rows (Euler's identity).  The measure
-writes into buffers that the caller may keep (the flow's workspace),
-and the kernel writes the field into them through ``out=``.
+them, q_c, <X, c> and <X, X>), and every volume is <X, c> / 18 of the
+gradient field at the centered rows (Euler's identity).  The measure
+writes into buffers that the caller may keep (the flow's workspace) and
+returns them, and the kernel writes the field into them through ``out=``.
 """
 
 from __future__ import annotations
@@ -289,18 +289,17 @@ def _measure_buffers(B, n):
                            dots[1, 0], dots[1, 1], np.empty(B))
 
 
-def _measure(kind, variant, P, out=None):
-    """(C, X, q_c, <X, c>) per configuration of the component-major rows P (B, 3, n).
+def _measure(kind, variant, P, out=None) -> _MeasureBuffers:
+    """The :class:`_MeasureBuffers` of the component-major rows P (B, 3, n), read by name.
 
     C is P minus its centroid, each row centered by its own mean so that
     its rounding does not depend on the batch; X is the field evaluated
-    at C, which keeps it exact far from the origin; and
-    q_c = <X, c> / |c|^3.  The one measure of a configuration: the flow's
-    state and monitor, the mesh's quality (q_c up to the kind's ceiling)
-    and every volume (<X, c> / 18 of the gradient field) read it.
-    ``out``, from :func:`_measure_buffers`, is written in place, <X, X>
-    (psi's divisor, which the flow reads) included; without it the
-    buffers are allocated.
+    at C, which keeps it exact far from the origin; q = <X, c> / |c|^3
+    is q_c, xc is <X, c> and xx is <X, X>, from which psi's divisor is
+    read.  The one measure of a configuration: the flow, the sweep, the
+    mesh's quality and every volume (<X, c> / 18 of the gradient field)
+    read it.  ``out``, from :func:`_measure_buffers`, is written in place
+    and returned; without it the buffers are allocated.
     """
     if out is None:
         out = _measure_buffers(len(P), P.shape[2])
@@ -312,7 +311,7 @@ def _measure(kind, variant, P, out=None):
     np.sqrt(cc, out=q)
     np.multiply(cc, q, out=q)
     np.divide(xc, q, out=q)
-    return C, X, q, xc
+    return out
 
 
 def mean_volume_batch(kind: str, P) -> np.ndarray:
@@ -323,7 +322,7 @@ def mean_volume_batch(kind: str, P) -> np.ndarray:
     """
     P = np.ascontiguousarray(np.asarray(P, dtype=float).swapaxes(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):  # q_c of coincident vertices
-        return _measure(kind, GRADIENT, P)[3] / 18.0
+        return _measure(kind, GRADIENT, P).xc / 18.0
 
 
 def mean_volume(kind: str, p) -> float:

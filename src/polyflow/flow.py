@@ -120,7 +120,7 @@ def singularity_residual(kind: str, variant: str, p) -> tuple[float, float]:
         raise DegenerateConfigurationError(
             "cannot measure a configuration with non-finite coordinates")
     with np.errstate(divide="ignore", invalid="ignore"):  # q_c of coincident vertices
-        r, lam = _push(P, _measure(kind, variant, P)[1])
+        r, lam = _push(P, _measure(kind, variant, P).X)
     return float(np.sqrt(np.vecdot(r, r))[0]), float(lam[0])
 
 
@@ -197,8 +197,8 @@ def _flow(kind, variant, P, settings, record=None):
     start = P
     P, p, state, candidate, push, rw, dots, residual, norm, norm_column = _workspace(B, n)
     P[...] = start.swapaxes(1, 2)
-    _, X, Q, _ = _measure(kind, variant, P, state)
-    xx = state.xx  # <X, X>, psi's divisor
+    _measure(kind, variant, P, state)
+    X, Q, xx = state.X, state.q, state.xx  # psi's divisor is read from xx = <X, X>
     bound = 3.0 * float(np.sqrt(xx).max())
     if settings.step * bound >= 2.0:
         warnings.warn(
@@ -245,19 +245,19 @@ def _flow(kind, variant, P, settings, record=None):
                 if np.count_nonzero(stop) == len(stop):
                     break
                 # The running rows move to a workspace of their size, with
-                # the state that the rest of the step reads: P, X, <X, X>,
-                # q_c, w and <w, w>.
-                keep, running = ~stop, (P, X, xx, Q, w, ww)
+                # q_c, w and <w, w>: the normalized step and its measure
+                # write P, X and <X, X> before they are read.
+                keep, running = ~stop, (Q, w, ww)
                 rows = rows[keep]
                 (P, p, state, candidate, push, rw, dots, residual, norm,
                  norm_column) = _workspace(len(rows), n)
                 X, xx, Q, w, (rr, ww) = state.X, state.xx, state.q, rw[1], dots
-                for a, b in zip(running, (P, X, xx, Q, w, ww)):
+                for a, b in zip(running, (Q, w, ww)):
                     np.compress(keep, a, axis=0, out=b)
                 x, column = X.reshape(len(rows), -1), _column(len(rows))
             np.sqrt(ww, out=norm)
             np.divide(w, norm_column, out=p)
-            Qn = _measure(kind, variant, P, candidate)[2]
+            Qn = _measure(kind, variant, P, candidate).q
             # One test catches a q_c drop and the NaN q_c of a bad norm.
             if np.count_nonzero(Qn >= Q) < len(Q):
                 if np.count_nonzero(np.isnan(Qn)):
@@ -301,7 +301,10 @@ def integrate_batch(kind: str, variant: str, P0,
     ``lam``, ``f`` (B,), ``iterations`` (B,), ``converged`` (B,) bool,
     plus the totals ``monotone_breaks`` and ``halvings``, which is
     always 0 (no step is halved) and stays for the callers that read it.
+    A P0 that is not a non-empty (B, n, 3) batch raises ValueError.
     """
+    if np.ndim(P0) != 3 or not len(P0):
+        raise ValueError(f"P0 must be a non-empty batch of shape (B, n, 3), got {np.shape(P0)}")
     return _flow(kind, variant, pi(P0), settings)
 
 

@@ -22,13 +22,14 @@ offsets, which the mesh compiles once for its topology (``Mesh.plan``),
 reads them; ``elements._measure``, which measures the flow's states
 too, centers them, evaluates their field at the centered rows, so that
 q and the step stay exact far from the origin, and reads q_c from both,
-and its volume <X, c> / 18.  Every sum runs along an
+its volume <X, c> / 18 and <X, X>.  Every sum runs along an
 element's own row, so an element's q does not depend on how many
 elements share its kind.
-The step adds the (psi-rescaled) field rows to the flat vertex array
-with one ``bincount`` over the same offsets.  ``smooth``, ``smooth_step``
-and ``quality_report`` run one loop of sweeps, which steps one vertex
-array in place; ``smooth`` builds one Mesh, at the end.
+The step adds the field rows, divided by psi's divisor sqrt|X| read
+from that <X, X>, to the flat vertex array with one ``bincount`` over
+the same offsets.  ``smooth``, ``smooth_step`` and ``quality_report``
+run one loop of sweeps, which reports every state it reaches and steps
+one vertex array in place; ``smooth`` builds one Mesh, at the end.
 
 A Mesh is held as arrays: its vertices and, per kind, its node indices
 and element positions.  Mesh JSON is read and written per kind, through
@@ -55,7 +56,7 @@ from . import elements as el
 from .elements import _measure
 from .flow import FlowDivergenceError, FlowSettings
 from .jsontext import json_list
-from .sphere import DegenerateConfigurationError, psi
+from .sphere import DegenerateConfigurationError, _divisor
 
 
 class MeshFormatError(ValueError):
@@ -270,18 +271,19 @@ _WINDOW = 10
 
 
 def _sweeps(m: Mesh, settings: FlowSettings | None = None, sweeps: int = 0,
-            quality_tol: float = -np.inf, report: bool = True):
+            quality_tol: float = -np.inf):
     """The vertices of ``m`` after up to ``sweeps`` sweeps, and the reports of its states.
 
     The state after i sweeps is one vertex array, stepped in place.  Per
     kind, one ``take`` of the plan's offsets reads its element rows
-    (E, 3, n); their field X is evaluated once, at the centered rows C.
-    The state's report (if ``report``) reads q from C and X; the step
-    scatters the (psi-rescaled) X with one ``bincount`` over the same
-    offsets.  The sweeps stop when min_q has not risen by ``quality_tol``
-    over ``_WINDOW`` sweeps.  A state whose quality is not finite raises:
-    the input with DegenerateConfigurationError, a later one with
-    FlowDivergenceError.
+    (E, 3, n), and ``_measure`` evaluates their field X once, at the
+    centered rows.  The state's report reads q and <X, c> from the
+    measure; the step scatters X, divided by psi's divisor sqrt|X| from
+    the measure's <X, X> under the psi normalization, with one
+    ``bincount`` over the same offsets.  The sweeps stop when min_q has
+    not risen by ``quality_tol`` over ``_WINDOW`` sweeps.  A state whose
+    quality is not finite raises: the input with
+    DegenerateConfigurationError, a later one with FlowDivergenceError.
     """
     offsets, free, count = m.plan
     size = _size(m.groups)
@@ -294,31 +296,26 @@ def _sweeps(m: Mesh, settings: FlowSettings | None = None, sweeps: int = 0,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(sweeps + 1):  # state it, after it sweeps
             step = it < sweeps
-            if not (step or report):
-                break
-            if report:
-                xc, q = np.empty(size), np.empty(size)
+            xc, q = np.empty(size), np.empty(size)
             if step:
                 acc = np.zeros(flat.size)
             for (kind, _, pos), index in zip(m.groups, offsets):
-                _, X, qc, inner = _measure(kind, el.GRADIENT, flat.take(index))
-                if report:
-                    xc[pos], q[pos] = inner, qc / (18.0 * el.Q_MAX[kind])
+                measured = _measure(kind, el.GRADIENT, flat.take(index))
+                xc[pos], q[pos] = measured.xc, measured.q / (18.0 * el.Q_MAX[kind])
                 if step:
+                    X = measured.X
                     if settings.normalization == "psi":
-                        X = psi(X)
+                        X = X / _divisor(measured.xx)[:, None, None]
                     acc += np.bincount(index.ravel(), weights=X.ravel(), minlength=flat.size)
-            if report:
-                try:
-                    reports.append(_summary(m, v, xc, q))
-                except DegenerateConfigurationError as exc:
-                    if not it:
-                        raise  # the input mesh
-                    # an element collapsed to a point; the sweep cannot continue
-                    raise FlowDivergenceError(it) from exc
-                if (it >= _WINDOW
-                        and reports[-1].min_q - reports[-1 - _WINDOW].min_q < quality_tol):
-                    break
+            try:
+                reports.append(_summary(m, v, xc, q))
+            except DegenerateConfigurationError as exc:
+                if not it:
+                    raise  # the input mesh
+                # an element collapsed to a point; the sweep cannot continue
+                raise FlowDivergenceError(it) from exc
+            if it >= _WINDOW and reports[-1].min_q - reports[-1 - _WINDOW].min_q < quality_tol:
+                break
             if step:
                 np.add(v, settings.step * acc.reshape(-1, 3) / count, out=v, where=free)
     return v, reports
@@ -355,7 +352,7 @@ def mesh_mean_volume(m: Mesh) -> float:
     flat, xc = m.vertices.ravel(), np.empty(_size(m.groups))
     with np.errstate(divide="ignore", invalid="ignore"):  # q_c of coincident vertices
         for (kind, _, pos), index in zip(m.groups, m.plan[0]):
-            xc[pos] = _measure(kind, el.GRADIENT, flat.take(index))[3]
+            xc[pos] = _measure(kind, el.GRADIENT, flat.take(index)).xc
     return float(xc.sum()) / 18.0
 
 
@@ -389,9 +386,10 @@ def smooth_step(m: Mesh, settings: FlowSettings = FlowSettings()) -> Mesh:
     the contributions of the elements containing it; free vertices move
     by step times that average; of ``settings`` only ``step`` and
     ``normalization`` are read.  Fixed vertices are returned bitwise
-    unchanged.
+    unchanged.  As one reported sweep of ``smooth``'s loop, it raises as
+    :func:`smooth` does on a degenerate input or a diverging step.
     """
-    return m.with_vertices(_sweeps(m, settings, 1, report=False)[0])
+    return m.with_vertices(_sweeps(m, settings, 1)[0])
 
 
 def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),

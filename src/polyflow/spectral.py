@@ -53,7 +53,7 @@ def pushed_field(kind: str, variant: str, p) -> np.ndarray:
     pi(p) with last vertex zero.
     """
     P = np.ascontiguousarray(elements._check(kind, variant, pi(p)).T[None])
-    return _push(P, elements._measure(kind, variant, P)[1])[0].reshape(3, -1).T
+    return _push(P, elements._measure(kind, variant, P).X)[0].reshape(3, -1).T
 
 
 def _raw_jacobian(kind, variant, p):

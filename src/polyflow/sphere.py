@@ -32,8 +32,13 @@ def tau(p) -> np.ndarray:
 
 
 def _root(xx) -> np.ndarray:
-    """sqrt|x| from the squared norms xx = <x, x> of rows x: the divisor of :func:`psi`."""
+    """sqrt|x| from the squared norms xx = <x, x> of rows x."""
     return np.sqrt(np.sqrt(xx))
+
+
+def _divisor(xx) -> np.ndarray:
+    """The divisor of :func:`psi` from xx = <x, x>: sqrt|x|, and inf where x = 0."""
+    return np.where(xx == 0.0, np.inf, _root(xx))
 
 
 def sigma(p) -> np.ndarray:
@@ -167,8 +172,7 @@ def psi(v) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     flat = v.reshape(v.shape[:-2] + (-1,))
-    root = _root(np.vecdot(flat, flat))[..., None]
-    return (flat / np.where(root == 0.0, np.inf, root)).reshape(v.shape)
+    return (flat / _divisor(np.vecdot(flat, flat))[..., None]).reshape(v.shape)
 
 
 def is_collinear(p, tol: float = 1e-9) -> bool:

@@ -1,5 +1,6 @@
 """Tests for singularity classification and the discrete regularizing flow."""
 
+import re
 import warnings
 
 import numpy as np
@@ -28,8 +29,8 @@ def _centered_quality(kind, variant, p):
 def _measured(kind, variant, P):
     """(C, X, q_c, <X, c>) of ``elements._measure`` on a batch P (B, n, 3) on N, plus f = <X, p>."""
     R = np.ascontiguousarray(P.swapaxes(1, 2))
-    C, X, q, xc = _measure(kind, variant, R)
-    return C, X, q, xc, np.vecdot(X.reshape(len(X), -1), R.reshape(len(R), -1))
+    m = _measure(kind, variant, R)
+    return m.C, m.X, m.q, m.xc, np.vecdot(m.X.reshape(len(R), -1), R.reshape(len(R), -1))
 
 
 def _prism(a: float, h: float) -> np.ndarray:
@@ -431,10 +432,18 @@ class TestIntegrateBatch:
         # quality_report q of a one-element mesh of that shape, bit for bit
         P0 = np.stack([pf.random_configuration(kind, s) for s in range(20)])
         out = pf.integrate_batch(kind, pf.GRADIENT, P0)
-        qc = _measure(kind, pf.GRADIENT, np.ascontiguousarray(out["p"].swapaxes(1, 2)))[2]
+        qc = _measure(kind, pf.GRADIENT, np.ascontiguousarray(out["p"].swapaxes(1, 2))).q
         for i, p in enumerate(out["p"]):
             m = pf.Mesh(p, [(kind, tuple(range(len(p))))], [])
             assert qc[i] / (18.0 * pf.Q_MAX[kind]) == pf.quality_report(m).per_element_q[0], i
+
+    @pytest.mark.parametrize("shape", [(4, 3), (0, 4, 3)], ids=["one-config", "empty"])
+    def test_rejects_a_start_that_is_no_batch(self, shape):
+        # one configuration, or none, is named by its shape before pi runs
+        P0 = pf.reference_optimal("tetrahedron") if len(shape) == 2 else np.empty(shape)
+        with pytest.raises(ValueError, match=r"non-empty batch of shape \(B, n, 3\), got "
+                           + re.escape(str(shape))):
+            pf.integrate_batch("tetrahedron", pf.GRADIENT, P0)
 
     def test_all_converge(self):
         batch = np.stack([pf.pi(pf.random_configuration("octahedron", s))
@@ -460,30 +469,40 @@ class TestBufferContract:
         P = _rows(kind, variant, range(B))
         buffers = _measure_buffers(B, P.shape[2])
         into = _measure(kind, variant, P, buffers)
-        assert [a.tobytes() for a in into] == [
-            a.tobytes() for a in _measure(kind, variant, P)]
-        assert all(a is b for a, b in zip(into, (buffers.C, buffers.X, buffers.q)))
+        alone = _measure(kind, variant, P)
+        for name in ("C", "X", "q", "xc", "xx"):
+            assert getattr(into, name).tobytes() == getattr(alone, name).tobytes(), name
+
+    def test_measure_returns_its_buffers(self, kind, variant, B):
+        # callers read the measure by name from the record it returns: the
+        # buffers it was given, or fresh ones
+        P = _rows(kind, variant, range(B))
+        buffers = _measure_buffers(B, P.shape[2])
+        assert _measure(kind, variant, P, buffers) is buffers
+        fresh = _measure(kind, variant, P)
+        assert type(fresh) is type(buffers) and fresh.X.shape == (B, 3, P.shape[2])
 
     def test_candidate_shares_all_but_q(self, kind, variant, B):
         # the candidate's measure overwrites the state's X and <X, X>, and the
         # state's q_c outlives it
         P, Pn = _rows(kind, variant, range(B)), _rows(kind, variant, range(B, 2 * B))
         state = _measure_buffers(B, P.shape[2])
-        q = _measure(kind, variant, P, state)[2].tobytes()
+        q = _measure(kind, variant, P, state).q.tobytes()
         candidate = state._replace(q=np.empty(B))
-        _, X, qn, xc = _measure(kind, variant, Pn, candidate)
-        assert X is state.X and candidate.xx is state.xx and qn is candidate.q
+        measured = _measure(kind, variant, Pn, candidate)
+        assert measured.X is state.X and measured.xx is state.xx
+        assert measured.q is candidate.q
         assert state.q.tobytes() == q
-        _, Xa, qa, xca = _measure(kind, variant, Pn)
-        assert (X.tobytes(), qn.tobytes(), xc.tobytes()) == (
-            Xa.tobytes(), qa.tobytes(), xca.tobytes())
-        x = Xa.reshape(B, -1)
+        alone = _measure(kind, variant, Pn)
+        for name in ("X", "q", "xc"):
+            assert getattr(measured, name).tobytes() == getattr(alone, name).tobytes(), name
+        x = alone.X.reshape(B, -1)
         assert np.array_equal(state.xx, np.vecdot(x, x))
 
     def test_push_writes_r_into_a_given_row(self, kind, variant, B):
         P = _rows(kind, variant, range(B))
         n = P.shape[2]
-        X = _measure(kind, variant, P)[1]
+        X = _measure(kind, variant, P).X
         rw = np.zeros((2, B, 3 * n))
         row = rw[0]
         r, lam = _push(P, X, _push_buffers(B, n)._replace(r=row))

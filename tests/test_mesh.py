@@ -460,6 +460,22 @@ class TestSmoothStep:
         assert np.allclose(m2.vertices[2], expected, atol=1e-15)
         assert np.array_equal(m2.vertices[[0, 1, 3, 4]], v[[0, 1, 3, 4]])
 
+    def test_zero_field_element_adds_nothing(self):
+        # psi maps a zero field to zero: a tetrahedron on the x axis, whose
+        # centered field is exactly 0, leaves its own vertices bitwise put
+        # while the regular tetrahedron sharing vertices 0 and 1 moves them
+        regular = pf.reference_optimal("tetrahedron")
+        v = np.vstack([regular, [[2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]])
+        m = pf.Mesh(vertices=v, elements=(("tetrahedron", (0, 1, 2, 3)),
+                                          ("tetrahedron", (0, 1, 4, 5))),
+                    fixed=frozenset())
+        assert not pf.field("tetrahedron", pf.GRADIENT, v[[0, 1, 4, 5]]).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pf.smooth_step(m, pf.FlowSettings()).vertices
+        assert out[4:].tobytes() == v[4:].tobytes()
+        assert np.isfinite(out).all() and (out[:2] != v[:2]).any()
+
     def test_fixed_vertices_bitwise_unchanged(self, rng):
         v = rng.normal(size=(8, 3))
         m = pf.Mesh(vertices=v,
@@ -699,9 +715,10 @@ class TestSmooth:
             pf.smooth(m, pf.FlowSettings(step=1e6, normalization="none"),
                       max_iters=100)
 
+    @pytest.mark.parametrize("entry", ["smooth", "smooth_step"])
     @pytest.mark.parametrize("kind", pf.KINDS)
     @pytest.mark.parametrize("normalization", ["psi", "none"])
-    def test_overflowing_step_names_its_iteration(self, kind, normalization):
+    def test_overflowing_step_names_its_iteration(self, kind, normalization, entry):
         # at ten times the reference size the first step moves every free
         # vertex to infinity; the state it leads to, iteration 1, diverges
         n = pf.VERTEX_COUNT[kind]
@@ -709,12 +726,13 @@ class TestSmooth:
             scale=0.1, size=(n, 3)))
         m = _single(kind, v, fixed=[0])
         with pytest.raises(pf.FlowDivergenceError) as info, np.errstate(over="ignore"):
-            pf.smooth(m, pf.FlowSettings(step=1.7e308, normalization=normalization))
+            getattr(pf, entry)(m, pf.FlowSettings(step=1.7e308, normalization=normalization))
         assert info.value.iteration == 1
 
+    @pytest.mark.parametrize("entry", ["smooth", "smooth_step"])
     @pytest.mark.parametrize("kind", pf.KINDS)
     @pytest.mark.parametrize("normalization", ["psi", "none"])
-    def test_overflowing_step_warns_nothing(self, kind, normalization):
+    def test_overflowing_step_warns_nothing(self, kind, normalization, entry):
         # the overflow in the step and in the diagnosis of the state it
         # leads to stays inside the smoother
         n = pf.VERTEX_COUNT[kind]
@@ -723,8 +741,19 @@ class TestSmooth:
         m = _single(kind, v, fixed=[0])
         with pytest.raises(pf.FlowDivergenceError) as info, warnings.catch_warnings():
             warnings.simplefilter("error")
-            pf.smooth(m, pf.FlowSettings(step=1.7e308, normalization=normalization))
+            getattr(pf, entry)(m, pf.FlowSettings(step=1.7e308, normalization=normalization))
         assert info.value.iteration == 1
+
+    @pytest.mark.parametrize("entry", ["smooth", "smooth_step"])
+    def test_coincident_input_element_is_named(self, entry):
+        # both entry points report the input state before they step it
+        v = np.vstack([pf.reference_optimal("tetrahedron"), np.full((4, 3), 0.5)])
+        m = pf.Mesh(vertices=v, elements=(("tetrahedron", (0, 1, 2, 3)),
+                                          ("tetrahedron", (4, 5, 6, 7))),
+                    fixed=frozenset({0}))
+        with pytest.raises(pf.DegenerateConfigurationError,
+                           match="element 1: all vertices coincide"):
+            getattr(pf, entry)(m, pf.FlowSettings())
 
 
 class TestMeshJson:
