@@ -2,10 +2,10 @@
 
 Exit codes: 0 success/convergence, 2 iteration budget exhausted
 (regularize; smooth exits 0 when its sweep budget ends), 3 divergence,
-64 usage error, 65 malformed input file, 66 missing file.
-The flow's warning that a step may overshoot, and the smoother's that
-every vertex is fixed, are one ``warning:`` line on stderr each and leave
-the exit code as it is.
+64 usage error, 65 malformed input file, 66 missing file.  ``_usage_checked``
+writes every ``usage error:`` line, and ``main`` writes every warning of a
+command as one ``warning:`` line on stderr, before the line of an error that
+ends the command; a warning leaves the exit code as it is.
 
 A command line that starts with a known command goes straight to that
 command's own subparser; any other goes through the top-level parser.
@@ -21,8 +21,6 @@ import json
 import os
 import sys
 import warnings
-
-import numpy as np
 
 from . import elements, flow, mesh as mesh_mod, sampling, spectral
 from .sphere import DegenerateConfigurationError, pi
@@ -106,8 +104,8 @@ def _resolve_variant(parser, kind, field_name):
     return variant
 
 
-def _load_configuration(path, kind) -> np.ndarray:
-    """Read a configuration: bare {'vertices': ...} or a one-element mesh."""
+def _load_configuration(path, kind):
+    """Read an (n, 3) configuration: bare {'vertices': ...} or a one-element mesh."""
     data = mesh_mod._read_json(path)
     if isinstance(data, dict) and "elements" in data:
         m = mesh_mod.mesh_from_dict(data)
@@ -136,22 +134,16 @@ def _usage_checked(make, *args, **kwargs):
 
 
 def _check_outputs(**paths) -> None:
-    """A usage error unless each given output path can be written as a file.
+    """Raise ValueError unless each given output path can be written as a file.
 
-    Run before any work, so that a bad path writes nothing: the path must
+    Checked before any work, so that a bad path writes nothing: a path may
     not be a directory, and its parent directory must exist.
     """
     for flag, path in paths.items():
-        if not path:
-            continue
-        if os.path.isdir(path):
-            problem = "is a directory"
-        elif not os.path.isdir(os.path.dirname(path) or "."):
-            problem = "is in a directory that does not exist"
-        else:
-            continue
-        sys.stderr.write(f"usage error: --{flag} {path} {problem}\n")
-        raise SystemExit(EXIT_USAGE)
+        if path and os.path.isdir(path):
+            raise ValueError(f"--{flag} {path} is a directory")
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"--{flag} {path} is in a directory that does not exist")
 
 
 @contextlib.contextmanager
@@ -173,23 +165,21 @@ def _warnings_as_lines():
 
 def _cmd_regularize(parser, args) -> int:
     variant = _resolve_variant(parser, args.type, args.field)
-    settings = _usage_checked(flow.FlowSettings, step=args.step,
-                              max_iters=args.max_iters, tol=args.tol,
-                              normalization=args.normalization)
-    _check_outputs(output=args.output, trajectory=args.trajectory)
+    settings = _usage_checked(flow.FlowSettings, step=args.step, max_iters=args.max_iters,
+                              tol=args.tol, normalization=args.normalization)
+    _usage_checked(_check_outputs, output=args.output, trajectory=args.trajectory)
     if args.input is not None:
         p0 = _load_configuration(args.input, args.type)
     else:
         p0 = sampling.random_configuration(args.type, args.random, variant)
-    with _warnings_as_lines():
-        if args.trajectory:
-            traj = flow.integrate(args.type, variant, p0, settings)
-            end = (traj.p_final, traj.residual_final, traj.iterations, traj.converged,
-                   traj.halvings, traj.monotone_breaks)
-        else:  # no recorder: the kernel on a batch of one
-            out = flow.integrate_batch(args.type, variant, p0[None], settings)
-            end = (out["p"][0], float(out["residual"][0]), int(out["iterations"][0]),
-                   bool(out["converged"][0]), out["halvings"], out["monotone_breaks"])
+    if args.trajectory:
+        traj = flow.integrate(args.type, variant, p0, settings)
+        end = (traj.p_final, traj.residual_final, traj.iterations, traj.converged,
+               traj.halvings, traj.monotone_breaks)
+    else:  # no recorder: the kernel on a batch of one
+        out = flow.integrate_batch(args.type, variant, p0[None], settings)
+        end = (out["p"][0], float(out["residual"][0]), int(out["iterations"][0]),
+               bool(out["converged"][0]), out["halvings"], out["monotone_breaks"])
     p, residual, iterations, converged, halvings, breaks = end
     cls = flow.classify(args.type, variant, p, tol=args.tol)
     result = {
@@ -217,14 +207,11 @@ def _cmd_regularize(parser, args) -> int:
 
 def _cmd_smooth(parser, args) -> int:
     settings = _usage_checked(flow.FlowSettings, step=args.step, max_iters=args.max_iters)
-    if np.isnan(args.quality_tol):
-        sys.stderr.write("usage error: quality_tol must be a number, got nan\n")
-        return EXIT_USAGE
-    _check_outputs(output=args.output, report=args.report)
+    _usage_checked(mesh_mod._check_quality_tol, args.quality_tol)
+    _usage_checked(_check_outputs, output=args.output, report=args.report)
     m = mesh_mod.load_mesh(args.input)
-    with _warnings_as_lines():
-        smoothed, reports = mesh_mod.smooth(m, settings, max_iters=args.max_iters,
-                                            quality_tol=args.quality_tol)
+    smoothed, reports = mesh_mod.smooth(m, settings, max_iters=args.max_iters,
+                                        quality_tol=args.quality_tol)
     if args.output:
         mesh_mod.save_mesh(smoothed, args.output)
     if args.report:
@@ -306,7 +293,8 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
-        return _COMMANDS[args.command](parser, args)
+        with _warnings_as_lines():
+            return _COMMANDS[args.command](parser, args)
     except FileNotFoundError as exc:
         sys.stderr.write(f"missing file: {exc.filename}\n")
         return EXIT_NOINPUT

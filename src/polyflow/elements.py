@@ -72,6 +72,15 @@ def _check(kind: str, variant: str, p) -> np.ndarray:
     return p
 
 
+def _check_batch(kind: str, variant: str, P, name: str) -> np.ndarray:
+    """P as floats if it is a non-empty batch (B, n, 3) whose rows :func:`_check` takes."""
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 3 or not len(P):
+        raise ValueError(f"{name} must be a non-empty batch of shape (B, n, 3), got {P.shape}")
+    _check(kind, variant, P[0])
+    return P
+
+
 def field(kind: str, variant: str, p) -> np.ndarray:
     """Evaluate the closed-form per-vertex field.
 
@@ -318,9 +327,10 @@ def mean_volume_batch(kind: str, P) -> np.ndarray:
     """Signed mean volume of a batch of configurations, (B, n, 3) -> (B,).
 
     <X, c> / 18 on the centered component-major rows c, X their gradient
-    field: the volume the mesh report and the flow's q_c read.
+    field: the volume the mesh report and the flow's q_c read.  A P other
+    than a non-empty batch of the kind's (n, 3) rows raises ValueError.
     """
-    P = np.ascontiguousarray(np.asarray(P, dtype=float).swapaxes(1, 2))
+    P = np.ascontiguousarray(_check_batch(kind, GRADIENT, P, "P").swapaxes(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):  # q_c of coincident vertices
         return _measure(kind, GRADIENT, P).xc / 18.0
 
@@ -331,8 +341,7 @@ def mean_volume(kind: str, p) -> float:
     ``field(kind, mean_volume_gradient, p)`` is exactly the gradient of
     ``6 * mean_volume(kind, p)`` for every kind.
     """
-    p = _check(kind, GRADIENT, p)
-    return float(mean_volume_batch(kind, p[None])[0])
+    return float(mean_volume_batch(kind, _check(kind, GRADIENT, p)[None])[0])
 
 
 def field_from_triangulations(kind: str, p) -> np.ndarray:

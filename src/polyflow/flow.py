@@ -69,10 +69,16 @@ class FlowDivergenceError(RuntimeError):
         self.iteration = iteration
 
 
-def _check_tol(tol):
-    """Raise ValueError unless 0 < tol < inf: residual < inf holds for every finite residual."""
-    if not 0 < tol < float("inf"):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+def _positive_finite(name: str, value) -> None:
+    """Raise ValueError unless 0 < value < inf; a NaN fails every comparison."""
+    if not 0 < value < float("inf"):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _integer_at_least(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,13 +91,9 @@ class FlowSettings:
     normalization: str = "psi"
 
     def __post_init__(self):
-        if not 0 < self.step < float("inf"):
-            raise ValueError(f"step must be positive and finite, got {self.step}")
-        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)
-                or self.max_iters < 1):
-            raise ValueError(f"max_iters must be an integer of at least 1, "
-                             f"got {self.max_iters!r}")
-        _check_tol(self.tol)
+        _positive_finite("step", self.step)
+        _integer_at_least("max_iters", self.max_iters, 1)
+        _positive_finite("tol", self.tol)
         if self.normalization not in ("psi", "none"):
             raise ValueError("normalization must be 'psi' or 'none'")
 
@@ -135,7 +137,7 @@ def classify(kind: str, variant: str, p, tol: float = 1e-10) -> SingularityClass
     would call any start a fixed point.  A non-finite coordinate raises
     :class:`DegenerateConfigurationError`, as in :func:`singularity_residual`.
     """
-    _check_tol(tol)
+    _positive_finite("tol", tol)
     residual, lam = singularity_residual(kind, variant, p)
     if residual >= tol:
         return SingularityClass("nonsingular", lam, residual)
@@ -192,7 +194,6 @@ def _flow(kind, variant, P, settings, record=None):
     the dict of :func:`integrate_batch`.  f is formed only for the rows
     recorded and for the rows that stop.
     """
-    elements._check(kind, variant, P[0])
     B, n, _ = P.shape
     start = P
     P, p, state, candidate, push, rw, dots, residual, norm, norm_column = _workspace(B, n)
@@ -281,10 +282,11 @@ def integrate(kind: str, variant: str, p0,
     A batch of one through the flow kernel, recording one row per
     iteration: (iteration, p on N, f value, residual, lam).  Terminates
     at convergence or after ``settings.max_iters`` steps; raises
-    :class:`FlowDivergenceError` when a step overflows.
+    :class:`FlowDivergenceError` when a step overflows.  A p0 of another
+    shape than the kind's (n, 3) raises ValueError before ``pi`` runs.
     """
     traj = Trajectory(kind=kind, variant=variant)
-    out = _flow(kind, variant, pi(p0)[None], settings,
+    out = _flow(kind, variant, pi(elements._check(kind, variant, p0))[None], settings,
                 lambda it, P, F, res, lam: traj.points.append(
                     (it, P[0].T.copy(), float(F[0]), float(res[0]), float(lam[0]))))
     traj.iterations, traj.converged = int(out["iterations"][0]), bool(out["converged"][0])
@@ -301,11 +303,9 @@ def integrate_batch(kind: str, variant: str, P0,
     ``lam``, ``f`` (B,), ``iterations`` (B,), ``converged`` (B,) bool,
     plus the totals ``monotone_breaks`` and ``halvings``, which is
     always 0 (no step is halved) and stays for the callers that read it.
-    A P0 that is not a non-empty (B, n, 3) batch raises ValueError.
+    A P0 other than a non-empty batch of the kind's (n, 3) starts raises ValueError.
     """
-    if np.ndim(P0) != 3 or not len(P0):
-        raise ValueError(f"P0 must be a non-empty batch of shape (B, n, 3), got {np.shape(P0)}")
-    return _flow(kind, variant, pi(P0), settings)
+    return _flow(kind, variant, pi(elements._check_batch(kind, variant, P0, "P0")), settings)
 
 
 def shape_metrics(kind: str, p) -> dict:

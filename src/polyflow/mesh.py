@@ -47,14 +47,13 @@ import warnings
 from dataclasses import dataclass, field as dataclass_field, fields
 from functools import cached_property
 from itertools import chain
-from numbers import Integral
 from operator import itemgetter
 
 import numpy as np
 
 from . import elements as el
 from .elements import _measure
-from .flow import FlowDivergenceError, FlowSettings
+from .flow import FlowDivergenceError, FlowSettings, _integer_at_least
 from .jsontext import json_list
 from .sphere import DegenerateConfigurationError, _divisor
 
@@ -185,7 +184,7 @@ def _plan(groups: tuple, fixed: frozenset, n: int) -> tuple:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Mesh:
-    """Vertex pool, typed elements, and immobile vertex set.
+    """Vertex pool, typed elements (at least one), and immobile vertex set.
 
     The mesh is held as arrays.  ``vertices`` is the (n, 3) float array;
     ``groups`` holds, per kind present in order of first use, the (E, n)
@@ -213,6 +212,8 @@ class Mesh:
 
     def _build(self, vertices, kinds: list, nodes: list, fixed) -> None:
         """Check the vertices, the elements ``zip(kinds, nodes)`` and ``fixed``; set the arrays."""
+        if not kinds:
+            raise MeshFormatError("elements is empty; a mesh needs at least one element")
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshFormatError("vertices must be an (n, 3) array")
@@ -392,6 +393,12 @@ def smooth_step(m: Mesh, settings: FlowSettings = FlowSettings()) -> Mesh:
     return m.with_vertices(_sweeps(m, settings, 1)[0])
 
 
+def _check_quality_tol(quality_tol) -> None:
+    """Raise ValueError if ``quality_tol``, smooth's stop rule, is NaN."""
+    if np.isnan(quality_tol):
+        raise ValueError("quality_tol must be a number, got nan")
+
+
 def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
            max_iters: int = 10 ** 4, quality_tol: float = 1e-10):
     """Repeat smooth_step until min-quality stagnates over a 10-iteration window.
@@ -409,10 +416,8 @@ def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
     sweep budget is ``max_iters``, an integer of at least 0, and the stop
     rule ``quality_tol``, which may not be NaN; others raise ValueError.
     """
-    if isinstance(max_iters, bool) or not isinstance(max_iters, Integral) or max_iters < 0:
-        raise ValueError(f"max_iters must be an integer of at least 0, got {max_iters!r}")
-    if np.isnan(quality_tol):
-        raise ValueError("quality_tol must be a number, got nan")
+    _integer_at_least("max_iters", max_iters, 0)
+    _check_quality_tol(quality_tol)
     if len(m.fixed) >= len(m.vertices):
         reports = [quality_report(m)]
         warnings.warn("all vertices fixed; smoothing is the identity", stacklevel=2)
@@ -494,8 +499,6 @@ def mesh_from_dict(data) -> Mesh:
     verts = _coordinates(data["vertices"])
     if not isinstance(data["elements"], list):
         raise MeshFormatError("elements must be a list")
-    if not data["elements"]:
-        raise MeshFormatError("elements is empty; a mesh needs at least one element")
     kinds, nodes = _entry_fields(data["elements"])
     fixed = data.get("fixed", [])
     if not isinstance(fixed, list):

@@ -1,5 +1,6 @@
 """Tests for the per-kind vertex fields, volumes and reference shapes."""
 
+import re
 import warnings
 
 import numpy as np
@@ -228,6 +229,21 @@ def test_mean_volume_examples():
     assert pf.mean_volume("tetrahedron", tet) == pytest.approx(1.0 / 6.0)
     octa = pf.reference_optimal("octahedron")
     assert pf.mean_volume("octahedron", octa) == pytest.approx(4.0 / 3.0)
+
+
+@pytest.mark.parametrize("shape,message", [
+    ((2, 5, 3), "tetrahedron expects shape (4, 3), got (5, 3)"),
+    ((0, 4, 3), "must be a non-empty batch of shape (B, n, 3), got (0, 4, 3)"),
+], ids=["five-vertex", "empty"])
+@pytest.mark.parametrize("entry", [
+    lambda P: pf.mean_volume_batch("tetrahedron", P),
+    lambda P: pf.integrate_batch("tetrahedron", pf.GRADIENT, P),
+], ids=["mean_volume_batch", "integrate_batch"])
+def test_batch_entries_share_one_rule(entry, shape, message):
+    # a batch of ones of another vertex count is named before any reshape,
+    # and before pi calls its vertices coincident
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entry(np.ones(shape))
 
 
 def _hexahedron_y_potential(p):

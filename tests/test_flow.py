@@ -362,6 +362,16 @@ class TestIntegrate:
             pf.integrate("tetrahedron", pf.GRADIENT, p,
                          pf.FlowSettings(step=5.0, max_iters=3))
 
+    @pytest.mark.parametrize("fill", ["ones", "random"])
+    @pytest.mark.parametrize("shape", [(0, 3), (3,), (2, 4, 3)], ids=["empty", "flat", "batch"])
+    def test_rejects_a_start_that_is_no_configuration(self, shape, fill):
+        # named by its shape before pi runs: pi would index past an empty or
+        # flat start, and call a batch of ones coincident
+        p0 = np.ones(shape) if fill == "ones" else np.random.default_rng(1).random(shape)
+        with pytest.raises(ValueError, match=re.escape(
+                f"tetrahedron expects shape (4, 3), got {shape}")):
+            pf.integrate("tetrahedron", pf.GRADIENT, p0)
+
     def test_max_iters_exhaustion(self):
         p = pf.pi(pf.random_configuration("tetrahedron", 7))
         t = pf.integrate("tetrahedron", pf.GRADIENT, p,

@@ -109,6 +109,20 @@ class TestMeshContainer:
             pf.Mesh(vertices=v, elements=(("tetrahedron", (0, 1, 2, 3)),),
                     fixed=frozenset({17}))
 
+    @pytest.mark.parametrize("build", [
+        lambda v: pf.Mesh(v, [], []),
+        lambda v: pf.mesh_from_dict({"vertices": v.tolist(), "elements": []})],
+        ids=["built", "loaded"])
+    def test_a_mesh_needs_an_element(self, build):
+        # built or loaded alike: a mesh without an element has no quality
+        with pytest.raises(pf.MeshFormatError) as info:
+            build(pf.reference_optimal("tetrahedron"))
+        assert str(info.value) == "elements is empty; a mesh needs at least one element"
+
+    def test_vertices_must_be_an_n_by_3_array(self):
+        with pytest.raises(pf.MeshFormatError, match=r"^vertices must be an \(n, 3\) array$"):
+            pf.Mesh(np.zeros((4, 2)), [("tetrahedron", (0, 1, 2, 3))], [])
+
     @pytest.mark.parametrize("nodes,message", [
         # each message names the first bad element, whatever follows it
         ([(0, 1, 2, 3), (0, 1, 2), (0, 1, 2, 9)],
