@@ -60,15 +60,20 @@ VARIANTS_BY_KIND = {
     "octahedron": (GRADIENT,),
 }
 
-def _check(kind: str, variant: str, p) -> np.ndarray:
+def _check_kind(kind: str, variant: str = GRADIENT) -> None:
+    """Raise ValueError unless ``kind`` is one of ``KINDS`` and ``variant`` one of its fields."""
     if kind not in KINDS:
         raise ValueError(f"unknown element kind {kind!r}")
     if variant not in VARIANTS_BY_KIND[kind]:
         raise ValueError(f"variant {variant!r} not defined for {kind}")
+
+
+def _check(kind: str, variant: str, p) -> np.ndarray:
+    """p as floats if :func:`_check_kind` takes kind and variant and p has the kind's shape."""
+    _check_kind(kind, variant)
     p = np.asarray(p, dtype=float)
     if p.shape != (VERTEX_COUNT[kind], 3):
-        raise ValueError(
-            f"{kind} expects shape ({VERTEX_COUNT[kind]}, 3), got {p.shape}")
+        raise ValueError(f"{kind} expects shape ({VERTEX_COUNT[kind]}, 3), got {p.shape}")
     return p
 
 
@@ -126,10 +131,16 @@ def field_batch(kind: str, variant: str, P, out=None) -> np.ndarray:
     ``out``, a (B, n, 3) view of component-major rows (B, 3, n), receives
     the result instead: at B = 1 the gemm writes the rows in place, at
     B > 1 its (3, B, n) result is copied in.  The bits are the same.
+    A kind or variant miss raises ValueError as :func:`field` does; the
+    shape of P is not checked (the flows call this once per iteration).
     """
+    try:
+        factors, WT = _COMPILED[kind, variant]
+    except (KeyError, TypeError):  # a TypeError: an unhashable kind or variant
+        _check_kind(kind, variant)  # raises: every defined pair is compiled
+        raise
     P = np.asarray(P, dtype=float)
     B, n, _ = P.shape
-    factors, WT = _COMPILED[kind, variant]
     Q = P.transpose(2, 1, 0).reshape(3 * n, B)
     # One gather for both factors, multiplied in place: glibc returns the
     # top of the heap to the system once more than twice its largest
@@ -189,8 +200,7 @@ TRIANGULATIONS = {
 
 def triangulations(kind: str):
     """Triangulation table for a kind: a tuple of triangulations."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown element kind {kind!r}")
+    _check_kind(kind)
     return TRIANGULATIONS[kind]
 
 
@@ -352,7 +362,7 @@ def field_from_triangulations(kind: str, p) -> np.ndarray:
     result is averaged over the triangulation set.  Cross-validates the
     closed forms.
     """
-    p = _check(kind, VARIANTS_BY_KIND[kind][0], p)
+    p = _check(kind, GRADIENT, p)
     tables = TRIANGULATIONS[kind]
     acc = np.zeros_like(p)
     for table in tables:
@@ -364,6 +374,21 @@ def field_from_triangulations(kind: str, p) -> np.ndarray:
 
 
 _S3 = np.sqrt(3.0)
+_PRISM_H = np.sqrt(8.0 / 3.0)
+
+# The vertices of each kind's reference optimal shape, in canonical numbering.
+_OPTIMAL = {
+    "tetrahedron": ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, _S3 / 2, 0.0),
+                    (0.5, _S3 / 6, np.sqrt(2.0 / 3.0))),
+    "pyramid": ((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (2.0, 2.0, 0.0), (0.0, 2.0, 0.0),
+                (1.0, 1.0, np.sqrt(5.0))),
+    "prism": ((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (1.0, _S3, 0.0),
+              (0.0, 0.0, _PRISM_H), (2.0, 0.0, _PRISM_H), (1.0, _S3, _PRISM_H)),
+    "hexahedron": ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0),
+                   (0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (0.0, 1.0, 1.0)),
+    "octahedron": ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0),
+                   (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)),
+}
 
 
 def reference_optimal(kind: str) -> np.ndarray:
@@ -372,45 +397,11 @@ def reference_optimal(kind: str) -> np.ndarray:
     Regular tetrahedron (edge 1); the optimal pyramid with base edge 2
     and apex edge sqrt(7); the optimal prism with base edge 2 and height
     2*sqrt(2/3); the unit cube; the regular octahedron with poles
-    (0,0,+-1) and unit equator.  All are positively oriented.
+    (0,0,+-1) and unit equator.  All are positively oriented.  Each call
+    returns a new (n, 3) float array; an unknown kind raises ValueError.
     """
-    if kind == "tetrahedron":
-        return np.array([
-            [0.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0],
-            [0.5, _S3 / 2, 0.0],
-            [0.5, _S3 / 6, np.sqrt(2.0 / 3.0)],
-        ])
-    if kind == "pyramid":
-        return np.array([
-            [0.0, 0.0, 0.0],
-            [2.0, 0.0, 0.0],
-            [2.0, 2.0, 0.0],
-            [0.0, 2.0, 0.0],
-            [1.0, 1.0, np.sqrt(5.0)],
-        ])
-    if kind == "prism":
-        h = np.sqrt(8.0 / 3.0)
-        return np.array([
-            [0.0, 0.0, 0.0],
-            [2.0, 0.0, 0.0],
-            [1.0, _S3, 0.0],
-            [0.0, 0.0, h],
-            [2.0, 0.0, h],
-            [1.0, _S3, h],
-        ])
-    if kind == "hexahedron":
-        return np.array([
-            [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0],
-        ])
-    if kind == "octahedron":
-        return np.array([
-            [0.0, 0.0, 1.0],
-            [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
-            [0.0, 0.0, -1.0],
-        ])
-    raise ValueError(f"unknown element kind {kind!r}")
+    _check_kind(kind)
+    return np.array(_OPTIMAL[kind])
 
 
 # The per-kind quality ceiling: the mean volume of c / |c|, where c is

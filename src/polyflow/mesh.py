@@ -69,25 +69,22 @@ class MeshFormatError(ValueError):
         self.column = column
 
 
-def _index(i, what: str, n: int) -> int:
-    """Validate one vertex index: an int or numpy integer (not a bool) in 0..n-1."""
-    if type(i) is not int:  # the common case skips the slower isinstance test
-        if not isinstance(i, np.integer):
-            raise MeshFormatError(f"{what} {i!r} is not an integer")
-        i = int(i)
+def _index(i, what: str, n: int) -> None:
+    """Raise MeshFormatError unless i is an int or numpy integer (not a bool) in 0..n-1."""
+    if type(i) is not int and not isinstance(i, np.integer):
+        raise MeshFormatError(f"{what} {i!r} is not an integer")
     if not 0 <= i < n:
         raise MeshFormatError(f"{what} {i} out of range")
-    return i
 
 
 def _int_indices(values: list, n: int):
-    """``values`` as an index array if all are Python ints in 0..n-1, else None.
+    """``values`` as an index array if all pass :func:`_index`, else None.
 
-    One pass over the common case.  On None the caller checks each value
-    with :func:`_index`, which accepts numpy integers and names the first
-    bad value.
+    One set difference passes the common case, Python ints; on None the
+    caller checks each value with :func:`_index`, which names the first.
     """
-    if set(map(type, values)) - {int}:  # a bool or numpy integer is not an int here
+    odd = set(map(type, values)) - {int}
+    if odd and not all(issubclass(t, np.integer) for t in odd):
         return None
     try:
         a = np.fromiter(values, np.intp, len(values))
@@ -101,8 +98,8 @@ def _groups(kinds: list, nodes: list, n: int):
 
     ``kinds[e]`` and ``nodes[e]`` describe element e.  None unless every
     kind is a known name, every node list has its kind's length and every
-    index is a Python int in 0..n-1.  The checks are set operations over
-    all elements at once, so they name no element; :func:`_checked` does.
+    index passes :func:`_index`.  The checks are set operations over all
+    elements at once, so they name no element; :func:`_raise_first_bad` does.
     """
     try:
         order = list(dict.fromkeys(kinds))
@@ -130,23 +127,19 @@ def _groups(kinds: list, nodes: list, n: int):
     return tuple(groups)
 
 
-def _checked(kinds: list, nodes: list, n: int):
-    """``kinds, nodes`` with every kind and index checked by :func:`_index`, in order.
+def _raise_first_bad(kinds: list, nodes: list, n: int) -> None:
+    """Raise MeshFormatError naming the first ``elements[k]`` that :func:`_groups` refuses.
 
-    Raises MeshFormatError naming the first bad ``elements[k]``.  The
-    indices come back as Python ints.
+    Per element: its kind, then each index by :func:`_index`, then its length.
     """
-    rows = []
     for k, (kind, row) in enumerate(zip(kinds, nodes)):
         if kind not in el.KINDS:
             raise MeshFormatError(f"elements[{k}]: unknown type {kind!r}")
-        label = f"elements[{k}]: node index"
-        row = [_index(i, label, n) for i in row]
+        for i in row:
+            _index(i, f"elements[{k}]: node index", n)
         if len(row) != el.VERTEX_COUNT[kind]:
             raise MeshFormatError(
                 f"elements[{k}]: {kind} needs {el.VERTEX_COUNT[kind]} nodes, got {len(row)}")
-        rows.append(row)
-    return kinds, rows
 
 
 def _size(groups: tuple) -> int:
@@ -171,10 +164,10 @@ def _element_rows(groups: tuple):
 _XYZ = np.arange(3)[:, None]
 
 
-def _plan(groups: tuple, fixed: frozenset, n: int) -> tuple:
-    """The sweep plan of :class:`Mesh`: (offsets per group, free mask, count)."""
+def _plan(groups: tuple, fixed: np.ndarray, n: int) -> tuple:
+    """The sweep plan of :class:`Mesh` for the fixed index array: (offsets, free mask, count)."""
     free = np.ones((n, 1), dtype=bool)
-    free[list(fixed)] = False
+    free[fixed] = False
     count = np.zeros(n)
     for _, nodes, _ in groups:
         count += np.bincount(nodes.ravel(), minlength=n)
@@ -219,13 +212,15 @@ class Mesh:
             raise MeshFormatError("vertices must be an (n, 3) array")
         groups = _groups(kinds, nodes, len(v))
         if groups is None:
-            groups = _groups(*_checked(kinds, nodes, len(v)), len(v))
+            _raise_first_bad(kinds, nodes, len(v))
         fixed = list(fixed)
-        if _int_indices(fixed, len(v)) is None:
-            fixed = [_index(i, "fixed vertex index", len(v)) for i in fixed]
-        fixed = frozenset(fixed)
-        for name, value in (("vertices", v), ("groups", groups), ("fixed", fixed),
-                            ("plan", _plan(groups, fixed, len(v)))):
+        index = _int_indices(fixed, len(v))
+        if index is None:
+            for i in fixed:
+                _index(i, "fixed vertex index", len(v))
+        for name, value in (("vertices", v), ("groups", groups),
+                            ("fixed", frozenset(index.tolist())),
+                            ("plan", _plan(groups, index, len(v)))):
             object.__setattr__(self, name, value)
 
     @cached_property

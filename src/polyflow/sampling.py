@@ -47,8 +47,10 @@ def random_configuration(kind: str, seed: int,
 
     Configurations whose f value after projection to N is within
     ``F_REJECT`` of zero are rejected and redrawn, so sampling never
-    starts on the measure-zero degenerate level set.
+    starts on the measure-zero degenerate level set.  A kind or variant
+    miss raises ValueError before any draw.
     """
+    elements._check_kind(kind, variant)
     gen = Lcg(seed)
     n = elements.VERTEX_COUNT[kind]
     while True:

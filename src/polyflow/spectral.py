@@ -50,14 +50,14 @@ def pushed_field(kind: str, variant: str, p) -> np.ndarray:
     """The field pushed onto the tangent space of N at pi(p).
 
     Vanishes exactly at critical configurations; always orthogonal to
-    pi(p) with last vertex zero.
+    pi(p) with last vertex zero.  p is checked (:func:`field`) before pi.
     """
-    P = np.ascontiguousarray(elements._check(kind, variant, pi(p)).T[None])
+    P = np.ascontiguousarray(pi(elements._check(kind, variant, p)).T[None])
     return _push(P, elements._measure(kind, variant, P).X)[0].reshape(3, -1).T
 
 
 def _raw_jacobian(kind, variant, p):
-    """The raw field at p and its exact (3n, 3n) Jacobian, from one kernel batch.
+    """The raw field at the checked (n, 3) float array p and its exact (3n, 3n) Jacobian.
 
     The field is translation invariant and X(c) = B(c, c) for a symmetric
     bilinear B of the centered c, with B(e, e) = 0 when e moves one
@@ -66,7 +66,6 @@ def _raw_jacobian(kind, variant, p):
     The step h is the power of two above max|c|: both terms have the
     magnitude of X, and the division by h is exact.
     """
-    p = elements._check(kind, variant, p)  # validates kind, variant and shape
     c = (p - p.sum(axis=0) / len(p)).ravel()  # the bits of p.mean(axis=0)
     h = np.ldexp(1.0, np.frexp(np.abs(c).max())[1])  # 1 when c = 0
     P = h * _BASIS[len(p)]
@@ -77,7 +76,7 @@ def _raw_jacobian(kind, variant, p):
 
 def field_jacobian(kind: str, variant: str, p) -> np.ndarray:
     """Exact (3n, 3n) Jacobian of the raw field at p, from one centered kernel batch."""
-    return _raw_jacobian(kind, variant, p)[1]
+    return _raw_jacobian(kind, variant, elements._check(kind, variant, p))[1]
 
 
 def _asymmetry(J) -> float:
@@ -177,8 +176,9 @@ def hessian_spectrum(kind: str, variant: str, p) -> Spectrum:
     (3n - 3) block M plus three exact zeros, the translations.  At a
     critical point the three rotation zeros come from M, zero to rounding.
     Eigenvalues are sorted ascending and grouped at ``GROUPING_TOL``.
+    p is checked once, as in :func:`field`, before pi runs on it.
     """
-    JG, JX = _projected_jacobian(kind, variant, pi(p))
+    JG, JX = _projected_jacobian(kind, variant, pi(elements._check(kind, variant, p)))
     m = len(JG) - 3
     ev = np.concatenate((np.linalg.eigvals(JG[:m, :m]), _PINNED_ZEROS))
     ev = ev[np.argsort(ev.real)]
@@ -198,9 +198,7 @@ def collinear_signature(p) -> tuple[int, int]:
     Precondition: p is a collinear 4-vertex configuration; raises
     ValueError otherwise.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (4, 3):
-        raise ValueError("collinear signature is defined for tetrahedra")
+    p = elements._check("tetrahedron", elements.GRADIENT, p)
     if not is_collinear(p):
         raise ValueError("configuration is not collinear")
     return hessian_spectrum("tetrahedron", elements.GRADIENT, p).signature()

@@ -246,6 +246,72 @@ def test_batch_entries_share_one_rule(entry, shape, message):
         entry(np.ones(shape))
 
 
+_ONES = np.ones((4, 3))
+
+# Every public entry that takes a kind, called with kind k and otherwise
+# valid tetrahedron arguments.
+_KIND_ENTRIES = {
+    "field": lambda k: pf.field(k, pf.GRADIENT, _ONES),
+    "field_batch": lambda k: pf.field_batch(k, pf.GRADIENT, _ONES[None]),
+    "f_value": lambda k: pf.f_value(k, pf.GRADIENT, _ONES),
+    "mean_volume": lambda k: pf.mean_volume(k, _ONES),
+    "mean_volume_batch": lambda k: pf.mean_volume_batch(k, _ONES[None]),
+    "field_from_triangulations": lambda k: pf.field_from_triangulations(k, _ONES),
+    "triangulations": lambda k: pf.triangulations(k),
+    "reference_optimal": lambda k: pf.reference_optimal(k),
+    "singularity_residual": lambda k: pf.singularity_residual(k, pf.GRADIENT, _ONES),
+    "classify": lambda k: pf.classify(k, pf.GRADIENT, _ONES),
+    "integrate": lambda k: pf.integrate(k, pf.GRADIENT, _ONES),
+    "integrate_batch": lambda k: pf.integrate_batch(k, pf.GRADIENT, _ONES[None]),
+    "shape_metrics": lambda k: pf.shape_metrics(k, _ONES),
+    "pushed_field": lambda k: pf.pushed_field(k, pf.GRADIENT, _ONES),
+    "field_jacobian": lambda k: pf.field_jacobian(k, pf.GRADIENT, _ONES),
+    "asymmetry_ratio": lambda k: pf.asymmetry_ratio(k, pf.GRADIENT, _ONES),
+    "hessian_spectrum": lambda k: pf.hessian_spectrum(k, pf.GRADIENT, _ONES),
+    "random_configuration": lambda k: pf.random_configuration(k, 1),
+}
+
+
+@pytest.mark.parametrize("entry", _KIND_ENTRIES.values(), ids=_KIND_ENTRIES)
+def test_every_entry_names_an_unknown_kind(entry):
+    # one rule, checked first: before a table lookup, a draw or pi, whose
+    # vertices would all coincide here
+    with pytest.raises(ValueError, match=r"^unknown element kind 'cube'$"):
+        entry("cube")
+
+
+# Every entry that takes one configuration p, as a function of p.
+_CONFIGURATION_ENTRIES = {
+    "field": lambda p: pf.field("tetrahedron", pf.GRADIENT, p),
+    "f_value": lambda p: pf.f_value("tetrahedron", pf.GRADIENT, p),
+    "mean_volume": lambda p: pf.mean_volume("tetrahedron", p),
+    "singularity_residual": lambda p: pf.singularity_residual("tetrahedron", pf.GRADIENT, p),
+    "classify": lambda p: pf.classify("tetrahedron", pf.GRADIENT, p),
+    "integrate": lambda p: pf.integrate("tetrahedron", pf.GRADIENT, p),
+    "shape_metrics": lambda p: pf.shape_metrics("tetrahedron", p),
+    "pushed_field": lambda p: pf.pushed_field("tetrahedron", pf.GRADIENT, p),
+    "field_jacobian": lambda p: pf.field_jacobian("tetrahedron", pf.GRADIENT, p),
+    "asymmetry_ratio": lambda p: pf.asymmetry_ratio("tetrahedron", pf.GRADIENT, p),
+    "hessian_spectrum": lambda p: pf.hessian_spectrum("tetrahedron", pf.GRADIENT, p),
+}
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3,), (2, 4, 3)],
+                         ids=["empty", "flat", "batch"])
+@pytest.mark.parametrize("entry", _CONFIGURATION_ENTRIES.values(),
+                         ids=_CONFIGURATION_ENTRIES)
+def test_every_entry_names_a_bad_shape(entry, shape):
+    # the shape is named before pi or any arithmetic runs on p
+    message = f"tetrahedron expects shape (4, 3), got {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry(np.ones(shape))
+
+
+def test_field_batch_names_an_undefined_variant():
+    with pytest.raises(ValueError, match=r"^variant 'y_variant' not defined for tetrahedron$"):
+        pf.field_batch("tetrahedron", pf.Y_VARIANT, _ONES[None])
+
+
 def _hexahedron_y_potential(p):
     # 6 x (mean volume + (V_1386 + V_2457) / 2): the two central tets of
     # the hexahedron triangulations counted once more

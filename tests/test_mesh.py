@@ -160,6 +160,19 @@ class TestMeshContainer:
         with pytest.raises(pf.MeshFormatError, match="fixed vertex index 4 out of range"):
             pf.Mesh(vertices=np.eye(4, 3), elements=m.elements, fixed=(np.int64(4),))
 
+    @pytest.mark.parametrize("index,message", [
+        (np.True_, f"elements[1]: node index {np.True_!r} is not an integer"),
+        (np.uint64(2 ** 63), f"elements[1]: node index {2 ** 63} out of range"),
+    ], ids=["bool", "uint64"])
+    def test_numpy_values_that_are_no_index_are_named(self, index, message):
+        # numpy integers pass the array check; a numpy bool, or a uint64
+        # beyond the index type, fails it and the element walk names it
+        with pytest.raises(pf.MeshFormatError) as info:
+            pf.Mesh(vertices=np.eye(4, 3),
+                    elements=(("tetrahedron", (0, 1, 2, 3)), ("tetrahedron", (0, 1, 2, index))),
+                    fixed=())
+        assert str(info.value) == message
+
     def test_with_vertices_keeps_structure(self):
         m = _corner_tets()
         m2 = m.with_vertices(m.vertices + 1.0)
