@@ -79,6 +79,7 @@ def _check(kind: str, variant: str, p) -> np.ndarray:
 
 def _check_batch(kind: str, variant: str, P, name: str) -> np.ndarray:
     """P as floats if it is a non-empty batch (B, n, 3) whose rows :func:`_check` takes."""
+    _check_kind(kind, variant)
     P = np.asarray(P, dtype=float)
     if P.ndim != 3 or not len(P):
         raise ValueError(f"{name} must be a non-empty batch of shape (B, n, 3), got {P.shape}")

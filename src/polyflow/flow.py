@@ -12,8 +12,8 @@ centered quality q_c = <X, c> / |c|^3, c = p minus its centroid, which
 the flow ascends: modulo translations a step is X - lambda' c, and
 <grad q_c, X - lambda' c> ~ |X|^2 |c|^2 - <X, c>^2 >= 0.  Steps that
 lower q_c all the same (prism y is not a gradient; a step may overshoot)
-are counted in ``monotone_breaks``.  The pinned f = <X, p> is recorded
-but not monitored: it depends on the gauge and is not monotone.
+are counted in ``monotone_breaks``.  The pinned f = <X, p> depends on
+the gauge and is not monotone: it is formed only for the rows recorded.
 
 The kernel holds its batch as component-major rows (B, 3, n): row b
 lists the x, then y, then z coordinates of configuration b.  Every
@@ -46,7 +46,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field as dataclass_field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -69,9 +69,14 @@ class FlowDivergenceError(RuntimeError):
         self.iteration = iteration
 
 
+def _real(value) -> bool:
+    """Whether value is a real number, not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _positive_finite(name: str, value) -> None:
-    """Raise ValueError unless 0 < value < inf; a NaN fails every comparison."""
-    if not 0 < value < float("inf"):
+    """Raise ValueError unless value is :func:`_real` and 0 < value < inf (not NaN)."""
+    if not (_real(value) and 0 < value < float("inf")):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
@@ -185,19 +190,17 @@ def _workspace(B, n):
             norm, norm.reshape(_column(B)))
 
 
-def _flow(kind, variant, P, settings, record=None):
-    """The flow kernel: run each configuration of P (B, n, 3) on N to its end.
+def _flow(kind, variant, P0, settings, record=None):
+    """The flow kernel: run each configuration of P0 (B, n, 3) on N to its end.
 
     ``record(it, P, F, residual, lam)`` is called once per iteration with
-    the still running rows, P as component-major rows (B, 3, n); the
-    arrays are workspace views, valid only during the call.  Returns
-    the dict of :func:`integrate_batch`.  f is formed only for the rows
-    recorded and for the rows that stop.
+    the still running rows, P as component-major rows (B, 3, n), and F,
+    their pinned f, formed for it alone; the arrays are workspace views,
+    valid only during the call.  Returns the dict of :func:`integrate_batch`.
     """
-    B, n, _ = P.shape
-    start = P
+    B, n, _ = P0.shape
     P, p, state, candidate, push, rw, dots, residual, norm, norm_column = _workspace(B, n)
-    P[...] = start.swapaxes(1, 2)
+    P[...] = P0.swapaxes(1, 2)
     _measure(kind, variant, P, state)
     X, Q, xx = state.X, state.q, state.xx  # psi's divisor is read from xx = <X, X>
     bound = 3.0 * float(np.sqrt(xx).max())
@@ -206,14 +209,13 @@ def _flow(kind, variant, P, settings, record=None):
             f"step {settings.step} times field scale estimate {bound:.3g} "
             "exceeds 2; the iteration may overshoot", stacklevel=3)
     out = dict(p=np.empty((B, n, 3)), residual=np.empty(B), lam=np.empty(B),
-               f=np.empty(B), iterations=np.empty(B, dtype=int),
-               converged=np.zeros(B, dtype=bool), halvings=0, monotone_breaks=0)
+               iterations=np.empty(B, dtype=int), converged=np.zeros(B, dtype=bool),
+               halvings=0, monotone_breaks=0)
     rows = np.arange(B)  # the output row of each running configuration
     # 0-d operands: numpy converts a Python float operand on every call
     step, tol, last = np.array(settings.step), np.array(settings.tol), settings.max_iters
     psi = settings.normalization == "psi"
-    # flat rows x, for every inner product; the step w and <r, r>, <w, w>
-    x, column, w, (rr, ww) = X.reshape(B, -1), _column(B), rw[1], dots
+    column, w, (rr, ww) = _column(B), rw[1], dots  # the step w, <r, r> and <w, w>
     # A step whose norm is zero, overflows or is not finite gives a NaN q_c,
     # which the monitor catches; numpy's warnings about it are muted.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -233,12 +235,11 @@ def _flow(kind, variant, P, settings, record=None):
             np.vecdot(rw, rw, out=dots)
             np.sqrt(rr, out=residual)
             if record is not None:
-                record(it, P, np.vecdot(x, p), residual, lam)
+                record(it, P, np.vecdot(X.reshape(p.shape), p), residual, lam)
             converged = residual < tol
             if np.count_nonzero(converged) or it == last:
                 stop = converged | (it == last)
                 out["p"][rows[stop]] = P[stop].swapaxes(1, 2)
-                out["f"][rows[stop]] = np.vecdot(x[stop], p[stop])
                 for key, value in zip(("residual", "lam", "converged"),
                                       (residual, lam, converged)):
                     out[key][rows[stop]] = value[stop]
@@ -255,7 +256,7 @@ def _flow(kind, variant, P, settings, record=None):
                 X, xx, Q, w, (rr, ww) = state.X, state.xx, state.q, rw[1], dots
                 for a, b in zip(running, (Q, w, ww)):
                     np.compress(keep, a, axis=0, out=b)
-                x, column = X.reshape(len(rows), -1), _column(len(rows))
+                column = _column(len(rows))
             np.sqrt(ww, out=norm)
             np.divide(w, norm_column, out=p)
             Qn = _measure(kind, variant, P, candidate).q
@@ -300,9 +301,9 @@ def integrate_batch(kind: str, variant: str, P0,
 
     The kernel of :func:`integrate` without the per-iteration record.
     Returns a dict of terminal arrays: ``p`` (B, n, 3), ``residual``,
-    ``lam``, ``f`` (B,), ``iterations`` (B,), ``converged`` (B,) bool,
-    plus the totals ``monotone_breaks`` and ``halvings``, which is
-    always 0 (no step is halved) and stays for the callers that read it.
+    ``lam``, ``iterations`` (B,), ``converged`` (B,) bool (not f, which
+    depends on the gauge), plus the totals ``monotone_breaks`` and
+    ``halvings``, always 0 (no step is halved), kept for its readers.
     A P0 other than a non-empty batch of the kind's (n, 3) starts raises ValueError.
     """
     return _flow(kind, variant, pi(elements._check_batch(kind, variant, P0, "P0")), settings)

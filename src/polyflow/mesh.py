@@ -44,7 +44,7 @@ import csv
 import gc
 import json
 import warnings
-from dataclasses import dataclass, field as dataclass_field, fields
+from dataclasses import dataclass, field as dataclass_field, fields, replace
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -53,7 +53,7 @@ import numpy as np
 
 from . import elements as el
 from .elements import _measure
-from .flow import FlowDivergenceError, FlowSettings, _integer_at_least
+from .flow import FlowDivergenceError, FlowSettings, _integer_at_least, _real
 from .jsontext import json_list
 from .sphere import DegenerateConfigurationError, _divisor
 
@@ -244,11 +244,11 @@ class Mesh:
 class QualityReport:
     """Per-element normalized quality and mesh-level summary.
 
-    ``per_element_q`` is a read-only float array in element order.  Two
-    reports are equal when all their fields are.
+    ``per_element_q``, a read-only float array in element order, is None
+    in :func:`smooth`'s middle states.  Reports with equal fields are equal.
     """
 
-    per_element_q: np.ndarray
+    per_element_q: np.ndarray | None
     mesh_mean_volume: float
     min_q: float
     mean_q: float
@@ -280,6 +280,7 @@ def _sweeps(m: Mesh, settings: FlowSettings | None = None, sweeps: int = 0,
     not risen by ``quality_tol`` over ``_WINDOW`` sweeps.  A state whose
     quality is not finite raises: the input with
     DegenerateConfigurationError, a later one with FlowDivergenceError.
+    Only the first and the last report keep ``per_element_q``.
     """
     offsets, free, count = m.plan
     size = _size(m.groups)
@@ -292,9 +293,7 @@ def _sweeps(m: Mesh, settings: FlowSettings | None = None, sweeps: int = 0,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(sweeps + 1):  # state it, after it sweeps
             step = it < sweeps
-            xc, q = np.empty(size), np.empty(size)
-            if step:
-                acc = np.zeros(flat.size)
+            xc, q, acc = np.empty(size), np.empty(size), np.zeros(flat.size)
             for (kind, _, pos), index in zip(m.groups, offsets):
                 measured = _measure(kind, el.GRADIENT, flat.take(index))
                 xc[pos], q[pos] = measured.xc, measured.q / (18.0 * el.Q_MAX[kind])
@@ -310,6 +309,8 @@ def _sweeps(m: Mesh, settings: FlowSettings | None = None, sweeps: int = 0,
                     raise  # the input mesh
                 # an element collapsed to a point; the sweep cannot continue
                 raise FlowDivergenceError(it) from exc
+            if it > 1:
+                reports[-2] = replace(reports[-2], per_element_q=None)
             if it >= _WINDOW and reports[-1].min_q - reports[-1 - _WINDOW].min_q < quality_tol:
                 break
             if step:
@@ -389,9 +390,9 @@ def smooth_step(m: Mesh, settings: FlowSettings = FlowSettings()) -> Mesh:
 
 
 def _check_quality_tol(quality_tol) -> None:
-    """Raise ValueError if ``quality_tol``, smooth's stop rule, is NaN."""
-    if np.isnan(quality_tol):
-        raise ValueError("quality_tol must be a number, got nan")
+    """Raise ValueError unless smooth's stop rule ``quality_tol`` is :func:`_real`, not NaN."""
+    if not _real(quality_tol) or quality_tol != quality_tol:
+        raise ValueError(f"quality_tol must be a number, got {quality_tol}")
 
 
 def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
@@ -400,16 +401,16 @@ def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
 
     Returns ``(mesh, reports)`` where ``reports[i]`` is the
     :class:`QualityReport` (centered quality, see :func:`quality_report`)
-    after i steps; ``reports[0]`` is the input state.  Each state's
-    element rows are gathered once and their fields evaluated once; they
-    serve both its report and the step that leaves it, so n sweeps cost
-    n + 1 field passes.  A mesh with every vertex fixed is returned
-    unchanged with a warning.
+    after i steps; ``reports[0]`` is the input state.  Only the first and
+    the last carry ``per_element_q`` (None between).  Each state's element
+    rows are gathered once and their fields evaluated once; they serve both
+    its report and the step that leaves it, so n sweeps cost n + 1 field
+    passes.  A mesh with every vertex fixed is returned unchanged with a warning.
     A step that leaves an element's quality non-finite raises
     :class:`FlowDivergenceError` with the iteration of the state it leads to.
     Only ``settings.step`` and ``settings.normalization`` are read: the
     sweep budget is ``max_iters``, an integer of at least 0, and the stop
-    rule ``quality_tol``, which may not be NaN; others raise ValueError.
+    rule ``quality_tol``, a real number but not NaN; others raise ValueError.
     """
     _integer_at_least("max_iters", max_iters, 0)
     _check_quality_tol(quality_tol)
@@ -579,7 +580,9 @@ def save_mesh(m: Mesh, path) -> None:
 
 
 def quality_to_csv(report: QualityReport, m: Mesh, path) -> None:
-    """One CSV row per element: index, type, q (17 significant digits)."""
+    """One CSV row per element: index, type, q (17 significant digits), if the report has q."""
+    if report.per_element_q is None:
+        raise ValueError("no per_element_q: pass quality_report(m), reports[0] or reports[-1]")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "type", "q"])

@@ -246,6 +246,17 @@ def test_batch_entries_share_one_rule(entry, shape, message):
         entry(np.ones(shape))
 
 
+@pytest.mark.parametrize("shape", [(4, 3), (0, 4, 3)], ids=["unbatched", "empty"])
+@pytest.mark.parametrize("entry", [
+    lambda kind, P: pf.mean_volume_batch(kind, P),
+    lambda kind, P: pf.integrate_batch(kind, pf.GRADIENT, P),
+], ids=["mean_volume_batch", "integrate_batch"])
+def test_batch_entries_name_a_bad_kind_before_a_bad_shape(entry, shape):
+    # the kind rule runs first here too, as at every single-configuration entry
+    with pytest.raises(ValueError, match=r"^unknown element kind 'cube'$"):
+        entry("cube", np.ones(shape))
+
+
 _ONES = np.ones((4, 3))
 
 # Every public entry that takes a kind, called with kind k and otherwise

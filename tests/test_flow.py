@@ -175,6 +175,36 @@ class TestFlowSettings:
         assert pf.FlowSettings(max_iters=np.int64(3)).max_iters == 3
 
 
+_TET = pf.reference_optimal("tetrahedron")
+_TET_MESH = pf.Mesh(vertices=_TET, elements=[("tetrahedron", range(4))], fixed=[0])
+
+# Each number rule as a function of the value it checks: its message, and a
+# real number that is no Python float, which it takes.
+_NUMBER_RULES = {
+    "step": (lambda v: pf.FlowSettings(step=v), "step must be positive and finite",
+             np.float32(0.5)),
+    "tol": (lambda v: pf.FlowSettings(tol=v), "tol must be positive and finite",
+            np.int64(1)),
+    "classify": (lambda v: pf.classify("tetrahedron", pf.GRADIENT, _TET, tol=v),
+                 "tol must be positive and finite", np.float32(1e-3)),
+    "quality_tol": (lambda v: pf.smooth(_TET_MESH, pf.FlowSettings(), max_iters=0,
+                                        quality_tol=v),
+                    "quality_tol must be a number", np.int64(-1)),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "1", "x", None, 1j, [0.5]],
+                         ids=["True", "False", "np.True_", "one", "x", "None", "1j", "list"])
+@pytest.mark.parametrize("rule", _NUMBER_RULES.values(), ids=_NUMBER_RULES)
+def test_number_rules_take_a_real_number_not_a_bool(rule, value):
+    # as the integer rule refuses a bool: each refusal is the rule's one
+    # ValueError, never a TypeError from a comparison
+    call, message, good = rule
+    call(good)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {re.escape(str(value))}$"):
+        call(value)
+
+
 class TestIntegrate:
     def test_fixed_point_stops_immediately(self):
         p = pf.pi(pf.reference_optimal("tetrahedron"))
@@ -411,7 +441,7 @@ class TestIntegrateBatch:
         assert len(set(out["iterations"].tolist())) > 10
         for i in range(len(P)):
             alone = pf.integrate_batch(kind, variant, P[i:i + 1])
-            for key in ("p", "residual", "lam", "f", "iterations", "converged"):
+            for key in ("p", "residual", "lam", "iterations", "converged"):
                 assert out[key][i].tobytes() == alone[key][0].tobytes(), (i, key)
 
     @pytest.mark.parametrize("kind,variant", ALL_PAIRS)

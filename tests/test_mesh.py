@@ -428,8 +428,8 @@ class TestQualityReport:
 
     def test_per_element_q_is_read_only(self):
         m = _mixed_mesh()
-        for rep in (pf.quality_report(m),
-                    *pf.smooth(m, pf.FlowSettings(), max_iters=3, quality_tol=-1)[1]):
+        reports = pf.smooth(m, pf.FlowSettings(), max_iters=3, quality_tol=-1)[1]
+        for rep in (pf.quality_report(m), reports[0], reports[-1]):
             q = rep.per_element_q
             assert q.dtype == np.float64 and q.shape == (len(m.elements),)
             with pytest.raises(ValueError):
@@ -596,7 +596,38 @@ def test_sweep_memory_peak():
     assert peak < 2.5e6
 
 
+def test_smooth_memory_does_not_grow_with_its_sweeps():
+    # Only the first and the last report keep their per-element q, so 180
+    # more sweeps of a jittered 8^3 hex grid add a summary per state (about
+    # 40 KB in all), not a 4 KB array per state (about 800 KB in all).
+    m = _hex_grid(8, jitter=0.2, seed=3)
+    peaks = []
+    for sweeps in (20, 200):
+        tracemalloc.start()
+        try:
+            reports = pf.smooth(m, pf.FlowSettings(), max_iters=sweeps, quality_tol=-1)[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == sweeps + 1
+    assert peaks[1] - peaks[0] < 200e3
+
+
 class TestSmooth:
+    @pytest.mark.parametrize("max_iters", [0, 1, 2, 6])
+    def test_only_the_first_and_last_reports_keep_per_element_q(self, max_iters):
+        m = _mixed_mesh()
+        smoothed, reports = pf.smooth(m, pf.FlowSettings(), max_iters=max_iters,
+                                      quality_tol=-1)
+        # equal reports, per-element arrays included
+        assert reports[0] == pf.quality_report(m)
+        assert reports[-1] == pf.quality_report(smoothed)
+        for i, rep in enumerate(reports[1:-1], 1):
+            # each state between keeps its summary, that of a run that ends there
+            assert rep.per_element_q is None
+            alone = pf.smooth(m, pf.FlowSettings(), max_iters=i, quality_tol=-1)[1][-1]
+            assert rep == dataclasses.replace(alone, per_element_q=None)
+
     def test_perturbed_cube_recovers(self):
         rng = np.random.default_rng(11)
         m = _single("hexahedron",
@@ -878,6 +909,16 @@ def test_quality_csv(tmp_path):
     idx, kind, q = lines[1].split(",")
     assert (idx, kind) == ("0", "tetrahedron")
     assert float(q) == pytest.approx(rep.per_element_q[0], rel=1e-16)
+
+
+def test_quality_csv_names_a_report_without_per_element_q(tmp_path):
+    m = _mixed_mesh()
+    reports = pf.smooth(m, pf.FlowSettings(), max_iters=2, quality_tol=-1)[1]
+    path = tmp_path / "q.csv"
+    with pytest.raises(ValueError, match=r"^no per_element_q: pass quality_report\(m\), "
+                                         r"reports\[0\] or reports\[-1\]$"):
+        pf.quality_to_csv(reports[1], m, path)
+    assert not path.exists()
 
 
 def test_quality_csv_bytes_mixed(tmp_path):
