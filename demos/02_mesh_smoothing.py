@@ -19,11 +19,11 @@ mesh = pf.Mesh(vertices=cube + rng.uniform(-0.1, 0.1, (8, 3)),
                elements=(("hexahedron", tuple(range(8))),),
                fixed=frozenset())
 start = pf.quality_report(mesh)
-smoothed, reports = pf.smooth(mesh, pf.FlowSettings(step=0.05))
+smoothed, reports = pf.smooth(mesh, pf.SmoothSettings(step=0.05))
 print("perturbed cube, all free:")
 print(f"  min_q {start.min_q:.4f} -> {reports[-1].min_q:.10f} "
       f"in {len(reports) - 1} sweeps")
-one = pf.smooth_step(mesh, pf.FlowSettings(step=0.05))
+one = pf.smooth_step(mesh, pf.SmoothSettings(step=0.05))
 print(f"  per-sweep centroid drift "
       f"{np.abs(one.vertices.mean(0) - mesh.vertices.mean(0)).max():.1e} "
       f"(zero-sum fields preserve it exactly)")
@@ -41,7 +41,7 @@ mesh2 = pf.Mesh(vertices=verts,
                           ("tetrahedron", (1, 0, 2, 4))),
                 fixed=frozenset({0, 1, 2}))
 start2 = pf.quality_report(mesh2)
-smoothed2, reports2 = pf.smooth(mesh2, pf.FlowSettings(step=0.01))
+smoothed2, reports2 = pf.smooth(mesh2, pf.SmoothSettings(step=0.01))
 print("two tets, fixed base triangle:")
 print(f"  min_q {start2.min_q:.4f} -> {reports2[-1].min_q:.4f} "
       f"in {len(reports2) - 1} sweeps (stops when min_q stagnates)")

@@ -21,8 +21,8 @@ from .flow import (FlowDivergenceError, FlowSettings, SingularityClass,
                    shape_metrics, singularity_residual, trajectory_to_csv)
 from .spectral import (Spectrum, asymmetry_ratio, collinear_signature,
                        field_jacobian, hessian_spectrum, pushed_field)
-from .mesh import (Mesh, MeshFormatError, QualityReport, load_mesh,
-                   mesh_from_dict, mesh_mean_volume, mesh_to_dict,
+from .mesh import (Mesh, MeshFormatError, QualityReport, SmoothSettings,
+                   load_mesh, mesh_from_dict, mesh_mean_volume, mesh_to_dict,
                    quality_report, quality_to_csv, save_mesh, smooth,
                    smooth_step)
 from .sampling import Lcg, random_configuration

@@ -62,19 +62,20 @@ def _build_parser() -> _Parser:
     src.add_argument("--input", help="configuration JSON file")
     src.add_argument("--random", type=int, metavar="SEED",
                      help="seeded random start (see README for the generator)")
-    reg.add_argument("--step", type=float, default=0.05)
-    reg.add_argument("--max-iters", type=int, default=10 ** 5)
-    reg.add_argument("--tol", type=float, default=1e-10)
-    reg.add_argument("--normalization", default="psi", choices=("psi", "none"))
+    reg.add_argument("--step", type=float, default=flow.FlowSettings.step)
+    reg.add_argument("--max-iters", type=int, default=flow.FlowSettings.max_iters)
+    reg.add_argument("--tol", type=float, default=flow.FlowSettings.tol)
+    reg.add_argument("--normalization", default=flow.FlowSettings.normalization,
+                     choices=("psi", "none"))
     reg.add_argument("--trajectory", metavar="FILE.csv")
     reg.add_argument("--output", metavar="FILE")
 
     smo = sub.add_parser("smooth", help="smooth a mesh by field averaging")
     smo.add_argument("--input", required=True, metavar="mesh.json")
     smo.add_argument("--output", metavar="out.json")
-    smo.add_argument("--step", type=float, default=0.05)
-    smo.add_argument("--max-iters", type=int, default=10 ** 4)
-    smo.add_argument("--quality-tol", type=float, default=1e-10)
+    smo.add_argument("--step", type=float, default=mesh_mod.SmoothSettings.step)
+    smo.add_argument("--max-iters", type=int, default=mesh_mod.SmoothSettings.max_iters)
+    smo.add_argument("--quality-tol", type=float, default=mesh_mod.SmoothSettings.quality_tol)
     smo.add_argument("--report", metavar="report.csv")
 
     spe = sub.add_parser("spectrum", help="eigenvalues of the projected field Jacobian")
@@ -206,12 +207,13 @@ def _cmd_regularize(parser, args) -> int:
 
 
 def _cmd_smooth(parser, args) -> int:
-    settings = _usage_checked(flow.FlowSettings, step=args.step, max_iters=args.max_iters)
-    _usage_checked(mesh_mod._check_quality_tol, args.quality_tol)
+    # the command makes at least one sweep, though the smoother takes a budget of 0
+    _usage_checked(flow._integer_at_least, "max_iters", args.max_iters, 1)
+    settings = _usage_checked(mesh_mod.SmoothSettings, step=args.step,
+                              max_iters=args.max_iters, quality_tol=args.quality_tol)
     _usage_checked(_check_outputs, output=args.output, report=args.report)
     m = mesh_mod.load_mesh(args.input)
-    smoothed, reports = mesh_mod.smooth(m, settings, max_iters=args.max_iters,
-                                        quality_tol=args.quality_tol)
+    smoothed, reports = mesh_mod.smooth(m, settings)
     if args.output:
         mesh_mod.save_mesh(smoothed, args.output)
     if args.report:

@@ -74,21 +74,36 @@ def _real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-def _positive_finite(name: str, value) -> None:
-    """Raise ValueError unless value is :func:`_real` and 0 < value < inf (not NaN)."""
+def _positive_finite(name: str, value) -> float:
+    """value as a float; ValueError unless it is :func:`_real` and 0 < value < inf."""
     if not (_real(value) and 0 < value < float("inf")):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
 
 
-def _integer_at_least(name: str, value, least: int) -> None:
-    """Raise ValueError unless value is an integer (not a bool) of at least ``least``."""
+def _integer_at_least(name: str, value, least: int) -> int:
+    """value as an int; ValueError unless it is an integer (not a bool) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _normalization(value) -> str:
+    """value; ValueError unless it names a normalization of the field, 'psi' or 'none'."""
+    if value not in ("psi", "none"):
+        raise ValueError("normalization must be 'psi' or 'none'")
+    return value
+
+
+def _set_fields(settings, **values) -> None:
+    """Set the fields of the frozen dataclass ``settings`` to their checked ``values``."""
+    for name, value in values.items():
+        object.__setattr__(settings, name, value)
 
 
 @dataclass(frozen=True)
 class FlowSettings:
-    """Parameters of the discrete flow."""
+    """Parameters of the discrete flow, checked in order and stored as Python floats and ints."""
 
     step: float = 0.05
     max_iters: int = 10 ** 5
@@ -96,11 +111,10 @@ class FlowSettings:
     normalization: str = "psi"
 
     def __post_init__(self):
-        _positive_finite("step", self.step)
-        _integer_at_least("max_iters", self.max_iters, 1)
-        _positive_finite("tol", self.tol)
-        if self.normalization not in ("psi", "none"):
-            raise ValueError("normalization must be 'psi' or 'none'")
+        _set_fields(self, step=_positive_finite("step", self.step),
+                    max_iters=_integer_at_least("max_iters", self.max_iters, 1),
+                    tol=_positive_finite("tol", self.tol),
+                    normalization=_normalization(self.normalization))
 
 
 @dataclass(frozen=True)

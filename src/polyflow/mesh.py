@@ -30,6 +30,8 @@ from that <X, X>, to the flat vertex array with one ``bincount`` over
 the same offsets.  ``smooth``, ``smooth_step`` and ``quality_report``
 run one loop of sweeps, which reports every state it reaches and steps
 one vertex array in place; ``smooth`` builds one Mesh, at the end.
+A :class:`SmoothSettings` holds the four values that define a run: the
+step, the normalization, the sweep budget and the stop rule.
 
 A Mesh is held as arrays: its vertices and, per kind, its node indices
 and element positions.  Mesh JSON is read and written per kind, through
@@ -53,7 +55,8 @@ import numpy as np
 
 from . import elements as el
 from .elements import _measure
-from .flow import FlowDivergenceError, FlowSettings, _integer_at_least, _real
+from .flow import (FlowDivergenceError, _integer_at_least, _normalization, _positive_finite,
+                   _real, _set_fields)
 from .jsontext import json_list
 from .sphere import DegenerateConfigurationError, _divisor
 
@@ -266,8 +269,34 @@ class QualityReport:
 _WINDOW = 10
 
 
-def _sweeps(m: Mesh, settings: FlowSettings | None = None, sweeps: int = 0,
-            quality_tol: float = -np.inf):
+@dataclass(frozen=True)
+class SmoothSettings:
+    """A smoothing run's step, normalization, sweep budget and stop rule.
+
+    A sweep moves each free vertex by ``step`` times the average of its
+    elements' fields, each divided by psi's divisor under the ``psi``
+    normalization.  A run makes at most ``max_iters`` sweeps (an integer
+    of at least 0) and stops when min_q has not risen by ``quality_tol``
+    over ``_WINDOW`` sweeps: a real number (not a bool) other than NaN;
+    a negative one never stops a run.  The fields are checked in order,
+    a bad one raising ValueError, and stored as Python floats and ints.
+    """
+
+    step: float = 0.05
+    normalization: str = "psi"
+    max_iters: int = 10 ** 4
+    quality_tol: float = 1e-10
+
+    def __post_init__(self):
+        _set_fields(self, step=_positive_finite("step", self.step),
+                    normalization=_normalization(self.normalization),
+                    max_iters=_integer_at_least("max_iters", self.max_iters, 0))
+        if not _real(self.quality_tol) or self.quality_tol != self.quality_tol:
+            raise ValueError(f"quality_tol must be a number, got {self.quality_tol}")
+        _set_fields(self, quality_tol=float(self.quality_tol))
+
+
+def _sweeps(m: Mesh, settings=None, sweeps: int = 0, quality_tol: float = -np.inf):
     """The vertices of ``m`` after up to ``sweeps`` sweeps, and the reports of its states.
 
     The state after i sweeps is one vertex array, stepped in place.  Per
@@ -280,7 +309,8 @@ def _sweeps(m: Mesh, settings: FlowSettings | None = None, sweeps: int = 0,
     not risen by ``quality_tol`` over ``_WINDOW`` sweeps.  A state whose
     quality is not finite raises: the input with
     DegenerateConfigurationError, a later one with FlowDivergenceError.
-    Only the first and the last report keep ``per_element_q``.
+    Only the first and the last report keep ``per_element_q``.  Of
+    ``settings`` only ``step`` and ``normalization`` are read, to step.
     """
     offsets, free, count = m.plan
     size = _size(m.groups)
@@ -375,28 +405,23 @@ def quality_report(m: Mesh) -> QualityReport:
     return _sweeps(m)[1][0]
 
 
-def smooth_step(m: Mesh, settings: FlowSettings = FlowSettings()) -> Mesh:
+def smooth_step(m: Mesh, settings: SmoothSettings = SmoothSettings()) -> Mesh:
     """One smoothing sweep: scatter-average element fields, displace free vertices.
 
     Every element's gradient field is evaluated (square-root rescaled
     per element under the ``psi`` normalization); each vertex averages
     the contributions of the elements containing it; free vertices move
-    by step times that average; of ``settings`` only ``step`` and
-    ``normalization`` are read.  Fixed vertices are returned bitwise
-    unchanged.  As one reported sweep of ``smooth``'s loop, it raises as
-    :func:`smooth` does on a degenerate input or a diverging step.
+    by step times that average.  Of ``settings`` only ``step`` and
+    ``normalization`` are read, so the flow's settings step as a
+    :class:`SmoothSettings` with the same two.  Fixed vertices are
+    returned bitwise unchanged.  As one reported sweep of
+    ``smooth``'s loop, it raises as :func:`smooth` does on a degenerate
+    input or a diverging step.
     """
     return m.with_vertices(_sweeps(m, settings, 1)[0])
 
 
-def _check_quality_tol(quality_tol) -> None:
-    """Raise ValueError unless smooth's stop rule ``quality_tol`` is :func:`_real`, not NaN."""
-    if not _real(quality_tol) or quality_tol != quality_tol:
-        raise ValueError(f"quality_tol must be a number, got {quality_tol}")
-
-
-def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
-           max_iters: int = 10 ** 4, quality_tol: float = 1e-10):
+def smooth(m: Mesh, settings: SmoothSettings = SmoothSettings()):
     """Repeat smooth_step until min-quality stagnates over a 10-iteration window.
 
     Returns ``(mesh, reports)`` where ``reports[i]`` is the
@@ -408,17 +433,17 @@ def smooth(m: Mesh, settings: FlowSettings = FlowSettings(),
     passes.  A mesh with every vertex fixed is returned unchanged with a warning.
     A step that leaves an element's quality non-finite raises
     :class:`FlowDivergenceError` with the iteration of the state it leads to.
-    Only ``settings.step`` and ``settings.normalization`` are read: the
-    sweep budget is ``max_iters``, an integer of at least 0, and the stop
-    rule ``quality_tol``, a real number but not NaN; others raise ValueError.
+    All four fields of ``settings`` are read: the step, the normalization,
+    the sweep budget ``max_iters`` and the stop rule ``quality_tol``.
+    Settings of any other type raise TypeError before any sweep.
     """
-    _integer_at_least("max_iters", max_iters, 0)
-    _check_quality_tol(quality_tol)
+    if not isinstance(settings, SmoothSettings):
+        raise TypeError(f"smooth takes a SmoothSettings, got {type(settings).__name__}")
     if len(m.fixed) >= len(m.vertices):
         reports = [quality_report(m)]
         warnings.warn("all vertices fixed; smoothing is the identity", stacklevel=2)
         return m, reports
-    v, reports = _sweeps(m, settings, max_iters, quality_tol)
+    v, reports = _sweeps(m, settings, settings.max_iters, settings.quality_tol)
     return m.with_vertices(v), reports
 
 

@@ -469,6 +469,16 @@ class TestUsage:
             cli._parser.cache_clear()
         assert len(builds) == 1
 
+    def test_defaults_are_the_settings_defaults(self):
+        # each flag's default is read from its settings type
+        parser = cli._build_parser()
+        reg = parser.parse_args(["regularize", "--type", "tetrahedron", "--random", "1"])
+        assert pf.FlowSettings(step=reg.step, max_iters=reg.max_iters, tol=reg.tol,
+                               normalization=reg.normalization) == pf.FlowSettings()
+        smo = parser.parse_args(["smooth", "--input", "mesh.json"])
+        assert pf.SmoothSettings(step=smo.step, max_iters=smo.max_iters,
+                                 quality_tol=smo.quality_tol) == pf.SmoothSettings()
+
     def test_top_level_help_is_plain_text(self, capsys):
         assert cli.main(["-h"]) == 0
         out = capsys.readouterr().out
@@ -543,6 +553,13 @@ class TestUsage:
         assert rc == 64
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+    def test_smooth_makes_at_least_one_sweep(self, capsys, perturbed_cube_mesh):
+        # the smoother takes a budget of 0; the command does not
+        rc = cli.main(["smooth", "--input", str(perturbed_cube_mesh), "--max-iters", "0"])
+        assert rc == 64
+        assert capsys.readouterr() == (
+            "", "usage error: max_iters must be an integer of at least 1, got 0\n")
 
     @pytest.mark.parametrize("where", ["directory", "missing directory"])
     @pytest.mark.parametrize("command,flag", [

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,7 +177,6 @@ class TestFlowSettings:
 
 
 _TET = pf.reference_optimal("tetrahedron")
-_TET_MESH = pf.Mesh(vertices=_TET, elements=[("tetrahedron", range(4))], fixed=[0])
 
 # Each number rule as a function of the value it checks: its message, and a
 # real number that is no Python float, which it takes.
@@ -187,8 +187,7 @@ _NUMBER_RULES = {
             np.int64(1)),
     "classify": (lambda v: pf.classify("tetrahedron", pf.GRADIENT, _TET, tol=v),
                  "tol must be positive and finite", np.float32(1e-3)),
-    "quality_tol": (lambda v: pf.smooth(_TET_MESH, pf.FlowSettings(), max_iters=0,
-                                        quality_tol=v),
+    "quality_tol": (lambda v: pf.SmoothSettings(quality_tol=v),
                     "quality_tol must be a number", np.int64(-1)),
 }
 
@@ -203,6 +202,26 @@ def test_number_rules_take_a_real_number_not_a_bool(rule, value):
     call(good)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {re.escape(str(value))}$"):
         call(value)
+
+
+def test_a_fraction_step_runs_as_its_float():
+    # the settings store a real step as a float, so a Fraction runs the
+    # flow and the smoother to the same bits as the float it equals
+    assert pf.FlowSettings(step=Fraction(1, 20)).step == 0.05
+    assert type(pf.SmoothSettings(step=Fraction(1, 20)).step) is float
+    batch = np.stack([pf.pi(pf.random_configuration("tetrahedron", s)) for s in range(4)])
+    runs = [pf.integrate_batch("tetrahedron", pf.GRADIENT, batch,
+                               pf.FlowSettings(step=step, max_iters=50))
+            for step in (Fraction(1, 20), 0.05)]
+    for key in ("p", "residual", "iterations", "converged"):
+        assert runs[0][key].tobytes() == runs[1][key].tobytes(), key
+    m = pf.Mesh(vertices=pf.reference_optimal("hexahedron")
+                + np.random.default_rng(2).uniform(-0.1, 0.1, (8, 3)),
+                elements=[("hexahedron", range(8))], fixed=[0])
+    smoothed = [pf.smooth(m, pf.SmoothSettings(step=step, max_iters=20, quality_tol=-1))
+                for step in (Fraction(1, 20), 0.05)]
+    assert smoothed[0][0].vertices.tobytes() == smoothed[1][0].vertices.tobytes()
+    assert smoothed[0][1] == smoothed[1][1]
 
 
 class TestIntegrate:

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -428,7 +429,7 @@ class TestQualityReport:
 
     def test_per_element_q_is_read_only(self):
         m = _mixed_mesh()
-        reports = pf.smooth(m, pf.FlowSettings(), max_iters=3, quality_tol=-1)[1]
+        reports = pf.smooth(m, pf.SmoothSettings(max_iters=3, quality_tol=-1))[1]
         for rep in (pf.quality_report(m), reports[0], reports[-1]):
             q = rep.per_element_q
             assert q.dtype == np.float64 and q.shape == (len(m.elements),)
@@ -452,7 +453,7 @@ class TestQualityReport:
 class TestSmoothStep:
     def test_optimal_mesh_moves_only_radially(self):
         m = _single("hexahedron", pf.reference_optimal("hexahedron"))
-        m2 = pf.smooth_step(m, pf.FlowSettings(step=0.01))
+        m2 = pf.smooth_step(m, pf.SmoothSettings(step=0.01))
         d = m2.vertices - m.vertices
         c = m.vertices.mean(axis=0)
         r = m.vertices - c
@@ -465,7 +466,7 @@ class TestSmoothStep:
         m = _single("hexahedron",
                     pf.reference_optimal("hexahedron")
                     + np.random.default_rng(1).uniform(-0.1, 0.1, (8, 3)))
-        m2 = pf.smooth_step(m, pf.FlowSettings(step=1e-2))
+        m2 = pf.smooth_step(m, pf.SmoothSettings(step=1e-2))
         drift = np.abs(m2.vertices.mean(axis=0) - m.vertices.mean(axis=0))
         assert drift.max() < 1e-12
 
@@ -478,7 +479,7 @@ class TestSmoothStep:
                               ("tetrahedron", (1, 0, 2, 4))),
                     fixed=frozenset({0, 1, 3, 4}))
         step = 0.03
-        m2 = pf.smooth_step(m, pf.FlowSettings(step=step))
+        m2 = pf.smooth_step(m, pf.SmoothSettings(step=step))
         contrib = np.zeros(3)
         for kind, nodes in m.elements:
             F = pf.psi(pf.field(kind, pf.GRADIENT, v[list(nodes)]))
@@ -499,7 +500,7 @@ class TestSmoothStep:
         assert not pf.field("tetrahedron", pf.GRADIENT, v[[0, 1, 4, 5]]).any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = pf.smooth_step(m, pf.FlowSettings()).vertices
+            out = pf.smooth_step(m, pf.SmoothSettings()).vertices
         assert out[4:].tobytes() == v[4:].tobytes()
         assert np.isfinite(out).all() and (out[:2] != v[:2]).any()
 
@@ -508,7 +509,7 @@ class TestSmoothStep:
         m = pf.Mesh(vertices=v,
                     elements=(("hexahedron", tuple(range(8))),),
                     fixed=frozenset({0, 3, 5}))
-        m2 = pf.smooth_step(m, pf.FlowSettings())
+        m2 = pf.smooth_step(m, pf.SmoothSettings())
         for i in (0, 3, 5):
             assert m2.vertices[i].tobytes() == v[i].tobytes()
 
@@ -528,7 +529,7 @@ class TestSmoothStep:
                         elements=(("tetrahedron", (0, 1, 2, 3)),
                                   ("tetrahedron", (1, 0, 2, 4))),
                         fixed=frozenset())
-            m2 = pf.smooth_step(m, pf.FlowSettings(step=1e-2))
+            m2 = pf.smooth_step(m, pf.SmoothSettings(step=1e-2))
             assert pf.mesh_mean_volume(m2) > pf.mesh_mean_volume(m)
             if _mmv_of_projected(m2) < _mmv_of_projected(m) - 1e-15:
                 saw_dip = True
@@ -542,7 +543,7 @@ class TestSmoothStep:
                               ("tetrahedron", (1, 0, 2, 4))),
                     fixed=frozenset())
         before = _mmv_of_projected(m)
-        after = _mmv_of_projected(pf.smooth_step(m, pf.FlowSettings(step=1e-3)))
+        after = _mmv_of_projected(pf.smooth_step(m, pf.SmoothSettings(step=1e-3)))
         assert after > before
 
 
@@ -561,7 +562,7 @@ class TestMixedKinds:
         free = np.array([i not in m.fixed for i in range(len(m.vertices))])
         expected = m.vertices.copy()
         expected[free] += step * acc[free] / count[free, None]
-        out = pf.smooth_step(m, pf.FlowSettings(step=step)).vertices
+        out = pf.smooth_step(m, pf.SmoothSettings(step=step)).vertices
         assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
         for i in m.fixed:
             assert out[i].tobytes() == m.vertices[i].tobytes()
@@ -589,7 +590,7 @@ def test_sweep_memory_peak():
     m = _hex_grid(8, jitter=0.2, seed=3)
     tracemalloc.start()
     try:
-        pf.quality_report(pf.smooth_step(m, pf.FlowSettings()))
+        pf.quality_report(pf.smooth_step(m, pf.SmoothSettings()))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -605,7 +606,7 @@ def test_smooth_memory_does_not_grow_with_its_sweeps():
     for sweeps in (20, 200):
         tracemalloc.start()
         try:
-            reports = pf.smooth(m, pf.FlowSettings(), max_iters=sweeps, quality_tol=-1)[1]
+            reports = pf.smooth(m, pf.SmoothSettings(max_iters=sweeps, quality_tol=-1))[1]
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -613,19 +614,64 @@ def test_smooth_memory_does_not_grow_with_its_sweeps():
     assert peaks[1] - peaks[0] < 200e3
 
 
+class TestSmoothSettings:
+    def test_defaults(self):
+        s = pf.SmoothSettings()
+        assert s.step == 0.05
+        assert s.normalization == "psi"
+        assert s.max_iters == 10 ** 4
+        assert s.quality_tol == 1e-10
+
+    @pytest.mark.parametrize("bad,message", [
+        (dict(step=0.0), "step must be positive and finite, got 0.0"),
+        (dict(normalization="sqrt"), "normalization must be 'psi' or 'none'"),
+        (dict(max_iters=-1), "max_iters must be an integer of at least 0, got -1"),
+        (dict(quality_tol=float("nan")), "quality_tol must be a number, got nan"),
+        # the fields are checked in order: the first bad one is named
+        (dict(step=-1, max_iters=-1, quality_tol=float("nan")),
+         "step must be positive and finite, got -1"),
+        (dict(max_iters=-1, quality_tol=float("nan")),
+         "max_iters must be an integer of at least 0, got -1"),
+    ])
+    def test_validation_messages(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pf.SmoothSettings(**bad)
+
+    def test_a_budget_of_zero_is_accepted(self):
+        s = pf.SmoothSettings(max_iters=np.int64(0))
+        assert s.max_iters == 0 and type(s.max_iters) is int
+
+    @pytest.mark.parametrize("fixed", [(0,), range(8)], ids=["free", "all-fixed"])
+    def test_smooth_takes_only_smooth_settings(self, fixed):
+        # the flow's settings have a sweep budget the smoother would not
+        # read; they raise before any sweep, even on an all-fixed mesh
+        m = _single("hexahedron", pf.reference_optimal("hexahedron"), fixed=fixed)
+        with pytest.raises(TypeError, match=r"^smooth takes a SmoothSettings, got FlowSettings$"):
+            pf.smooth(m, pf.FlowSettings(max_iters=1))
+
+    def test_smooth_step_reads_step_and_normalization(self):
+        # a FlowSettings steps as a SmoothSettings with its step and normalization
+        m = _mixed_mesh()
+        for normalization in ("psi", "none"):
+            flow_settings = pf.FlowSettings(step=1e-2, normalization=normalization)
+            smooth_settings = pf.SmoothSettings(step=1e-2, normalization=normalization)
+            assert (pf.smooth_step(m, flow_settings).vertices.tobytes()
+                    == pf.smooth_step(m, smooth_settings).vertices.tobytes())
+
+
 class TestSmooth:
     @pytest.mark.parametrize("max_iters", [0, 1, 2, 6])
     def test_only_the_first_and_last_reports_keep_per_element_q(self, max_iters):
         m = _mixed_mesh()
-        smoothed, reports = pf.smooth(m, pf.FlowSettings(), max_iters=max_iters,
-                                      quality_tol=-1)
+        smoothed, reports = pf.smooth(m, pf.SmoothSettings(max_iters=max_iters,
+                                                         quality_tol=-1))
         # equal reports, per-element arrays included
         assert reports[0] == pf.quality_report(m)
         assert reports[-1] == pf.quality_report(smoothed)
         for i, rep in enumerate(reports[1:-1], 1):
             # each state between keeps its summary, that of a run that ends there
             assert rep.per_element_q is None
-            alone = pf.smooth(m, pf.FlowSettings(), max_iters=i, quality_tol=-1)[1][-1]
+            alone = pf.smooth(m, pf.SmoothSettings(max_iters=i, quality_tol=-1))[1][-1]
             assert rep == dataclasses.replace(alone, per_element_q=None)
 
     def test_perturbed_cube_recovers(self):
@@ -634,13 +680,13 @@ class TestSmooth:
                     pf.reference_optimal("hexahedron")
                     + rng.uniform(-0.1, 0.1, (8, 3)))
         assert pf.quality_report(m).min_q < 0.99
-        m2, reports = pf.smooth(m, pf.FlowSettings())
+        m2, reports = pf.smooth(m, pf.SmoothSettings())
         assert reports[-1].min_q >= 0.99
         assert len(reports) - 1 <= 10 ** 4
 
     def test_optimal_mesh_stops_at_window(self):
         m = _single("hexahedron", pf.reference_optimal("hexahedron"))
-        _, reports = pf.smooth(m, pf.FlowSettings())
+        _, reports = pf.smooth(m, pf.SmoothSettings())
         assert len(reports) - 1 == 10
         assert all(r.min_q == pytest.approx(1.0) for r in reports)
 
@@ -652,7 +698,7 @@ class TestSmooth:
                               ("tetrahedron", (1, 0, 2, 4))),
                     fixed=frozenset({0, 1, 2}))
         start = pf.quality_report(m).min_q
-        m2, reports = pf.smooth(m, pf.FlowSettings(step=0.01))
+        m2, reports = pf.smooth(m, pf.SmoothSettings(step=0.01))
         assert reports[-1].min_q > start
         assert np.array_equal(m2.vertices[:3], v[:3])
 
@@ -660,8 +706,8 @@ class TestSmooth:
         # five sweeps against a per-element loop: each element's field,
         # psi, and each free vertex's average of its elements' rows
         m = _mixed_mesh()
-        settings = pf.FlowSettings(step=0.05)
-        smoothed, reports = pf.smooth(m, settings, max_iters=5, quality_tol=-1)
+        settings = pf.SmoothSettings(step=0.05, max_iters=5, quality_tol=-1)
+        smoothed, reports = pf.smooth(m, settings)
         v = m.vertices.copy()
         for _ in range(5):
             moved = v.copy()
@@ -695,8 +741,8 @@ class TestSmooth:
         monkeypatch.setattr(elements, "mean_volume_batch",
                             lambda *args: volume_calls.append(args))
         sweeps = 5
-        _, reports = pf.smooth(_mixed_mesh(), pf.FlowSettings(), max_iters=sweeps,
-                               quality_tol=-1)
+        _, reports = pf.smooth(_mixed_mesh(), pf.SmoothSettings(max_iters=sweeps,
+                                                                 quality_tol=-1))
         assert len(reports) == sweeps + 1
         assert field_calls == {kind: sweeps + 1 for kind in pf.KINDS}
         assert volume_calls == []
@@ -706,9 +752,8 @@ class TestSmooth:
         # shifted by 1e6 smooths as it does at the origin, up to the
         # rounding of the shifted input (1e-10)
         m = _hex_grid(8, jitter=0.2, seed=5)
-        shift = 1e6
-        runs = [pf.smooth(m.with_vertices(m.vertices + s), pf.FlowSettings(),
-                          max_iters=20, quality_tol=-1) for s in (0.0, shift)]
+        shift, settings = 1e6, pf.SmoothSettings(max_iters=20, quality_tol=-1)
+        runs = [pf.smooth(m.with_vertices(m.vertices + s), settings) for s in (0.0, shift)]
         (near, near_reports), (far, far_reports) = runs
         assert np.abs(far.vertices - shift - near.vertices).max() <= 1e-8
         assert abs(far_reports[-1].min_q - near_reports[-1].min_q) <= 1e-8
@@ -718,13 +763,14 @@ class TestSmooth:
         # between does not change a run's bytes, and the one-sweep entry
         # points give smooth's first report and first step
         a, b = _hex_grid(3, jitter=0.2, seed=1), _mixed_mesh()
-        first = pf.smooth(a, pf.FlowSettings(), max_iters=5, quality_tol=-1)
-        pf.smooth(b, pf.FlowSettings(), max_iters=5, quality_tol=-1)
-        again = pf.smooth(a, pf.FlowSettings(), max_iters=5, quality_tol=-1)
+        settings = pf.SmoothSettings(max_iters=5, quality_tol=-1)
+        first = pf.smooth(a, settings)
+        pf.smooth(b, settings)
+        again = pf.smooth(a, settings)
         assert first[0].vertices.tobytes() == again[0].vertices.tobytes()
         assert first[1] == again[1]
         for m in (a, b):
-            step, reports = pf.smooth(m, pf.FlowSettings(), max_iters=1, quality_tol=-1)
+            step, reports = pf.smooth(m, pf.SmoothSettings(max_iters=1, quality_tol=-1))
             assert pf.quality_report(m) == reports[0]
             assert pf.smooth_step(m).vertices.tobytes() == step.vertices.tobytes()
 
@@ -732,31 +778,31 @@ class TestSmooth:
         m = _single("hexahedron", pf.reference_optimal("hexahedron"),
                     fixed=range(8))
         with pytest.warns(UserWarning, match="fixed"):
-            m2, reports = pf.smooth(m, pf.FlowSettings())
+            m2, reports = pf.smooth(m, pf.SmoothSettings())
         assert m2.vertices.tobytes() == m.vertices.tobytes()
         assert len(reports) == 1
 
     @pytest.mark.parametrize("fixed", [(0,), range(8)], ids=["free", "all-fixed"])
     @pytest.mark.parametrize("max_iters", [-1, 2.5, True, False, np.float64(3.0), "5", None])
     def test_rejects_a_bad_sweep_budget(self, max_iters, fixed):
-        # checked before the all-fixed return, as FlowSettings checks its own
+        # checked as the settings are built, before any sweep or the all-fixed return
         m = _single("hexahedron", pf.reference_optimal("hexahedron"), fixed=fixed)
         with pytest.raises(ValueError, match="max_iters must be an integer of at least 0"):
-            pf.smooth(m, pf.FlowSettings(), max_iters=max_iters)
+            pf.smooth(m, pf.SmoothSettings(max_iters=max_iters))
 
     @pytest.mark.parametrize("fixed", [(0,), range(8)], ids=["free", "all-fixed"])
     def test_rejects_a_nan_stop_tolerance(self, fixed):
         m = _single("hexahedron", pf.reference_optimal("hexahedron"), fixed=fixed)
         with pytest.raises(ValueError, match="quality_tol must be a number, got nan"):
-            pf.smooth(m, pf.FlowSettings(), quality_tol=float("nan"))
+            pf.smooth(m, pf.SmoothSettings(quality_tol=float("nan")))
 
     @pytest.mark.parametrize("max_iters", [0, 3, np.int64(3)])
     def test_accepts_an_integer_sweep_budget(self, max_iters):
         # reports[0] is the input state; a budget of 0 makes no sweep
         m = _single("hexahedron", pf.reference_optimal("hexahedron")
                     + np.random.default_rng(2).uniform(-0.1, 0.1, (8, 3)), fixed=(0,))
-        smoothed, reports = pf.smooth(m, pf.FlowSettings(), max_iters=max_iters,
-                                      quality_tol=-1)
+        smoothed, reports = pf.smooth(m, pf.SmoothSettings(max_iters=max_iters,
+                                                         quality_tol=-1))
         assert len(reports) == max_iters + 1
         assert reports[0] == pf.quality_report(m)
         if max_iters == 0:
@@ -770,8 +816,7 @@ class TestSmooth:
                               ("tetrahedron", (1, 0, 2, 4))),
                     fixed=frozenset())
         with pytest.raises(pf.FlowDivergenceError):
-            pf.smooth(m, pf.FlowSettings(step=1e6, normalization="none"),
-                      max_iters=100)
+            pf.smooth(m, pf.SmoothSettings(step=1e6, normalization="none", max_iters=100))
 
     @pytest.mark.parametrize("entry", ["smooth", "smooth_step"])
     @pytest.mark.parametrize("kind", pf.KINDS)
@@ -784,7 +829,7 @@ class TestSmooth:
             scale=0.1, size=(n, 3)))
         m = _single(kind, v, fixed=[0])
         with pytest.raises(pf.FlowDivergenceError) as info, np.errstate(over="ignore"):
-            getattr(pf, entry)(m, pf.FlowSettings(step=1.7e308, normalization=normalization))
+            getattr(pf, entry)(m, pf.SmoothSettings(step=1.7e308, normalization=normalization))
         assert info.value.iteration == 1
 
     @pytest.mark.parametrize("entry", ["smooth", "smooth_step"])
@@ -799,7 +844,7 @@ class TestSmooth:
         m = _single(kind, v, fixed=[0])
         with pytest.raises(pf.FlowDivergenceError) as info, warnings.catch_warnings():
             warnings.simplefilter("error")
-            getattr(pf, entry)(m, pf.FlowSettings(step=1.7e308, normalization=normalization))
+            getattr(pf, entry)(m, pf.SmoothSettings(step=1.7e308, normalization=normalization))
         assert info.value.iteration == 1
 
     @pytest.mark.parametrize("entry", ["smooth", "smooth_step"])
@@ -811,7 +856,7 @@ class TestSmooth:
                     fixed=frozenset({0}))
         with pytest.raises(pf.DegenerateConfigurationError,
                            match="element 1: all vertices coincide"):
-            getattr(pf, entry)(m, pf.FlowSettings())
+            getattr(pf, entry)(m, pf.SmoothSettings())
 
 
 class TestMeshJson:
@@ -913,7 +958,7 @@ def test_quality_csv(tmp_path):
 
 def test_quality_csv_names_a_report_without_per_element_q(tmp_path):
     m = _mixed_mesh()
-    reports = pf.smooth(m, pf.FlowSettings(), max_iters=2, quality_tol=-1)[1]
+    reports = pf.smooth(m, pf.SmoothSettings(max_iters=2, quality_tol=-1))[1]
     path = tmp_path / "q.csv"
     with pytest.raises(ValueError, match=r"^no per_element_q: pass quality_report\(m\), "
                                          r"reports\[0\] or reports\[-1\]$"):
