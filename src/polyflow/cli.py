@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
     cla.add_argument("--type", required=True, choices=elements.KINDS)
     cla.add_argument("--input", required=True, metavar="FILE")
     cla.add_argument("--field", default="gradient", choices=sorted(_FIELD_NAMES))
-    cla.add_argument("--tol", type=float, default=1e-10)
+    cla.add_argument("--tol", type=float, default=flow.FlowSettings.tol)
     return parser
 
 
@@ -176,12 +176,12 @@ def _cmd_regularize(parser, args) -> int:
     if args.trajectory:
         traj = flow.integrate(args.type, variant, p0, settings)
         end = (traj.p_final, traj.residual_final, traj.iterations, traj.converged,
-               traj.halvings, traj.monotone_breaks)
+               traj.monotone_breaks)
     else:  # no recorder: the kernel on a batch of one
         out = flow.integrate_batch(args.type, variant, p0[None], settings)
         end = (out["p"][0], float(out["residual"][0]), int(out["iterations"][0]),
-               bool(out["converged"][0]), out["halvings"], out["monotone_breaks"])
-    p, residual, iterations, converged, halvings, breaks = end
+               bool(out["converged"][0]), out["monotone_breaks"])
+    p, residual, iterations, converged, breaks = end
     cls = flow.classify(args.type, variant, p, tol=args.tol)
     result = {
         "type": args.type,
@@ -192,7 +192,6 @@ def _cmd_regularize(parser, args) -> int:
         "residual": residual,
         "iterations": iterations,
         "converged": converged,
-        "halvings": halvings,
         "monotone_breaks": breaks,
     }
     text = json.dumps(result, indent=2)

@@ -89,10 +89,10 @@ def _integer_at_least(name: str, value, least: int) -> int:
 
 
 def _normalization(value) -> str:
-    """value; ValueError unless it names a normalization of the field, 'psi' or 'none'."""
-    if value not in ("psi", "none"):
+    """value as a str; ValueError unless it is a string naming 'psi' or 'none'."""
+    if not (isinstance(value, str) and value in ("psi", "none")):
         raise ValueError("normalization must be 'psi' or 'none'")
-    return value
+    return str(value)
 
 
 def _set_fields(settings, **values) -> None:
@@ -145,7 +145,7 @@ def singularity_residual(kind: str, variant: str, p) -> tuple[float, float]:
     return float(np.sqrt(np.vecdot(r, r))[0]), float(lam[0])
 
 
-def classify(kind: str, variant: str, p, tol: float = 1e-10) -> SingularityClass:
+def classify(kind: str, variant: str, p, tol: float = FlowSettings.tol) -> SingularityClass:
     """Classify a configuration on N by its fixed-point residual and lambda.
 
     ``optimal_positive`` / ``optimal_negative`` require the residual
@@ -175,7 +175,6 @@ class Trajectory:
     points: list = dataclass_field(default_factory=list)  # (iter, p, f, residual, lam)
     converged: bool = False
     iterations: int = 0
-    halvings: int = 0  # always 0: the flow takes every step at full length
     monotone_breaks: int = 0
 
     @property
@@ -305,7 +304,7 @@ def integrate(kind: str, variant: str, p0,
                 lambda it, P, F, res, lam: traj.points.append(
                     (it, P[0].T.copy(), float(F[0]), float(res[0]), float(lam[0]))))
     traj.iterations, traj.converged = int(out["iterations"][0]), bool(out["converged"][0])
-    traj.halvings, traj.monotone_breaks = out["halvings"], out["monotone_breaks"]
+    traj.monotone_breaks = out["monotone_breaks"]
     return traj
 
 
@@ -317,7 +316,7 @@ def integrate_batch(kind: str, variant: str, P0,
     Returns a dict of terminal arrays: ``p`` (B, n, 3), ``residual``,
     ``lam``, ``iterations`` (B,), ``converged`` (B,) bool (not f, which
     depends on the gauge), plus the totals ``monotone_breaks`` and
-    ``halvings``, always 0 (no step is halved), kept for its readers.
+    ``halvings``, always 0, read only by the benchmark until ROADMAP item 1 Part A.
     A P0 other than a non-empty batch of the kind's (n, 3) starts raises ValueError.
     """
     return _flow(kind, variant, pi(elements._check_batch(kind, variant, P0, "P0")), settings)

@@ -30,8 +30,8 @@ from that <X, X>, to the flat vertex array with one ``bincount`` over
 the same offsets.  ``smooth``, ``smooth_step`` and ``quality_report``
 run one loop of sweeps, which reports every state it reaches and steps
 one vertex array in place; ``smooth`` builds one Mesh, at the end.
-A :class:`SmoothSettings` holds the four values that define a run: the
-step, the normalization, the sweep budget and the stop rule.
+A :class:`SmoothSettings` holds the three values that define a run: the
+step, the sweep budget and the stop rule.
 
 A Mesh is held as arrays: its vertices and, per kind, its node indices
 and element positions.  Mesh JSON is read and written per kind, through
@@ -55,7 +55,7 @@ import numpy as np
 
 from . import elements as el
 from .elements import _measure
-from .flow import (FlowDivergenceError, _integer_at_least, _normalization, _positive_finite,
+from .flow import (FlowDivergenceError, FlowSettings, _integer_at_least, _positive_finite,
                    _real, _set_fields)
 from .jsontext import json_list
 from .sphere import DegenerateConfigurationError, _divisor
@@ -271,47 +271,46 @@ _WINDOW = 10
 
 @dataclass(frozen=True)
 class SmoothSettings:
-    """A smoothing run's step, normalization, sweep budget and stop rule.
+    """A smoothing run's step, sweep budget and stop rule.
 
     A sweep moves each free vertex by ``step`` times the average of its
-    elements' fields, each divided by psi's divisor under the ``psi``
-    normalization.  A run makes at most ``max_iters`` sweeps (an integer
-    of at least 0) and stops when min_q has not risen by ``quality_tol``
-    over ``_WINDOW`` sweeps: a real number (not a bool) other than NaN;
-    a negative one never stops a run.  The fields are checked in order,
-    a bad one raising ValueError, and stored as Python floats and ints.
+    elements' fields, each divided by psi's divisor.  A run makes at
+    most ``max_iters`` sweeps (an integer of at least 0) and stops when
+    min_q has not risen by ``quality_tol`` over ``_WINDOW`` sweeps: a
+    real number (not a bool) other than NaN; a negative one never stops
+    a run.  The fields are checked in order, a bad one raising
+    ValueError, and stored as Python floats and ints.
     """
 
     step: float = 0.05
-    normalization: str = "psi"
     max_iters: int = 10 ** 4
     quality_tol: float = 1e-10
 
     def __post_init__(self):
         _set_fields(self, step=_positive_finite("step", self.step),
-                    normalization=_normalization(self.normalization),
                     max_iters=_integer_at_least("max_iters", self.max_iters, 0))
         if not _real(self.quality_tol) or self.quality_tol != self.quality_tol:
             raise ValueError(f"quality_tol must be a number, got {self.quality_tol}")
         _set_fields(self, quality_tol=float(self.quality_tol))
 
 
-def _sweeps(m: Mesh, settings=None, sweeps: int = 0, quality_tol: float = -np.inf):
-    """The vertices of ``m`` after up to ``sweeps`` sweeps, and the reports of its states.
+def _sweeps(m: Mesh, settings: SmoothSettings):
+    """The vertices of ``m`` after the sweeps of ``settings``, and the reports of its states.
 
     The state after i sweeps is one vertex array, stepped in place.  Per
     kind, one ``take`` of the plan's offsets reads its element rows
     (E, 3, n), and ``_measure`` evaluates their field X once, at the
     centered rows.  The state's report reads q and <X, c> from the
     measure; the step scatters X, divided by psi's divisor sqrt|X| from
-    the measure's <X, X> under the psi normalization, with one
-    ``bincount`` over the same offsets.  The sweeps stop when min_q has
-    not risen by ``quality_tol`` over ``_WINDOW`` sweeps.  A state whose
-    quality is not finite raises: the input with
-    DegenerateConfigurationError, a later one with FlowDivergenceError.
-    Only the first and the last report keep ``per_element_q``.  Of
-    ``settings`` only ``step`` and ``normalization`` are read, to step.
+    the measure's <X, X>, times ``settings.step``, with one ``bincount``
+    over the same offsets.  At most ``settings.max_iters`` sweeps run;
+    they stop when min_q has not risen by ``settings.quality_tol`` over
+    ``_WINDOW`` sweeps.  A state whose quality is not finite raises: the
+    input with DegenerateConfigurationError, a later one with
+    FlowDivergenceError.  Only the first and the last report keep
+    ``per_element_q``.
     """
+    sweeps, quality_tol = settings.max_iters, settings.quality_tol
     offsets, free, count = m.plan
     size = _size(m.groups)
     v = m.vertices.copy()
@@ -328,9 +327,7 @@ def _sweeps(m: Mesh, settings=None, sweeps: int = 0, quality_tol: float = -np.in
                 measured = _measure(kind, el.GRADIENT, flat.take(index))
                 xc[pos], q[pos] = measured.xc, measured.q / (18.0 * el.Q_MAX[kind])
                 if step:
-                    X = measured.X
-                    if settings.normalization == "psi":
-                        X = X / _divisor(measured.xx)[:, None, None]
+                    X = measured.X / _divisor(measured.xx)[:, None, None]
                     acc += np.bincount(index.ravel(), weights=X.ravel(), minlength=flat.size)
             try:
                 reports.append(_summary(m, v, xc, q))
@@ -402,23 +399,27 @@ def quality_report(m: Mesh) -> QualityReport:
         Naming the first element whose q is not finite: its vertices all
         coincide, or its coordinates or volume are not finite.
     """
-    return _sweeps(m)[1][0]
+    return _sweeps(m, SmoothSettings(max_iters=0))[1][0]
 
 
 def smooth_step(m: Mesh, settings: SmoothSettings = SmoothSettings()) -> Mesh:
     """One smoothing sweep: scatter-average element fields, displace free vertices.
 
-    Every element's gradient field is evaluated (square-root rescaled
-    per element under the ``psi`` normalization); each vertex averages
-    the contributions of the elements containing it; free vertices move
-    by step times that average.  Of ``settings`` only ``step`` and
-    ``normalization`` are read, so the flow's settings step as a
-    :class:`SmoothSettings` with the same two.  Fixed vertices are
-    returned bitwise unchanged.  As one reported sweep of
-    ``smooth``'s loop, it raises as :func:`smooth` does on a degenerate
-    input or a diverging step.
+    Every element's gradient field is evaluated and rescaled by psi;
+    each vertex averages the contributions of the elements containing
+    it; free vertices move by step times that average.  Only ``step``
+    is read, of a :class:`FlowSettings` too if its normalization is
+    ``psi``: ``none`` raises ValueError, any other type TypeError,
+    before any field pass.  Fixed vertices are returned bitwise
+    unchanged.  As one reported sweep of ``smooth``'s loop, it raises
+    as :func:`smooth` does on a degenerate input or a diverging step.
     """
-    return m.with_vertices(_sweeps(m, settings, 1)[0])
+    if isinstance(settings, FlowSettings) and settings.normalization == "none":
+        raise ValueError("smooth_step steps by psi, got normalization 'none'")
+    if not isinstance(settings, (SmoothSettings, FlowSettings)):
+        raise TypeError("smooth_step takes a SmoothSettings or a FlowSettings, "
+                        f"got {type(settings).__name__}")
+    return m.with_vertices(_sweeps(m, SmoothSettings(step=settings.step, max_iters=1))[0])
 
 
 def smooth(m: Mesh, settings: SmoothSettings = SmoothSettings()):
@@ -433,9 +434,9 @@ def smooth(m: Mesh, settings: SmoothSettings = SmoothSettings()):
     passes.  A mesh with every vertex fixed is returned unchanged with a warning.
     A step that leaves an element's quality non-finite raises
     :class:`FlowDivergenceError` with the iteration of the state it leads to.
-    All four fields of ``settings`` are read: the step, the normalization,
-    the sweep budget ``max_iters`` and the stop rule ``quality_tol``.
-    Settings of any other type raise TypeError before any sweep.
+    All three fields of ``settings`` are read: the step, the sweep budget
+    ``max_iters`` and the stop rule ``quality_tol``.  Settings of any
+    other type raise TypeError before any sweep.
     """
     if not isinstance(settings, SmoothSettings):
         raise TypeError(f"smooth takes a SmoothSettings, got {type(settings).__name__}")
@@ -443,7 +444,7 @@ def smooth(m: Mesh, settings: SmoothSettings = SmoothSettings()):
         reports = [quality_report(m)]
         warnings.warn("all vertices fixed; smoothing is the identity", stacklevel=2)
         return m, reports
-    v, reports = _sweeps(m, settings, settings.max_iters, settings.quality_tol)
+    v, reports = _sweeps(m, settings)
     return m.with_vertices(v), reports
 
 

@@ -165,8 +165,6 @@ class TestFlowSettings:
             pf.FlowSettings(max_iters=0)
         with pytest.raises(ValueError):
             pf.FlowSettings(tol=-1.0)
-        with pytest.raises(ValueError):
-            pf.FlowSettings(normalization="sqrt")
         # an infinite tol would stop every flow at once as converged, and a
         # max_iters that is not an integer would fail inside the flow
         for bad in (dict(tol=float("inf")), dict(tol=float("nan")),
@@ -174,6 +172,19 @@ class TestFlowSettings:
             with pytest.raises(ValueError, match=next(iter(bad))):
                 pf.FlowSettings(**bad)
         assert pf.FlowSettings(max_iters=np.int64(3)).max_iters == 3
+
+    @pytest.mark.parametrize("value", ["sqrt", np.array(["psi", "none"]), np.array("psi"),
+                                       None, 1, b"psi"],
+                             ids=["sqrt", "array", "0-d", "None", "int", "bytes"])
+    def test_normalization_message(self, value):
+        # one message for any value that is no 'psi' or 'none' string,
+        # an array included: never numpy's truth-value error
+        with pytest.raises(ValueError, match=r"^normalization must be 'psi' or 'none'$"):
+            pf.FlowSettings(normalization=value)
+
+    def test_normalization_is_stored_as_a_str(self):
+        s = pf.FlowSettings(normalization=np.str_("none"))
+        assert s.normalization == "none" and type(s.normalization) is str
 
 
 _TET = pf.reference_optimal("tetrahedron")
@@ -288,7 +299,7 @@ class TestIntegrate:
         for seed in range(10):
             p = pf.random_configuration(kind, seed, variant)
             t = pf.integrate(kind, variant, p, pf.FlowSettings())
-            assert t.halvings == t.monotone_breaks == 0, seed
+            assert t.monotone_breaks == 0, seed
             q = [_centered_quality(kind, variant, row[1]) for row in t.points]
             assert all(b >= a - ACCEPT_SLACK * max(1.0, abs(a))
                        for a, b in zip(q, q[1:])), seed
@@ -309,7 +320,7 @@ class TestIntegrate:
             assert np.abs(q - oracle).max() < 1e-12
             falls = q[:-1] - q[1:] > ACCEPT_SLACK * np.maximum(1.0, np.abs(q[:-1]))
             assert t.monotone_breaks == np.count_nonzero(falls), seed
-            assert type(t.halvings) is int and type(t.monotone_breaks) is int
+            assert type(t.monotone_breaks) is int
             total += t.monotone_breaks
         assert total > 0
 
@@ -346,7 +357,7 @@ class TestIntegrate:
         p = pf.pi(pf.random_configuration(kind, 2, variant))
         t = pf.integrate(kind, variant, p, settings)
         assert len(t.points) == 6
-        assert t.halvings == 0 < t.monotone_breaks
+        assert t.monotone_breaks > 0
         for it, q, *_ in t.points:
             assert np.abs(q - p).max() < 1e-13, it
             X = pf.field(kind, variant, p)
@@ -369,7 +380,6 @@ class TestIntegrate:
             t = pf.integrate("prism", pf.Y_VARIANT,
                              pf.random_configuration("prism", seed, pf.Y_VARIANT))
             assert len(calls) == t.iterations + 1, seed
-            assert t.halvings == 0, seed
             breaks += t.monotone_breaks
         assert breaks > 0
 
@@ -438,17 +448,15 @@ class TestIntegrateBatch:
             batch = np.stack([pf.pi(pf.random_configuration(kind, s, variant))
                               for s in seeds])
             out = pf.integrate_batch(kind, variant, batch, pf.FlowSettings())
-            halvings = breaks = 0
+            breaks = 0
             for i in range(len(seeds)):
                 t = pf.integrate(kind, variant, batch[i], pf.FlowSettings())
                 assert out["converged"][i] == t.converged
                 assert out["iterations"][i] == t.iterations, (kind, variant, i)
                 assert np.abs(out["p"][i] - t.p_final).max() < 1e-12
                 assert abs(out["residual"][i] - t.residual_final) < 1e-12
-                halvings += t.halvings
                 breaks += t.monotone_breaks
-            assert (out["halvings"], out["monotone_breaks"]) == (halvings, breaks), \
-                (kind, variant)
+            assert (out["halvings"], out["monotone_breaks"]) == (0, breaks), (kind, variant)
 
     @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
     def test_rows_run_as_alone(self, kind, variant):

@@ -617,14 +617,14 @@ def test_smooth_memory_does_not_grow_with_its_sweeps():
 class TestSmoothSettings:
     def test_defaults(self):
         s = pf.SmoothSettings()
+        # the sweep always steps by psi: the step, the budget and the stop rule
+        assert [f.name for f in dataclasses.fields(s)] == ["step", "max_iters", "quality_tol"]
         assert s.step == 0.05
-        assert s.normalization == "psi"
         assert s.max_iters == 10 ** 4
         assert s.quality_tol == 1e-10
 
     @pytest.mark.parametrize("bad,message", [
         (dict(step=0.0), "step must be positive and finite, got 0.0"),
-        (dict(normalization="sqrt"), "normalization must be 'psi' or 'none'"),
         (dict(max_iters=-1), "max_iters must be an integer of at least 0, got -1"),
         (dict(quality_tol=float("nan")), "quality_tol must be a number, got nan"),
         # the fields are checked in order: the first bad one is named
@@ -649,14 +649,33 @@ class TestSmoothSettings:
         with pytest.raises(TypeError, match=r"^smooth takes a SmoothSettings, got FlowSettings$"):
             pf.smooth(m, pf.FlowSettings(max_iters=1))
 
-    def test_smooth_step_reads_step_and_normalization(self):
-        # a FlowSettings steps as a SmoothSettings with its step and normalization
+    def test_smooth_step_reads_a_psi_flow_settings_step(self):
+        # a psi FlowSettings steps as a SmoothSettings with its step; the
+        # sweep has no raw-field step, so a 'none' one is refused
         m = _mixed_mesh()
-        for normalization in ("psi", "none"):
-            flow_settings = pf.FlowSettings(step=1e-2, normalization=normalization)
-            smooth_settings = pf.SmoothSettings(step=1e-2, normalization=normalization)
-            assert (pf.smooth_step(m, flow_settings).vertices.tobytes()
-                    == pf.smooth_step(m, smooth_settings).vertices.tobytes())
+        assert (pf.smooth_step(m, pf.FlowSettings(step=1e-2)).vertices.tobytes()
+                == pf.smooth_step(m, pf.SmoothSettings(step=1e-2)).vertices.tobytes())
+        with pytest.raises(ValueError,
+                           match=r"^smooth_step steps by psi, got normalization 'none'$"):
+            pf.smooth_step(m, pf.FlowSettings(step=1e-2, normalization="none"))
+
+    @pytest.mark.parametrize("settings,error,message", [
+        (None, TypeError, "smooth_step takes a SmoothSettings or a FlowSettings, got NoneType"),
+        (object(), TypeError, "smooth_step takes a SmoothSettings or a FlowSettings, got object"),
+        (pf.FlowSettings(normalization="none"), ValueError,
+         "smooth_step steps by psi, got normalization 'none'"),
+    ], ids=["None", "object", "none"])
+    def test_smooth_step_checks_its_settings_first(self, settings, error, message):
+        # with valid settings this mesh raises on its coincident element, so
+        # the settings are checked before any gather or field pass
+        v = np.vstack([pf.reference_optimal("tetrahedron"), np.full((4, 3), 0.5)])
+        m = pf.Mesh(vertices=v, elements=(("tetrahedron", (0, 1, 2, 3)),
+                                          ("tetrahedron", (4, 5, 6, 7))),
+                    fixed=frozenset({0}))
+        with pytest.raises(pf.DegenerateConfigurationError):
+            pf.smooth_step(m, pf.SmoothSettings())
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            pf.smooth_step(m, settings)
 
 
 class TestSmooth:
@@ -808,20 +827,9 @@ class TestSmooth:
         if max_iters == 0:
             assert smoothed.vertices.tobytes() == m.vertices.tobytes()
 
-    def test_blowup_raises_divergence(self):
-        v = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0],
-                      [0.5, 0.4, 0.08], [0.5, 0.4, -0.08]], float) * 1e3
-        m = pf.Mesh(vertices=v,
-                    elements=(("tetrahedron", (0, 1, 2, 3)),
-                              ("tetrahedron", (1, 0, 2, 4))),
-                    fixed=frozenset())
-        with pytest.raises(pf.FlowDivergenceError):
-            pf.smooth(m, pf.SmoothSettings(step=1e6, normalization="none", max_iters=100))
-
     @pytest.mark.parametrize("entry", ["smooth", "smooth_step"])
     @pytest.mark.parametrize("kind", pf.KINDS)
-    @pytest.mark.parametrize("normalization", ["psi", "none"])
-    def test_overflowing_step_names_its_iteration(self, kind, normalization, entry):
+    def test_overflowing_step_names_its_iteration(self, kind, entry):
         # at ten times the reference size the first step moves every free
         # vertex to infinity; the state it leads to, iteration 1, diverges
         n = pf.VERTEX_COUNT[kind]
@@ -829,13 +837,12 @@ class TestSmooth:
             scale=0.1, size=(n, 3)))
         m = _single(kind, v, fixed=[0])
         with pytest.raises(pf.FlowDivergenceError) as info, np.errstate(over="ignore"):
-            getattr(pf, entry)(m, pf.SmoothSettings(step=1.7e308, normalization=normalization))
+            getattr(pf, entry)(m, pf.SmoothSettings(step=1.7e308))
         assert info.value.iteration == 1
 
     @pytest.mark.parametrize("entry", ["smooth", "smooth_step"])
     @pytest.mark.parametrize("kind", pf.KINDS)
-    @pytest.mark.parametrize("normalization", ["psi", "none"])
-    def test_overflowing_step_warns_nothing(self, kind, normalization, entry):
+    def test_overflowing_step_warns_nothing(self, kind, entry):
         # the overflow in the step and in the diagnosis of the state it
         # leads to stays inside the smoother
         n = pf.VERTEX_COUNT[kind]
@@ -844,7 +851,7 @@ class TestSmooth:
         m = _single(kind, v, fixed=[0])
         with pytest.raises(pf.FlowDivergenceError) as info, warnings.catch_warnings():
             warnings.simplefilter("error")
-            getattr(pf, entry)(m, pf.SmoothSettings(step=1.7e308, normalization=normalization))
+            getattr(pf, entry)(m, pf.SmoothSettings(step=1.7e308))
         assert info.value.iteration == 1
 
     @pytest.mark.parametrize("entry", ["smooth", "smooth_step"])
