@@ -1,5 +1,7 @@
 """Tests for singularity classification and the discrete regularizing flow."""
 
+import dataclasses
+import inspect
 import re
 import warnings
 from fractions import Fraction
@@ -185,6 +187,16 @@ class TestFlowSettings:
     def test_normalization_is_stored_as_a_str(self):
         s = pf.FlowSettings(normalization=np.str_("none"))
         assert s.normalization == "none" and type(s.normalization) is str
+
+    def test_classify_takes_its_default_tol_from_the_flow(self):
+        assert inspect.signature(pf.classify).parameters["tol"].default == pf.FlowSettings.tol
+
+    def test_trajectory_reports_no_halvings(self):
+        # every step is taken at full length; only integrate_batch keeps the 0 key
+        assert "halvings" not in {f.name for f in dataclasses.fields(pf.Trajectory)}
+        t = pf.integrate("tetrahedron", pf.GRADIENT, pf.random_configuration("tetrahedron", 0),
+                         pf.FlowSettings(max_iters=3))
+        assert not hasattr(t, "halvings")
 
 
 _TET = pf.reference_optimal("tetrahedron")

@@ -535,6 +535,19 @@ class TestSmoothStep:
                 saw_dip = True
         assert saw_dip
 
+    @pytest.mark.parametrize("kind", pf.KINDS)
+    def test_step_is_homogeneous_of_degree_one(self, kind):
+        # the field has degree 2 and psi divides it by sqrt|X|, of degree 1:
+        # a mesh scaled by 4 moves by 4 times the step (a raw field by 16)
+        n = pf.VERTEX_COUNT[kind]
+        v = pf.reference_optimal(kind) + np.random.default_rng(3).uniform(-0.1, 0.1, (n, 3))
+        m = _single(kind, v, fixed=[0])
+        settings = pf.SmoothSettings(step=1e-2)
+        moved = pf.smooth_step(m, settings).vertices - v
+        scaled = pf.smooth_step(m.with_vertices(4.0 * v), settings).vertices - 4.0 * v
+        assert np.abs(moved).max() > 1e-4
+        assert np.abs(scaled - 4.0 * moved).max() <= 1e-13
+
     def test_flattened_pair_gains_projected_volume(self):
         v = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0],
                       [0.5, 0.4, 0.08], [0.5, 0.4, -0.08]], float)
@@ -658,6 +671,23 @@ class TestSmoothSettings:
         with pytest.raises(ValueError,
                            match=r"^smooth_step steps by psi, got normalization 'none'$"):
             pf.smooth_step(m, pf.FlowSettings(step=1e-2, normalization="none"))
+
+    def test_normalization_is_no_field(self):
+        # the sweep has no raw-field step to choose
+        with pytest.raises(TypeError, match="normalization"):
+            pf.SmoothSettings(normalization="psi")
+
+    @pytest.mark.parametrize("settings", [
+        pf.FlowSettings(step=1e-2, max_iters=1),
+        pf.FlowSettings(step=1e-2, tol=0.5),
+        pf.SmoothSettings(step=1e-2, max_iters=0),
+        pf.SmoothSettings(step=1e-2, quality_tol=1e300),
+    ], ids=["flow-max_iters", "flow-tol", "smooth-max_iters", "smooth-quality_tol"])
+    def test_smooth_step_reads_only_the_step(self, settings):
+        # one sweep whatever the budget or the stop rule: smooth's first step
+        m = _mixed_mesh()
+        once = pf.smooth(m, pf.SmoothSettings(step=1e-2, max_iters=1, quality_tol=-1))[0]
+        assert pf.smooth_step(m, settings).vertices.tobytes() == once.vertices.tobytes()
 
     @pytest.mark.parametrize("settings,error,message", [
         (None, TypeError, "smooth_step takes a SmoothSettings or a FlowSettings, got NoneType"),
@@ -852,6 +882,19 @@ class TestSmooth:
         with pytest.raises(pf.FlowDivergenceError) as info, warnings.catch_warnings():
             warnings.simplefilter("error")
             getattr(pf, entry)(m, pf.SmoothSettings(step=1.7e308))
+        assert info.value.iteration == 1
+
+    @pytest.mark.parametrize("kind", pf.KINDS)
+    def test_overflowing_flow_settings_step_names_its_iteration(self, kind):
+        # a psi FlowSettings runs smooth_step's one reported sweep: its
+        # overflowing step diverges at iteration 1, warning nothing
+        n = pf.VERTEX_COUNT[kind]
+        v = 10.0 * (pf.reference_optimal(kind) + np.random.default_rng(5).normal(
+            scale=0.1, size=(n, 3)))
+        m = _single(kind, v, fixed=[0])
+        with pytest.raises(pf.FlowDivergenceError) as info, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pf.smooth_step(m, pf.FlowSettings(step=1.7e308))
         assert info.value.iteration == 1
 
     @pytest.mark.parametrize("entry", ["smooth", "smooth_step"])
