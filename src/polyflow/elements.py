@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chains import nu
-from .sphere import pi as _pi
+from .sphere import DegenerateConfigurationError, _center, pi as _pi
 
 KINDS = ("tetrahedron", "pyramid", "prism", "hexahedron", "octahedron")
 
@@ -69,11 +69,14 @@ def _check_kind(kind: str, variant: str = GRADIENT) -> None:
 
 
 def _check(kind: str, variant: str, p) -> np.ndarray:
-    """p as floats if :func:`_check_kind` takes kind and variant and p has the kind's shape."""
+    """p as floats if its kind, variant, shape and finite coordinates pass: every entry's rule."""
     _check_kind(kind, variant)
     p = np.asarray(p, dtype=float)
     if p.shape != (VERTEX_COUNT[kind], 3):
         raise ValueError(f"{kind} expects shape ({VERTEX_COUNT[kind]}, 3), got {p.shape}")
+    if np.count_nonzero(np.isfinite(p)) < p.size:
+        raise DegenerateConfigurationError(
+            "cannot measure a configuration with non-finite coordinates")
     return p
 
 
@@ -83,10 +86,19 @@ def _check_batch(kind: str, variant: str, P, name: str) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim != 3 or not len(P):
         raise ValueError(f"{name} must be a non-empty batch of shape (B, n, 3), got {P.shape}")
-    _check(kind, variant, P[0])
+    _check(kind, variant, P[np.isfinite(P).all(axis=(1, 2)).argmin()])  # first bad row, or row 0
     return P
 
 
+def _overflowed(error, flag):
+    """Handle an overflow, or a NaN it leads to, in an entry that measures p, not pi(p)."""
+    raise DegenerateConfigurationError("cannot measure a configuration whose arithmetic overflows")
+
+
+_overflow_raised = np.errstate(over="call", invalid="call", call=_overflowed)  # such entries
+
+
+@_overflow_raised
 def field(kind: str, variant: str, p) -> np.ndarray:
     """Evaluate the closed-form per-vertex field.
 
@@ -160,6 +172,7 @@ def field_batch(kind: str, variant: str, P, out=None) -> np.ndarray:
     return out
 
 
+@_overflow_raised
 def f_value(kind: str, variant: str, p) -> float:
     """Inner product of the field with the configuration over all 3n coordinates.
 
@@ -168,7 +181,7 @@ def f_value(kind: str, variant: str, p) -> float:
     ``mean_volume`` forms <X, c> at the centered configuration.
     """
     p = _check(kind, variant, p)
-    return float(np.vdot(field_batch(kind, variant, p[None])[0], p))
+    return float(np.vecdot(field_batch(kind, variant, p[None])[0].ravel(), p.ravel()))
 
 
 # Triangulation tables: per kind, a tuple of triangulations, each a tuple
@@ -270,26 +283,20 @@ _COMPILED["prism", Y_VARIANT] = _compile(1, [
 ])
 
 
-# Per vertex count n: the weights 1/n of the mean over the vertex axis.
-_MEAN = {n: np.full(n, 1.0 / n) for n in set(VERTEX_COUNT.values())}
-
-
 class _MeasureBuffers(NamedTuple):
     """The arrays :func:`_measure` writes, and the views it writes them by.
 
     C and X (B, 3, n) are the halves of one stack S (2, B, 3, n), and Cv
-    and Xv their (B, n, 3) views for :func:`field_batch`; mean (B, 3, 1)
-    holds the centroids, and centroid is its (B, 3) view; left and right
-    are S's flat rows (2, B, 3n) as the operands of dots, the (2, 2, B)
-    inner products [[<c, c>, <c, X>], [<X, c>, <X, X>]] of every pair;
-    cc, xc and xx are three of them; q is q_c (B,).
+    and Xv their (B, n, 3) views for :func:`field_batch`; centroid (B, 3)
+    holds the centroids; left and right are S's flat rows (2, B, 3n) as the
+    operands of dots, the (2, 2, B) inner products [[<c, c>, <c, X>],
+    [<X, c>, <X, X>]] of every pair; cc, xc and xx are three of them; q is q_c (B,).
     """
 
     C: np.ndarray
     X: np.ndarray
     Cv: np.ndarray
     Xv: np.ndarray
-    mean: np.ndarray
     centroid: np.ndarray
     left: np.ndarray
     right: np.ndarray
@@ -302,30 +309,29 @@ class _MeasureBuffers(NamedTuple):
 
 def _measure_buffers(B, n):
     """The :class:`_MeasureBuffers` of B configurations of n vertices."""
-    S, dots, mean = np.empty((2, B, 3, n)), np.empty((2, 2, B)), np.empty((B, 3, 1))
+    S, dots = np.empty((2, B, 3, n)), np.empty((2, 2, B))
     s = S.reshape(2, B, 3 * n)
-    return _MeasureBuffers(S[0], S[1], S[0].swapaxes(1, 2), S[1].swapaxes(1, 2), mean,
-                           mean[..., 0], s[:, None], s[None], dots, dots[0, 0],
+    return _MeasureBuffers(S[0], S[1], S[0].swapaxes(1, 2), S[1].swapaxes(1, 2),
+                           np.empty((B, 3)), s[:, None], s[None], dots, dots[0, 0],
                            dots[1, 0], dots[1, 1], np.empty(B))
 
 
 def _measure(kind, variant, P, out=None) -> _MeasureBuffers:
     """The :class:`_MeasureBuffers` of the component-major rows P (B, 3, n), read by name.
 
-    C is P minus its centroid, each row centered by its own mean so that
-    its rounding does not depend on the batch; X is the field evaluated
-    at C, which keeps it exact far from the origin; q = <X, c> / |c|^3
-    is q_c, xc is <X, c> and xx is <X, X>, from which psi's divisor is
-    read.  The one measure of a configuration: the flow, the sweep, the
-    mesh's quality and every volume (<X, c> / 18 of the gradient field)
-    read it.  ``out``, from :func:`_measure_buffers`, is written in place
-    and returned; without it the buffers are allocated.
+    C is P centered by ``sphere._center``, row by row, so its rounding does
+    not depend on the batch; X is the field at C, which keeps it exact far
+    from the origin; q = <X, c> / |c|^3 is q_c, xc is <X, c> and xx is
+    <X, X>, from which psi's divisor is read.  The one measure of a
+    configuration: the flow, the sweep, the mesh's quality and every volume
+    (<X, c> / 18 of the gradient field) read it, and the spectrum's field
+    is X to the bit.  ``out``, from :func:`_measure_buffers`, is written in
+    place and returned; without it the buffers are allocated.
     """
     if out is None:
         out = _measure_buffers(len(P), P.shape[2])
-    C, X, Cv, Xv, mean, centroid, left, right, dots, cc, xc, xx, q = out
-    np.vecdot(P, _MEAN[P.shape[2]], out=centroid)
-    np.subtract(P, mean, out=C)
+    C, X, Cv, Xv, centroid, left, right, dots, cc, xc, xx, q = out
+    _center(P, C, centroid)
     field_batch(kind, variant, Cv, out=Xv)
     np.vecdot(left, right, out=dots)  # one call forms every dot, a spare <c, X> too
     np.sqrt(cc, out=q)
@@ -334,6 +340,7 @@ def _measure(kind, variant, P, out=None) -> _MeasureBuffers:
     return out
 
 
+@_overflow_raised
 def mean_volume_batch(kind: str, P) -> np.ndarray:
     """Signed mean volume of a batch of configurations, (B, n, 3) -> (B,).
 

@@ -51,7 +51,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import elements
-from .elements import _measure, _measure_buffers
+from .elements import _measure, _measure_buffers, _overflow_raised
 from .sphere import (DegenerateConfigurationError, _column, _push, _push_buffers, _root,
                      _sigma, is_collinear, pi)
 
@@ -126,6 +126,7 @@ class SingularityClass:
     residual: float
 
 
+@_overflow_raised
 def singularity_residual(kind: str, variant: str, p) -> tuple[float, float]:
     """Residual and radial multiplier of the fixed-point equation at p on N.
 
@@ -134,12 +135,9 @@ def singularity_residual(kind: str, variant: str, p) -> tuple[float, float]:
     the singularities of the quotient field.  X is evaluated at p's
     centered rows and both come from the flow kernel's own arithmetic,
     so at a flow's final p they are its ``residual`` and ``lam`` to the bit.
-    A non-finite coordinate raises :class:`DegenerateConfigurationError`.
+    ``elements._check`` refuses a non-finite coordinate; an overflow raises.
     """
     P = np.ascontiguousarray(elements._check(kind, variant, p).T[None])
-    if not np.isfinite(P).all():
-        raise DegenerateConfigurationError(
-            "cannot measure a configuration with non-finite coordinates")
     with np.errstate(divide="ignore", invalid="ignore"):  # q_c of coincident vertices
         r, lam = _push(P, _measure(kind, variant, P).X)
     return float(np.sqrt(np.vecdot(r, r))[0]), float(lam[0])
@@ -153,8 +151,7 @@ def classify(kind: str, variant: str, p, tol: float = FlowSettings.tol) -> Singu
     with small ``|lam|`` is ``level0_singular``.  Collinear
     configurations are never classified optimal.  ``tol`` must be
     positive and finite, as in :class:`FlowSettings`: an infinite tol
-    would call any start a fixed point.  A non-finite coordinate raises
-    :class:`DegenerateConfigurationError`, as in :func:`singularity_residual`.
+    would call any start a fixed point.  p raises as in :func:`singularity_residual`.
     """
     _positive_finite("tol", tol)
     residual, lam = singularity_residual(kind, variant, p)
@@ -322,6 +319,7 @@ def integrate_batch(kind: str, variant: str, P0,
     return _flow(kind, variant, pi(elements._check_batch(kind, variant, P0, "P0")), settings)
 
 
+@_overflow_raised
 def shape_metrics(kind: str, p) -> dict:
     """Edge-length statistics, face planarity defect, and orientation sign.
 

@@ -1,11 +1,11 @@
 """Spectral diagnostics of the flow at critical configurations.
 
 The second-order structure of the restricted volume at a singularity is
-read off the Jacobian of the pinned-and-projected field.  The raw field
-is a symmetric bilinear form of the centered configuration, so one batch
-of the field kernel gives its Jacobian exactly, and the projected
-Jacobian follows in closed form, with tau applied as the operator it is
-rather than as a (3n, 3n) matrix.  At a representative on N the ambient
+read off the Jacobian of the pinned-and-projected field, measured as the
+flow measures it.  The raw field is a symmetric bilinear form of the rows
+centered by ``sphere._center``, so one kernel batch gives its Jacobian
+exactly, ``sphere._push`` gives t and lambda, and the projected Jacobian
+is closed-form, with tau an operator.  At a representative on N the ambient
 Jacobian has real spectrum at the optimal shapes; its nonzero
 eigenvalues and their multiplicities identify the critical manifold, and
 six eigenvalues vanish (three translations, three rotations).  The
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import elements
 from .jsontext import json_list
-from .sphere import _push, pi, tau, is_collinear
+from .sphere import _center, _push, _push_buffers, pi, tau, is_collinear
 
 GROUPING_TOL = 1e-4
 ZERO_TOL = 1e-6
@@ -66,7 +66,7 @@ def _raw_jacobian(kind, variant, p):
     The step h is the power of two above max|c|: both terms have the
     magnitude of X, and the division by h is exact.
     """
-    c = (p - p.sum(axis=0) / len(p)).ravel()  # the bits of p.mean(axis=0)
+    c = _center(np.ascontiguousarray(p.T)).T.ravel()  # contiguous rows: the bits of _measure's C
     h = np.ldexp(1.0, np.frexp(np.abs(c).max())[1])  # 1 when c = 0
     P = h * _BASIS[len(p)]
     P += c
@@ -74,6 +74,7 @@ def _raw_jacobian(kind, variant, p):
     return X[0], ((X[1:] - X[0]).reshape(c.size, c.size) / h).T
 
 
+@elements._overflow_raised
 def field_jacobian(kind: str, variant: str, p) -> np.ndarray:
     """Exact (3n, 3n) Jacobian of the raw field at p, from one centered kernel batch."""
     return _raw_jacobian(kind, variant, elements._check(kind, variant, p))[1]
@@ -84,6 +85,7 @@ def _asymmetry(J) -> float:
     return float(np.linalg.norm(J - J.T) / nj) if nj else 0.0
 
 
+@elements._overflow_raised
 def asymmetry_ratio(kind: str, variant: str, p) -> float:
     """Frobenius ratio |J - J^T| / |J| of the raw field Jacobian.
 
@@ -141,8 +143,8 @@ def _projected_jacobian(kind, variant, q):
     exactly zero and tau(q) = q bitwise.  The pushed field is extended off
     N as G = t - <t, u> u, with t = tau(X(q)) and u = q not re-normalized;
     re-normalizing would change the normal block and scramble the
-    spectrum.  With T the constant matrix of tau, over all 3n ambient
-    coordinates
+    spectrum; ``sphere._push`` forms t and <t, u>.  With T the constant
+    matrix of tau, over all 3n ambient coordinates
 
         J_G = T J_X - u (u^T T J_X + t^T T) - <t, u> T
             = T A - u (u^T T A + w^T T),  A = J_X - <t, u> I,  w = t + <t, u> u.
@@ -153,15 +155,14 @@ def _projected_jacobian(kind, variant, q):
     in T A, and u is zero there.
     """
     X, JX = _raw_jacobian(kind, variant, q)
-    m = JX.shape[0]
-    t, u = tau(X), q
-    s = np.vdot(t, u)
+    m, push = JX.shape[0], _push_buffers(1, len(q))
+    s = _push(np.ascontiguousarray(q.T)[None], X.T[None], push)[1][0]
     At = JX.T.copy()  # row k: column k of A = J_X - <t, u> I
     At.flat[::m + 1] -= s
     TA = tau(At.reshape(m, len(X), 3)).reshape(m, m).T
-    w = t + s * u
+    w = push.T[0].T + s * q  # t + <t, u> u
     w[-1] = -w[:-1].sum(axis=0)
-    return TA - np.outer(u, u.ravel() @ TA + w.ravel()), JX
+    return TA - np.outer(q, q.ravel() @ TA + w.ravel()), JX
 
 
 def hessian_spectrum(kind: str, variant: str, p) -> Spectrum:

@@ -11,13 +11,16 @@ leading batch axes.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
 
+_mean = functools.cache(lambda n: np.full(n, 1.0 / n))  # the weights 1/n of a mean, per n
+
 
 class DegenerateConfigurationError(ValueError):
-    """No representative on N: the vertices coincide or are not finite."""
+    """No representative on N, or no measure: the vertices coincide, are not finite or overflow."""
 
 
 def tau(p) -> np.ndarray:
@@ -29,6 +32,11 @@ def tau(p) -> np.ndarray:
     out = p - p[..., -1:, :]
     out[..., -1, :] = 0.0
     return out
+
+
+def _center(P, out=None, centroid=None) -> np.ndarray:
+    """The one centering rule: the rows P (..., 3, n) minus their centroids, one vecdot each."""
+    return np.subtract(P, np.vecdot(P, _mean(P.shape[-1]), out=centroid)[..., None], out=out)
 
 
 def _root(xx) -> np.ndarray:
@@ -147,8 +155,8 @@ def _push(P, X, out=None):
     t = tau(X) is X minus its last column, lam = <t, p>, and
     r = t - lam p, flat (B, 3n), is :func:`push_tangent` of X at p, as
     |p| = 1; the residual is |r|.  The one rule of the fixed-point
-    equation: the flow kernel, ``flow.singularity_residual`` and
-    ``spectral.pushed_field`` apply it.  ``out``, from
+    equation, of the flow kernel, ``flow.singularity_residual``, and
+    ``spectral``'s pushed field and t and lam.  ``out``, from
     :func:`_push_buffers`, is written in place; without it the buffers
     are allocated.
     """
@@ -178,12 +186,8 @@ def psi(v) -> np.ndarray:
 def is_collinear(p, tol: float = 1e-9) -> bool:
     """True when the centered points span (numerically) at most a line.
 
-    Checks the second-largest singular value of the centered point
-    matrix against ``tol`` times the largest.
+    Checks the second-largest singular value of the point matrix,
+    centered by :func:`_center`, against ``tol`` times the largest.
     """
-    p = np.asarray(p, dtype=float)
-    c = p - p.mean(axis=0)
-    s = np.linalg.svd(c, compute_uv=False)
-    if s[0] == 0.0:
-        return True
-    return bool(s[1] <= tol * s[0])
+    s = np.linalg.svd(_center(np.asarray(p, dtype=float).T), compute_uv=False)
+    return bool(s[0] == 0.0 or s[1] <= tol * s[0])

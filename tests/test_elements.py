@@ -318,6 +318,55 @@ def test_every_entry_names_a_bad_shape(entry, shape):
         entry(np.ones(shape))
 
 
+# The batch entries, with a good first row: the whole batch is checked.
+_BATCH_ENTRIES = {
+    "mean_volume_batch": lambda p: pf.mean_volume_batch(
+        "tetrahedron", np.stack([pf.reference_optimal("tetrahedron"), p])),
+    "integrate_batch": lambda p: pf.integrate_batch(
+        "tetrahedron", pf.GRADIENT, np.stack([pf.reference_optimal("tetrahedron"), p])),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", [*_CONFIGURATION_ENTRIES.values(), *_BATCH_ENTRIES.values()],
+                         ids=[*_CONFIGURATION_ENTRIES, *_BATCH_ENTRIES])
+def test_every_entry_refuses_a_non_finite_coordinate(entry, bad):
+    # one rule, in elements._check and _check_batch: before pi or any
+    # arithmetic, so no NaN is returned and no numpy warning leaks
+    p = pf.reference_optimal("tetrahedron")
+    p[1, 2] = bad
+    with pytest.raises(pf.DegenerateConfigurationError,
+                       match="^cannot measure a configuration with non-finite coordinates$"):
+        entry(p)
+
+
+# Every entry that measures p as given, without pi.
+_UNPROJECTED_ENTRIES = {name: _CONFIGURATION_ENTRIES[name] for name in (
+    "field", "f_value", "mean_volume", "singularity_residual", "classify",
+    "shape_metrics", "field_jacobian", "asymmetry_ratio")}
+_UNPROJECTED_ENTRIES["mean_volume_batch"] = lambda p: pf.mean_volume_batch("tetrahedron", p[None])
+
+
+@pytest.mark.parametrize("name,case", [
+    *[(name, "scaled") for name in _UNPROJECTED_ENTRIES],
+    *[(name, "one coordinate") for name in _UNPROJECTED_ENTRIES
+      if name not in ("field", "f_value")]])
+def test_an_overflow_is_one_error(name, case):
+    # finite coordinates whose arithmetic overflows: every product of two
+    # coordinates when scaled by 1e200; at one coordinate of 1e200, <c, c>
+    # (field and f_value form none), though the volume, about 1e200, does
+    # not.  One line, not a numpy RuntimeWarning; the entries that apply
+    # pi first never overflow.
+    p = pf.reference_optimal("tetrahedron")
+    if case == "scaled":
+        p *= 1e200
+    else:
+        p[1, 2] = 1e200
+    with pytest.raises(pf.DegenerateConfigurationError,
+                       match="^cannot measure a configuration whose arithmetic overflows$"):
+        _UNPROJECTED_ENTRIES[name](p)
+
+
 def test_field_batch_names_an_undefined_variant():
     with pytest.raises(ValueError, match=r"^variant 'y_variant' not defined for tetrahedron$"):
         pf.field_batch("tetrahedron", pf.Y_VARIANT, _ONES[None])

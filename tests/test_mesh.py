@@ -72,6 +72,57 @@ def _hex_grid(cells, jitter, seed):
                    fixed=frozenset(np.flatnonzero(boundary).tolist()))
 
 
+def _cell_corner(a, b, c):
+    # the corner (a, b, c) of a unit cell, numbered as the hexahedron's
+    return (0, 1, 3, 2)[a + 2 * b] + 4 * c
+
+
+def _kuhn_tets():
+    # the six tets of the Kuhn split, one per path from corner 0 to corner
+    # 6 along the axes, each positively oriented
+    tets = []
+    for order in itertools.permutations(range(3)):
+        path = [np.zeros(3, int)]
+        for axis in order:
+            path.append(path[-1] + np.eye(3, dtype=int)[axis])
+        if pf.tet_signed_volume(*path) < 0:
+            path[:2] = path[1::-1]
+        tets.append(("tetrahedron", tuple(_cell_corner(*q) for q in path)))
+    return tuple(tets)
+
+
+# Splits of a unit cell into elements, by corner number.
+_CELL_HEXAHEDRON = (("hexahedron", tuple(range(8))),)
+_CELL_PRISM_PAIR = (("prism", (0, 1, 2, 4, 5, 6)), ("prism", (0, 2, 3, 4, 6, 7)))
+_CELL_KUHN = _kuhn_tets()
+
+
+def _cell_grid(cells, jitter, seed, split):
+    # the vertices of _hex_grid, each cell (x, y, z) split into split(x)
+    m = cells + 1
+    k, j, i = np.meshgrid(range(m), range(m), range(m), indexing="ij")
+    v = np.stack([i, j, k], axis=-1).reshape(-1, 3).astype(float)
+    boundary = (v.min(axis=1) == 0) | (v.max(axis=1) == cells)
+    rng = np.random.default_rng(seed)
+    v[~boundary] += rng.uniform(-jitter, jitter, (int((~boundary).sum()), 3))
+    elements = []
+    for z, y, x in itertools.product(range(cells), repeat=3):
+        corners = [x + m * y + m * m * z + d for d in (0, 1, 1 + m, m)]
+        corners += [c + m * m for c in corners]
+        elements += [(kind, tuple(corners[a] for a in local)) for kind, local in split(x)]
+    return pf.Mesh(vertices=v, elements=tuple(elements),
+                   fixed=frozenset(np.flatnonzero(boundary).tolist()))
+
+
+# 4^3 grids whose faces conform, jittered by +-0.3 inside a fixed boundary.
+_CONFORMING_GRIDS = {
+    "hexahedra": lambda seed: _hex_grid(4, 0.3, seed),
+    "prism pairs": lambda seed: _cell_grid(4, 0.3, seed, lambda x: _CELL_PRISM_PAIR),
+    "Kuhn tetrahedra": lambda seed: _cell_grid(4, 0.3, seed, lambda x: _CELL_KUHN),
+}
+_TWENTY_SWEEPS = pf.SmoothSettings(step=1.0, max_iters=20, quality_tol=-1)
+
+
 def _centered_unit(p):
     c = p - p.mean(axis=0)
     return c / np.linalg.norm(c)
@@ -337,6 +388,26 @@ class TestMeshMeanVolume:
     def test_one_volume_rule_hex_grid(self, seed):
         m = _hex_grid(8, jitter=0.2, seed=seed)
         assert pf.mesh_mean_volume(m) == pf.quality_report(m).mesh_mean_volume
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("grid", _CONFORMING_GRIDS)
+    def test_boundary_invariant(self, grid, seed):
+        # every quad face is split by both of its diagonals equally often,
+        # so the cone volumes of a shared face cancel: the mesh volume is
+        # the boundary's, 64, after interior jitter and after 20 sweeps
+        m = _CONFORMING_GRIDS[grid](seed)
+        smoothed, _ = pf.smooth(m, _TWENTY_SWEEPS)
+        ulps = 4 * len(m.elements) * np.spacing(64.0)
+        for state in (m, smoothed):
+            assert abs(pf.mesh_mean_volume(state) - 64.0) <= ulps
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_boundary_invariant_fails_at_a_non_conforming_face(self, seed):
+        # the control: where a hexahedron's quad face meets two Kuhn
+        # triangles, one diagonal, the faces do not cancel and the volume moves
+        m = _cell_grid(4, 0.2, seed, lambda x: _CELL_HEXAHEDRON if x < 2 else _CELL_KUHN)
+        smoothed, _ = pf.smooth(m, _TWENTY_SWEEPS)
+        assert abs(pf.mesh_mean_volume(smoothed) - 64.0) > 1e-3
 
     def test_coincident_element_is_zero(self):
         # an element whose vertices coincide adds 0, with no numpy warning

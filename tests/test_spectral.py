@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import polyflow as pf
-from polyflow import spectral
+from polyflow import elements, spectral, sphere
 
 SQ = np.sqrt
 
@@ -207,6 +207,32 @@ class TestExactJacobians:
             monkeypatch.setattr(np, name, refuse)
         for kind, variant in ALL_PAIRS:
             pf.hessian_spectrum(kind, variant, pf.reference_optimal(kind))
+
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_raw_field_is_the_measures_field(self, rng, kind, variant):
+        # one centering rule, sphere._center: the spectrum's X is the X the
+        # flow measures at q, bit for bit
+        for _ in range(20):
+            q = pf.pi(rng.normal(size=(pf.VERTEX_COUNT[kind], 3)))
+            X = spectral._raw_jacobian(kind, variant, q)[0]
+            measured = elements._measure(kind, variant, np.ascontiguousarray(q.T[None])).X
+            assert X.tobytes() == measured[0].T.tobytes()
+
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_lambda_is_the_flows(self, monkeypatch, rng, kind, variant):
+        # t and lambda come from sphere._push, the flow's rule, so the
+        # spectrum's lambda is singularity_residual's to the bit
+        seen = []
+
+        def push(*args):
+            r, lam = sphere._push(*args)
+            seen.append(float(lam[0]))
+            return r, lam
+        monkeypatch.setattr(spectral, "_push", push)
+        for _ in range(20):
+            q = pf.pi(rng.normal(size=(pf.VERTEX_COUNT[kind], 3)))
+            spectral._projected_jacobian(kind, variant, q)
+            assert seen.pop() == pf.singularity_residual(kind, variant, q)[1]
 
     @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
     def test_euler_identity(self, rng, kind, variant):
