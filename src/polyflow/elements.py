@@ -29,6 +29,9 @@ them, q_c, <X, c> and <X, X>), and every volume is <X, c> / 18 of the
 gradient field at the centered rows (Euler's identity).  The measure
 writes into buffers that the caller may keep (the flow's workspace) and
 returns them, and the kernel writes the field into them through ``out=``.
+Both are built once on their views and run as zero-argument calls
+(``_measure_plan``, ``_field_plan``): ``_measure`` and ``field_batch``
+build and run once, and the flow and the sweep keep their plans.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chains import nu
-from .sphere import DegenerateConfigurationError, _center, pi as _pi
+from .sphere import DegenerateConfigurationError, _center_plan, pi as _pi
 
 KINDS = ("tetrahedron", "pyramid", "prism", "hexahedron", "octahedron")
 
@@ -90,9 +93,12 @@ def _check_batch(kind: str, variant: str, P, name: str) -> np.ndarray:
     return P
 
 
+_OVERFLOWS = "cannot measure a configuration whose arithmetic overflows"
+
+
 def _overflowed(error, flag):
     """Handle an overflow, or a NaN it leads to, in an entry that measures p, not pi(p)."""
-    raise DegenerateConfigurationError("cannot measure a configuration whose arithmetic overflows")
+    raise DegenerateConfigurationError(_OVERFLOWS)
 
 
 _overflow_raised = np.errstate(over="call", invalid="call", call=_overflowed)  # such entries
@@ -124,52 +130,68 @@ def field(kind: str, variant: str, p) -> np.ndarray:
 def field_batch(kind: str, variant: str, P, out=None) -> np.ndarray:
     """Evaluate the field on a batch of configurations, shape (B, n, 3).
 
+    :func:`_field_plan`, built and run once: the result is a (B, n, 3)
+    view of (3, B, n) memory, or ``out``.  A kind or variant miss raises
+    ValueError as :func:`field` does; the shape of P is not checked.
+    """
+    return _field_plan(kind, variant, np.asarray(P, dtype=float), out)()
+
+
+def _field_plan(kind, variant, P, out=None):
+    """The field kernel on the batch P (B, n, 3), built once: a zero-argument call.
+
     The kernel works on batch-minor rows Q (3n, B): row c n + i holds
     component c of vertex i for every configuration, which is
     ``P.transpose(2, 1, 0)``.  The flows and the mesh sweep hold
     component-major rows (B, 3, n) and pass their (B, n, 3) view, so Q is
-    the transposed view of their flat (B, 3n) rows.  At B = 1 it is read
-    without a copy; at B > 1 the row gather copies the strided rows once
-    (a column gather from the (B, 3n) rows measured 2.7x slower).  A
-    vertex-major P, such as ``field``'s, is copied once.
+    the transposed view of their flat (B, 3n) rows, and each run reads P
+    as it is then.  At B = 1 it is read without a copy; at B > 1 the row
+    gather copies the strided rows once (a column gather from the
+    (B, 3n) rows measured 2.7x slower).  A vertex-major P, such as
+    ``field``'s, is copied once, here, so its plan reads P as built.
     One row gather (``take(axis=0)``) reads the factors of both products
     of every folded pair's cross product.  One matrix product of those
     products prod (2K, 3B) with W = [S | -S] subtracts and contracts
     them.  The batch sits on the M axis of that product, ``prod.T @ W.T``
     (numpy hands the transposed view to gemm without a copy): each
     configuration is three rows of one gemm, and its value does not
-    depend on B.  The result is a (B, n, 3) view of (3, B, n) memory: at
-    B = 1 a view of component-major rows.
+    depend on B.
 
-    ``out``, a (B, n, 3) view of component-major rows (B, 3, n), receives
-    the result instead: at B = 1 the gemm writes the rows in place, at
-    B > 1 its (3, B, n) result is copied in.  The bits are the same.
-    A kind or variant miss raises ValueError as :func:`field` does; the
-    shape of P is not checked (the flows call this once per iteration).
+    Each run returns ``out``, a (B, n, 3) view of component-major rows
+    (B, 3, n), with the field written in: at B = 1 the gemm writes the
+    rows in place, at B > 1 its (3, B, n) result, a buffer of the plan,
+    is copied in, with the same bits.  Without out a run returns a
+    (B, n, 3) view of that buffer.
     """
     try:
         factors, WT = _COMPILED[kind, variant]
     except (KeyError, TypeError):  # a TypeError: an unhashable kind or variant
         _check_kind(kind, variant)  # raises: every defined pair is compiled
         raise
-    P = np.asarray(P, dtype=float)
     B, n, _ = P.shape
-    Q = P.transpose(2, 1, 0).reshape(3 * n, B)
-    # One gather for both factors, multiplied in place: glibc returns the
-    # top of the heap to the system once more than twice its largest
-    # recent allocation is free there, which two gathers of half the size
-    # reached on every call (256 minor faults per call at B = 512 hexahedra).
-    F = Q.take(factors, axis=0)  # (2, 2, K, 3, B)
-    prod = F[0]
-    prod *= F[1]
-    A = prod.reshape(-1, 3 * B).T
+    Q, flat = P.transpose(2, 1, 0).reshape(3 * n, B), (-1, 3 * B)
+    target = out[0].T if out is not None and B == 1 else np.empty((3 * B, n))
+    result = target.reshape(3, B, n)
+    copy_to = None if out is None or B == 1 else out.transpose(2, 0, 1)
     if out is None:
-        return (A @ WT).reshape(3, B, n).transpose(1, 2, 0)
-    if B == 1:
-        np.matmul(A, WT, out=out[0].T)
-    else:
-        out.transpose(2, 0, 1)[...] = (A @ WT).reshape(3, B, n)
-    return out
+        out = result.transpose(1, 2, 0)
+
+    def run():
+        # One gather for both factors, multiplied in place: glibc returns the
+        # top of the heap to the system once more than twice its largest
+        # recent allocation is free there, which two gathers of half the size
+        # reached on every call (256 minor faults per call at B = 512
+        # hexahedra).  Not into a buffer of the plan: take(out=) is buffered
+        # in its default mode, and a product buffer left the cache at large B.
+        F = Q.take(factors, axis=0)  # (2, 2, K, 3, B)
+        prod = F[0]
+        prod *= F[1]
+        np.matmul(prod.reshape(flat).T, WT, out=target)
+        if copy_to is not None:
+            copy_to[...] = result
+        return out
+
+    return run
 
 
 @_overflow_raised
@@ -316,28 +338,46 @@ def _measure_buffers(B, n):
                            dots[1, 0], dots[1, 1], np.empty(B))
 
 
+def _measure_plan(kind, variant, P, out):
+    """:func:`_measure` of the component-major rows P (B, 3, n), built once: a zero-argument call.
+
+    Each run measures P as it is then into out, from
+    :func:`_measure_buffers`, and returns out.  The centering
+    (``sphere._center_plan``) and the field kernel (:func:`_field_plan`)
+    are built here, on out's views.
+    """
+    C, X, Cv, Xv, centroid, left, right, dots, cc, xc, xx, q = out
+    center, field = _center_plan(P, C, centroid), _field_plan(kind, variant, Cv, Xv)
+
+    def run():
+        center()
+        field()
+        np.vecdot(left, right, out=dots)  # one call forms every dot, a spare <c, X> too
+        np.sqrt(cc, out=q)
+        np.multiply(cc, q, out=q)
+        np.divide(xc, q, out=q)
+        return out
+
+    return run
+
+
 def _measure(kind, variant, P, out=None) -> _MeasureBuffers:
     """The :class:`_MeasureBuffers` of the component-major rows P (B, 3, n), read by name.
 
-    C is P centered by ``sphere._center``, row by row, so its rounding does
-    not depend on the batch; X is the field at C, which keeps it exact far
-    from the origin; q = <X, c> / |c|^3 is q_c, xc is <X, c> and xx is
-    <X, X>, from which psi's divisor is read.  The one measure of a
-    configuration: the flow, the sweep, the mesh's quality and every volume
-    (<X, c> / 18 of the gradient field) read it, and the spectrum's field
-    is X to the bit.  ``out``, from :func:`_measure_buffers`, is written in
-    place and returned; without it the buffers are allocated.
+    C is P centered by ``sphere._center_plan``, row by row, so its
+    rounding does not depend on the batch; X is the field at C, which
+    keeps it exact far from the origin; q = <X, c> / |c|^3 is q_c, xc is
+    <X, c> and xx is <X, X>, from which psi's divisor is read.  The one
+    measure of a configuration: the flow, the sweep, the mesh's quality
+    and every volume (<X, c> / 18 of the gradient field) read it, and the
+    spectrum's field is X to the bit.  :func:`_measure_plan`, built and
+    run once; the flow builds its plans once per workspace.  ``out``,
+    from :func:`_measure_buffers`, is written in place and returned;
+    without it the buffers are allocated.
     """
     if out is None:
         out = _measure_buffers(len(P), P.shape[2])
-    C, X, Cv, Xv, centroid, left, right, dots, cc, xc, xx, q = out
-    _center(P, C, centroid)
-    field_batch(kind, variant, Cv, out=Xv)
-    np.vecdot(left, right, out=dots)  # one call forms every dot, a spare <c, X> too
-    np.sqrt(cc, out=q)
-    np.multiply(cc, q, out=q)
-    np.divide(xc, q, out=q)
-    return out
+    return _measure_plan(kind, variant, P, out)()
 
 
 @_overflow_raised
@@ -347,10 +387,17 @@ def mean_volume_batch(kind: str, P) -> np.ndarray:
     <X, c> / 18 on the centered component-major rows c, X their gradient
     field: the volume the mesh report and the flow's q_c read.  A P other
     than a non-empty batch of the kind's (n, 3) rows raises ValueError.
+    The volume reads <X, c> alone: the rest of the measure may overflow
+    (q_c's |c|^3 does from coordinates of about 1e103) or divide by zero
+    (q_c of coincident vertices), and only a <X, c> that is not finite
+    raises as an overflow.
     """
     P = np.ascontiguousarray(_check_batch(kind, GRADIENT, P, "P").swapaxes(1, 2))
-    with np.errstate(divide="ignore", invalid="ignore"):  # q_c of coincident vertices
-        return _measure(kind, GRADIENT, P).xc / 18.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        xc = _measure(kind, GRADIENT, P).xc
+    if np.count_nonzero(np.isfinite(xc)) < len(xc):
+        raise DegenerateConfigurationError(_OVERFLOWS)
+    return xc / 18.0
 
 
 def mean_volume(kind: str, p) -> float:

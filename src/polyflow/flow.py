@@ -23,22 +23,26 @@ is one subtraction of the last column (``sphere._push``, which
 A step is normalized by one norm; a zero, overflowing or non-finite
 norm leaves a NaN q_c, which the monitor's one test catches before
 :func:`sphere.sigma`'s rescue runs.  The state and every candidate step
-are measured by ``elements._measure``, as the mesh smoother measures its
-elements: the rows are centered, each by its own mean, so a row's
-rounding, and with it the run, does not depend on the batch; the field
-is evaluated at the centered rows by :func:`elements.field_batch`, the
-one field kernel, and q_c is read from both; psi's divisor sqrt|X| is
-read from the measure's <X, X>.
+are measured by ``elements._measure``'s arithmetic, as the mesh smoother
+measures its elements: the rows are centered, each by its own mean, so a
+row's rounding, and with it the run, does not depend on the batch; the
+field is evaluated at the centered rows by the kernel of
+:func:`elements.field_batch`, the one field kernel, and q_c is read from
+both; psi's divisor sqrt|X| is read from the measure's <X, X>.
 
 The kernel steps its batch in place, in one workspace per set of
-running rows (:func:`_workspace`), allocated at the start and again only
-when rows stop.  Every step writes into it through ufunc ``out=``
-arguments, with the same operations as on fresh arrays, so the runs
-are bit for bit the same; ``record`` receives workspace views, valid
-only during the call.  The step w is formed before the convergence
-test, so that one ``vecdot`` of the stack [r, w] gives <r, r> and
-<w, w>.  This buffer plan lives here alone: :func:`_workspace` adapts
-the general buffers of ``elements._measure`` and ``sphere._push``.
+running rows (:func:`_workspace`), built at the start and again only
+when rows stop.  It holds the buffers and three plans, zero-argument
+calls built once on its views: the state's and the candidate's measure
+(``elements._measure_plan``) and the push (``sphere._push_plan``).  An
+iteration runs them and builds no view.  Every step writes into the
+workspace through ufunc ``out=`` arguments, with the same operations as
+on fresh arrays, so the runs are bit for bit the same; ``record``
+receives workspace views, valid only during the call.  The step w is
+formed before the convergence test, so that one ``vecdot`` of the
+stack [r, w] gives <r, r> and <w, w>.  The workspace lives here alone:
+it adapts the general buffers and plans of ``elements._measure`` and
+``sphere._push``.
 """
 
 from __future__ import annotations
@@ -51,9 +55,9 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import elements
-from .elements import _measure, _measure_buffers, _overflow_raised
-from .sphere import (DegenerateConfigurationError, _column, _push, _push_buffers, _root,
-                     _sigma, is_collinear, pi)
+from .elements import _measure, _measure_buffers, _measure_plan, _overflow_raised
+from .sphere import (DegenerateConfigurationError, _column, _push, _push_buffers, _push_plan,
+                     _root, _sigma, is_collinear, pi)
 
 # The relative slack of the q_c monitor: a step that lowers q_c by more
 # than ACCEPT_SLACK * max(1, |q_c|) is counted as a monotone break.
@@ -183,21 +187,26 @@ class Trajectory:
         return self.points[-1][3]
 
 
-def _workspace(B, n):
-    """The buffers of :func:`_flow` for B running configurations of n vertices.
+def _workspace(kind, variant, B, n):
+    """The buffers and plans of :func:`_flow` for B running configurations of n vertices.
 
-    In order: P (B, 3, n) and its flat rows p (B, 3n); the measure's
-    buffers of the state and of the candidate step, which share all but
-    q_c (the two q_c swap roles each step); the push's buffers, whose r
-    (B, 3n) is stacked with the step w in rw (2, B, 3n); dots, <r, r>
-    and <w, w> (2, B); the residual |r| (B,); and the step's norm (B,)
-    with its column view.
+    In order: P (B, 3, n) and its flat rows p (B, 3n); the measure plans
+    of the state and of the candidate step on P, whose buffers share all
+    but q_c, and their two q_c (plans and q_c swap roles each step); the
+    shared X and <X, X>; the push plan of X at P, whose r (B, 3n) is
+    stacked with the step w in rw (2, B, 3n); w; dots, <r, r> and
+    <w, w> (2, B); the residual |r| (B,); and the step's norm and psi's
+    divisor (B,) with their column views.
     """
-    P, rw, norm = np.empty((B, 3, n)), np.empty((2, B, 3 * n)), np.empty(B)
+    P, rw = np.empty((B, 3, n)), np.empty((2, B, 3 * n))
+    norm, divisor, column = np.empty(B), np.empty(B), _column(B)
     state = _measure_buffers(B, n)
-    return (P, P.reshape(B, 3 * n), state, state._replace(q=np.empty(B)),
-            _push_buffers(B, n)._replace(r=rw[0]), rw, np.empty((2, B)), np.empty(B),
-            norm, norm.reshape(_column(B)))
+    candidate = state._replace(q=np.empty(B))
+    return (P, P.reshape(B, 3 * n), _measure_plan(kind, variant, P, state),
+            _measure_plan(kind, variant, P, candidate), state.q, candidate.q, state.X, state.xx,
+            _push_plan(P, state.X, _push_buffers(B, n)._replace(r=rw[0])), rw, rw[1],
+            np.empty((2, B)), np.empty(B), norm, norm.reshape(column), divisor,
+            divisor.reshape(column))
 
 
 def _flow(kind, variant, P0, settings, record=None):
@@ -209,10 +218,10 @@ def _flow(kind, variant, P0, settings, record=None):
     valid only during the call.  Returns the dict of :func:`integrate_batch`.
     """
     B, n, _ = P0.shape
-    P, p, state, candidate, push, rw, dots, residual, norm, norm_column = _workspace(B, n)
+    (P, p, measure, measure_candidate, Q, Qn, X, xx, push, rw, w, dots, residual, norm,
+     norm_column, divisor, divisor_column) = _workspace(kind, variant, B, n)
     P[...] = P0.swapaxes(1, 2)
-    _measure(kind, variant, P, state)
-    X, Q, xx = state.X, state.q, state.xx  # psi's divisor is read from xx = <X, X>
+    measure()  # the start's X, q_c in Q and xx = <X, X>, psi's divisor's source
     bound = 3.0 * float(np.sqrt(xx).max())
     if settings.step * bound >= 2.0:
         warnings.warn(
@@ -225,19 +234,20 @@ def _flow(kind, variant, P0, settings, record=None):
     # 0-d operands: numpy converts a Python float operand on every call
     step, tol, last = np.array(settings.step), np.array(settings.tol), settings.max_iters
     psi = settings.normalization == "psi"
-    column, w, (rr, ww) = _column(B), rw[1], dots  # the step w, <r, r> and <w, w>
+    rr, ww = dots  # <r, r> and <w, w>
     # A step whose norm is zero, overflows or is not finite gives a NaN q_c,
     # which the monitor catches; numpy's warnings about it are muted.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for it in range(last + 1):
-            r, lam = _push(P, X, push)
+            r, lam = push()
             # The step is formed before the rows that stop are known, so that
             # one vecdot forms <r, r> and <w, w>; a stopping row's step is
             # dropped (X = 0 gives r = 0, which stops).
             if psi:
                 # push_tangent is linear and psi(X) = X / sqrt|X|, so the step
                 # push_tangent(P, psi(X)) is r / sqrt|X|.
-                np.divide(r, _root(xx).reshape(column), out=w)
+                _root(xx, divisor)
+                np.divide(r, divisor_column, out=w)
                 np.multiply(step, w, out=w)
             else:
                 np.multiply(step, r, out=w)
@@ -261,15 +271,15 @@ def _flow(kind, variant, P0, settings, record=None):
                 # write P, X and <X, X> before they are read.
                 keep, running = ~stop, (Q, w, ww)
                 rows = rows[keep]
-                (P, p, state, candidate, push, rw, dots, residual, norm,
-                 norm_column) = _workspace(len(rows), n)
-                X, xx, Q, w, (rr, ww) = state.X, state.xx, state.q, rw[1], dots
+                (P, p, measure, measure_candidate, Q, Qn, X, xx, push, rw, w, dots, residual,
+                 norm, norm_column, divisor, divisor_column) = _workspace(kind, variant,
+                                                                          len(rows), n)
+                rr, ww = dots
                 for a, b in zip(running, (Q, w, ww)):
                     np.compress(keep, a, axis=0, out=b)
-                column = _column(len(rows))
             np.sqrt(ww, out=norm)
             np.divide(w, norm_column, out=p)
-            Qn = _measure(kind, variant, P, candidate).q
+            measure_candidate()
             # One test catches a q_c drop and the NaN q_c of a bad norm.
             if np.count_nonzero(Qn >= Q) < len(Q):
                 if np.count_nonzero(np.isnan(Qn)):
@@ -279,10 +289,10 @@ def _flow(kind, variant, P0, settings, record=None):
                         P[...] = _sigma(w.reshape(P.shape))
                     except DegenerateConfigurationError as exc:
                         raise FlowDivergenceError(it) from exc
-                    _measure(kind, variant, P, candidate)
+                    measure_candidate()
                 out["monotone_breaks"] += int(np.count_nonzero(
                     Q - Qn > ACCEPT_SLACK * np.maximum(1.0, np.abs(Q))))
-            state, candidate, Q = candidate, state, Qn
+            measure, measure_candidate, Q, Qn = measure_candidate, measure, Qn, Q
     return out
 
 

@@ -19,8 +19,9 @@ A sweep makes one gather, one field pass and one scatter per kind, on
 the flow's component-major rows (E, 3, n): row e lists the x, then y,
 then z coordinates of element e's vertices.  One ``take`` of flat
 offsets, which the mesh compiles once for its topology (``Mesh.plan``),
-reads them; ``elements._measure``, which measures the flow's states
-too, centers them, evaluates their field at the centered rows, so that
+reads them into the rows of the kind's measure plan, built once per
+run (``elements._measure_plan``, which measures the flow's states too);
+it centers them, evaluates their field at the centered rows, so that
 q and the step stay exact far from the origin, and reads q_c from both,
 its volume <X, c> / 18 and <X, X>.  Every sum runs along an
 element's own row, so an element's q does not depend on how many
@@ -54,7 +55,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import elements as el
-from .elements import _measure
+from .elements import _measure, _measure_buffers, _measure_plan
 from .flow import (FlowDivergenceError, FlowSettings, _integer_at_least, _positive_finite,
                    _real, _set_fields)
 from .jsontext import json_list
@@ -299,8 +300,9 @@ def _sweeps(m: Mesh, settings: SmoothSettings):
 
     The state after i sweeps is one vertex array, stepped in place.  Per
     kind, one ``take`` of the plan's offsets reads its element rows
-    (E, 3, n), and ``_measure`` evaluates their field X once, at the
-    centered rows.  The state's report reads q and <X, c> from the
+    (E, 3, n) into the rows of its measure plan (``_measure_plan``, built
+    once per run), which evaluates their field X once, at the centered
+    rows.  The state's report reads q and <X, c> from the
     measure; the step scatters X, divided by psi's divisor sqrt|X| from
     the measure's <X, X>, times ``settings.step``, with one ``bincount``
     over the same offsets.  At most ``settings.max_iters`` sweeps run;
@@ -315,7 +317,10 @@ def _sweeps(m: Mesh, settings: SmoothSettings):
     size = _size(m.groups)
     v = m.vertices.copy()
     flat = v.ravel()
-    reports = []
+    reports, plans = [], []
+    for (kind, _, _), index in zip(m.groups, offsets):  # per kind: its rows, plan and measure
+        rows, measured = np.empty(index.shape), _measure_buffers(len(index), index.shape[2])
+        plans.append((rows, _measure_plan(kind, el.GRADIENT, rows, measured), measured))
     # A field or a step that overflows leaves a quality that is not finite,
     # which raises in _summary, now or in the next sweep; numpy's warnings
     # are muted.
@@ -323,8 +328,10 @@ def _sweeps(m: Mesh, settings: SmoothSettings):
         for it in range(sweeps + 1):  # state it, after it sweeps
             step = it < sweeps
             xc, q, acc = np.empty(size), np.empty(size), np.zeros(flat.size)
-            for (kind, _, pos), index in zip(m.groups, offsets):
-                measured = _measure(kind, el.GRADIENT, flat.take(index))
+            for (kind, _, pos), index, (rows, measure, measured) in zip(m.groups, offsets, plans):
+                # the offsets are in range; take(out=) is buffered in the default mode
+                np.take(flat, index, out=rows, mode="clip")
+                measure()
                 xc[pos], q[pos] = measured.xc, measured.q / (18.0 * el.Q_MAX[kind])
                 if step:
                     X = measured.X / _divisor(measured.xx)[:, None, None]

@@ -34,14 +34,30 @@ def tau(p) -> np.ndarray:
     return out
 
 
-def _center(P, out=None, centroid=None) -> np.ndarray:
-    """The one centering rule: the rows P (..., 3, n) minus their centroids, one vecdot each."""
-    return np.subtract(P, np.vecdot(P, _mean(P.shape[-1]), out=centroid)[..., None], out=out)
+def _center_plan(P, out, centroid):
+    """The one centering rule, built once: a zero-argument call that centers the rows P.
+
+    Each run writes the rows P (..., 3, n), as they are then, minus their
+    centroids into out and returns out; the centroids, one vecdot per
+    row, go into centroid (...).
+    """
+    mean, column = _mean(P.shape[-1]), centroid[..., None]
+
+    def run():
+        np.vecdot(P, mean, out=centroid)
+        return np.subtract(P, column, out=out)
+
+    return run
 
 
-def _root(xx) -> np.ndarray:
-    """sqrt|x| from the squared norms xx = <x, x> of rows x."""
-    return np.sqrt(np.sqrt(xx))
+def _center(P) -> np.ndarray:
+    """The rows P (..., 3, n) minus their centroids: :func:`_center_plan`, built and run once."""
+    return _center_plan(P, np.empty(P.shape), np.empty(P.shape[:-1]))()
+
+
+def _root(xx, out=None) -> np.ndarray:
+    """sqrt|x| from the squared norms xx = <x, x> of rows x, written into out if given."""
+    return np.sqrt(np.sqrt(xx, out=out), out=out)
 
 
 def _divisor(xx) -> np.ndarray:
@@ -149,6 +165,26 @@ def _push_buffers(B, n):
                         lam.reshape(_column(B)))
 
 
+def _push_plan(P, X, out):
+    """:func:`_push` of the field rows X at the rows P (B, 3, n), built once: a zero-argument call.
+
+    Each run reads P and X as they are then, writes into out, from
+    :func:`_push_buffers`, and returns (r, lam).
+    """
+    B, _, n = P.shape
+    p, last = P.reshape(B, 3 * n), X[:, :, -1:]
+    t, T, r, lam, column = out
+
+    def run():
+        np.subtract(X, last, out=T)  # the last column is exactly 0
+        np.vecdot(t, p, out=lam)
+        np.multiply(column, p, out=r)
+        np.subtract(t, r, out=r)
+        return r, lam
+
+    return run
+
+
 def _push(P, X, out=None):
     """(r, lam) of the field rows X at the component-major rows P (B, 3, n) on N.
 
@@ -156,20 +192,11 @@ def _push(P, X, out=None):
     r = t - lam p, flat (B, 3n), is :func:`push_tangent` of X at p, as
     |p| = 1; the residual is |r|.  The one rule of the fixed-point
     equation, of the flow kernel, ``flow.singularity_residual``, and
-    ``spectral``'s pushed field and t and lam.  ``out``, from
-    :func:`_push_buffers`, is written in place; without it the buffers
-    are allocated.
+    ``spectral``'s pushed field and t and lam: :func:`_push_plan`, built
+    and run once.  ``out``, from :func:`_push_buffers`, is written in
+    place; without it the buffers are allocated.
     """
-    B, _, n = P.shape
-    p = P.reshape(B, 3 * n)
-    if out is None:
-        out = _push_buffers(B, n)
-    t, T, r, lam, column = out
-    np.subtract(X, X[:, :, -1:], out=T)  # the last column is exactly 0
-    np.vecdot(t, p, out=lam)
-    np.multiply(column, p, out=r)
-    np.subtract(t, r, out=r)
-    return r, lam
+    return _push_plan(P, X, _push_buffers(len(P), P.shape[2]) if out is None else out)()
 
 
 def psi(v) -> np.ndarray:

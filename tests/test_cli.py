@@ -121,7 +121,11 @@ class TestRegularize:
 
     def test_non_finite_step_diverges(self, monkeypatch, capsys):
         # a zero psi divisor makes the step non-finite: one divergence line
-        monkeypatch.setattr(flow, "_root", lambda x: np.zeros(len(x)))
+        def zero_root(xx, out):
+            out[...] = 0.0
+            return out
+
+        monkeypatch.setattr(flow, "_root", zero_root)
         rc = cli.main(["regularize", "--type", "tetrahedron", "--random", "2"])
         assert rc == 3
         out, err = capsys.readouterr()

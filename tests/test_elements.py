@@ -347,21 +347,49 @@ _UNPROJECTED_ENTRIES = {name: _CONFIGURATION_ENTRIES[name] for name in (
 _UNPROJECTED_ENTRIES["mean_volume_batch"] = lambda p: pf.mean_volume_batch("tetrahedron", p[None])
 
 
+# The entries that return the volume <X, c> / 18 alone.
+_VOLUME_ENTRIES = ("mean_volume", "mean_volume_batch")
+
+
 @pytest.mark.parametrize("name,case", [
     *[(name, "scaled") for name in _UNPROJECTED_ENTRIES],
     *[(name, "one coordinate") for name in _UNPROJECTED_ENTRIES
-      if name not in ("field", "f_value")]])
+      if name not in ("field", "f_value") and name not in _VOLUME_ENTRIES]])
 def test_an_overflow_is_one_error(name, case):
     # finite coordinates whose arithmetic overflows: every product of two
     # coordinates when scaled by 1e200; at one coordinate of 1e200, <c, c>
     # (field and f_value form none), though the volume, about 1e200, does
-    # not.  One line, not a numpy RuntimeWarning; the entries that apply
-    # pi first never overflow.
+    # not, and the volume entries read only that.  One line, not a numpy
+    # RuntimeWarning; the entries that apply pi first never overflow.
     p = pf.reference_optimal("tetrahedron")
     if case == "scaled":
         p *= 1e200
     else:
         p[1, 2] = 1e200
+    with pytest.raises(pf.DegenerateConfigurationError,
+                       match="^cannot measure a configuration whose arithmetic overflows$"):
+        _UNPROJECTED_ENTRIES[name](p)
+
+
+@pytest.mark.parametrize("big", [1e90, 1e120, 1e200])
+@pytest.mark.parametrize("name", _VOLUME_ENTRIES)
+def test_the_volume_ignores_an_overflowing_q_c(name, big):
+    # q_c's |c|^3 overflows from a coordinate of about 1e103, <c, c> from
+    # 1e155; the volume, about big / 20, is finite and returned
+    p = pf.reference_optimal("tetrahedron")
+    p[1, 2] = big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        volume = _UNPROJECTED_ENTRIES[name](p)
+    assert volume == pytest.approx(pf.tet_signed_volume(*p), rel=1e-12)
+    assert volume == pytest.approx(-4.811252243246881e-2 * big, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", _VOLUME_ENTRIES)
+def test_the_volume_raises_where_x_c_overflows(name):
+    # scaled by 1e104, X is finite (about 1e208) and <X, c> = 18 V is not
+    p = 1e104 * pf.reference_optimal("tetrahedron")
+    assert np.isfinite(pf.field("tetrahedron", pf.GRADIENT, p)).all()
     with pytest.raises(pf.DegenerateConfigurationError,
                        match="^cannot measure a configuration whose arithmetic overflows$"):
         _UNPROJECTED_ENTRIES[name](p)

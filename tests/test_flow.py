@@ -11,9 +11,9 @@ import pytest
 
 import polyflow as pf
 from polyflow import flow
-from polyflow.elements import _measure, _measure_buffers
+from polyflow.elements import _measure, _measure_buffers, _measure_plan
 from polyflow.flow import ACCEPT_SLACK, _edge_lengths
-from polyflow.sphere import _push, _push_buffers
+from polyflow.sphere import _push, _push_buffers, _push_plan
 
 
 ALL_PAIRS = [(kind, variant) for kind in pf.KINDS
@@ -34,6 +34,12 @@ def _measured(kind, variant, P):
     R = np.ascontiguousarray(P.swapaxes(1, 2))
     m = _measure(kind, variant, R)
     return m.C, m.X, m.q, m.xc, np.vecdot(m.X.reshape(len(R), -1), R.reshape(len(R), -1))
+
+
+def _zero_root(xx, out):
+    """A psi divisor of 0 in place of ``sphere._root``'s sqrt|x|, written into out."""
+    out[...] = 0.0
+    return out
 
 
 def _prism(a: float, h: float) -> np.ndarray:
@@ -378,14 +384,20 @@ class TestIntegrate:
 
     def test_each_step_is_measured_once(self, monkeypatch):
         # the flow takes every candidate step: one measure of the start and
-        # one per iteration, even on prism y, whose steps lower q_c
+        # one per iteration, even on prism y, whose steps lower q_c; the
+        # measures are the runs of the plans its workspace builds
         calls = []
 
-        def counted(*args):
-            calls.append(1)
-            return _measure(*args)
+        def counted_plan(*args):
+            run = _measure_plan(*args)
 
-        monkeypatch.setattr(flow, "_measure", counted)
+            def counted():
+                calls.append(1)
+                return run()
+
+            return counted
+
+        monkeypatch.setattr(flow, "_measure_plan", counted_plan)
         breaks = 0
         for seed in range(5):
             calls.clear()
@@ -398,7 +410,7 @@ class TestIntegrate:
     def test_non_finite_step_diverges(self, monkeypatch):
         # a zero psi divisor makes P + s V non-finite: sigma's rescue
         # refuses it, and the flow reports the iteration
-        monkeypatch.setattr(flow, "_root", lambda x: np.zeros(len(x)))
+        monkeypatch.setattr(flow, "_root", _zero_root)
         p = pf.pi(pf.random_configuration("tetrahedron", 2))
         with pytest.raises(pf.FlowDivergenceError) as info:
             pf.integrate("tetrahedron", pf.GRADIENT, p)
@@ -542,7 +554,50 @@ def _rows(kind, variant, seeds):
 @pytest.mark.parametrize("B", [1, 3])
 @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
 class TestBufferContract:
-    """What the flow's workspace relies on in the buffers of _measure and _push."""
+    """What the flow's workspace relies on in the buffers and plans of _measure and _push."""
+
+    def test_plans_read_their_rows_as_they_are_when_they_run(self, kind, variant, B):
+        # the workspace builds its plans once and runs them once per step: a
+        # run after P is overwritten in place is the allocating measure and
+        # push of the new rows, bit for bit
+        P = _rows(kind, variant, range(B))
+        n = P.shape[2]
+        buffers = _measure_buffers(B, n)
+        measure = _measure_plan(kind, variant, P, buffers)
+        push = _push_plan(P, buffers.X, _push_buffers(B, n))
+        measure()
+        push()
+        P[...] = _rows(kind, variant, range(B, 2 * B))
+        measured, (r, lam) = measure(), push()
+        alone = _measure(kind, variant, P.copy())
+        assert measured is buffers
+        for name in alone._fields:
+            assert getattr(measured, name).tobytes() == getattr(alone, name).tobytes(), name
+        ra, lama = _push(P.copy(), alone.X)
+        assert (r.tobytes(), lam.tobytes()) == (ra.tobytes(), lama.tobytes())
+
+    def test_plans_are_built_once_per_set_of_running_rows(self, kind, variant, B,
+                                                          monkeypatch):
+        # no view is built per iteration: one workspace at the start, and one
+        # more each time some rows stop and others run on (a batch of one
+        # builds one), each with two measure plans and one push plan
+        built = []
+
+        def counted(name, build):
+            def call(*args):
+                built.append(name)
+                return build(*args)
+            return call
+
+        for name in ("_workspace", "_measure_plan", "_push_plan"):
+            monkeypatch.setattr(flow, name, counted(name, getattr(flow, name)))
+        P0 = np.stack([pf.random_configuration(kind, s, variant) for s in range(B)])
+        out = pf.integrate_batch(kind, variant, P0)
+        workspaces = len(set(out["iterations"].tolist()))
+        assert out["iterations"].min() > 0
+        assert built.count("_workspace") == workspaces
+        assert built.count("_measure_plan") == 2 * workspaces
+        assert built.count("_push_plan") == workspaces
 
     def test_measure_into_buffers_is_the_allocating_measure(self, kind, variant, B):
         P = _rows(kind, variant, range(B))

@@ -114,11 +114,34 @@ def _cell_grid(cells, jitter, seed, split):
                    fixed=frozenset(np.flatnonzero(boundary).tolist()))
 
 
+def _pyramid_grid(cells, jitter, seed):
+    # the cells of _hex_grid, each split into six pyramids, one over each
+    # face, with their apex at a new vertex in the cell's centre; a base
+    # cycle is reversed where the pyramid's mean volume is negative.  The
+    # free vertices, the grid's interior and the centres, are jittered.
+    grid = _hex_grid(cells, 0.0, seed)
+    v, centres, elements = grid.vertices, [], []
+    for _, nodes in grid.elements:
+        apex = len(v) + len(centres)
+        centres.append(v[list(nodes)].mean(axis=0))
+        for face in pf.QUAD_FACES["hexahedron"]:
+            base = [nodes[i - 1] for i in face]
+            if pf.mean_volume("pyramid", np.vstack([v[base], centres[-1]])) < 0:
+                base.reverse()
+            elements.append(("pyramid", (*base, apex)))
+    v = np.vstack([v, centres])
+    free = np.ones(len(v), dtype=bool)
+    free[list(grid.fixed)] = False
+    v[free] += np.random.default_rng(seed).uniform(-jitter, jitter, (int(free.sum()), 3))
+    return pf.Mesh(vertices=v, elements=tuple(elements), fixed=grid.fixed)
+
+
 # 4^3 grids whose faces conform, jittered by +-0.3 inside a fixed boundary.
 _CONFORMING_GRIDS = {
     "hexahedra": lambda seed: _hex_grid(4, 0.3, seed),
     "prism pairs": lambda seed: _cell_grid(4, 0.3, seed, lambda x: _CELL_PRISM_PAIR),
     "Kuhn tetrahedra": lambda seed: _cell_grid(4, 0.3, seed, lambda x: _CELL_KUHN),
+    "six pyramids": lambda seed: _pyramid_grid(4, 0.3, seed),
 }
 _TWENTY_SWEEPS = pf.SmoothSettings(step=1.0, max_iters=20, quality_tol=-1)
 
@@ -849,15 +872,21 @@ class TestSmooth:
 
     def test_one_field_pass_per_sweep(self, monkeypatch):
         # each state's fields serve its report and its step: n sweeps make
-        # n + 1 field passes per kind and no separate volume pass
+        # n + 1 field passes per kind and no separate volume pass; a pass is
+        # a run of a field kernel plan, which field_batch and _measure build
         field_calls, volume_calls = {}, []
-        field_batch = elements.field_batch
+        field_plan = elements._field_plan
 
-        def counted_field(kind, variant, P, out=None):
-            field_calls[kind] = field_calls.get(kind, 0) + 1
-            return field_batch(kind, variant, P, out)
+        def counted_plan(kind, variant, P, out=None):
+            run = field_plan(kind, variant, P, out)
 
-        monkeypatch.setattr(elements, "field_batch", counted_field)
+            def counted():
+                field_calls[kind] = field_calls.get(kind, 0) + 1
+                return run()
+
+            return counted
+
+        monkeypatch.setattr(elements, "_field_plan", counted_plan)
         monkeypatch.setattr(elements, "mean_volume_batch",
                             lambda *args: volume_calls.append(args))
         sweeps = 5
