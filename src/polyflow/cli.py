@@ -18,11 +18,13 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import warnings
 
 from . import elements, flow, mesh as mesh_mod, sampling, spectral
+from .jsontext import json_list
 from .sphere import DegenerateConfigurationError, pi
 
 EXIT_OK = 0
@@ -33,6 +35,15 @@ EXIT_DATA = 65
 EXIT_NOINPUT = 66
 
 _FIELD_NAMES = {"gradient": elements.GRADIENT, "y-variant": elements.Y_VARIANT}
+
+# The indent=2 text of a regularize result, per kind, as a %-template of its
+# fields and coordinates (repr is the float text of json).
+_REGULARIZE_TEXT = {
+    kind: ('{\n  "type": "%s",\n  "field": "%s",\n  "vertices": '
+           + json_list([json_list(["%r"] * 3, 2)] * n, 1)
+           + ',\n  "classification": "%s",\n  "lambda": %r,\n  "residual": %r,'
+           '\n  "iterations": %d,\n  "converged": %s,\n  "monotone_breaks": %d\n}')
+    for kind, n in elements.VERTEX_COUNT.items()}
 
 _DESCRIPTION = ("Flow polyhedral elements along the gradient of their mean volume: "
                 "regularize one element, smooth a mesh, print the spectrum at a "
@@ -175,26 +186,26 @@ def _cmd_regularize(parser, args) -> int:
         p0 = sampling.random_configuration(args.type, args.random, variant)
     if args.trajectory:
         traj = flow.integrate(args.type, variant, p0, settings)
-        end = (traj.p_final, traj.residual_final, traj.iterations, traj.converged,
-               traj.monotone_breaks)
+        end = (traj.p_final, traj.residual_final, traj.lam_final, traj.iterations,
+               traj.converged, traj.monotone_breaks)
     else:  # no recorder: the kernel on a batch of one
         out = flow.integrate_batch(args.type, variant, p0[None], settings)
-        end = (out["p"][0], float(out["residual"][0]), int(out["iterations"][0]),
-               bool(out["converged"][0]), out["monotone_breaks"])
-    p, residual, iterations, converged, breaks = end
-    cls = flow.classify(args.type, variant, p, tol=args.tol)
-    result = {
+        end = (out["p"][0], float(out["residual"][0]), float(out["lam"][0]),
+               int(out["iterations"][0]), bool(out["converged"][0]), out["monotone_breaks"])
+    p, residual, lam, iterations, converged, breaks = end
+    # classified from the flow's own final residual and lambda, which
+    # flow.classify of p repeats to the bit
+    text = _regularize_json({
         "type": args.type,
         "field": args.field,
-        "vertices": [[float(x) for x in row] for row in p],
-        "classification": cls.tag,
-        "lambda": cls.lam,
+        "vertices": p.tolist(),
+        "classification": flow._tag(p, residual, lam, settings.tol),
+        "lambda": lam,
         "residual": residual,
         "iterations": iterations,
         "converged": converged,
         "monotone_breaks": breaks,
-    }
-    text = json.dumps(result, indent=2)
+    })
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -203,6 +214,21 @@ def _cmd_regularize(parser, args) -> int:
     if args.trajectory:
         flow.trajectory_to_csv(traj, args.trajectory)
     return EXIT_OK if converged else EXIT_MAX_ITERS
+
+
+def _regularize_json(doc) -> str:
+    """The bytes of ``json.dumps(doc, indent=2)`` of a regularize result ``doc``.
+
+    Formed without the pure-Python encoder that ``indent`` selects; a
+    value that is not finite goes through ``json``.
+    """
+    coordinates = [x for row in doc["vertices"] for x in row]
+    if not all(map(math.isfinite, coordinates + [doc["lambda"], doc["residual"]])):
+        return json.dumps(doc, indent=2)
+    return _REGULARIZE_TEXT[doc["type"]] % (
+        doc["type"], doc["field"], *coordinates, doc["classification"], doc["lambda"],
+        doc["residual"], doc["iterations"], "true" if doc["converged"] else "false",
+        doc["monotone_breaks"])
 
 
 def _cmd_smooth(parser, args) -> int:

@@ -25,11 +25,11 @@ and contracts them with the batch on the M axis of one matrix product,
 so that a configuration's value does not depend on the batch it is
 evaluated in.  The flow and the mesh read the one measure of a
 configuration from here (``_measure``: the centered rows, the field at
-them, q_c, <X, c> and <X, X>), and every volume is <X, c> / 18 of the
-gradient field at the centered rows (Euler's identity).  The measure
-writes into buffers that the caller may keep (the flow's workspace) and
-returns them, and the kernel writes the field into them through ``out=``.
-Both are built once on their views and run as zero-argument calls
+them, q_c, <X, c>, <X, X> and the roots |c| and |X|), and every volume
+is <X, c> / 18 of the gradient field at the centered rows (Euler's
+identity).  The measure writes into buffers that the caller may keep
+(the flow's workspace) and returns them, and the kernel writes the
+field into them through ``out=``.  Both are built once on their views and run as zero-argument calls
 (``_measure_plan``, ``_field_plan``): ``_measure`` and ``field_batch``
 build and run once, and the flow and the sweep keep their plans.
 """
@@ -312,7 +312,9 @@ class _MeasureBuffers(NamedTuple):
     and Xv their (B, n, 3) views for :func:`field_batch`; centroid (B, 3)
     holds the centroids; left and right are S's flat rows (2, B, 3n) as the
     operands of dots, the (2, 2, B) inner products [[<c, c>, <c, X>],
-    [<X, c>, <X, X>]] of every pair; cc, xc and xx are three of them; q is q_c (B,).
+    [<X, c>, <X, X>]] of every pair; cc and xc are two of them; norms
+    (2, B) holds the roots [|c|, |X|] of the diagonal [<c, c>, <X, X>],
+    from one ``np.sqrt``; q is q_c (B,).
     """
 
     C: np.ndarray
@@ -325,7 +327,7 @@ class _MeasureBuffers(NamedTuple):
     dots: np.ndarray
     cc: np.ndarray
     xc: np.ndarray
-    xx: np.ndarray
+    norms: np.ndarray
     q: np.ndarray
 
 
@@ -335,7 +337,7 @@ def _measure_buffers(B, n):
     s = S.reshape(2, B, 3 * n)
     return _MeasureBuffers(S[0], S[1], S[0].swapaxes(1, 2), S[1].swapaxes(1, 2),
                            np.empty((B, 3)), s[:, None], s[None], dots, dots[0, 0],
-                           dots[1, 0], dots[1, 1], np.empty(B))
+                           dots[1, 0], np.empty((2, B)), np.empty(B))
 
 
 def _measure_plan(kind, variant, P, out):
@@ -344,17 +346,21 @@ def _measure_plan(kind, variant, P, out):
     Each run measures P as it is then into out, from
     :func:`_measure_buffers`, and returns out.  The centering
     (``sphere._center_plan``) and the field kernel (:func:`_field_plan`)
-    are built here, on out's views.
+    are built here, on out's views, and so is the strided (2, B) view of
+    dots' diagonal [<c, c>, <X, X>], whose one ``np.sqrt`` gives norms
+    [|c|, |X|]: sqrt is elementwise, so each root has the bits of a
+    call of its own.
     """
-    C, X, Cv, Xv, centroid, left, right, dots, cc, xc, xx, q = out
+    C, X, Cv, Xv, centroid, left, right, dots, cc, xc, norms, q = out
     center, field = _center_plan(P, C, centroid), _field_plan(kind, variant, Cv, Xv)
+    diagonal, c_norm = dots.diagonal().T, norms[0]
 
     def run():
         center()
         field()
         np.vecdot(left, right, out=dots)  # one call forms every dot, a spare <c, X> too
-        np.sqrt(cc, out=q)
-        np.multiply(cc, q, out=q)
+        np.sqrt(diagonal, out=norms)
+        np.multiply(cc, c_norm, out=q)
         np.divide(xc, q, out=q)
         return out
 
@@ -367,10 +373,10 @@ def _measure(kind, variant, P, out=None) -> _MeasureBuffers:
     C is P centered by ``sphere._center_plan``, row by row, so its
     rounding does not depend on the batch; X is the field at C, which
     keeps it exact far from the origin; q = <X, c> / |c|^3 is q_c, xc is
-    <X, c> and xx is <X, X>, from which psi's divisor is read.  The one
-    measure of a configuration: the flow, the sweep, the mesh's quality
-    and every volume (<X, c> / 18 of the gradient field) read it, and the
-    spectrum's field is X to the bit.  :func:`_measure_plan`, built and
+    <X, c> and norms[1] is |X|, from which psi's divisor sqrt|X| is read.
+    The one measure of a configuration: the flow, the sweep, the mesh's
+    quality and every volume (<X, c> / 18 of the gradient field) read it,
+    and the spectrum's field is X to the bit.  :func:`_measure_plan`, built and
     run once; the flow builds its plans once per workspace.  ``out``,
     from :func:`_measure_buffers`, is written in place and returned;
     without it the buffers are allocated.

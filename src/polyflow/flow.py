@@ -28,7 +28,8 @@ measures its elements: the rows are centered, each by its own mean, so a
 row's rounding, and with it the run, does not depend on the batch; the
 field is evaluated at the centered rows by the kernel of
 :func:`elements.field_batch`, the one field kernel, and q_c is read from
-both; psi's divisor sqrt|X| is read from the measure's <X, X>.
+both; psi's divisor sqrt|X| is one ``np.sqrt`` (``_psi_divisor``) of the
+measure's root |X|.
 
 The kernel steps its batch in place, in one workspace per set of
 running rows (:func:`_workspace`), built at the start and again only
@@ -40,9 +41,11 @@ workspace through ufunc ``out=`` arguments, with the same operations as
 on fresh arrays, so the runs are bit for bit the same; ``record``
 receives workspace views, valid only during the call.  The step w is
 formed before the convergence test, so that one ``vecdot`` of the
-stack [r, w] gives <r, r> and <w, w>.  The workspace lives here alone:
-it adapts the general buffers and plans of ``elements._measure`` and
-``sphere._push``.
+stack [r, w] gives <r, r> and <w, w>, and one ``np.sqrt`` of those the
+residual |r| and the step's norm |w|; sqrt is elementwise, so a root
+taken in a stack has the bits of a root taken alone.  The workspace
+lives here alone: it adapts the general buffers and plans of
+``elements._measure`` and ``sphere._push``.
 """
 
 from __future__ import annotations
@@ -57,7 +60,11 @@ import numpy as np
 from . import elements
 from .elements import _measure, _measure_buffers, _measure_plan, _overflow_raised
 from .sphere import (DegenerateConfigurationError, _column, _push, _push_buffers, _push_plan,
-                     _root, _sigma, is_collinear, pi)
+                     _sigma, is_collinear, pi)
+
+# psi's divisor sqrt|X| from the measure's root |X|: the loop's one named
+# call for it, looked up on every step (tests replace it to inject a zero).
+_psi_divisor = np.sqrt
 
 # The relative slack of the q_c monitor: a step that lowers q_c by more
 # than ACCEPT_SLACK * max(1, |q_c|) is counted as a monotone break.
@@ -159,12 +166,16 @@ def classify(kind: str, variant: str, p, tol: float = FlowSettings.tol) -> Singu
     """
     _positive_finite("tol", tol)
     residual, lam = singularity_residual(kind, variant, p)
+    return SingularityClass(_tag(p, residual, lam, tol), lam, residual)
+
+
+def _tag(p, residual: float, lam: float, tol: float) -> str:
+    """The :func:`classify` tag of p from its residual and lambda, as the flow ends with them."""
     if residual >= tol:
-        return SingularityClass("nonsingular", lam, residual)
+        return "nonsingular"
     if abs(lam) < LAMBDA_TOL or is_collinear(p):
-        return SingularityClass("level0_singular", lam, residual)
-    tag = "optimal_positive" if lam > 0 else "optimal_negative"
-    return SingularityClass(tag, lam, residual)
+        return "level0_singular"
+    return "optimal_positive" if lam > 0 else "optimal_negative"
 
 
 @dataclass
@@ -186,6 +197,10 @@ class Trajectory:
     def residual_final(self) -> float:
         return self.points[-1][3]
 
+    @property
+    def lam_final(self) -> float:
+        return self.points[-1][4]
+
 
 def _workspace(kind, variant, B, n):
     """The buffers and plans of :func:`_flow` for B running configurations of n vertices.
@@ -193,20 +208,22 @@ def _workspace(kind, variant, B, n):
     In order: P (B, 3, n) and its flat rows p (B, 3n); the measure plans
     of the state and of the candidate step on P, whose buffers share all
     but q_c, and their two q_c (plans and q_c swap roles each step); the
-    shared X and <X, X>; the push plan of X at P, whose r (B, 3n) is
-    stacked with the step w in rw (2, B, 3n); w; dots, <r, r> and
-    <w, w> (2, B); the residual |r| (B,); and the step's norm and psi's
-    divisor (B,) with their column views.
+    shared X and its root |X| (the measure's ``norms[1]``); the push plan
+    of X at P, whose r (B, 3n) is stacked with the step w in
+    rw (2, B, 3n); w; dots [<r, r>, <w, w>] (2, B) and their roots
+    [|r|, |w|] (2, B); the residual |r| and the step's norm |w| (B,),
+    with the norm's column view; and psi's divisor (B,) with its column
+    view.
     """
-    P, rw = np.empty((B, 3, n)), np.empty((2, B, 3 * n))
-    norm, divisor, column = np.empty(B), np.empty(B), _column(B)
+    P, rw, roots = np.empty((B, 3, n)), np.empty((2, B, 3 * n)), np.empty((2, B))
+    divisor, column = np.empty(B), _column(B)
     state = _measure_buffers(B, n)
     candidate = state._replace(q=np.empty(B))
     return (P, P.reshape(B, 3 * n), _measure_plan(kind, variant, P, state),
-            _measure_plan(kind, variant, P, candidate), state.q, candidate.q, state.X, state.xx,
-            _push_plan(P, state.X, _push_buffers(B, n)._replace(r=rw[0])), rw, rw[1],
-            np.empty((2, B)), np.empty(B), norm, norm.reshape(column), divisor,
-            divisor.reshape(column))
+            _measure_plan(kind, variant, P, candidate), state.q, candidate.q, state.X,
+            state.norms[1], _push_plan(P, state.X, _push_buffers(B, n)._replace(r=rw[0])), rw,
+            rw[1], np.empty((2, B)), roots, roots[0], roots[1], roots[1].reshape(column),
+            divisor, divisor.reshape(column))
 
 
 def _flow(kind, variant, P0, settings, record=None):
@@ -218,11 +235,11 @@ def _flow(kind, variant, P0, settings, record=None):
     valid only during the call.  Returns the dict of :func:`integrate_batch`.
     """
     B, n, _ = P0.shape
-    (P, p, measure, measure_candidate, Q, Qn, X, xx, push, rw, w, dots, residual, norm,
-     norm_column, divisor, divisor_column) = _workspace(kind, variant, B, n)
+    (P, p, measure, measure_candidate, Q, Qn, X, x_norm, push, rw, w, dots, roots, residual,
+     norm, norm_column, divisor, divisor_column) = _workspace(kind, variant, B, n)
     P[...] = P0.swapaxes(1, 2)
-    measure()  # the start's X, q_c in Q and xx = <X, X>, psi's divisor's source
-    bound = 3.0 * float(np.sqrt(xx).max())
+    measure()  # the start's X, q_c in Q and |X|, psi's divisor's source
+    bound = 3.0 * float(x_norm.max())
     if settings.step * bound >= 2.0:
         warnings.warn(
             f"step {settings.step} times field scale estimate {bound:.3g} "
@@ -234,26 +251,26 @@ def _flow(kind, variant, P0, settings, record=None):
     # 0-d operands: numpy converts a Python float operand on every call
     step, tol, last = np.array(settings.step), np.array(settings.tol), settings.max_iters
     psi = settings.normalization == "psi"
-    rr, ww = dots  # <r, r> and <w, w>
     # A step whose norm is zero, overflows or is not finite gives a NaN q_c,
     # which the monitor catches; numpy's warnings about it are muted.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for it in range(last + 1):
             r, lam = push()
             # The step is formed before the rows that stop are known, so that
-            # one vecdot forms <r, r> and <w, w>; a stopping row's step is
-            # dropped (X = 0 gives r = 0, which stops).
+            # one vecdot forms <r, r> and <w, w>, and one sqrt their roots
+            # |r| and |w|; a stopping row's step is dropped (X = 0 gives
+            # r = 0, which stops).
             if psi:
                 # push_tangent is linear and psi(X) = X / sqrt|X|, so the step
                 # push_tangent(P, psi(X)) is r / sqrt|X|.
-                _root(xx, divisor)
+                _psi_divisor(x_norm, out=divisor)
                 np.divide(r, divisor_column, out=w)
                 np.multiply(step, w, out=w)
             else:
                 np.multiply(step, r, out=w)
             np.add(p, w, out=w)  # pinned already
             np.vecdot(rw, rw, out=dots)
-            np.sqrt(rr, out=residual)
+            np.sqrt(dots, out=roots)
             if record is not None:
                 record(it, P, np.vecdot(X.reshape(p.shape), p), residual, lam)
             converged = residual < tol
@@ -267,17 +284,15 @@ def _flow(kind, variant, P0, settings, record=None):
                 if np.count_nonzero(stop) == len(stop):
                     break
                 # The running rows move to a workspace of their size, with
-                # q_c, w and <w, w>: the normalized step and its measure
-                # write P, X and <X, X> before they are read.
-                keep, running = ~stop, (Q, w, ww)
+                # q_c, w and |w|: the normalized step and its measure write
+                # P, X and |X| before they are read.
+                keep, running = ~stop, (Q, w, norm)
                 rows = rows[keep]
-                (P, p, measure, measure_candidate, Q, Qn, X, xx, push, rw, w, dots, residual,
-                 norm, norm_column, divisor, divisor_column) = _workspace(kind, variant,
-                                                                          len(rows), n)
-                rr, ww = dots
-                for a, b in zip(running, (Q, w, ww)):
+                (P, p, measure, measure_candidate, Q, Qn, X, x_norm, push, rw, w, dots, roots,
+                 residual, norm, norm_column, divisor,
+                 divisor_column) = _workspace(kind, variant, len(rows), n)
+                for a, b in zip(running, (Q, w, norm)):
                     np.compress(keep, a, axis=0, out=b)
-            np.sqrt(ww, out=norm)
             np.divide(w, norm_column, out=p)
             measure_candidate()
             # One test catches a q_c drop and the NaN q_c of a bad norm.

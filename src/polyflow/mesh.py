@@ -304,7 +304,7 @@ def _sweeps(m: Mesh, settings: SmoothSettings):
     once per run), which evaluates their field X once, at the centered
     rows.  The state's report reads q and <X, c> from the
     measure; the step scatters X, divided by psi's divisor sqrt|X| from
-    the measure's <X, X>, times ``settings.step``, with one ``bincount``
+    the measure's root |X|, times ``settings.step``, with one ``bincount``
     over the same offsets.  At most ``settings.max_iters`` sweeps run;
     they stop when min_q has not risen by ``settings.quality_tol`` over
     ``_WINDOW`` sweeps.  A state whose quality is not finite raises: the
@@ -334,7 +334,7 @@ def _sweeps(m: Mesh, settings: SmoothSettings):
                 measure()
                 xc[pos], q[pos] = measured.xc, measured.q / (18.0 * el.Q_MAX[kind])
                 if step:
-                    X = measured.X / _divisor(measured.xx)[:, None, None]
+                    X = measured.X / _divisor(measured.norms[1])[:, None, None]
                     acc += np.bincount(index.ravel(), weights=X.ravel(), minlength=flat.size)
             try:
                 reports.append(_summary(m, v, xc, q))

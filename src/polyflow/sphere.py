@@ -55,14 +55,13 @@ def _center(P) -> np.ndarray:
     return _center_plan(P, np.empty(P.shape), np.empty(P.shape[:-1]))()
 
 
-def _root(xx, out=None) -> np.ndarray:
-    """sqrt|x| from the squared norms xx = <x, x> of rows x, written into out if given."""
-    return np.sqrt(np.sqrt(xx, out=out), out=out)
+def _divisor(norm) -> np.ndarray:
+    """The divisor of :func:`psi` from the norms |x| of rows x: sqrt|x|, and inf where x = 0.
 
-
-def _divisor(xx) -> np.ndarray:
-    """The divisor of :func:`psi` from xx = <x, x>: sqrt|x|, and inf where x = 0."""
-    return np.where(xx == 0.0, np.inf, _root(xx))
+    The mesh sweep passes the measure's root |X| (``elements._measure``),
+    :func:`psi` the root of its own <x, x>.
+    """
+    return np.where(norm == 0.0, np.inf, np.sqrt(norm))
 
 
 def sigma(p) -> np.ndarray:
@@ -207,7 +206,7 @@ def psi(v) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     flat = v.reshape(v.shape[:-2] + (-1,))
-    return (flat / _divisor(np.vecdot(flat, flat))[..., None]).reshape(v.shape)
+    return (flat / _divisor(np.sqrt(np.vecdot(flat, flat)))[..., None]).reshape(v.shape)
 
 
 def is_collinear(p, tol: float = 1e-9) -> bool:

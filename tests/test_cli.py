@@ -62,6 +62,11 @@ def perturbed_cube_mesh(tmp_path):
     return path
 
 
+# The seven (kind, field) pairs of the command line.
+CLI_PAIRS = [(kind, "gradient") for kind in pf.KINDS] + [
+    ("prism", "y-variant"), ("hexahedron", "y-variant")]
+
+
 class TestRegularize:
     def test_random_seed(self, capsys):
         rc = cli.main(["regularize", "--type", "tetrahedron",
@@ -121,16 +126,71 @@ class TestRegularize:
 
     def test_non_finite_step_diverges(self, monkeypatch, capsys):
         # a zero psi divisor makes the step non-finite: one divergence line
-        def zero_root(xx, out):
+        def zero_root(x_norm, out):
             out[...] = 0.0
             return out
 
-        monkeypatch.setattr(flow, "_root", zero_root)
+        monkeypatch.setattr(flow, "_psi_divisor", zero_root)
         rc = cli.main(["regularize", "--type", "tetrahedron", "--random", "2"])
         assert rc == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("divergence:") and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("run", ["converged", "budget", "trajectory"])
+    @pytest.mark.parametrize("kind,field", CLI_PAIRS)
+    def test_json_text_is_json_dumps(self, capsys, tmp_path, kind, field, run):
+        # the text is formed from a template, with the bytes of json's indent=2
+        flags = {"converged": [], "budget": ["--max-iters", "3"],
+                 "trajectory": ["--trajectory", str(tmp_path / "t.csv")]}[run]
+        rc = cli.main(["regularize", "--type", kind, "--field", field, "--random", "3"]
+                      + flags)
+        assert rc == (2 if run == "budget" else 0)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_non_finite_json_goes_through_json(self):
+        # json's own text for the values the template does not print
+        doc = {"type": "tetrahedron", "field": "gradient",
+               "vertices": [[float("inf"), 0.0, 1.0]] + [[0.5, -0.0, 2.0]] * 3,
+               "classification": "nonsingular", "lambda": float("nan"),
+               "residual": float("nan"), "iterations": 7, "converged": False,
+               "monotone_breaks": 0}
+        assert cli._regularize_json(doc) == json.dumps(doc, indent=2)
+        finite = dict(doc, vertices=doc["vertices"][1:] + [[1e-300, -2.5, 3.0]],
+                      residual=5e-324, converged=True)
+        finite["lambda"] = -1.5e300
+        assert cli._regularize_json(finite) == json.dumps(finite, indent=2)
+
+    @pytest.mark.parametrize("trajectory", [False, True])
+    def test_final_state_is_not_measured_again(self, monkeypatch, capsys, tmp_path, trajectory):
+        # the flow's own final residual and lambda classify the result
+        def measured_again(*args):
+            raise AssertionError("regularize measured its final state again")
+
+        monkeypatch.setattr(flow, "singularity_residual", measured_again)
+        flags = ["--trajectory", str(tmp_path / "t.csv")] if trajectory else []
+        assert cli.main(["regularize", "--type", "pyramid", "--random", "4"] + flags) == 0
+        assert json.loads(capsys.readouterr().out)["classification"] == "optimal_positive"
+
+    @pytest.mark.parametrize("flags", [[], ["--max-iters", "3"], ["--tol", "1e-6"]],
+                             ids=["converged", "budget", "tol"])
+    @pytest.mark.parametrize("trajectory", [False, True])
+    @pytest.mark.parametrize("kind,field", CLI_PAIRS)
+    def test_classification_is_classify_at_the_printed_vertices(self, capsys, tmp_path, kind,
+                                                                field, trajectory, flags):
+        # regularize classifies from the flow's own final residual and lambda:
+        # classify at the printed vertices, with --tol as given, agrees
+        tol = float(flags[1]) if flags[:1] == ["--tol"] else flow.FlowSettings.tol
+        if trajectory:
+            flags = flags + ["--trajectory", str(tmp_path / "t.csv")]
+        for seed in range(5):
+            cli.main(["regularize", "--type", kind, "--field", field,
+                      "--random", str(seed)] + flags)
+            doc = json.loads(capsys.readouterr().out)
+            cls = flow.classify(kind, cli._FIELD_NAMES[field], np.array(doc["vertices"]), tol)
+            assert (doc["classification"], doc["lambda"], doc["residual"]) == (
+                cls.tag, cls.lam, cls.residual), seed
 
     def test_output_and_trajectory_files(self, capsys, tmp_path):
         out = tmp_path / "result.json"

@@ -13,7 +13,7 @@ import polyflow as pf
 from polyflow import flow
 from polyflow.elements import _measure, _measure_buffers, _measure_plan
 from polyflow.flow import ACCEPT_SLACK, _edge_lengths
-from polyflow.sphere import _push, _push_buffers, _push_plan
+from polyflow.sphere import _push, _push_buffers, _push_plan, _sigma
 
 
 ALL_PAIRS = [(kind, variant) for kind in pf.KINDS
@@ -36,8 +36,8 @@ def _measured(kind, variant, P):
     return m.C, m.X, m.q, m.xc, np.vecdot(m.X.reshape(len(R), -1), R.reshape(len(R), -1))
 
 
-def _zero_root(xx, out):
-    """A psi divisor of 0 in place of ``sphere._root``'s sqrt|x|, written into out."""
+def _zero_root(x_norm, out):
+    """A psi divisor of 0 in place of ``flow._psi_divisor``'s sqrt|X|, written into out."""
     out[...] = 0.0
     return out
 
@@ -410,7 +410,7 @@ class TestIntegrate:
     def test_non_finite_step_diverges(self, monkeypatch):
         # a zero psi divisor makes P + s V non-finite: sigma's rescue
         # refuses it, and the flow reports the iteration
-        monkeypatch.setattr(flow, "_root", _zero_root)
+        monkeypatch.setattr(flow, "_psi_divisor", _zero_root)
         p = pf.pi(pf.random_configuration("tetrahedron", 2))
         with pytest.raises(pf.FlowDivergenceError) as info:
             pf.integrate("tetrahedron", pf.GRADIENT, p)
@@ -545,6 +545,75 @@ class TestIntegrateBatch:
         assert (out["residual"] < 1e-10).all()
 
 
+def _unfused_flow(kind, variant, P0, settings=pf.FlowSettings()):
+    """Oracle for ``integrate_batch``: the flow step unfused, on fresh arrays.
+
+    Every state and candidate is measured by the allocating ``_measure``
+    and pushed by the allocating ``_push``; psi's divisor is
+    sqrt(sqrt(<X, X>)), and the residual and the step's norm are square
+    roots of their own.  The monitor, the sigma rescue and the counters
+    are the kernel's; rows that stop are dropped by boolean indexing.
+    """
+    B, n, _ = P0.shape
+    P = np.ascontiguousarray(pf.pi(P0).swapaxes(1, 2))
+    out = dict(p=np.empty((B, n, 3)), residual=np.empty(B), lam=np.empty(B),
+               iterations=np.empty(B, dtype=int), converged=np.zeros(B, dtype=bool),
+               halvings=0, monotone_breaks=0)
+    rows, last, psi = np.arange(B), settings.max_iters, settings.normalization == "psi"
+    state = _measure(kind, variant, P)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for it in range(last + 1):
+            p = P.reshape(len(rows), 3 * n)
+            r, lam = _push(P, state.X)
+            v = r / np.sqrt(np.sqrt(state.dots[1, 1]))[:, None] if psi else r
+            w = p + settings.step * v
+            rw = np.stack([r, w])
+            rr, ww = np.vecdot(rw, rw)
+            residual = np.sqrt(rr)
+            Q, converged = state.q, residual < settings.tol
+            stop = converged | (it == last)
+            if stop.any():
+                for key, value in (("p", P.swapaxes(1, 2)), ("residual", residual),
+                                   ("lam", lam), ("converged", converged)):
+                    out[key][rows[stop]] = value[stop]
+                out["iterations"][rows[stop]] = it
+                if stop.all():
+                    break
+                keep = ~stop
+                rows, w, ww, Q = rows[keep], w[keep], ww[keep], Q[keep]
+            P = (w / np.sqrt(ww)[:, None]).reshape(len(rows), 3, n)
+            candidate = _measure(kind, variant, P)
+            if np.count_nonzero(candidate.q >= Q) < len(Q):
+                if np.isnan(candidate.q).any():
+                    try:
+                        P = _sigma(w.reshape(P.shape))
+                    except pf.DegenerateConfigurationError as exc:
+                        raise pf.FlowDivergenceError(it) from exc
+                    candidate = _measure(kind, variant, P)
+                out["monotone_breaks"] += int(np.count_nonzero(
+                    Q - candidate.q > ACCEPT_SLACK * np.maximum(1.0, np.abs(Q))))
+            state = candidate
+    return out
+
+
+@pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+def test_fused_roots_keep_every_bit(kind, variant):
+    # the measure's one sqrt of [<c, c>, <X, X>], psi's divisor as the root
+    # of |X|, and one sqrt of [<r, r>, <w, w>] (with |w| carried over when
+    # rows stop) end every flow as the unfused step does, bit for bit: in
+    # a batch whose rows stop at different iterations, and alone
+    P0 = np.stack([pf.random_configuration(kind, s, variant) for s in range(10)])
+    runs = [(P0, pf.integrate_batch(kind, variant, P0))]
+    assert len(set(runs[0][1]["iterations"].tolist())) > 5
+    runs += [(P0[i:i + 1], pf.integrate_batch(kind, variant, P0[i:i + 1]))
+             for i in range(len(P0))]
+    for start, got in runs:
+        want = _unfused_flow(kind, variant, start)
+        for key in ("p", "residual", "lam", "iterations", "converged"):
+            assert got[key].tobytes() == want[key].tobytes(), key
+        assert (got["halvings"], got["monotone_breaks"]) == (0, want["monotone_breaks"])
+
+
 def _rows(kind, variant, seeds):
     """The component-major rows (B, 3, n) of the starts of ``seeds`` on N."""
     P = np.stack([pf.pi(pf.random_configuration(kind, s, variant)) for s in seeds])
@@ -604,8 +673,17 @@ class TestBufferContract:
         buffers = _measure_buffers(B, P.shape[2])
         into = _measure(kind, variant, P, buffers)
         alone = _measure(kind, variant, P)
-        for name in ("C", "X", "q", "xc", "xx"):
+        for name in ("C", "X", "q", "xc", "dots", "norms"):
             assert getattr(into, name).tobytes() == getattr(alone, name).tobytes(), name
+
+    def test_norms_are_the_roots_of_the_diagonal(self, kind, variant, B):
+        # one sqrt of the strided [<c, c>, <X, X>] rounds as a sqrt of each,
+        # and q_c reads |c| from it: q_c = <X, c> / (<c, c> |c|)
+        m = _measure(kind, variant, _rows(kind, variant, range(B)))
+        assert m.norms.shape == (2, B)
+        assert m.norms[0].tobytes() == np.sqrt(m.cc).tobytes()
+        assert m.norms[1].tobytes() == np.sqrt(m.dots[1, 1]).tobytes()
+        assert m.q.tobytes() == (m.xc / (m.cc * np.sqrt(m.cc))).tobytes()
 
     def test_measure_returns_its_buffers(self, kind, variant, B):
         # callers read the measure by name from the record it returns: the
@@ -617,21 +695,22 @@ class TestBufferContract:
         assert type(fresh) is type(buffers) and fresh.X.shape == (B, 3, P.shape[2])
 
     def test_candidate_shares_all_but_q(self, kind, variant, B):
-        # the candidate's measure overwrites the state's X and <X, X>, and the
-        # state's q_c outlives it
+        # the candidate's measure overwrites the state's X, dots and roots,
+        # and the state's q_c outlives it
         P, Pn = _rows(kind, variant, range(B)), _rows(kind, variant, range(B, 2 * B))
         state = _measure_buffers(B, P.shape[2])
         q = _measure(kind, variant, P, state).q.tobytes()
         candidate = state._replace(q=np.empty(B))
         measured = _measure(kind, variant, Pn, candidate)
-        assert measured.X is state.X and measured.xx is state.xx
+        assert measured.X is state.X and measured.dots is state.dots
+        assert measured.norms is state.norms
         assert measured.q is candidate.q
         assert state.q.tobytes() == q
         alone = _measure(kind, variant, Pn)
-        for name in ("X", "q", "xc"):
+        for name in ("X", "q", "xc", "norms"):
             assert getattr(measured, name).tobytes() == getattr(alone, name).tobytes(), name
         x = alone.X.reshape(B, -1)
-        assert np.array_equal(state.xx, np.vecdot(x, x))
+        assert np.array_equal(state.dots[1, 1], np.vecdot(x, x))
 
     def test_push_writes_r_into_a_given_row(self, kind, variant, B):
         P = _rows(kind, variant, range(B))
