@@ -4,29 +4,24 @@ At each kind's optimum the projected-field Jacobian has strictly
 negative eigenvalues in all shape directions (the optimum attracts) and
 exactly six zero modes from translations and rotations.  Mirroring the
 shape negates the spectrum: the mirrored optimum repels the ascent.
+Each pair's optimum and its mirror are one batch of
+``hessian_spectrum_batch``.
 """
 
 import numpy as np
 
 import polyflow as pf
 
-for kind in pf.KINDS:
-    for variant in pf.VARIANTS_BY_KIND[kind]:
-        spec = pf.hessian_spectrum(kind, variant, pf.reference_optimal(kind))
-        groups = ", ".join(f"{v:+.4f} (x{m})" for v, m in spec.groups
-                           if abs(v) > 1e-6)
-        print(f"{kind:12s} {variant:22s} nonzero: {groups}")
-        print(f"{'':12s} {'':22s} zero modes: {spec.zero_count}, "
-              f"asymmetry: {spec.asymmetry_ratio:.1e}")
-
-print()
 mirror = np.array([1.0, 1.0, -1.0])
-a = pf.hessian_spectrum("tetrahedron", pf.GRADIENT,
-                        pf.reference_optimal("tetrahedron"))
-b = pf.hessian_spectrum("tetrahedron", pf.GRADIENT,
-                        pf.reference_optimal("tetrahedron") * mirror)
-print("tetrahedron optimum:", [f"{v:+.4f}" for v, _ in a.groups if abs(v) > 1e-6])
-print("mirrored:            ", [f"{v:+.4f}" for v, _ in b.groups if abs(v) > 1e-6])
+for kind in pf.KINDS:
+    p = pf.reference_optimal(kind)
+    for variant in pf.VARIANTS_BY_KIND[kind]:
+        spec, mirrored = pf.hessian_spectrum_batch(kind, variant, np.stack([p, p * mirror]))
+        for name, s in (("optimum", spec), ("mirrored", mirrored)):
+            groups = ", ".join(f"{v:+.4f} (x{m})" for v, m in s.groups if abs(v) > 1e-6)
+            print(f"{kind:12s} {variant:22s} {name:9s} nonzero: {groups}")
+        print(f"{'':12s} {'':22s} {'':9s} zero modes: {spec.zero_count}, "
+              f"asymmetry: {spec.asymmetry_ratio:.1e}")
 
 print()
 print("the prism y field is the one genuinely non-gradient flow:")

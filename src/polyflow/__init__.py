@@ -20,7 +20,8 @@ from .flow import (FlowDivergenceError, FlowSettings, SingularityClass,
                    Trajectory, classify, integrate, integrate_batch,
                    shape_metrics, singularity_residual, trajectory_to_csv)
 from .spectral import (Spectrum, asymmetry_ratio, collinear_signature,
-                       field_jacobian, hessian_spectrum, pushed_field)
+                       field_jacobian, hessian_spectrum, hessian_spectrum_batch,
+                       pushed_field)
 from .mesh import (Mesh, MeshFormatError, QualityReport, SmoothSettings,
                    load_mesh, mesh_from_dict, mesh_mean_volume, mesh_to_dict,
                    quality_report, quality_to_csv, save_mesh, smooth,

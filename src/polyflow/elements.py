@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chains import nu
-from .sphere import DegenerateConfigurationError, _center_plan, pi as _pi
+from .sphere import DegenerateConfigurationError, _center, _center_plan, pi as _pi
 
 KINDS = ("tetrahedron", "pyramid", "prism", "hexahedron", "octahedron")
 
@@ -194,6 +194,51 @@ def _field_plan(kind, variant, P, out=None):
     return run
 
 
+# Per vertex count n: the rows [0, e_1, ..., e_3n] of the basis batch of _field_jvp.
+_BASIS = {n: np.eye(3 * n + 1, 3 * n, -1).reshape(-1, n, 3) for n in set(VERTEX_COUNT.values())}
+
+
+def _power_above(A, axes):
+    """The powers of two above max|A| over ``axes``, kept as axes of length 1: 1 where A = 0."""
+    return np.ldexp(1.0, np.frexp(np.abs(A).max(axis=axes, keepdims=True))[1])
+
+
+def _field_jvp(kind, variant, C, V=None):
+    """(X, JV, scale): the field and its exact products J V at the rows C (B, n, 3), scaled.
+
+    The field is translation invariant and X(c) = F(c, c) for a symmetric
+    bilinear F of the centered rows c (``sphere._center``, the measure's
+    rule), so J(c) v = 2 F(c, v).  Each c is first divided by its scale,
+    the power of two above max|c| ((B, 1, 1), 1 where c = 0); by
+    homogeneity the field at C is scale^2 X and J(C) V = scale JV,
+    exactly.  The caller scales back where it needs to: X may overflow
+    where J V does not.  One :func:`field_batch` call evaluates every row.
+
+    Without V the directions are the 3n basis vectors e_j, and F(e, e) = 0
+    when e moves one coordinate, so the 3n + 1 rows [c, c + e_1, ...,
+    c + e_3n] give X(c + e_j) - X(c) = J e_j exactly: JV (B, 3n, n, 3)
+    holds J's columns.  Any other V (B, k, n, 3) is divided by the power
+    of two above each max|v|, and X(c + v) - X(c - v) = 2 J v on the
+    2k + 1 rows [c, c + V, c - V] gives JV (B, k, n, 3), with only the
+    subtraction rounding.
+    """
+    n = C.shape[1]
+    c = _center(np.ascontiguousarray(C.swapaxes(1, 2))).swapaxes(1, 2)
+    scale = _power_above(c, (1, 2))
+    c = (c / scale)[:, None]
+    if V is None:
+        rows = c + _BASIS[n]
+    else:
+        h = _power_above(V, (2, 3))
+        V = V / h
+        rows = np.concatenate((c, c + V, c - V), axis=1)
+    Y = field_batch(kind, variant, rows.reshape(-1, n, 3)).reshape(rows.shape)
+    if V is None:
+        return Y[:, 0], Y[:, 1:] - Y[:, :1], scale
+    k = V.shape[1]
+    return Y[:, 0], (Y[:, 1:k + 1] - Y[:, k + 1:]) * (h / 2.0), scale
+
+
 @_overflow_raised
 def f_value(kind: str, variant: str, p) -> float:
     """Inner product of the field with the configuration over all 3n coordinates.
@@ -306,21 +351,18 @@ _COMPILED["prism", Y_VARIANT] = _compile(1, [
 
 
 class _MeasureBuffers(NamedTuple):
-    """The arrays :func:`_measure` writes, and the views it writes them by.
+    """The arrays :func:`_measure` writes.
 
-    C and X (B, 3, n) are the halves of one stack S (2, B, 3, n), and Cv
-    and Xv their (B, n, 3) views for :func:`field_batch`; centroid (B, 3)
-    holds the centroids; left and right are S's flat rows (2, B, 3n) as the
-    operands of dots, the (2, 2, B) inner products [[<c, c>, <c, X>],
-    [<X, c>, <X, X>]] of every pair; cc and xc are two of them; norms
-    (2, B) holds the roots [|c|, |X|] of the diagonal [<c, c>, <X, X>],
-    from one ``np.sqrt``; q is q_c (B,).
+    C and X (B, 3, n) are the halves of one stack S (2, B, 3, n); centroid
+    (B, 3) holds the centroids; left and right are S's flat rows
+    (2, B, 3n) as the operands of dots, the (2, 2, B) inner products
+    [[<c, c>, <c, X>], [<X, c>, <X, X>]] of every pair; cc and xc are two
+    of them; norms (2, B) holds the roots [|c|, |X|] of the diagonal
+    [<c, c>, <X, X>], from one ``np.sqrt``; q is q_c (B,).
     """
 
     C: np.ndarray
     X: np.ndarray
-    Cv: np.ndarray
-    Xv: np.ndarray
     centroid: np.ndarray
     left: np.ndarray
     right: np.ndarray
@@ -335,9 +377,8 @@ def _measure_buffers(B, n):
     """The :class:`_MeasureBuffers` of B configurations of n vertices."""
     S, dots = np.empty((2, B, 3, n)), np.empty((2, 2, B))
     s = S.reshape(2, B, 3 * n)
-    return _MeasureBuffers(S[0], S[1], S[0].swapaxes(1, 2), S[1].swapaxes(1, 2),
-                           np.empty((B, 3)), s[:, None], s[None], dots, dots[0, 0],
-                           dots[1, 0], np.empty((2, B)), np.empty(B))
+    return _MeasureBuffers(S[0], S[1], np.empty((B, 3)), s[:, None], s[None], dots,
+                           dots[0, 0], dots[1, 0], np.empty((2, B)), np.empty(B))
 
 
 def _measure_plan(kind, variant, P, out):
@@ -345,14 +386,15 @@ def _measure_plan(kind, variant, P, out):
 
     Each run measures P as it is then into out, from
     :func:`_measure_buffers`, and returns out.  The centering
-    (``sphere._center_plan``) and the field kernel (:func:`_field_plan`)
-    are built here, on out's views, and so is the strided (2, B) view of
-    dots' diagonal [<c, c>, <X, X>], whose one ``np.sqrt`` gives norms
-    [|c|, |X|]: sqrt is elementwise, so each root has the bits of a
-    call of its own.
+    (``sphere._center_plan``) and the field kernel (:func:`_field_plan`,
+    on the (B, n, 3) views of C and X) are built here, on out's views,
+    and so is the strided (2, B) view of dots' diagonal [<c, c>, <X, X>],
+    whose one ``np.sqrt`` gives norms [|c|, |X|]: sqrt is elementwise, so
+    each root has the bits of a call of its own.
     """
-    C, X, Cv, Xv, centroid, left, right, dots, cc, xc, norms, q = out
-    center, field = _center_plan(P, C, centroid), _field_plan(kind, variant, Cv, Xv)
+    C, X, centroid, left, right, dots, cc, xc, norms, q = out
+    center = _center_plan(P, C, centroid)
+    field = _field_plan(kind, variant, C.swapaxes(1, 2), X.swapaxes(1, 2))
     diagonal, c_norm = dots.diagonal().T, norms[0]
 
     def run():

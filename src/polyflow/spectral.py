@@ -4,7 +4,9 @@ The second-order structure of the restricted volume at a singularity is
 read off the Jacobian of the pinned-and-projected field, measured as the
 flow measures it.  The raw field is a symmetric bilinear form of the rows
 centered by ``sphere._center``, so one kernel batch gives its Jacobian
-exactly, ``sphere._push`` gives t and lambda, and the projected Jacobian
+exactly (``elements._field_jvp``, the package's one derivative of the
+field, formed at the rows divided by a power of two and exact at every
+scale), ``sphere._push`` gives t and lambda, and the projected Jacobian
 is closed-form, with tau an operator.  At a representative on N the ambient
 Jacobian has real spectrum at the optimal shapes; its nonzero
 eigenvalues and their multiplicities identify the critical manifold, and
@@ -12,6 +14,10 @@ six eigenvalues vanish (three translations, three rotations).  The
 pinned last vertex makes three rows of the Jacobian exactly zero, so the
 eigen-solve runs on the leading (3n - 3) block and the three translation
 zeros are exact.
+
+Every step runs over a leading batch axis: ``hessian_spectrum_batch``
+takes a batch of configurations, and ``hessian_spectrum``,
+``field_jacobian`` and ``asymmetry_ratio`` are batches of one.
 
 Whether a field variant is a gradient is a property of the raw field,
 not of the projection: the raw field Jacobian is symmetric exactly for
@@ -29,16 +35,10 @@ import numpy as np
 
 from . import elements
 from .jsontext import json_list
-from .sphere import _center, _push, _push_buffers, pi, tau, is_collinear
+from .sphere import _push, _push_buffers, pi, tau, is_collinear
 
 GROUPING_TOL = 1e-4
 ZERO_TOL = 1e-6
-
-# Per vertex count n: the rows [0, e_1, ..., e_3n] of the Jacobian batch.
-_BASIS = {n: np.eye(3 * n + 1, 3 * n, -1) for n in set(elements.VERTEX_COUNT.values())}
-
-# The eigenvalues of J_G's three zero rows, those of the pinned last vertex.
-_PINNED_ZEROS = np.zeros(3)
 
 # The indent=2 text of a spectrum and of one eigenvalue group, as
 # %-templates (repr is the float text of json).
@@ -56,42 +56,49 @@ def pushed_field(kind: str, variant: str, p) -> np.ndarray:
     return _push(P, elements._measure(kind, variant, P).X)[0].reshape(3, -1).T
 
 
-def _raw_jacobian(kind, variant, p):
-    """The raw field at the checked (n, 3) float array p and its exact (3n, 3n) Jacobian.
+def _raw_jacobian(kind, variant, Q):
+    """(X, J, scale): the basis case of ``elements._field_jvp``, J as (B, 3n, 3n) matrices.
 
-    The field is translation invariant and X(c) = B(c, c) for a symmetric
-    bilinear B of the centered c, with B(e, e) = 0 when e moves one
-    coordinate.  So X(c + h e_j) - X(c) = h J e_j exactly, and one
-    ``field_batch`` call on [c, c + h e_1, ..., c + h e_3n] gives X and J.
-    The step h is the power of two above max|c|: both terms have the
-    magnitude of X, and the division by h is exact.
+    At the rows Q themselves the field is scale^2 X and the Jacobian
+    scale J, exactly.
     """
-    c = _center(np.ascontiguousarray(p.T)).T.ravel()  # contiguous rows: the bits of _measure's C
-    h = np.ldexp(1.0, np.frexp(np.abs(c).max())[1])  # 1 when c = 0
-    P = h * _BASIS[len(p)]
-    P += c
-    X = elements.field_batch(kind, variant, P.reshape(-1, *p.shape))
-    return X[0], ((X[1:] - X[0]).reshape(c.size, c.size) / h).T
+    X, JE, scale = elements._field_jvp(kind, variant, Q)
+    return X, JE.reshape(len(Q), -1, X[0].size).swapaxes(1, 2), scale
 
 
 @elements._overflow_raised
 def field_jacobian(kind: str, variant: str, p) -> np.ndarray:
-    """Exact (3n, 3n) Jacobian of the raw field at p, from one centered kernel batch."""
-    return _raw_jacobian(kind, variant, elements._check(kind, variant, p))[1]
+    """Exact (3n, 3n) Jacobian of the raw field at p, from one centered kernel batch.
+
+    Exact at every scale: J is formed at p divided by a power of two and
+    scaled back, so J(2^k p) = 2^k J(p) bit for bit.
+    """
+    _, J, scale = _raw_jacobian(kind, variant, elements._check(kind, variant, p)[None])
+    return scale[0] * J[0]
 
 
-def _asymmetry(J) -> float:
-    nj = np.linalg.norm(J)
-    return float(np.linalg.norm(J - J.T) / nj) if nj else 0.0
+def _asymmetry(J) -> np.ndarray:
+    """The Frobenius ratios |J - J^T| / |J| of the Jacobians J (B, m, m), 0 where J = 0.
+
+    Each sum of squares runs in the order ``np.linalg.norm`` takes on one
+    of them, a transposed view: J - J^T row by row, J column by column.
+    """
+    D, T = (J - J.swapaxes(1, 2)).reshape(len(J), -1), J.swapaxes(1, 2).reshape(len(J), -1)
+    nj = np.sqrt(np.vecdot(T, T))
+    return np.sqrt(np.vecdot(D, D)) / np.where(nj == 0.0, np.inf, nj)
 
 
 @elements._overflow_raised
 def asymmetry_ratio(kind: str, variant: str, p) -> float:
     """Frobenius ratio |J - J^T| / |J| of the raw field Jacobian.
 
-    Zero to rounding for gradient fields; order one for the prism y variant.
+    Zero to rounding for gradient fields; order one for the prism y
+    variant.  Taken on the Jacobian at p divided by the power of two
+    above max|c|, so that no square in the norms underflows or
+    overflows: the ratio does not depend on the scale of p.
     """
-    return _asymmetry(field_jacobian(kind, variant, p))
+    J = _raw_jacobian(kind, variant, elements._check(kind, variant, p)[None])[1]
+    return float(_asymmetry(J)[0])
 
 
 @dataclass(frozen=True)
@@ -136,15 +143,15 @@ def _group(values, tol):
     return tuple((v, m) for v, m in groups)
 
 
-def _projected_jacobian(kind, variant, q):
-    """Exact Jacobians of the projected field and of the raw field at q.
+def _projected_jacobian(kind, variant, Q):
+    """Exact Jacobians (B, 3n, 3n) of the projected field and of the raw field at the rows Q.
 
-    Precondition: q is on N, as ``pi`` returns it, so its last vertex is
-    exactly zero and tau(q) = q bitwise.  The pushed field is extended off
-    N as G = t - <t, u> u, with t = tau(X(q)) and u = q not re-normalized;
-    re-normalizing would change the normal block and scramble the
-    spectrum; ``sphere._push`` forms t and <t, u>.  With T the constant
-    matrix of tau, over all 3n ambient coordinates
+    Precondition: each row q of Q is on N, as ``pi`` returns it, so its
+    last vertex is exactly zero and tau(q) = q bitwise.  The pushed field
+    is extended off N as G = t - <t, u> u, with t = tau(X(q)) and u = q
+    not re-normalized; re-normalizing would change the normal block and
+    scramble the spectrum; ``sphere._push`` forms t and <t, u>.  With T
+    the constant matrix of tau, over all 3n ambient coordinates
 
         J_G = T J_X - u (u^T T J_X + t^T T) - <t, u> T
             = T A - u (u^T T A + w^T T),  A = J_X - <t, u> I,  w = t + <t, u> u.
@@ -154,43 +161,67 @@ def _projected_jacobian(kind, variant, q):
     The last vertex's three rows of J_G are exactly zero: tau zeroes them
     in T A, and u is zero there.
     """
-    X, JX = _raw_jacobian(kind, variant, q)
-    m, push = JX.shape[0], _push_buffers(1, len(q))
-    s = _push(np.ascontiguousarray(q.T)[None], X.T[None], push)[1][0]
-    At = JX.T.copy()  # row k: column k of A = J_X - <t, u> I
-    At.flat[::m + 1] -= s
-    TA = tau(At.reshape(m, len(X), 3)).reshape(m, m).T
-    w = push.T[0].T + s * q  # t + <t, u> u
-    w[-1] = -w[:-1].sum(axis=0)
-    return TA - np.outer(q, q.ravel() @ TA + w.ravel()), JX
+    X, JX, scale = _raw_jacobian(kind, variant, Q)
+    X *= scale * scale
+    JX *= scale
+    (B, n, _), m = Q.shape, JX.shape[1]
+    push = _push_buffers(B, n)
+    s = _push(np.ascontiguousarray(Q.swapaxes(1, 2)), X.swapaxes(1, 2), push)[1][:, None]
+    At = JX.swapaxes(1, 2).copy()  # row k: column k of A = J_X - <t, u> I
+    At.reshape(B, -1)[:, ::m + 1] -= s
+    TA = tau(At.reshape(B, m, n, 3)).reshape(B, m, m).swapaxes(1, 2)
+    w = push.t.reshape(B, 3, n).swapaxes(1, 2) + s[..., None] * Q  # t + <t, u> u
+    w[:, -1] = -w[:, :-1].sum(axis=1)
+    q = Q.reshape(B, 1, m)
+    return TA - q.swapaxes(1, 2) * (q @ TA + w.reshape(B, 1, m)), JX
+
+
+def _spectra(kind, variant, Q) -> list:
+    """The :class:`Spectrum` of each row of Q (B, n, 3) on N: one batch through every step.
+
+    Every step of a row reads that row alone, so a row's spectrum is the
+    same alone and in any batch.
+    """
+    JG, JX = _projected_jacobian(kind, variant, Q)
+    B, m = len(Q), JG.shape[1] - 3
+    ev = np.linalg.eigvals(JG[:, :m, :m])
+    real = np.zeros((B, m + 3))  # the last three: the pinned vertex's exact zeros
+    real[:, :m] = ev.real
+    values = real[np.arange(B)[:, None], real.argsort(axis=1)]
+    zeros = (np.abs(values) < ZERO_TOL).sum(axis=1).tolist()
+    return [Spectrum(eigenvalues=v, groups=_group(vs, GROUPING_TOL), zero_count=z,
+                     asymmetry_ratio=r, max_imag=i)
+            for v, vs, z, r, i in zip(values, values.tolist(), zeros, _asymmetry(JX).tolist(),
+                                      np.abs(ev.imag).max(axis=1).tolist())]
+
+
+def hessian_spectrum_batch(kind: str, variant: str, P) -> list:
+    """The :func:`hessian_spectrum` of each configuration of P (B, n, 3), in one batch.
+
+    A list of B spectra; each equals the spectrum of its row alone, bit
+    for bit.  A P other than a non-empty batch of the kind's (n, 3) rows,
+    or a row with a non-finite coordinate, raises as ``integrate_batch``
+    does, before pi runs.
+    """
+    return _spectra(kind, variant, pi(elements._check_batch(kind, variant, P, "P")))
 
 
 def hessian_spectrum(kind: str, variant: str, p) -> Spectrum:
     """Spectrum of the exact ambient Jacobian of the projected field at pi(p).
 
-    The raw Jacobian is one field-kernel batch at the centered q, with a
-    power-of-two step (``_raw_jacobian``).  The eigenvalues are taken as
-    computed, without symmetrization; at the singular shapes the
-    spectrum is real to rounding and symmetrizing would mix the normal
-    block into it.  The last three rows of J_G are exactly zero, so
-    J_G = [[M, b], [0, 0]] and its spectrum is that of the leading
-    (3n - 3) block M plus three exact zeros, the translations.  At a
-    critical point the three rotation zeros come from M, zero to rounding.
-    Eigenvalues are sorted ascending and grouped at ``GROUPING_TOL``.
-    p is checked once, as in :func:`field`, before pi runs on it.
+    A batch of one of :func:`hessian_spectrum_batch`.  The raw Jacobian
+    is one field-kernel batch at the centered q, scaled by a power of two
+    (``elements._field_jvp``).  The eigenvalues are taken as computed,
+    without symmetrization; at the singular shapes the spectrum is real
+    to rounding and symmetrizing would mix the normal block into it.  The
+    last three rows of J_G are exactly zero, so J_G = [[M, b], [0, 0]] and
+    its spectrum is that of the leading (3n - 3) block M plus three exact
+    zeros, the translations.  At a critical point the three rotation zeros
+    come from M, zero to rounding.  Eigenvalues are sorted ascending and
+    grouped at ``GROUPING_TOL``.  p is checked once, as in :func:`field`,
+    before pi runs on it.
     """
-    JG, JX = _projected_jacobian(kind, variant, pi(elements._check(kind, variant, p)))
-    m = len(JG) - 3
-    ev = np.concatenate((np.linalg.eigvals(JG[:m, :m]), _PINNED_ZEROS))
-    ev = ev[np.argsort(ev.real)]
-    values = ev.real.copy()
-    return Spectrum(
-        eigenvalues=values,
-        groups=_group(values.tolist(), GROUPING_TOL),
-        zero_count=int(np.count_nonzero(np.abs(values) < ZERO_TOL)),
-        asymmetry_ratio=_asymmetry(JX),
-        max_imag=float(np.abs(ev.imag).max()) if ev.size else 0.0,
-    )
+    return _spectra(kind, variant, pi(elements._check(kind, variant, p))[None])[0]
 
 
 def collinear_signature(p) -> tuple[int, int]:

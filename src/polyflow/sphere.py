@@ -145,34 +145,29 @@ def _column(B):
 
 
 class _PushBuffers(NamedTuple):
-    """The arrays :func:`_push` writes: t and r (B, 3n) and lam (B,).
-
-    T is t as rows (B, 3, n), and column is lam as a :func:`_column`.
-    """
+    """The arrays :func:`_push` writes: t and r (B, 3n) and lam (B,)."""
 
     t: np.ndarray
-    T: np.ndarray
     r: np.ndarray
     lam: np.ndarray
-    column: np.ndarray
 
 
 def _push_buffers(B, n):
     """The :class:`_PushBuffers` of B configurations of n vertices."""
-    t, lam = np.empty((B, 3 * n)), np.empty(B)
-    return _PushBuffers(t, t.reshape(B, 3, n), np.empty((B, 3 * n)), lam,
-                        lam.reshape(_column(B)))
+    return _PushBuffers(np.empty((B, 3 * n)), np.empty((B, 3 * n)), np.empty(B))
 
 
 def _push_plan(P, X, out):
     """:func:`_push` of the field rows X at the rows P (B, 3, n), built once: a zero-argument call.
 
     Each run reads P and X as they are then, writes into out, from
-    :func:`_push_buffers`, and returns (r, lam).
+    :func:`_push_buffers`, and returns (r, lam).  The plan binds the views
+    it writes by: t as rows (B, 3, n), and lam as a :func:`_column`.
     """
     B, _, n = P.shape
     p, last = P.reshape(B, 3 * n), X[:, :, -1:]
-    t, T, r, lam, column = out
+    t, r, lam = out
+    T, column = t.reshape(B, 3, n), lam.reshape(_column(B))
 
     def run():
         np.subtract(X, last, out=T)  # the last column is exactly 0

@@ -234,11 +234,13 @@ def test_mean_volume_examples():
 @pytest.mark.parametrize("shape,message", [
     ((2, 5, 3), "tetrahedron expects shape (4, 3), got (5, 3)"),
     ((0, 4, 3), "must be a non-empty batch of shape (B, n, 3), got (0, 4, 3)"),
-], ids=["five-vertex", "empty"])
+    ((4, 3), "must be a non-empty batch of shape (B, n, 3), got (4, 3)"),
+], ids=["five-vertex", "empty", "unbatched"])
 @pytest.mark.parametrize("entry", [
     lambda P: pf.mean_volume_batch("tetrahedron", P),
     lambda P: pf.integrate_batch("tetrahedron", pf.GRADIENT, P),
-], ids=["mean_volume_batch", "integrate_batch"])
+    lambda P: pf.hessian_spectrum_batch("tetrahedron", pf.GRADIENT, P),
+], ids=["mean_volume_batch", "integrate_batch", "hessian_spectrum_batch"])
 def test_batch_entries_share_one_rule(entry, shape, message):
     # a batch of ones of another vertex count is named before any reshape,
     # and before pi calls its vertices coincident
@@ -250,7 +252,8 @@ def test_batch_entries_share_one_rule(entry, shape, message):
 @pytest.mark.parametrize("entry", [
     lambda kind, P: pf.mean_volume_batch(kind, P),
     lambda kind, P: pf.integrate_batch(kind, pf.GRADIENT, P),
-], ids=["mean_volume_batch", "integrate_batch"])
+    lambda kind, P: pf.hessian_spectrum_batch(kind, pf.GRADIENT, P),
+], ids=["mean_volume_batch", "integrate_batch", "hessian_spectrum_batch"])
 def test_batch_entries_name_a_bad_kind_before_a_bad_shape(entry, shape):
     # the kind rule runs first here too, as at every single-configuration entry
     with pytest.raises(ValueError, match=r"^unknown element kind 'cube'$"):
@@ -279,6 +282,7 @@ _KIND_ENTRIES = {
     "field_jacobian": lambda k: pf.field_jacobian(k, pf.GRADIENT, _ONES),
     "asymmetry_ratio": lambda k: pf.asymmetry_ratio(k, pf.GRADIENT, _ONES),
     "hessian_spectrum": lambda k: pf.hessian_spectrum(k, pf.GRADIENT, _ONES),
+    "hessian_spectrum_batch": lambda k: pf.hessian_spectrum_batch(k, pf.GRADIENT, _ONES[None]),
     "random_configuration": lambda k: pf.random_configuration(k, 1),
 }
 
@@ -324,6 +328,8 @@ _BATCH_ENTRIES = {
         "tetrahedron", np.stack([pf.reference_optimal("tetrahedron"), p])),
     "integrate_batch": lambda p: pf.integrate_batch(
         "tetrahedron", pf.GRADIENT, np.stack([pf.reference_optimal("tetrahedron"), p])),
+    "hessian_spectrum_batch": lambda p: pf.hessian_spectrum_batch(
+        "tetrahedron", pf.GRADIENT, np.stack([pf.reference_optimal("tetrahedron"), p])),
 }
 
 
@@ -350,11 +356,14 @@ _UNPROJECTED_ENTRIES["mean_volume_batch"] = lambda p: pf.mean_volume_batch("tetr
 # The entries that return the volume <X, c> / 18 alone.
 _VOLUME_ENTRIES = ("mean_volume", "mean_volume_batch")
 
+# The entries that form the Jacobian at p divided by a power of two.
+_JACOBIAN_ENTRIES = ("field_jacobian", "asymmetry_ratio")
+
 
 @pytest.mark.parametrize("name,case", [
-    *[(name, "scaled") for name in _UNPROJECTED_ENTRIES],
+    *[(name, "scaled") for name in _UNPROJECTED_ENTRIES if name not in _JACOBIAN_ENTRIES],
     *[(name, "one coordinate") for name in _UNPROJECTED_ENTRIES
-      if name not in ("field", "f_value") and name not in _VOLUME_ENTRIES]])
+      if name not in ("field", "f_value") and name not in _VOLUME_ENTRIES + _JACOBIAN_ENTRIES]])
 def test_an_overflow_is_one_error(name, case):
     # finite coordinates whose arithmetic overflows: every product of two
     # coordinates when scaled by 1e200; at one coordinate of 1e200, <c, c>
@@ -369,6 +378,24 @@ def test_an_overflow_is_one_error(name, case):
     with pytest.raises(pf.DegenerateConfigurationError,
                        match="^cannot measure a configuration whose arithmetic overflows$"):
         _UNPROJECTED_ENTRIES[name](p)
+
+
+@pytest.mark.parametrize("case", ["scaled", "one coordinate"])
+def test_the_jacobian_entries_do_not_overflow(case):
+    # the same inputs: J is about 1e200 and finite, and it is formed at p
+    # divided by a power of two, so neither X (about 1e400 when scaled) nor
+    # a square in the ratio's norms is formed at p's scale
+    p = pf.reference_optimal("tetrahedron")
+    if case == "scaled":
+        p *= 1e200
+    else:
+        p[1, 2] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J = pf.field_jacobian("tetrahedron", pf.GRADIENT, p)
+        ratio = pf.asymmetry_ratio("tetrahedron", pf.GRADIENT, p)
+    assert np.isfinite(J).all() and np.abs(J).max() > 1e199
+    assert 0.0 <= ratio < 1e-13  # a gradient field: J is symmetric
 
 
 @pytest.mark.parametrize("big", [1e90, 1e120, 1e200])

@@ -34,9 +34,21 @@ def _projected(kind, variant, q):
     return t - np.vdot(t, u) * u
 
 
+def _raw(kind, variant, p):
+    """The raw field and its Jacobian at p, a batch of one scaled back to p."""
+    X, J, scale = spectral._raw_jacobian(kind, variant, p[None])
+    return scale[0] ** 2 * X[0], scale[0] * J[0]
+
+
+def _jacobians(kind, variant, q):
+    """(J_G, J_X) at q on N, a batch of one."""
+    JG, JX = spectral._projected_jacobian(kind, variant, q[None])
+    return JG[0], JX[0]
+
+
 def _dense_projected_jacobian(kind, variant, q):
     """Reference: J_G = T J_X - u (u^T T J_X + t^T T) - <t, u> T with T built densely."""
-    X, JX = spectral._raw_jacobian(kind, variant, q)
+    X, JX = _raw(kind, variant, q)
     n = len(X)
     T = np.kron(np.eye(n) - np.eye(n)[-1], np.eye(3))
     t, u = pf.tau(X).ravel(), pf.tau(q).ravel()
@@ -157,7 +169,7 @@ class TestExactJacobians:
     def test_projected_matches_central_differences(self, rng, kind, variant):
         for _ in range(5):
             q = pf.pi(rng.normal(size=(pf.VERTEX_COUNT[kind], 3)))
-            JG, JX = spectral._projected_jacobian(kind, variant, q)
+            JG, JX = _jacobians(kind, variant, q)
             fd = _central_differences(lambda x: _projected(kind, variant, x), q)
             assert np.abs(JG - fd).max() < 1e-9 * np.abs(fd).max()
             assert np.array_equal(JX, pf.field_jacobian(kind, variant, q))
@@ -169,7 +181,7 @@ class TestExactJacobians:
         if (kind, variant) in GRADIENT_PAIRS:
             qs.append(pf.pi(pf.reference_optimal(kind)))
         for q in qs:
-            JG, _ = spectral._projected_jacobian(kind, variant, q)
+            JG, _ = _jacobians(kind, variant, q)
             dense = _dense_projected_jacobian(kind, variant, q)
             assert np.abs(JG - dense).max() <= 1e-14 * np.abs(dense).max()
 
@@ -186,12 +198,12 @@ class TestExactJacobians:
         points = [p, p * np.array([1.0, 1.0, -1.0])]
         points += [rng.normal(size=(pf.VERTEX_COUNT[kind], 3)) for _ in range(3)]
         for point in points:
-            JG, _ = spectral._projected_jacobian(kind, variant, pf.pi(point))
+            JG, _ = _jacobians(kind, variant, pf.pi(point))
             assert np.all(JG[-3:] == 0.0)
             full = np.sort(eigvals(JG).real)
             spec = pf.hessian_spectrum(kind, variant, point)
             m = JG.shape[0] - 3
-            assert solved.pop() == (m, m)
+            assert solved.pop() == (1, m, m)
             assert np.abs(spec.eigenvalues - full).max() <= 1e-12 * np.abs(JG).max()
             assert spec.zero_count == np.count_nonzero(np.abs(full) < spectral.ZERO_TOL)
             assert ([mult for _, mult in spec.groups]
@@ -214,7 +226,7 @@ class TestExactJacobians:
         # flow measures at q, bit for bit
         for _ in range(20):
             q = pf.pi(rng.normal(size=(pf.VERTEX_COUNT[kind], 3)))
-            X = spectral._raw_jacobian(kind, variant, q)[0]
+            X = _raw(kind, variant, q)[0]
             measured = elements._measure(kind, variant, np.ascontiguousarray(q.T[None])).X
             assert X.tobytes() == measured[0].T.tobytes()
 
@@ -231,7 +243,7 @@ class TestExactJacobians:
         monkeypatch.setattr(spectral, "_push", push)
         for _ in range(20):
             q = pf.pi(rng.normal(size=(pf.VERTEX_COUNT[kind], 3)))
-            spectral._projected_jacobian(kind, variant, q)
+            _jacobians(kind, variant, q)
             assert seen.pop() == pf.singularity_residual(kind, variant, q)[1]
 
     @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
@@ -247,10 +259,10 @@ class TestExactJacobians:
         # J(s p) = s J(p) and J(p + t) = J(p): the step follows the scale
         # of the centered configuration, at which the field is evaluated
         p = rng.normal(size=(pf.VERTEX_COUNT[kind], 3))
-        X, J = spectral._raw_jacobian(kind, variant, p)
+        X, J = _raw(kind, variant, p)
         scaled = pf.field_jacobian(kind, variant, p * 1e6)
         assert np.abs(scaled - 1e6 * J).max() < 1e-13 * np.abs(1e6 * J).max()
-        X_shifted, J_shifted = spectral._raw_jacobian(kind, variant, p + 1e6)
+        X_shifted, J_shifted = _raw(kind, variant, p + 1e6)
         assert np.abs(J_shifted - J).max() < 1e-8
         assert np.abs(X_shifted - X).max() < 1e-8
 
@@ -262,6 +274,114 @@ class TestExactJacobians:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             pf.field_jacobian("tetrahedron", pf.GRADIENT, np.zeros((5, 3)))
+
+
+class TestFieldJvp:
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_products_are_the_jacobians(self, rng, kind, variant):
+        # central differences at the scaled rows, scaled back: J(c) v for
+        # directions of any size, with the field of the basis case
+        n = pf.VERTEX_COUNT[kind]
+        for _ in range(5):
+            c = rng.normal(size=(n, 3))
+            V = rng.normal(size=(7, n, 3)) * 10.0 ** rng.uniform(-3, 3, size=(7, 1, 1))
+            X, JV, scale = elements._field_jvp(kind, variant, c[None], V[None])
+            J = pf.field_jacobian(kind, variant, c)
+            for v, got in zip(V, scale[0] * JV[0]):
+                want = J @ v.ravel()
+                assert np.abs(got.ravel() - want).max() <= 1e-13 * np.abs(want).max()
+            basis = elements._field_jvp(kind, variant, c[None])
+            assert (X.tobytes(), scale.tobytes()) == (basis[0].tobytes(), basis[2].tobytes())
+
+    @pytest.mark.parametrize("k", [600, -600])
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_jacobian_scales_exactly(self, rng, kind, variant, k):
+        # J(2^k p) = 2^k J(p) bit for bit: J is formed at p divided by a
+        # power of two, so no product underflows or overflows
+        p = rng.normal(size=(pf.VERTEX_COUNT[kind], 3))
+        J = pf.field_jacobian(kind, variant, p)
+        scaled = pf.field_jacobian(kind, variant, np.ldexp(p, k))
+        assert scaled.tobytes() == np.ldexp(J, k).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e155, 1e200])
+    def test_asymmetry_does_not_depend_on_the_scale(self, rng, scale):
+        # the prism y field is not a gradient at any scale (0.0 at 1e-170,
+        # and an overflow at 1e155, when the norms squared J at p's scale)
+        p = pf.pi(rng.normal(size=(6, 3)))
+        ratio = pf.asymmetry_ratio("prism", pf.Y_VARIANT, p)
+        assert ratio > 1e-2
+        scaled = pf.asymmetry_ratio("prism", pf.Y_VARIANT, scale * p)
+        assert scaled == pytest.approx(ratio, rel=1e-13)
+
+
+def _optimum(kind, variant):
+    """The pair's optimal shape: prism y pins height / side = 1/sqrt(2)."""
+    p = pf.reference_optimal(kind)
+    if (kind, variant) == ("prism", pf.Y_VARIANT):
+        p[3:, 2] = np.sqrt(2.0)
+    return p
+
+
+class TestSpectrumBatch:
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_rows_are_their_single_calls(self, rng, kind, variant):
+        # one batch per pair, each row bit for bit its hessian_spectrum
+        p = _optimum(kind, variant)
+        P = [p, p * np.array([1.0, 1.0, -1.0]), rng.normal(size=p.shape)]
+        if kind == "tetrahedron":
+            P += [pf.collinear_tetrahedron(spacings, direction)
+                  for spacings in [(1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (0.3, 2.9, 0.5)]
+                  for direction in [(1.0, 0.0, 0.0), (0.3, -0.5, 0.8)]]
+        batch = pf.hessian_spectrum_batch(kind, variant, np.stack(P))
+        assert len(batch) == len(P)
+        for got, point in zip(batch, P):
+            alone = pf.hessian_spectrum(kind, variant, point)
+            assert got.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+            assert got.to_json() == alone.to_json()
+            assert (got.groups, got.zero_count, got.max_imag) == (
+                alone.groups, alone.zero_count, alone.max_imag)
+
+
+# The Euler step bounds per pair, from the spectrum at the optimum: s*, the
+# step of fastest contraction, and s_max, the largest stable step.
+_STEPS = {
+    ("tetrahedron", pf.GRADIENT): (0.465, 0.931),
+    ("pyramid", pf.GRADIENT): (0.587, 0.880),
+    ("prism", pf.GRADIENT): (0.678, 0.904),
+    ("prism", pf.Y_VARIANT): (0.549, 0.823),
+    ("hexahedron", pf.GRADIENT): (0.678, 0.904),
+    ("hexahedron", pf.Y_VARIANT): (0.522, 0.783),
+    ("octahedron", pf.GRADIENT): (0.522, 0.783),
+}
+
+
+def _projected_jvp(kind, variant, q, v):
+    """J_G v at q on N from one J_X v of elements._field_jvp (v's last vertex is zero)."""
+    X, JV, scale = elements._field_jvp(kind, variant, q[None], v[None, None])
+    t = pf.tau(scale[0] ** 2 * X[0])
+    a = pf.tau(scale[0] * JV[0, 0])
+    return a - (np.vdot(a, q) + np.vdot(t, v)) * q - np.vdot(t, q) * v
+
+
+@pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+def test_step_table_from_the_spectrum(rng, kind, variant):
+    # s* = 2 sqrt|X*| / (|mu|min + |mu|max) and s_max = 2 sqrt|X*| / |mu|max
+    # over the nonzero eigenvalues at the optimum and its mirror
+    p = _optimum(kind, variant)
+    P = np.stack([p, p * np.array([1.0, 1.0, -1.0])])
+    for point, spec in zip(P, pf.hessian_spectrum_batch(kind, variant, P)):
+        q = pf.pi(point)
+        root = np.sqrt(np.linalg.norm(pf.field(kind, variant, q)))
+        mu = np.abs(spec.eigenvalues[np.abs(spec.eigenvalues) > spectral.ZERO_TOL])
+        s_star, s_max = _STEPS[kind, variant]
+        assert 2.0 * root / (mu.min() + mu.max()) == pytest.approx(s_star, abs=1e-3)
+        assert 2.0 * root / mu.max() == pytest.approx(s_max, abs=1e-3)
+        # a power iteration of J_G v on the free block finds |mu|max
+        w = rng.normal(size=q.shape)
+        w[-1] = 0.0
+        for _ in range(200):
+            w = _projected_jvp(kind, variant, q, w / np.linalg.norm(w))
+        assert np.linalg.norm(w) == pytest.approx(mu.max(), abs=1e-6)
 
 
 class TestAsymmetry:
