@@ -18,13 +18,11 @@ import contextlib
 import csv
 import functools
 import json
-import math
 import os
 import sys
 import warnings
 
 from . import elements, flow, mesh as mesh_mod, sampling, spectral
-from .jsontext import json_list
 from .sphere import DegenerateConfigurationError, pi
 
 EXIT_OK = 0
@@ -35,15 +33,6 @@ EXIT_DATA = 65
 EXIT_NOINPUT = 66
 
 _FIELD_NAMES = {"gradient": elements.GRADIENT, "y-variant": elements.Y_VARIANT}
-
-# The indent=2 text of a regularize result, per kind, as a %-template of its
-# fields and coordinates (repr is the float text of json).
-_REGULARIZE_TEXT = {
-    kind: ('{\n  "type": "%s",\n  "field": "%s",\n  "vertices": '
-           + json_list([json_list(["%r"] * 3, 2)] * n, 1)
-           + ',\n  "classification": "%s",\n  "lambda": %r,\n  "residual": %r,'
-           '\n  "iterations": %d,\n  "converged": %s,\n  "monotone_breaks": %d\n}')
-    for kind, n in elements.VERTEX_COUNT.items()}
 
 _DESCRIPTION = ("Flow polyhedral elements along the gradient of their mean volume: "
                 "regularize one element, smooth a mesh, print the spectrum at a "
@@ -195,7 +184,7 @@ def _cmd_regularize(parser, args) -> int:
     p, residual, lam, iterations, converged, breaks = end
     # classified from the flow's own final residual and lambda, which
     # flow.classify of p repeats to the bit
-    text = _regularize_json({
+    text = json.dumps({
         "type": args.type,
         "field": args.field,
         "vertices": p.tolist(),
@@ -205,7 +194,7 @@ def _cmd_regularize(parser, args) -> int:
         "iterations": iterations,
         "converged": converged,
         "monotone_breaks": breaks,
-    })
+    }, indent=2)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -214,21 +203,6 @@ def _cmd_regularize(parser, args) -> int:
     if args.trajectory:
         flow.trajectory_to_csv(traj, args.trajectory)
     return EXIT_OK if converged else EXIT_MAX_ITERS
-
-
-def _regularize_json(doc) -> str:
-    """The bytes of ``json.dumps(doc, indent=2)`` of a regularize result ``doc``.
-
-    Formed without the pure-Python encoder that ``indent`` selects; a
-    value that is not finite goes through ``json``.
-    """
-    coordinates = [x for row in doc["vertices"] for x in row]
-    if not all(map(math.isfinite, coordinates + [doc["lambda"], doc["residual"]])):
-        return json.dumps(doc, indent=2)
-    return _REGULARIZE_TEXT[doc["type"]] % (
-        doc["type"], doc["field"], *coordinates, doc["classification"], doc["lambda"],
-        doc["residual"], doc["iterations"], "true" if doc["converged"] else "false",
-        doc["monotone_breaks"])
 
 
 def _cmd_smooth(parser, args) -> int:

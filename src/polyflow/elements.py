@@ -41,7 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .chains import nu
-from .sphere import DegenerateConfigurationError, _center, _center_plan, pi as _pi
+from .sphere import (DegenerateConfigurationError, _center, _center_plan, _exponent,
+                     pi as _pi)
 
 KINDS = ("tetrahedron", "pyramid", "prism", "hexahedron", "octahedron")
 
@@ -198,45 +199,41 @@ def _field_plan(kind, variant, P, out=None):
 _BASIS = {n: np.eye(3 * n + 1, 3 * n, -1).reshape(-1, n, 3) for n in set(VERTEX_COUNT.values())}
 
 
-def _power_above(A, axes):
-    """The powers of two above max|A| over ``axes``, kept as axes of length 1: 1 where A = 0."""
-    return np.ldexp(1.0, np.frexp(np.abs(A).max(axis=axes, keepdims=True))[1])
-
-
 def _field_jvp(kind, variant, C, V=None):
-    """(X, JV, scale): the field and its exact products J V at the rows C (B, n, 3), scaled.
+    """(X, JV, e): the field and its exact products J V at the rows C (B, n, 3), scaled.
 
     The field is translation invariant and X(c) = F(c, c) for a symmetric
     bilinear F of the centered rows c (``sphere._center``, the measure's
-    rule), so J(c) v = 2 F(c, v).  Each c is first divided by its scale,
-    the power of two above max|c| ((B, 1, 1), 1 where c = 0); by
-    homogeneity the field at C is scale^2 X and J(C) V = scale JV,
-    exactly.  The caller scales back where it needs to: X may overflow
-    where J V does not.  One :func:`field_batch` call evaluates every row.
+    rule), so J(c) v = 2 F(c, v).  Each c is first divided by 2^e, the
+    power of two above max|c| (``sphere._exponent``, the package's one
+    scaling rule: e (B, 1, 1), 0 where c = 0); by homogeneity the field
+    at C is 2^2e X and J(C) V = 2^e JV, exactly.  The caller scales back
+    where it needs to: X may overflow where J V does not.  One
+    :func:`field_batch` call evaluates every row.
 
     Without V the directions are the 3n basis vectors e_j, and F(e, e) = 0
     when e moves one coordinate, so the 3n + 1 rows [c, c + e_1, ...,
     c + e_3n] give X(c + e_j) - X(c) = J e_j exactly: JV (B, 3n, n, 3)
     holds J's columns.  Any other V (B, k, n, 3) is divided by the power
-    of two above each max|v|, and X(c + v) - X(c - v) = 2 J v on the
-    2k + 1 rows [c, c + V, c - V] gives JV (B, k, n, 3), with only the
-    subtraction rounding.
+    of two above each max|v| by the same rule, and X(c + v) - X(c - v) =
+    2 J v on the 2k + 1 rows [c, c + V, c - V] gives JV (B, k, n, 3),
+    with only the subtraction rounding.
     """
     n = C.shape[1]
     c = _center(np.ascontiguousarray(C.swapaxes(1, 2))).swapaxes(1, 2)
-    scale = _power_above(c, (1, 2))
-    c = (c / scale)[:, None]
+    e = _exponent(c)
+    c = np.ldexp(c, -e)[:, None]
     if V is None:
         rows = c + _BASIS[n]
     else:
-        h = _power_above(V, (2, 3))
-        V = V / h
+        f = _exponent(V)
+        V = np.ldexp(V, -f)
         rows = np.concatenate((c, c + V, c - V), axis=1)
     Y = field_batch(kind, variant, rows.reshape(-1, n, 3)).reshape(rows.shape)
     if V is None:
-        return Y[:, 0], Y[:, 1:] - Y[:, :1], scale
+        return Y[:, 0], Y[:, 1:] - Y[:, :1], e
     k = V.shape[1]
-    return Y[:, 0], (Y[:, 1:k + 1] - Y[:, k + 1:]) * (h / 2.0), scale
+    return Y[:, 0], np.ldexp(Y[:, 1:k + 1] - Y[:, k + 1:], f - 1), e
 
 
 @_overflow_raised

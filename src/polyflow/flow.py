@@ -21,8 +21,9 @@ inner product is one ``np.vecdot`` over the flat (B, 3n) view, and tau
 is one subtraction of the last column (``sphere._push``, which
 :func:`singularity_residual` and ``spectral.pushed_field`` apply too).
 A step is normalized by one norm; a zero, overflowing or non-finite
-norm leaves a NaN q_c, which the monitor's one test catches before
-:func:`sphere.sigma`'s rescue runs.  The state and every candidate step
+norm leaves a NaN q_c, which the monitor's one test catches: the step
+is then normalized anew by :func:`sphere.sigma`, at the power of two
+above its largest entry.  The state and every candidate step
 are measured by ``elements._measure``'s arithmetic, as the mesh smoother
 measures its elements: the rows are centered, each by its own mean, so a
 row's rounding, and with it the run, does not depend on the batch; the
@@ -60,7 +61,7 @@ import numpy as np
 from . import elements
 from .elements import _measure, _measure_buffers, _measure_plan, _overflow_raised
 from .sphere import (DegenerateConfigurationError, _column, _push, _push_buffers, _push_plan,
-                     _sigma, is_collinear, pi)
+                     is_collinear, pi, sigma)
 
 # psi's divisor sqrt|X| from the measure's root |X|: the loop's one named
 # call for it, looked up on every step (tests replace it to inject a zero).
@@ -298,10 +299,11 @@ def _flow(kind, variant, P0, settings, record=None):
             # One test catches a q_c drop and the NaN q_c of a bad norm.
             if np.count_nonzero(Qn >= Q) < len(Q):
                 if np.count_nonzero(np.isnan(Qn)):
-                    # A zero, overflowing or non-finite norm: _sigma rescues the
-                    # step (the other rows keep their bits) or raises if not finite.
+                    # A zero, overflowing or non-finite norm: sigma normalizes
+                    # every step at the power of two above its largest entry
+                    # (the other rows keep their bits), or raises.
                     try:
-                        P[...] = _sigma(w.reshape(P.shape))
+                        P[...] = sigma(w.reshape(P.shape))
                     except DegenerateConfigurationError as exc:
                         raise FlowDivergenceError(it) from exc
                     measure_candidate()

@@ -57,13 +57,13 @@ def pushed_field(kind: str, variant: str, p) -> np.ndarray:
 
 
 def _raw_jacobian(kind, variant, Q):
-    """(X, J, scale): the basis case of ``elements._field_jvp``, J as (B, 3n, 3n) matrices.
+    """(X, J, e): the basis case of ``elements._field_jvp``, J as (B, 3n, 3n) matrices.
 
-    At the rows Q themselves the field is scale^2 X and the Jacobian
-    scale J, exactly.
+    At the rows Q themselves the field is 2^2e X and the Jacobian 2^e J,
+    exactly.
     """
-    X, JE, scale = elements._field_jvp(kind, variant, Q)
-    return X, JE.reshape(len(Q), -1, X[0].size).swapaxes(1, 2), scale
+    X, JE, e = elements._field_jvp(kind, variant, Q)
+    return X, JE.reshape(len(Q), -1, X[0].size).swapaxes(1, 2), e
 
 
 @elements._overflow_raised
@@ -73,8 +73,8 @@ def field_jacobian(kind: str, variant: str, p) -> np.ndarray:
     Exact at every scale: J is formed at p divided by a power of two and
     scaled back, so J(2^k p) = 2^k J(p) bit for bit.
     """
-    _, J, scale = _raw_jacobian(kind, variant, elements._check(kind, variant, p)[None])
-    return scale[0] * J[0]
+    _, J, e = _raw_jacobian(kind, variant, elements._check(kind, variant, p)[None])
+    return np.ldexp(J[0], e[0])
 
 
 def _asymmetry(J) -> np.ndarray:
@@ -161,7 +161,8 @@ def _projected_jacobian(kind, variant, Q):
     The last vertex's three rows of J_G are exactly zero: tau zeroes them
     in T A, and u is zero there.
     """
-    X, JX, scale = _raw_jacobian(kind, variant, Q)
+    X, JX, e = _raw_jacobian(kind, variant, Q)
+    scale = np.ldexp(1.0, e)  # e <= 1 on N: 2^e is formed once and multiplies
     X *= scale * scale
     JX *= scale
     (B, n, _), m = Q.shape, JX.shape[1]

@@ -7,6 +7,12 @@ vertex at the origin and normalizes the full 3n-vector to unit length;
 the set of such representatives is the configuration sphere N.  Every
 operation acts on the trailing (n, 3) axes, so configurations may carry
 leading batch axes.
+
+One scaling rule (:func:`_exponent`) keeps every operation exact at
+every scale: a configuration is divided by the power of two above its
+largest ``|entry|`` before any square is formed, and the result is
+scaled back where it scales.  So pi and sigma do not depend on the scale
+bit for bit, and psi and push_tangent scale by an exact power of two.
 """
 
 from __future__ import annotations
@@ -64,42 +70,49 @@ def _divisor(norm) -> np.ndarray:
     return np.where(norm == 0.0, np.inf, np.sqrt(norm))
 
 
+def _exponent(A) -> np.ndarray:
+    """The exponents e of the powers of two 2^e above max|A| over A's trailing (n, 3) axes.
+
+    The package's one scaling rule: e (..., 1, 1) is 0 where A = 0, and
+    ``np.ldexp(A, -e)`` divides A by 2^e exactly, into max|entry| in
+    [1/2, 1), without forming 2^e (2^1024 is inf).  Every quantity of a
+    configuration that scales by a power of its scale is formed at A
+    scaled so and scaled back, so that it does not depend on the scale
+    bit for bit, and no square in it overflows or underflows.  A max|A|
+    that is not finite raises :class:`DegenerateConfigurationError`,
+    before any arithmetic.
+    """
+    top = np.abs(A).max(axis=(-2, -1), keepdims=True)
+    if np.count_nonzero(np.isfinite(top)) < top.size:
+        raise DegenerateConfigurationError(
+            "cannot normalize a configuration with non-finite coordinates")
+    return np.frexp(top)[1]
+
+
 def sigma(p) -> np.ndarray:
     """Scale each configuration to unit norm over its 3n coordinates.
 
-    A finite configuration whose squared norm overflows, or underflows to
-    zero, is first divided by its largest ``|entry|``.  A zero or
-    non-finite configuration raises :class:`DegenerateConfigurationError`.
+    The norm is taken of p divided by the power of two above its largest
+    ``|entry|`` (:func:`_exponent`), so it never overflows or underflows,
+    and sigma(2^k p) = sigma(p) bit for bit.  A zero or non-finite
+    configuration raises :class:`DegenerateConfigurationError`.
     """
-    with np.errstate(over="ignore"):  # an overflowing norm is rescued
-        return _sigma(np.asarray(p, dtype=float))
-
-
-def _sigma(p) -> np.ndarray:
-    """:func:`sigma` of a float array, run under ``np.errstate(over="ignore")``."""
+    p = np.asarray(p, dtype=float)
+    p = np.ldexp(p, -_exponent(p))
     flat = p.reshape(p.shape[:-2] + (-1,))
     norm = np.sqrt(np.vecdot(flat, flat))[..., None, None]
-    # the common path: every norm is nonzero and finite
-    if np.count_nonzero(norm) + np.count_nonzero(np.isfinite(norm)) < 2 * norm.size:
-        bad = ~((norm > 0.0) & (norm < np.inf))
-        scale = np.abs(p).max(axis=(-2, -1), keepdims=True)
-        if not np.isfinite(scale[bad]).all():
-            raise DegenerateConfigurationError(
-                "cannot normalize a configuration with non-finite coordinates")
-        if not scale[bad].all():
-            raise DegenerateConfigurationError(
-                "cannot normalize a zero configuration: all vertices coincide")
-        p = np.where(bad, p / scale, p)
-        flat = p.reshape(flat.shape)
-        norm = np.sqrt(np.vecdot(flat, flat))[..., None, None]
+    if np.count_nonzero(norm) < norm.size:
+        raise DegenerateConfigurationError(
+            "cannot normalize a zero configuration: all vertices coincide")
     return p / norm
 
 
 def pi(p) -> np.ndarray:
     """Canonical representative on N: last vertex zero, unit norm.
 
-    A finite configuration whose pinned differences overflow is first
-    divided by its largest ``|entry|``, as in :func:`sigma`.
+    :func:`sigma` of tau of p divided by the power of two above its
+    largest ``|entry|`` (:func:`_exponent`): the pinned differences never
+    overflow, and pi(2^k p) = pi(p) bit for bit.
 
     Raises
     ------
@@ -107,13 +120,7 @@ def pi(p) -> np.ndarray:
         If all vertices coincide (tau(p) = 0), or a coordinate is not finite.
     """
     p = np.asarray(p, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = tau(p)
-        if not np.isfinite(t).all():
-            scale = np.abs(p).max(axis=(-2, -1), keepdims=True)
-            big = np.isfinite(scale) & ~np.isfinite(t).all(axis=(-2, -1), keepdims=True)
-            t = np.where(big, tau(p / np.where(big, scale, 1.0)), t)
-        return _sigma(t)
+    return sigma(tau(np.ldexp(p, -_exponent(p))))
 
 
 def push_tangent(p, v) -> np.ndarray:
@@ -123,16 +130,21 @@ def push_tangent(p, v) -> np.ndarray:
     component from every row, zero the last row), then removes the
     radial part along the unit direction of p, then divides by ``|p|``.
     On N itself ``|p| = 1`` and the division is a no-op.  The result w
-    satisfies ``<w, p> = 0`` and ``w_n = 0``.
+    satisfies ``<w, p> = 0`` and ``w_n = 0``.  It is formed at p divided
+    by the power of two 2^e above its largest ``|entry|`` (:func:`_exponent`)
+    and divided by 2^e, so <p, p> never overflows or underflows, and
+    push_tangent(2^k p, v) = 2^-k push_tangent(p, v) bit for bit.
     """
     p = np.asarray(p, dtype=float)
+    e = _exponent(p)
+    p = np.ldexp(p, -e)
     flat = p.reshape(p.shape[:-2] + (-1,))
     pp = np.vecdot(flat, flat)[..., None, None]
     if np.count_nonzero(pp) < pp.size:
         raise DegenerateConfigurationError("tangent projection at zero configuration")
     w = tau(v)
     wp = np.vecdot(w.reshape(flat.shape), flat)[..., None, None]
-    return (w - wp / pp * p) / np.sqrt(pp)
+    return np.ldexp((w - wp / pp * p) / np.sqrt(pp), -e)
 
 
 def _column(B):
@@ -198,10 +210,17 @@ def psi(v) -> np.ndarray:
 
     Preserves direction; makes homogeneous-quadratic fields scale
     linearly so that flow speed is uniform across representative scale.
+    Formed at v divided by 2^e, the power of two above its largest
+    ``|entry|`` (:func:`_exponent`) with e rounded up to even, so that
+    psi(v) = 2^(e/2) psi(v / 2^e) exactly: <v, v> never overflows or
+    underflows, and psi(4^k v) = 2^k psi(v) bit for bit.
     """
     v = np.asarray(v, dtype=float)
-    flat = v.reshape(v.shape[:-2] + (-1,))
-    return (flat / _divisor(np.sqrt(np.vecdot(flat, flat)))[..., None]).reshape(v.shape)
+    e = _exponent(v)
+    e += e & 1
+    flat = np.ldexp(v, -e).reshape(v.shape[:-2] + (-1,))
+    root = _divisor(np.sqrt(np.vecdot(flat, flat)))[..., None]
+    return np.ldexp((flat / root).reshape(v.shape), e // 2)
 
 
 def is_collinear(p, tol: float = 1e-9) -> bool:

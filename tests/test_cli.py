@@ -140,7 +140,7 @@ class TestRegularize:
     @pytest.mark.parametrize("run", ["converged", "budget", "trajectory"])
     @pytest.mark.parametrize("kind,field", CLI_PAIRS)
     def test_json_text_is_json_dumps(self, capsys, tmp_path, kind, field, run):
-        # the text is formed from a template, with the bytes of json's indent=2
+        # the text has the bytes of json's indent=2
         flags = {"converged": [], "budget": ["--max-iters", "3"],
                  "trajectory": ["--trajectory", str(tmp_path / "t.csv")]}[run]
         rc = cli.main(["regularize", "--type", kind, "--field", field, "--random", "3"]
@@ -148,19 +148,6 @@ class TestRegularize:
         assert rc == (2 if run == "budget" else 0)
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
-
-    def test_non_finite_json_goes_through_json(self):
-        # json's own text for the values the template does not print
-        doc = {"type": "tetrahedron", "field": "gradient",
-               "vertices": [[float("inf"), 0.0, 1.0]] + [[0.5, -0.0, 2.0]] * 3,
-               "classification": "nonsingular", "lambda": float("nan"),
-               "residual": float("nan"), "iterations": 7, "converged": False,
-               "monotone_breaks": 0}
-        assert cli._regularize_json(doc) == json.dumps(doc, indent=2)
-        finite = dict(doc, vertices=doc["vertices"][1:] + [[1e-300, -2.5, 3.0]],
-                      residual=5e-324, converged=True)
-        finite["lambda"] = -1.5e300
-        assert cli._regularize_json(finite) == json.dumps(finite, indent=2)
 
     @pytest.mark.parametrize("trajectory", [False, True])
     def test_final_state_is_not_measured_again(self, monkeypatch, capsys, tmp_path, trajectory):
@@ -375,6 +362,19 @@ class TestSpectrum:
     def test_collinear_rejected_for_other_kinds(self, capsys):
         rc = cli.main(["spectrum", "--type", "pyramid", "--at", "collinear"])
         assert rc == 64
+
+    @pytest.mark.parametrize("k", [700, -700])
+    def test_spectrum_does_not_depend_on_the_scale(self, capsys, tmp_path, k):
+        # pi(2^k p) = pi(p) bit for bit: the spectrum's bytes at 2^k p are
+        # those at p
+        p = pf.reference_optimal("prism") + np.random.default_rng(5).uniform(-0.1, 0.1, (6, 3))
+        texts = []
+        for at in (p, np.ldexp(p, k)):
+            path = tmp_path / "at.json"
+            path.write_text(json.dumps({"vertices": at.tolist()}))
+            assert cli.main(["spectrum", "--type", "prism", "--at", str(path)]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
 
     def test_configuration_file(self, capsys, cube_config):
         rc = cli.main(["spectrum", "--type", "hexahedron",

@@ -13,7 +13,7 @@ import polyflow as pf
 from polyflow import flow
 from polyflow.elements import _measure, _measure_buffers, _measure_plan
 from polyflow.flow import ACCEPT_SLACK, _edge_lengths
-from polyflow.sphere import _push, _push_buffers, _push_plan, _sigma
+from polyflow.sphere import _push, _push_buffers, _push_plan
 
 
 ALL_PAIRS = [(kind, variant) for kind in pf.KINDS
@@ -369,8 +369,8 @@ class TestIntegrate:
     def test_overflowing_norm_matches_sphere_operation_reference(
             self, kind, variant, step, normalization):
         # |P + s V|^2 overflows although every entry is finite: the monitor
-        # sees the NaN q_c of that norm and sigma's rescue normalizes the
-        # step, which is taken at full length although q_c falls.
+        # sees the NaN q_c of that norm and sigma normalizes the step anew;
+        # it is taken at full length although q_c falls.
         settings = pf.FlowSettings(step=step, max_iters=5, normalization=normalization)
         p = pf.pi(pf.random_configuration(kind, 2, variant))
         t = pf.integrate(kind, variant, p, settings)
@@ -408,8 +408,8 @@ class TestIntegrate:
         assert breaks > 0
 
     def test_non_finite_step_diverges(self, monkeypatch):
-        # a zero psi divisor makes P + s V non-finite: sigma's rescue
-        # refuses it, and the flow reports the iteration
+        # a zero psi divisor makes P + s V non-finite: sigma refuses it,
+        # and the flow reports the iteration
         monkeypatch.setattr(flow, "_psi_divisor", _zero_root)
         p = pf.pi(pf.random_configuration("tetrahedron", 2))
         with pytest.raises(pf.FlowDivergenceError) as info:
@@ -517,6 +517,17 @@ class TestIntegrateBatch:
             cls = pf.classify(kind, variant, p)
             assert (cls.residual, cls.lam) == (out["residual"][i], out["lam"][i]), i
 
+    @pytest.mark.parametrize("k", [700, -700])
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_runs_do_not_depend_on_the_scale(self, kind, variant, k):
+        # pi(2^k p) = pi(p) bit for bit, so a batch scaled by a power of two
+        # runs as the batch itself does, to the byte
+        P0 = np.stack([pf.random_configuration(kind, s, variant) for s in range(10)])
+        want = pf.integrate_batch(kind, variant, P0)
+        got = pf.integrate_batch(kind, variant, np.ldexp(P0, k))
+        for key, value in want.items():
+            assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), key
+
     @pytest.mark.parametrize("kind", pf.KINDS)
     def test_final_quality_is_the_mesh_quality(self, kind):
         # the flow's q_c at its final state, over the kind's ceiling, is the
@@ -551,7 +562,7 @@ def _unfused_flow(kind, variant, P0, settings=pf.FlowSettings()):
     Every state and candidate is measured by the allocating ``_measure``
     and pushed by the allocating ``_push``; psi's divisor is
     sqrt(sqrt(<X, X>)), and the residual and the step's norm are square
-    roots of their own.  The monitor, the sigma rescue and the counters
+    roots of their own.  The monitor, the sigma call and the counters
     are the kernel's; rows that stop are dropped by boolean indexing.
     """
     B, n, _ = P0.shape
@@ -586,7 +597,7 @@ def _unfused_flow(kind, variant, P0, settings=pf.FlowSettings()):
             if np.count_nonzero(candidate.q >= Q) < len(Q):
                 if np.isnan(candidate.q).any():
                     try:
-                        P = _sigma(w.reshape(P.shape))
+                        P = pf.sigma(w.reshape(P.shape))
                     except pf.DegenerateConfigurationError as exc:
                         raise pf.FlowDivergenceError(it) from exc
                     candidate = _measure(kind, variant, P)

@@ -36,8 +36,8 @@ def _projected(kind, variant, q):
 
 def _raw(kind, variant, p):
     """The raw field and its Jacobian at p, a batch of one scaled back to p."""
-    X, J, scale = spectral._raw_jacobian(kind, variant, p[None])
-    return scale[0] ** 2 * X[0], scale[0] * J[0]
+    X, J, e = spectral._raw_jacobian(kind, variant, p[None])
+    return np.ldexp(X[0], 2 * e[0]), np.ldexp(J[0], e[0])
 
 
 def _jacobians(kind, variant, q):
@@ -285,13 +285,13 @@ class TestFieldJvp:
         for _ in range(5):
             c = rng.normal(size=(n, 3))
             V = rng.normal(size=(7, n, 3)) * 10.0 ** rng.uniform(-3, 3, size=(7, 1, 1))
-            X, JV, scale = elements._field_jvp(kind, variant, c[None], V[None])
+            X, JV, e = elements._field_jvp(kind, variant, c[None], V[None])
             J = pf.field_jacobian(kind, variant, c)
-            for v, got in zip(V, scale[0] * JV[0]):
+            for v, got in zip(V, np.ldexp(JV[0], e[0])):
                 want = J @ v.ravel()
                 assert np.abs(got.ravel() - want).max() <= 1e-13 * np.abs(want).max()
             basis = elements._field_jvp(kind, variant, c[None])
-            assert (X.tobytes(), scale.tobytes()) == (basis[0].tobytes(), basis[2].tobytes())
+            assert (X.tobytes(), e.tobytes()) == (basis[0].tobytes(), basis[2].tobytes())
 
     @pytest.mark.parametrize("k", [600, -600])
     @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
@@ -312,6 +312,14 @@ class TestFieldJvp:
         assert ratio > 1e-2
         scaled = pf.asymmetry_ratio("prism", pf.Y_VARIANT, scale * p)
         assert scaled == pytest.approx(ratio, rel=1e-13)
+        # and bit for bit at a power of two, up to the top of the float
+        # range: the centered optimum with max|c| = 1, scaled by 2^1023,
+        # whose power of two above max|c|, 2^1024, is not a float
+        c = _optimum("prism", pf.Y_VARIANT)
+        c -= c.mean(axis=0)
+        c /= np.abs(c).max()
+        top = pf.asymmetry_ratio("prism", pf.Y_VARIANT, np.ldexp(c, 1023))
+        assert top == pf.asymmetry_ratio("prism", pf.Y_VARIANT, c)
 
 
 def _optimum(kind, variant):
@@ -357,9 +365,9 @@ _STEPS = {
 
 def _projected_jvp(kind, variant, q, v):
     """J_G v at q on N from one J_X v of elements._field_jvp (v's last vertex is zero)."""
-    X, JV, scale = elements._field_jvp(kind, variant, q[None], v[None, None])
-    t = pf.tau(scale[0] ** 2 * X[0])
-    a = pf.tau(scale[0] * JV[0, 0])
+    X, JV, e = elements._field_jvp(kind, variant, q[None], v[None, None])
+    t = pf.tau(np.ldexp(X[0], 2 * e[0]))
+    a = pf.tau(np.ldexp(JV[0, 0], e[0]))
     return a - (np.vdot(a, q) + np.vdot(t, v)) * q - np.vdot(t, q) * v
 
 

@@ -34,13 +34,52 @@ def test_sigma_rescales_only_rows_out_of_range(rng):
     # a finite configuration whose squared norm overflows or underflows
     # still normalizes; rows in range are untouched
     p = rng.normal(size=(4, 3))
-    batch = np.stack([p, 1e300 * p, 1e-300 * p])
+    batch = np.stack([p, 1e300 * p, 1e-300 * p, np.ldexp(p, 1000), np.ldexp(p, -1000)])
     out = pf.sigma(batch)
     assert np.array_equal(out[0], pf.sigma(p))
-    assert np.allclose(out[1:], pf.sigma(p), rtol=0.0, atol=1e-15)
+    assert np.allclose(out[1:3], pf.sigma(p), rtol=0.0, atol=1e-15)
+    # a power of two scales out exactly: those rows keep sigma(p)'s bits
+    assert out[3].tobytes() == out[4].tobytes() == pf.sigma(p).tobytes()
     huge = np.array([[1e308, 0, 0], [-1e308, 0, 0], [0, 1, 0], [0, 0, 1]])
     s = np.sqrt(0.5)
     assert np.allclose(pf.pi(huge), [[s, 0, 0], [-s, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
+def test_pi_and_sigma_do_not_depend_on_the_scale(rng):
+    # both divide by the power of two above max|p|, exactly: pi(2^k p) and
+    # sigma(2^k p) keep the bits of pi(p) and sigma(p) over the float range
+    p = rng.normal(size=(5, 3))
+    for k in range(-1000, 1001, 50):
+        q = np.ldexp(p, k)
+        assert pf.pi(q).tobytes() == pf.pi(p).tobytes(), k
+        assert pf.sigma(q).tobytes() == pf.sigma(p).tobytes(), k
+
+
+@pytest.mark.parametrize("k", [-500, -301, -1, 1, 300, 500])
+def test_psi_scales_exactly(rng, k):
+    # psi(4^k v) = 2^k psi(v) bit for bit: psi is formed at v divided by
+    # an even power of two, so sqrt|v| scales exactly
+    v = rng.normal(size=(2, 6, 3))
+    assert pf.psi(np.ldexp(v, 2 * k)).tobytes() == np.ldexp(pf.psi(v), k).tobytes()
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_push_tangent_scales_exactly(rng, k):
+    # push_tangent(2^k p, v) = 2^-k push_tangent(p, v) bit for bit
+    p, v = rng.normal(size=(2, 3, 5, 3))
+    got = pf.push_tangent(np.ldexp(p, k), v)
+    assert got.tobytes() == np.ldexp(pf.push_tangent(p, v), -k).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_psi_and_push_tangent_at_extreme_scales(rng, scale):
+    # <v, v> and <p, p> overflow or underflow at these scales: both are
+    # formed at the input divided by a power of two, with no warning
+    p, v = rng.normal(size=(2, 4, 3))
+    assert np.allclose(pf.psi(scale * v), np.sqrt(scale) * pf.psi(v),
+                       rtol=1e-14, atol=0.0)
+    assert np.allclose(pf.push_tangent(scale * p, v), pf.push_tangent(p, v) / scale,
+                       rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("bad,needle", [
