@@ -195,8 +195,11 @@ def _field_plan(kind, variant, P, out=None):
     return run
 
 
-# Per vertex count n: the rows [0, e_1, ..., e_3n] of the basis batch of _field_jvp.
-_BASIS = {n: np.eye(3 * n + 1, 3 * n, -1).reshape(-1, n, 3) for n in set(VERTEX_COUNT.values())}
+# Per vertex count n: the offsets [0 | basis] (3n, 1, 3n + 1) of the basis batch of
+# _field_jvp as batch-minor rows: column 1 + k moves coordinate k = 3 i + c, which
+# is row c n + i.
+_BASIS = {n: np.eye(3 * n + 1, 3 * n, -1).reshape(-1, n, 3).T.reshape(3 * n, 1, -1)
+          for n in set(VERTEX_COUNT.values())}
 
 
 def _field_jvp(kind, variant, C, V=None):
@@ -209,30 +212,36 @@ def _field_jvp(kind, variant, C, V=None):
     scaling rule: e (B, 1, 1), 0 where c = 0); by homogeneity the field
     at C is 2^2e X and J(C) V = 2^e JV, exactly.  The caller scales back
     where it needs to: X may overflow where J V does not.  One
-    :func:`field_batch` call evaluates every row.
+    :func:`field_batch` call evaluates every row: they are built as the
+    kernel's batch-minor rows (3n, B r), the r rows of a configuration
+    side by side, and handed over as the (B r, n, 3) view whose
+    transpose they are, so the kernel reads them without a copy.
 
     Without V the directions are the 3n basis vectors e_j, and F(e, e) = 0
     when e moves one coordinate, so the 3n + 1 rows [c, c + e_1, ...,
-    c + e_3n] give X(c + e_j) - X(c) = J e_j exactly: JV (B, 3n, n, 3)
-    holds J's columns.  Any other V (B, k, n, 3) is divided by the power
-    of two above each max|v| by the same rule, and X(c + v) - X(c - v) =
-    2 J v on the 2k + 1 rows [c, c + V, c - V] gives JV (B, k, n, 3),
-    with only the subtraction rounding.
+    c + e_3n] give X(c + e_j) - X(c) = J e_j exactly: JV (B, 3n, n, 3),
+    contiguous, holds J's columns (row k is J e_k, vertex-major).  Any
+    other V (B, k, n, 3) is divided by the power of two above each max|v|
+    by the same rule, and X(c + v) - X(c - v) = 2 J v on the 2k + 1 rows
+    [c, c + V, c - V] gives JV (B, k, n, 3), with only the subtraction
+    rounding.
     """
-    n = C.shape[1]
-    c = _center(np.ascontiguousarray(C.swapaxes(1, 2))).swapaxes(1, 2)
+    B, n, _ = C.shape
+    c = _center(np.ascontiguousarray(C.swapaxes(1, 2)))
     e = _exponent(c)
-    c = np.ldexp(c, -e)[:, None]
+    c = np.ldexp(c, -e).reshape(B, 3 * n).T[..., None]  # (3n, B, 1)
     if V is None:
-        rows = c + _BASIS[n]
+        offsets = _BASIS[n]
     else:
         f = _exponent(V)
-        V = np.ldexp(V, -f)
-        rows = np.concatenate((c, c + V, c - V), axis=1)
-    Y = field_batch(kind, variant, rows.reshape(-1, n, 3)).reshape(rows.shape)
+        V = np.ldexp(V, -f).transpose(3, 2, 0, 1).reshape(3 * n, B, -1)
+        # c + -0.0 is c, to the sign of a zero: the first row is c itself
+        offsets = np.concatenate((np.full((3 * n, B, 1), -0.0), V, -V), axis=2)
+    rows = np.add(c, offsets, out=np.empty((3 * n, B, offsets.shape[2])))
+    Y = field_batch(kind, variant, rows.reshape(3, n, -1).T).reshape(B, -1, n, 3)
     if V is None:
-        return Y[:, 0], Y[:, 1:] - Y[:, :1], e
-    k = V.shape[1]
+        return Y[:, 0], np.subtract(Y[:, 1:], Y[:, :1], out=np.empty((B, 3 * n, n, 3))), e
+    k = V.shape[2]
     return Y[:, 0], np.ldexp(Y[:, 1:k + 1] - Y[:, k + 1:], f - 1), e
 
 

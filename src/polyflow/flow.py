@@ -60,8 +60,8 @@ import numpy as np
 
 from . import elements
 from .elements import _measure, _measure_buffers, _measure_plan, _overflow_raised
-from .sphere import (DegenerateConfigurationError, _column, _push, _push_buffers, _push_plan,
-                     is_collinear, pi, sigma)
+from .sphere import (DegenerateConfigurationError, _column, _exponent, _push, _push_buffers,
+                     _push_plan, is_collinear, pi, sigma)
 
 # psi's divisor sqrt|X| from the measure's root |X|: the loop's one named
 # call for it, looked up on every step (tests replace it to inject a zero).
@@ -148,6 +148,11 @@ def singularity_residual(kind: str, variant: str, p) -> tuple[float, float]:
     centered rows and both come from the flow kernel's own arithmetic,
     so at a flow's final p they are its ``residual`` and ``lam`` to the bit.
     ``elements._check`` refuses a non-finite coordinate; an overflow raises.
+
+    Precondition: p is on N, as ``pi`` returns it.  p is measured as
+    given, and both values scale as |p|^2, so off N they depend on the
+    scale: at 1e-170 times the reference tetrahedron the field's squares
+    underflow and both read 0.0.
     """
     P = np.ascontiguousarray(elements._check(kind, variant, p).T[None])
     with np.errstate(divide="ignore", invalid="ignore"):  # q_c of coincident vertices
@@ -164,6 +169,11 @@ def classify(kind: str, variant: str, p, tol: float = FlowSettings.tol) -> Singu
     configurations are never classified optimal.  ``tol`` must be
     positive and finite, as in :class:`FlowSettings`: an infinite tol
     would call any start a fixed point.  p raises as in :func:`singularity_residual`.
+
+    Precondition: p is on N, as ``pi`` returns it; the tolerances are
+    absolute.  Off N the tag depends on the scale: the reference
+    tetrahedron is ``nonsingular`` as given and ``level0_singular`` at
+    1e-170 times it.
     """
     _positive_finite("tol", tol)
     residual, lam = singularity_residual(kind, variant, p)
@@ -355,9 +365,20 @@ def shape_metrics(kind: str, p) -> dict:
     fourth vertex from the plane of the first three, divided by the mean
     edge length of that face; the maximum over faces is reported (0 for
     kinds with only triangular faces).
+
+    Every quantity follows the package's one scaling rule
+    (``sphere._exponent``): each edge length is taken at its edge vector
+    divided by a power of two and scaled back, and the planarity defect
+    and the orientation, the sign of the volume, at p so divided.  So the
+    lengths scale exactly with p and the rest does not depend on the
+    scale.  Where the coordinates span about a hundred orders of
+    magnitude the volume still underflows at the divided p, and the
+    orientation reads 0; an edge length that is not a float raises as an
+    overflow does.
     """
     p = elements._check(kind, elements.GRADIENT, p)
     lengths = _edge_lengths(kind, p[None])
+    p = np.ldexp(p, -_exponent(p))
     planarity = 0.0
     for cycle in elements.QUAD_FACES[kind]:
         a, b, c, d = (p[i - 1] for i in cycle)
@@ -385,13 +406,19 @@ _EDGE_ENDS = {kind: tuple(np.array(edges).T - 1) for kind, edges in elements.EDG
 def _edge_lengths(kind, P) -> np.ndarray:
     """The canonical edge lengths of each configuration of P (R, n, 3), shape (R, E).
 
-    Each edge vector is dotted with itself as ``np.linalg.norm`` does it
-    (a vector-vector matmul is a dot), so a length has the bits of
-    ``np.linalg.norm(p[a] - p[b])``.
+    Each edge vector d is divided by the power of two 2^e above max|d|
+    (``sphere._exponent``, the package's one scaling rule, with d as a
+    configuration of one vertex), dotted with itself as ``np.linalg.norm``
+    does it (a vector-vector matmul is a dot), and its root multiplied by
+    2^e.  So a length has the bits of ``np.linalg.norm(p[a] - p[b])``
+    wherever that forms no square beyond the float range, and no square
+    underflows or overflows at any scale or spread of scales.
     """
     a, b = _EDGE_ENDS[kind]
-    D = P[:, a] - P[:, b]
-    return np.sqrt((D[..., None, :] @ D[..., :, None])[..., 0, 0])
+    D = (P[:, a] - P[:, b])[..., None, :]
+    e = _exponent(D)
+    D = np.ldexp(D, -e)
+    return np.ldexp(np.sqrt((D @ D.swapaxes(-1, -2))[..., 0, 0]), e[..., 0, 0])
 
 
 def _spread(lengths) -> np.ndarray:

@@ -18,6 +18,13 @@ zeros are exact.
 Every step runs over a leading batch axis: ``hessian_spectrum_batch``
 takes a batch of configurations, and ``hessian_spectrum``,
 ``field_jacobian`` and ``asymmetry_ratio`` are batches of one.
+``_field_jvp`` returns J's columns contiguous, row k holding J e_k: they
+are the rows of A^T for the shifted Jacobian A below, so the projected
+Jacobian is formed on one plain copy of them, and they are scaled back
+in place by an exact ``np.ldexp``.  A single spectrum costs mostly calls,
+not arithmetic: pi, the eigvals wrapper and a few dozen numpy calls on
+(1, ...) arrays; in a batch a row costs the kernel, LAPACK and the
+per-row Python of its ``Spectrum``.
 
 Whether a field variant is a gradient is a property of the raw field,
 not of the projection: the raw field Jacobian is symmetric exactly for
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,15 +85,19 @@ def field_jacobian(kind: str, variant: str, p) -> np.ndarray:
     return np.ldexp(J[0], e[0])
 
 
-def _asymmetry(J) -> np.ndarray:
+def _asymmetry(J) -> list:
     """The Frobenius ratios |J - J^T| / |J| of the Jacobians J (B, m, m), 0 where J = 0.
 
     Each sum of squares runs in the order ``np.linalg.norm`` takes on one
     of them, a transposed view: J - J^T row by row, J column by column.
+    Both are rows of one stack, so one vecdot and one sqrt form every norm.
     """
-    D, T = (J - J.swapaxes(1, 2)).reshape(len(J), -1), J.swapaxes(1, 2).reshape(len(J), -1)
-    nj = np.sqrt(np.vecdot(T, T))
-    return np.sqrt(np.vecdot(D, D)) / np.where(nj == 0.0, np.inf, nj)
+    S = np.empty((2,) + J.shape)
+    np.subtract(J, J.swapaxes(1, 2), out=S[0])
+    S[1] = J.swapaxes(1, 2)
+    S = S.reshape(2, len(J), -1)
+    d, j = np.sqrt(np.vecdot(S, S)).tolist()
+    return [a / b if b else 0.0 for a, b in zip(d, j)]
 
 
 @elements._overflow_raised
@@ -98,7 +110,7 @@ def asymmetry_ratio(kind: str, variant: str, p) -> float:
     overflows: the ratio does not depend on the scale of p.
     """
     J = _raw_jacobian(kind, variant, elements._check(kind, variant, p)[None])[1]
-    return float(_asymmetry(J)[0])
+    return _asymmetry(J)[0]
 
 
 @dataclass(frozen=True)
@@ -158,23 +170,27 @@ def _projected_jacobian(kind, variant, Q):
 
     T is never formed: T A is tau applied to each column of A, and w^T T
     is w with its last vertex row replaced by minus the sum of the others.
+    The columns are ``_field_jvp``'s rows J e_k: one copy of them takes
+    the diagonal shift, and tau subtracts each one's last vertex block.
     The last vertex's three rows of J_G are exactly zero: tau zeroes them
-    in T A, and u is zero there.
+    in T A, and u is zero there.  J_X is returned as the transposed view
+    of the columns.
     """
-    X, JX, e = _raw_jacobian(kind, variant, Q)
-    scale = np.ldexp(1.0, e)  # e <= 1 on N: 2^e is formed once and multiplies
-    X *= scale * scale
-    JX *= scale
-    (B, n, _), m = Q.shape, JX.shape[1]
+    (B, n, _), m = Q.shape, 3 * Q.shape[1]
+    P = np.ascontiguousarray(Q.swapaxes(1, 2))  # component-major rows, as the flow's
+    X, JE, e = elements._field_jvp(kind, variant, P.swapaxes(1, 2))
+    JXt = JE.reshape(B, m, m)  # row k: J e_k, column k of J_X
+    np.ldexp(X, 2 * e, out=X)  # exact: e <= 1 on N
+    np.ldexp(JXt, e, out=JXt)
     push = _push_buffers(B, n)
-    s = _push(np.ascontiguousarray(Q.swapaxes(1, 2)), X.swapaxes(1, 2), push)[1][:, None]
-    At = JX.swapaxes(1, 2).copy()  # row k: column k of A = J_X - <t, u> I
+    s = _push(P, X.swapaxes(1, 2), push)[1][:, None]
+    At = JXt.copy()  # row k: column k of A = J_X - <t, u> I
     At.reshape(B, -1)[:, ::m + 1] -= s
     TA = tau(At.reshape(B, m, n, 3)).reshape(B, m, m).swapaxes(1, 2)
     w = push.t.reshape(B, 3, n).swapaxes(1, 2) + s[..., None] * Q  # t + <t, u> u
     w[:, -1] = -w[:, :-1].sum(axis=1)
     q = Q.reshape(B, 1, m)
-    return TA - q.swapaxes(1, 2) * (q @ TA + w.reshape(B, 1, m)), JX
+    return TA - q.swapaxes(1, 2) * (q @ TA + w.reshape(B, 1, m)), JXt.swapaxes(1, 2)
 
 
 def _spectra(kind, variant, Q) -> list:
@@ -188,12 +204,15 @@ def _spectra(kind, variant, Q) -> list:
     ev = np.linalg.eigvals(JG[:, :m, :m])
     real = np.zeros((B, m + 3))  # the last three: the pinned vertex's exact zeros
     real[:, :m] = ev.real
+    # argsort, not real.sort(): the two order -0.0 and 0.0 differently
     values = real[np.arange(B)[:, None], real.argsort(axis=1)]
-    zeros = (np.abs(values) < ZERO_TOL).sum(axis=1).tolist()
-    return [Spectrum(eigenvalues=v, groups=_group(vs, GROUPING_TOL), zero_count=z,
+    # zero_count: the sorted values in (-ZERO_TOL, ZERO_TOL), all finite (eigvals
+    # refuses a matrix that is not)
+    return [Spectrum(eigenvalues=v, groups=_group(vs, GROUPING_TOL),
+                     zero_count=bisect_left(vs, ZERO_TOL) - bisect_right(vs, -ZERO_TOL),
                      asymmetry_ratio=r, max_imag=i)
-            for v, vs, z, r, i in zip(values, values.tolist(), zeros, _asymmetry(JX).tolist(),
-                                      np.abs(ev.imag).max(axis=1).tolist())]
+            for v, vs, r, i in zip(values, values.tolist(), _asymmetry(JX),
+                                   np.abs(ev.imag).max(axis=1).tolist())]
 
 
 def hessian_spectrum_batch(kind: str, variant: str, P) -> list:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import polyflow as pf
+from polyflow import elements, sphere
 
 from conftest import finite_points
 
@@ -124,6 +125,36 @@ def test_field_batch_layouts_agree(rng, kind, variant, size):
                          out=X.swapaxes(1, 2))
     assert got.base is X
     assert X.swapaxes(1, 2).tobytes() == pf.field_batch(kind, variant, P).tobytes()
+
+
+@pytest.mark.parametrize("B", [1, 7])
+@pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+def test_field_jvp_rows_are_the_kernels(rng, kind, variant, B):
+    # _field_jvp builds its rows as the kernel's batch-minor rows; they are
+    # the vertex-major rows [c, c + e_j] and [c, c + v, c - v] at the
+    # centered rows divided by 2^e, and field_batch on those gives its
+    # field, its basis columns and its products, bit for bit, at any scale
+    n = pf.VERTEX_COUNT[kind]
+    basis = np.eye(3 * n + 1, 3 * n, -1).reshape(-1, n, 3)  # [0, e_1, ..., e_3n]
+    for k in range(-600, 601, 200):
+        C = np.ldexp(rng.normal(size=(B, n, 3)), k)
+        c = sphere._center(np.ascontiguousarray(C.swapaxes(1, 2))).swapaxes(1, 2)
+        e = sphere._exponent(c)
+        c = np.ldexp(c, -e)[:, None]
+        rows = c + basis
+        Y = pf.field_batch(kind, variant, rows.reshape(-1, n, 3)).reshape(rows.shape)
+        X, JE, f = elements._field_jvp(kind, variant, C)
+        assert JE.flags.c_contiguous and JE.shape == (B, 3 * n, n, 3)
+        assert (X.tobytes(), JE.tobytes(), f.tobytes()) == (
+            Y[:, 0].tobytes(), (Y[:, 1:] - Y[:, :1]).tobytes(), e.tobytes())
+        V = rng.normal(size=(B, 4, n, 3)) * 10.0 ** rng.uniform(-3, 3, size=(B, 4, 1, 1))
+        g = sphere._exponent(V)
+        v = np.ldexp(V, -g)
+        rows = np.concatenate((c, c + v, c - v), axis=1)
+        Y = pf.field_batch(kind, variant, rows.reshape(-1, n, 3)).reshape(rows.shape)
+        X, JV, f = elements._field_jvp(kind, variant, C, V)
+        assert (X.tobytes(), JV.tobytes(), f.tobytes()) == (
+            Y[:, 0].tobytes(), np.ldexp(Y[:, 1:5] - Y[:, 5:], g - 1).tobytes(), e.tobytes())
 
 
 @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
@@ -359,11 +390,14 @@ _VOLUME_ENTRIES = ("mean_volume", "mean_volume_batch")
 # The entries that form the Jacobian at p divided by a power of two.
 _JACOBIAN_ENTRIES = ("field_jacobian", "asymmetry_ratio")
 
+# Every entry that measures p divided by a power of two and scales back.
+_SCALED_ENTRIES = _JACOBIAN_ENTRIES + ("shape_metrics",)
+
 
 @pytest.mark.parametrize("name,case", [
-    *[(name, "scaled") for name in _UNPROJECTED_ENTRIES if name not in _JACOBIAN_ENTRIES],
+    *[(name, "scaled") for name in _UNPROJECTED_ENTRIES if name not in _SCALED_ENTRIES],
     *[(name, "one coordinate") for name in _UNPROJECTED_ENTRIES
-      if name not in ("field", "f_value") and name not in _VOLUME_ENTRIES + _JACOBIAN_ENTRIES]])
+      if name not in ("field", "f_value") and name not in _VOLUME_ENTRIES + _SCALED_ENTRIES]])
 def test_an_overflow_is_one_error(name, case):
     # finite coordinates whose arithmetic overflows: every product of two
     # coordinates when scaled by 1e200; at one coordinate of 1e200, <c, c>
@@ -396,6 +430,48 @@ def test_the_jacobian_entries_do_not_overflow(case):
         ratio = pf.asymmetry_ratio("tetrahedron", pf.GRADIENT, p)
     assert np.isfinite(J).all() and np.abs(J).max() > 1e199
     assert 0.0 <= ratio < 1e-13  # a gradient field: J is symmetric
+
+
+def _scaled_lengths(metrics, k):
+    """The metrics with both edge lengths multiplied by 2^k."""
+    return {**metrics, "edge_length_min": np.ldexp(metrics["edge_length_min"], k),
+            "edge_length_max": np.ldexp(metrics["edge_length_max"], k)}
+
+
+@pytest.mark.parametrize("kind", pf.KINDS)
+def test_shape_metrics_do_not_depend_on_the_scale(rng, kind):
+    # measured at p, and each edge, divided by a power of two: at 2^k p the
+    # edge lengths are 2^k times p's and the rest is p's, bit for bit; at
+    # 1e+-160 and 1e-170 (where p's squares underflow) no square overflows
+    # or underflows, and the values are those of the configuration brought
+    # into range by an exact power of two
+    p = rng.normal(size=(pf.VERTEX_COUNT[kind], 3))
+    metrics = pf.shape_metrics(kind, p)
+    for k in (560, -560):
+        assert pf.shape_metrics(kind, np.ldexp(p, k)) == _scaled_lengths(metrics, k)
+    for scale in (1e160, 1e-160, 1e-170):
+        far = scale * p
+        k = int(np.frexp(np.abs(far).max())[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pf.shape_metrics(kind, far)
+        assert got == _scaled_lengths(pf.shape_metrics(kind, np.ldexp(far, -k)), k)
+        assert got["edge_length_max"] == pytest.approx(scale * metrics["edge_length_max"],
+                                                       rel=1e-15)
+        assert got["orientation_sign"] == metrics["orientation_sign"] != 0
+
+
+def test_shape_metrics_of_a_far_vertex():
+    # one coordinate of 1e200: each edge is measured at its own power of
+    # two, so the unit edges keep their length beside the far ones
+    p = pf.reference_optimal("tetrahedron")
+    p[1, 2] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pf.shape_metrics("tetrahedron", p)
+    assert got["edge_length_min"] == pytest.approx(1.0, rel=1e-15)
+    assert got["edge_length_max"] == pytest.approx(1e200, rel=1e-15)
+    assert got["edge_length_spread"] == 1.0
 
 
 @pytest.mark.parametrize("big", [1e90, 1e120, 1e200])

@@ -349,6 +349,22 @@ class TestSpectrumBatch:
             assert (got.groups, got.zero_count, got.max_imag) == (
                 alone.groups, alone.zero_count, alone.max_imag)
 
+    @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+    def test_one_derivative_one_push_one_solve(self, monkeypatch, rng, kind, variant):
+        # a batch runs the one derivative, the one push and one eigen-solve
+        # of shape (B, m, m) over all of its rows: no call per row
+        calls = []
+
+        def counted(name, fun, rows):  # rows: the position of the argument of rows
+            return lambda *args: calls.append((name, np.shape(args[rows]))) or fun(*args)
+        monkeypatch.setattr(elements, "_field_jvp", counted("jvp", elements._field_jvp, 2))
+        monkeypatch.setattr(spectral, "_push", counted("push", spectral._push, 0))
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals, 0))
+        n = pf.VERTEX_COUNT[kind]
+        pf.hessian_spectrum_batch(kind, variant, rng.normal(size=(5, n, 3)))
+        m = 3 * n - 3
+        assert calls == [("jvp", (5, n, 3)), ("push", (5, 3, n)), ("eigvals", (5, m, m))]
+
 
 # The Euler step bounds per pair, from the spectrum at the optimum: s*, the
 # step of fastest contraction, and s_max, the largest stable step.
