@@ -153,16 +153,20 @@ def _field_plan(kind, variant, P, out=None):
     One row gather (``take(axis=0)``) reads the factors of both products
     of every folded pair's cross product.  One matrix product of those
     products prod (2K, 3B) with W = [S | -S] subtracts and contracts
-    them.  The batch sits on the M axis of that product, ``prod.T @ W.T``
-    (numpy hands the transposed view to gemm without a copy): each
-    configuration is three rows of one gemm, and its value does not
-    depend on B.
+    them.  The batch sits on the M axis of that product,
+    ``np.dot(prod.T, W.T)`` (numpy hands the transposed view to gemm
+    without a copy): each configuration is three rows of one gemm, and
+    its value does not depend on B.  ``np.dot`` runs the gemm that
+    ``np.matmul`` runs, with the same bits (a test holds it to that),
+    for about half of matmul's fixed cost at B = 1.
 
-    Each run returns ``out``, a (B, n, 3) view of component-major rows
-    (B, 3, n), with the field written in: at B = 1 the gemm writes the
-    rows in place, at B > 1 its (3, B, n) result, a buffer of the plan,
-    is copied in, with the same bits.  Without out a run returns a
-    (B, n, 3) view of that buffer.
+    Each run returns ``out``, a (B, n, 3) view, with the field written
+    in.  Where out's (3, B, n) transpose is C-contiguous, as the
+    component-major rows (1, 3, n) of a batch of one are, the gemm writes
+    into it in place (``np.dot`` takes only a C-contiguous ``out``);
+    into any other out, such as the rows (B, 3, n) at B > 1, its
+    (3, B, n) result, a buffer of the plan, is copied, with the same
+    bits.  Without out a run returns a (B, n, 3) view of that buffer.
     """
     try:
         factors, WT = _COMPILED[kind, variant]
@@ -171,9 +175,12 @@ def _field_plan(kind, variant, P, out=None):
         raise
     B, n, _ = P.shape
     Q, flat = P.transpose(2, 1, 0).reshape(3 * n, B), (-1, 3 * B)
-    target = out[0].T if out is not None and B == 1 else np.empty((3 * B, n))
+    into = None if out is None else out.transpose(2, 0, 1)  # (3, B, n)
+    if into is not None and into.flags.c_contiguous:
+        target, copy_to = into.reshape(3 * B, n), None
+    else:
+        target, copy_to = np.empty((3 * B, n)), into
     result = target.reshape(3, B, n)
-    copy_to = None if out is None or B == 1 else out.transpose(2, 0, 1)
     if out is None:
         out = result.transpose(1, 2, 0)
 
@@ -187,7 +194,7 @@ def _field_plan(kind, variant, P, out=None):
         F = Q.take(factors, axis=0)  # (2, 2, K, 3, B)
         prod = F[0]
         prod *= F[1]
-        np.matmul(prod.reshape(flat).T, WT, out=target)
+        np.dot(prod.reshape(flat).T, WT, out=target)
         if copy_to is not None:
             copy_to[...] = result
         return out
@@ -364,7 +371,8 @@ class _MeasureBuffers(NamedTuple):
     (2, B, 3n) as the operands of dots, the (2, 2, B) inner products
     [[<c, c>, <c, X>], [<X, c>, <X, X>]] of every pair; cc and xc are two
     of them; norms (2, B) holds the roots [|c|, |X|] of the diagonal
-    [<c, c>, <X, X>], from one ``np.sqrt``; q is q_c (B,).
+    [<c, c>, <X, X>], from one ``np.sqrt``; q is q_c (B,).  dots is laid
+    out so that its diagonal is one contiguous (2, B) block.
     """
 
     C: np.ndarray
@@ -381,7 +389,10 @@ class _MeasureBuffers(NamedTuple):
 
 def _measure_buffers(B, n):
     """The :class:`_MeasureBuffers` of B configurations of n vertices."""
-    S, dots = np.empty((2, B, 3, n)), np.empty((2, 2, B))
+    S, rows = np.empty((2, B, 3, n)), np.empty((2, 2, B))
+    # dots[i, j] is rows[i, 1 - j]: the diagonal, rows[0, 1] and rows[1, 0],
+    # is one contiguous (2, B) block
+    dots = rows[:, ::-1]
     s = S.reshape(2, B, 3 * n)
     return _MeasureBuffers(S[0], S[1], np.empty((B, 3)), s[:, None], s[None], dots,
                            dots[0, 0], dots[1, 0], np.empty((2, B)), np.empty(B))
@@ -394,22 +405,24 @@ def _measure_plan(kind, variant, P, out):
     :func:`_measure_buffers`, and returns out.  The centering
     (``sphere._center_plan``) and the field kernel (:func:`_field_plan`,
     on the (B, n, 3) views of C and X) are built here, on out's views,
-    and so is the strided (2, B) view of dots' diagonal [<c, c>, <X, X>],
-    whose one ``np.sqrt`` gives norms [|c|, |X|]: sqrt is elementwise, so
-    each root has the bits of a call of its own.
+    and so is the (2, B) view of dots' diagonal [<c, c>, <X, X>], one
+    contiguous block (:func:`_measure_buffers`), whose one ``np.sqrt``
+    gives norms [|c|, |X|]: sqrt is elementwise, so each root has the
+    bits of a call of its own, and a contiguous block takes it at about
+    half the cost of a strided one at B = 1.
     """
     C, X, centroid, left, right, dots, cc, xc, norms, q = out
     center = _center_plan(P, C, centroid)
     field = _field_plan(kind, variant, C.swapaxes(1, 2), X.swapaxes(1, 2))
     diagonal, c_norm = dots.diagonal().T, norms[0]
 
-    def run():
+    def run():  # each call's out is its last operand, as in sphere._center_plan
         center()
         field()
-        np.vecdot(left, right, out=dots)  # one call forms every dot, a spare <c, X> too
-        np.sqrt(diagonal, out=norms)
-        np.multiply(cc, c_norm, out=q)
-        np.divide(xc, q, out=q)
+        np.vecdot(left, right, dots)  # one call forms every dot, a spare <c, X> too
+        np.sqrt(diagonal, norms)
+        np.multiply(cc, c_norm, q)
+        np.divide(xc, q, q)
         return out
 
     return run

@@ -38,7 +38,7 @@ when rows stop.  It holds the buffers and three plans, zero-argument
 calls built once on its views: the state's and the candidate's measure
 (``elements._measure_plan``) and the push (``sphere._push_plan``).  An
 iteration runs them and builds no view.  Every step writes into the
-workspace through ufunc ``out=`` arguments, with the same operations as
+workspace through ufunc ``out`` arguments, with the same operations as
 on fresh arrays, so the runs are bit for bit the same; ``record``
 receives workspace views, valid only during the call.  The step w is
 formed before the convergence test, so that one ``vecdot`` of the
@@ -47,6 +47,15 @@ residual |r| and the step's norm |w|; sqrt is elementwise, so a root
 taken in a stack has the bits of a root taken alone.  The workspace
 lives here alone: it adapts the general buffers and plans of
 ``elements._measure`` and ``sphere._push``.
+
+At B = 1 an iteration is about two dozen numpy calls on arrays of a few
+dozen entries, and their fixed cost, not their arithmetic, is its time.
+So the loop binds its calls to locals once, passes each ``out`` by
+position, and writes both of its tests, |r| < tol and q_c not falling,
+into bool buffers of the workspace; the plans pass their ``out`` by
+position too, the field kernel contracts with ``np.dot``, and the
+measure's one ``np.sqrt`` reads a contiguous diagonal.  None of this
+changes an operation, so no bit changes either.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ from .sphere import (DegenerateConfigurationError, _column, _exponent, _push, _p
                      _push_plan, is_collinear, pi, sigma)
 
 # psi's divisor sqrt|X| from the measure's root |X|: the loop's one named
-# call for it, looked up on every step (tests replace it to inject a zero).
+# call for it, looked up once per run (tests replace it to inject a zero).
 _psi_divisor = np.sqrt
 
 # The relative slack of the q_c monitor: a step that lowers q_c by more
@@ -223,8 +232,9 @@ def _workspace(kind, variant, B, n):
     of X at P, whose r (B, 3n) is stacked with the step w in
     rw (2, B, 3n); w; dots [<r, r>, <w, w>] (2, B) and their roots
     [|r|, |w|] (2, B); the residual |r| and the step's norm |w| (B,),
-    with the norm's column view; and psi's divisor (B,) with its column
-    view.
+    with the norm's column view; psi's divisor (B,) with its column
+    view; and the bool (B,) results of the loop's two tests, |r| < tol
+    and q_c not falling.
     """
     P, rw, roots = np.empty((B, 3, n)), np.empty((2, B, 3 * n)), np.empty((2, B))
     divisor, column = np.empty(B), _column(B)
@@ -234,7 +244,7 @@ def _workspace(kind, variant, B, n):
             _measure_plan(kind, variant, P, candidate), state.q, candidate.q, state.X,
             state.norms[1], _push_plan(P, state.X, _push_buffers(B, n)._replace(r=rw[0])), rw,
             rw[1], np.empty((2, B)), roots, roots[0], roots[1], roots[1].reshape(column),
-            divisor, divisor.reshape(column))
+            divisor, divisor.reshape(column), np.empty(B, dtype=bool), np.empty(B, dtype=bool))
 
 
 def _flow(kind, variant, P0, settings, record=None):
@@ -247,7 +257,8 @@ def _flow(kind, variant, P0, settings, record=None):
     """
     B, n, _ = P0.shape
     (P, p, measure, measure_candidate, Q, Qn, X, x_norm, push, rw, w, dots, roots, residual,
-     norm, norm_column, divisor, divisor_column) = _workspace(kind, variant, B, n)
+     norm, norm_column, divisor, divisor_column, converged,
+     monotone) = _workspace(kind, variant, B, n)
     P[...] = P0.swapaxes(1, 2)
     measure()  # the start's X, q_c in Q and |X|, psi's divisor's source
     bound = 3.0 * float(x_norm.max())
@@ -261,7 +272,12 @@ def _flow(kind, variant, P0, settings, record=None):
     rows = np.arange(B)  # the output row of each running configuration
     # 0-d operands: numpy converts a Python float operand on every call
     step, tol, last = np.array(settings.step), np.array(settings.tol), settings.max_iters
-    psi = settings.normalization == "psi"
+    psi, psi_divisor = settings.normalization == "psi", _psi_divisor
+    # The loop's calls, bound once, each with its out by position (the last
+    # operand): at B = 1 a numpy call costs about as much as its arithmetic,
+    # and a global lookup or an out= keyword adds to that.
+    add, divide, multiply, sqrt, vecdot = np.add, np.divide, np.multiply, np.sqrt, np.vecdot
+    less, greater_equal, count_nonzero = np.less, np.greater_equal, np.count_nonzero
     # A step whose norm is zero, overflows or is not finite gives a NaN q_c,
     # which the monitor catches; numpy's warnings about it are muted.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -274,25 +290,24 @@ def _flow(kind, variant, P0, settings, record=None):
             if psi:
                 # push_tangent is linear and psi(X) = X / sqrt|X|, so the step
                 # push_tangent(P, psi(X)) is r / sqrt|X|.
-                _psi_divisor(x_norm, out=divisor)
-                np.divide(r, divisor_column, out=w)
-                np.multiply(step, w, out=w)
+                psi_divisor(x_norm, out=divisor)
+                divide(r, divisor_column, w)
+                multiply(step, w, w)
             else:
-                np.multiply(step, r, out=w)
-            np.add(p, w, out=w)  # pinned already
-            np.vecdot(rw, rw, out=dots)
-            np.sqrt(dots, out=roots)
+                multiply(step, r, w)
+            add(p, w, w)  # pinned already
+            vecdot(rw, rw, dots)
+            sqrt(dots, roots)
             if record is not None:
-                record(it, P, np.vecdot(X.reshape(p.shape), p), residual, lam)
-            converged = residual < tol
-            if np.count_nonzero(converged) or it == last:
+                record(it, P, vecdot(X.reshape(p.shape), p), residual, lam)
+            if count_nonzero(less(residual, tol, converged)) or it == last:
                 stop = converged | (it == last)
                 out["p"][rows[stop]] = P[stop].swapaxes(1, 2)
                 for key, value in zip(("residual", "lam", "converged"),
                                       (residual, lam, converged)):
                     out[key][rows[stop]] = value[stop]
                 out["iterations"][rows[stop]] = it
-                if np.count_nonzero(stop) == len(stop):
+                if count_nonzero(stop) == len(stop):
                     break
                 # The running rows move to a workspace of their size, with
                 # q_c, w and |w|: the normalized step and its measure write
@@ -300,15 +315,15 @@ def _flow(kind, variant, P0, settings, record=None):
                 keep, running = ~stop, (Q, w, norm)
                 rows = rows[keep]
                 (P, p, measure, measure_candidate, Q, Qn, X, x_norm, push, rw, w, dots, roots,
-                 residual, norm, norm_column, divisor,
-                 divisor_column) = _workspace(kind, variant, len(rows), n)
+                 residual, norm, norm_column, divisor, divisor_column, converged,
+                 monotone) = _workspace(kind, variant, len(rows), n)
                 for a, b in zip(running, (Q, w, norm)):
                     np.compress(keep, a, axis=0, out=b)
-            np.divide(w, norm_column, out=p)
+            divide(w, norm_column, p)
             measure_candidate()
             # One test catches a q_c drop and the NaN q_c of a bad norm.
-            if np.count_nonzero(Qn >= Q) < len(Q):
-                if np.count_nonzero(np.isnan(Qn)):
+            if count_nonzero(greater_equal(Qn, Q, monotone)) < len(Q):
+                if count_nonzero(np.isnan(Qn)):
                     # A zero, overflowing or non-finite norm: sigma normalizes
                     # every step at the power of two above its largest entry
                     # (the other rows keep their bits), or raises.
@@ -317,7 +332,7 @@ def _flow(kind, variant, P0, settings, record=None):
                     except DegenerateConfigurationError as exc:
                         raise FlowDivergenceError(it) from exc
                     measure_candidate()
-                out["monotone_breaks"] += int(np.count_nonzero(
+                out["monotone_breaks"] += int(count_nonzero(
                     Q - Qn > ACCEPT_SLACK * np.maximum(1.0, np.abs(Q))))
             measure, measure_candidate, Q, Qn = measure_candidate, measure, Qn, Q
     return out
@@ -368,12 +383,14 @@ def shape_metrics(kind: str, p) -> dict:
 
     Every quantity follows the package's one scaling rule
     (``sphere._exponent``): each edge length is taken at its edge vector
-    divided by a power of two and scaled back, and the planarity defect
-    and the orientation, the sign of the volume, at p so divided.  So the
-    lengths scale exactly with p and the rest does not depend on the
-    scale.  Where the coordinates span about a hundred orders of
-    magnitude the volume still underflows at the divided p, and the
-    orientation reads 0; an edge length that is not a float raises as an
+    divided by a power of two and scaled back, the planarity defect at p
+    so divided, and the orientation, the sign of the volume, at the
+    divided p times 2^``_VOLUME_EXPONENT``, where the volume is as far
+    from underflow as its arithmetic is from overflow.  So the lengths
+    scale exactly with p and the rest does not depend on the scale, and
+    the orientation reads 0 only where |volume| / max|p|^3 is below
+    about 2^-2000: a far vertex at 1e200 beside unit edges keeps the
+    sign of its volume.  An edge length that is not a float raises as an
     overflow does.
     """
     p = elements._check(kind, elements.GRADIENT, p)
@@ -389,7 +406,7 @@ def shape_metrics(kind: str, p) -> dict:
         edges = [np.linalg.norm(b - a), np.linalg.norm(c - b),
                  np.linalg.norm(d - c), np.linalg.norm(a - d)]
         planarity = max(planarity, abs(np.dot(d - a, nrm / nn)) / np.mean(edges))
-    vol = elements.mean_volume(kind, p)
+    vol = elements.mean_volume(kind, np.ldexp(p, _VOLUME_EXPONENT))
     return {
         "edge_length_min": float(lengths.min()),
         "edge_length_max": float(lengths.max()),
@@ -398,6 +415,11 @@ def shape_metrics(kind: str, p) -> dict:
         "orientation_sign": int(np.sign(vol)),
     }
 
+
+# shape_metrics' orientation is the sign of the volume at p scaled to a
+# max|entry| in [2^329, 2^330): a product of three centered coordinates is
+# below 2^993 there, and the volume's sums of them stay below 2^1010.
+_VOLUME_EXPONENT = 330
 
 # Per kind: the 0-based end vertices of the canonical edges, as index arrays.
 _EDGE_ENDS = {kind: tuple(np.array(edges).T - 1) for kind, edges in elements.EDGES.items()}

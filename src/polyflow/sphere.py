@@ -50,8 +50,10 @@ def _center_plan(P, out, centroid):
     mean, column = _mean(P.shape[-1]), centroid[..., None]
 
     def run():
-        np.vecdot(P, mean, out=centroid)
-        return np.subtract(P, column, out=out)
+        # each call's out is its last operand: by position it costs less than
+        # the out= keyword, a tenth of a call on a configuration or two
+        np.vecdot(P, mean, centroid)
+        return np.subtract(P, column, out)
 
     return run
 
@@ -181,11 +183,11 @@ def _push_plan(P, X, out):
     t, r, lam = out
     T, column = t.reshape(B, 3, n), lam.reshape(_column(B))
 
-    def run():
-        np.subtract(X, last, out=T)  # the last column is exactly 0
-        np.vecdot(t, p, out=lam)
-        np.multiply(column, p, out=r)
-        np.subtract(t, r, out=r)
+    def run():  # each call's out is its last operand, as in _center_plan
+        np.subtract(X, last, T)  # the last column is exactly 0
+        np.vecdot(t, p, lam)
+        np.multiply(column, p, r)
+        np.subtract(t, r, r)
         return r, lam
 
     return run

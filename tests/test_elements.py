@@ -127,6 +127,40 @@ def test_field_batch_layouts_agree(rng, kind, variant, size):
     assert X.swapaxes(1, 2).tobytes() == pf.field_batch(kind, variant, P).tobytes()
 
 
+def _matmul_field(kind, variant, P):
+    """The kernel's gather and products on P (B, n, 3), contracted by ``np.matmul``: (B, n, 3)."""
+    factors, WT = elements._COMPILED[kind, variant]
+    B, n, _ = P.shape
+    F = P.transpose(2, 1, 0).reshape(3 * n, B).take(factors, axis=0)
+    prod = F[0] * F[1]
+    return np.matmul(prod.reshape(-1, 3 * B).T, WT).reshape(3, B, n).transpose(1, 2, 0)
+
+
+@pytest.mark.parametrize("kind,variant", sorted(elements._COMPILED))
+def test_the_kernels_dot_is_matmuls_gemm(rng, kind, variant):
+    # The kernel contracts with np.dot, which costs about half of np.matmul
+    # at B = 1, on the assumption that both run the same gemm on these
+    # operands and round alike.  This holds it on every compiled pair: at
+    # batch sizes about a gemm's blocking, into the kernel's own buffer,
+    # into component-major rows in place (B = 1) or through a copy
+    # (B > 1), and on _field_jvp's 3n + 1 and 2k + 1 rows, which it hands
+    # over as the transposed view of batch-minor rows.  A numpy or BLAS
+    # update that breaks it fails here, by name, before any flow does.
+    n = pf.VERTEX_COUNT[kind]
+    for B in (1, 2, 3, 100, 512):
+        P = rng.normal(size=(B, n, 3))
+        want = _matmul_field(kind, variant, P).tobytes()
+        assert pf.field_batch(kind, variant, P).tobytes() == want, B
+        X = np.empty((B, 3, n))
+        pf.field_batch(kind, variant, P, out=X.swapaxes(1, 2))
+        assert X.swapaxes(1, 2).tobytes() == want, B
+    for B, k in ((1, None), (3, None), (1, 2), (7, 4)):
+        size = B * (3 * n + 1 if k is None else 2 * k + 1)
+        P = rng.normal(size=(3, n, size)).T  # the (B r, n, 3) view of batch-minor rows
+        assert (pf.field_batch(kind, variant, P).tobytes()
+                == _matmul_field(kind, variant, P).tobytes()), (B, k)
+
+
 @pytest.mark.parametrize("B", [1, 7])
 @pytest.mark.parametrize("kind,variant", ALL_PAIRS)
 def test_field_jvp_rows_are_the_kernels(rng, kind, variant, B):
@@ -472,6 +506,20 @@ def test_shape_metrics_of_a_far_vertex():
     assert got["edge_length_min"] == pytest.approx(1.0, rel=1e-15)
     assert got["edge_length_max"] == pytest.approx(1e200, rel=1e-15)
     assert got["edge_length_spread"] == 1.0
+    assert got["orientation_sign"] == -1 == np.sign(pf.mean_volume("tetrahedron", p))
+
+
+@pytest.mark.parametrize("far", [1e100, 1e200])
+@pytest.mark.parametrize("kind", pf.KINDS)
+def test_shape_metrics_orientation_of_a_far_vertex(kind, far):
+    # with vertex 1 at z = far beside unit edges, the volume underflows at
+    # p divided by the power of two above its largest entry, though it is
+    # a float at p; the orientation is its sign all the same
+    p = pf.reference_optimal(kind)
+    p[0, 2] = far
+    volume = pf.mean_volume(kind, p)
+    assert volume != 0.0
+    assert pf.shape_metrics(kind, p)["orientation_sign"] == np.sign(volume)
 
 
 @pytest.mark.parametrize("big", [1e90, 1e120, 1e200])

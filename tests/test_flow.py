@@ -607,22 +607,43 @@ def _unfused_flow(kind, variant, P0, settings=pf.FlowSettings()):
     return out
 
 
-@pytest.mark.parametrize("kind,variant", ALL_PAIRS)
-def test_fused_roots_keep_every_bit(kind, variant):
+@pytest.mark.parametrize("kind,variant,normalization", [
+    pytest.param(kind, variant, normalization,
+                 id=f"{kind}-{variant}" + ("-none" if normalization == "none" else ""))
+    for normalization in ("psi", "none") for kind, variant in ALL_PAIRS])
+def test_fused_roots_keep_every_bit(kind, variant, normalization):
     # the measure's one sqrt of [<c, c>, <X, X>], psi's divisor as the root
     # of |X|, and one sqrt of [<r, r>, <w, w>] (with |w| carried over when
     # rows stop) end every flow as the unfused step does, bit for bit: in
-    # a batch whose rows stop at different iterations, and alone
+    # a batch whose rows stop at different iterations, and alone, with
+    # psi and without it
+    settings = pf.FlowSettings(normalization=normalization)
     P0 = np.stack([pf.random_configuration(kind, s, variant) for s in range(10)])
-    runs = [(P0, pf.integrate_batch(kind, variant, P0))]
+    runs = [(P0, pf.integrate_batch(kind, variant, P0, settings))]
     assert len(set(runs[0][1]["iterations"].tolist())) > 5
-    runs += [(P0[i:i + 1], pf.integrate_batch(kind, variant, P0[i:i + 1]))
+    runs += [(P0[i:i + 1], pf.integrate_batch(kind, variant, P0[i:i + 1], settings))
              for i in range(len(P0))]
     for start, got in runs:
-        want = _unfused_flow(kind, variant, start)
+        want = _unfused_flow(kind, variant, start, settings)
         for key in ("p", "residual", "lam", "iterations", "converged"):
             assert got[key].tobytes() == want[key].tobytes(), key
         assert (got["halvings"], got["monotone_breaks"]) == (0, want["monotone_breaks"])
+
+
+@pytest.mark.parametrize("kind,variant", ALL_PAIRS)
+def test_recorded_flow_ends_as_the_batch_does(kind, variant):
+    # integrate runs the kernel with a record call on every iteration; its
+    # final row is integrate_batch's end of the same start, bit for bit
+    for seed in range(3):
+        p0 = pf.random_configuration(kind, seed, variant)
+        t = pf.integrate(kind, variant, p0)
+        out = pf.integrate_batch(kind, variant, p0[None])
+        assert len(t.points) == t.iterations + 1 == out["iterations"][0] + 1
+        assert t.p_final.tobytes() == out["p"][0].tobytes()
+        assert (np.float64(t.residual_final).tobytes(), np.float64(t.lam_final).tobytes()) == (
+            out["residual"][0].tobytes(), out["lam"][0].tobytes())
+        assert (t.converged, t.monotone_breaks) == (bool(out["converged"][0]),
+                                                     out["monotone_breaks"])
 
 
 def _rows(kind, variant, seeds):
@@ -695,6 +716,22 @@ class TestBufferContract:
         assert m.norms[0].tobytes() == np.sqrt(m.cc).tobytes()
         assert m.norms[1].tobytes() == np.sqrt(m.dots[1, 1]).tobytes()
         assert m.q.tobytes() == (m.xc / (m.cc * np.sqrt(m.cc))).tobytes()
+
+    def test_the_diagonal_of_dots_is_one_contiguous_block(self, kind, variant, B):
+        # dots[i, j] is <s_i, s_j> of the stack s = [c, X], as a (2, 2, B)
+        # array reads it, and its diagonal [<c, c>, <X, X>] is one
+        # contiguous (2, B) block of dots' memory, whose roots are norms
+        P = _rows(kind, variant, range(B))
+        buffers = _measure_buffers(B, P.shape[2])
+        diagonal = buffers.dots.diagonal().T
+        assert diagonal.flags.c_contiguous and np.shares_memory(diagonal, buffers.dots)
+        m = _measure(kind, variant, P, buffers)
+        s = np.stack([m.C, m.X]).reshape(2, B, -1)
+        for i, j in np.ndindex(2, 2):
+            assert m.dots[i, j].tobytes() == np.vecdot(s[i], s[j]).tobytes(), (i, j)
+        assert (m.cc.tobytes(), m.xc.tobytes()) == (m.dots[0, 0].tobytes(),
+                                                    m.dots[1, 0].tobytes())
+        assert m.norms.tobytes() == np.sqrt(diagonal).tobytes()
 
     def test_measure_returns_its_buffers(self, kind, variant, B):
         # callers read the measure by name from the record it returns: the
