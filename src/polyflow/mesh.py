@@ -11,28 +11,14 @@ and scale control comes from the per-element square-root rescaling.
 An element's quality is its centered quality q_c = <X, c> / |c|^3 (X
 its gradient field, c its vertices minus their centroid) over the
 kind's value at the optimal shape: the mean volume of the shape modulo
-translation and scaling, independent of the vertex numbering.  As it
-is read from the field, a sweep evaluates each element's field once,
-for its quality and for its step.
+translation and scaling, independent of the vertex numbering.
 
-A sweep makes one gather, one field pass and one scatter per kind, on
-the flow's component-major rows (E, 3, n): row e lists the x, then y,
-then z coordinates of element e's vertices.  One ``take`` of flat
-offsets, which the mesh compiles once for its topology (``Mesh.plan``),
-reads them into the rows of the kind's measure plan, built once per
-run (``elements._measure_plan``, which measures the flow's states too);
-it centers them, evaluates their field at the centered rows, so that
-q and the step stay exact far from the origin, and reads q_c from both,
-its volume <X, c> / 18 and <X, X>.  Every sum runs along an
-element's own row, so an element's q does not depend on how many
-elements share its kind.
-The step adds the field rows, divided by psi's divisor sqrt|X| read
-from that <X, X>, to the flat vertex array with one ``bincount`` over
-the same offsets.  ``smooth``, ``smooth_step`` and ``quality_report``
-run one loop of sweeps, which reports every state it reaches and steps
-one vertex array in place; ``smooth`` builds one Mesh, at the end.
-A :class:`SmoothSettings` holds the three values that define a run: the
-step, the sweep budget and the stop rule.
+A sweep evaluates each element's field once, for its quality and its
+step, through the mesh's sweep operator (:func:`_sweep_plan` describes
+it).  ``smooth``, ``smooth_step`` and ``quality_report`` run one loop
+of sweeps, which reports every state it reaches and steps one vertex
+array in place; ``mesh_mean_volume`` reads the operator's measure.  A
+:class:`SmoothSettings` holds a run's step, sweep budget and stop rule.
 
 A Mesh is held as arrays: its vertices and, per kind, its node indices
 and element positions.  Mesh JSON is read and written per kind, through
@@ -55,7 +41,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import elements as el
-from .elements import _measure, _measure_buffers, _measure_plan
+from .elements import _measure_buffers, _measure_plan
 from .flow import (FlowDivergenceError, FlowSettings, _integer_at_least, _positive_finite,
                    _real, _set_fields)
 from .jsontext import json_list
@@ -295,49 +281,68 @@ class SmoothSettings:
         _set_fields(self, quality_tol=float(self.quality_tol))
 
 
+# numpy's warnings, muted in a sweep: a quality that is not finite raises in _summary
+_QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
+
+
+def _sweep_plan(m: Mesh):
+    """The sweep operator of ``m``, built once per run: the calls (measure, direction).
+
+    Per kind, a sweep works on the flow's component-major rows (E, 3, n):
+    row e lists the x, then y, then z coordinates of element e's
+    vertices.  ``measure(flat)`` reads them from the flat vertex array
+    with one ``take`` of ``Mesh.plan``'s offsets, into the rows of the
+    kind's measure plan (``elements._measure_plan``, as the flow's).  It
+    centers them and evaluates their field X at the centered rows, so q
+    and the step stay exact far from the origin; every sum runs along an
+    element's own row, so no q depends on the batch.  ``measure`` returns
+    per-element <X, c> and q = q_c / (18 Q_MAX[kind]) in element order.
+    ``direction(step)`` reads the last measure: per kind, X over psi's
+    divisor sqrt|X| is added into the flat array by one ``bincount`` over
+    the same offsets.  It returns ``step`` times each vertex's sum over
+    its element count, (n, 3).  Callers mute numpy's warnings (``_QUIET``).
+    """
+    offsets, _, count = m.plan
+    size, length, plans = _size(m.groups), count.size * 3, []
+    for (kind, _, pos), index in zip(m.groups, offsets):  # per kind: its rows, plan and measure
+        rows, out = np.empty(index.shape), _measure_buffers(len(index), index.shape[2])
+        plans.append((kind, pos, index, rows, _measure_plan(kind, el.GRADIENT, rows, out), out))
+
+    def measure(flat):
+        xc, q = np.empty(size), np.empty(size)
+        for kind, pos, index, rows, run, out in plans:
+            # the offsets are in range; take(out=) is buffered in the default mode
+            np.take(flat, index, out=rows, mode="clip")
+            run()
+            xc[pos], q[pos] = out.xc, out.q / (18.0 * el.Q_MAX[kind])
+        return xc, q
+
+    def direction(step):
+        acc = np.zeros(length)
+        for _, _, index, _, _, out in plans:
+            X = out.X / _divisor(out.norms[1])[:, None, None]
+            acc += np.bincount(index.ravel(), weights=X.ravel(), minlength=length)
+        return step * acc.reshape(-1, 3) / count
+
+    return measure, direction
+
+
 def _sweeps(m: Mesh, settings: SmoothSettings):
     """The vertices of ``m`` after the sweeps of ``settings``, and the reports of its states.
 
-    The state after i sweeps is one vertex array, stepped in place.  Per
-    kind, one ``take`` of the plan's offsets reads its element rows
-    (E, 3, n) into the rows of its measure plan (``_measure_plan``, built
-    once per run), which evaluates their field X once, at the centered
-    rows.  The state's report reads q and <X, c> from the
-    measure; the step scatters X, divided by psi's divisor sqrt|X| from
-    the measure's root |X|, times ``settings.step``, with one ``bincount``
-    over the same offsets.  At most ``settings.max_iters`` sweeps run;
-    they stop when min_q has not risen by ``settings.quality_tol`` over
-    ``_WINDOW`` sweeps.  A state whose quality is not finite raises: the
-    input with DegenerateConfigurationError, a later one with
-    FlowDivergenceError.  Only the first and the last report keep
-    ``per_element_q``.
+    The state after i sweeps is one vertex array; its report reads the
+    measure of the sweep operator (:func:`_sweep_plan`), and a step that
+    is taken adds its direction to the free vertices in place.  A state
+    whose quality is not finite raises: the input with
+    DegenerateConfigurationError, a later one with FlowDivergenceError.
     """
-    sweeps, quality_tol = settings.max_iters, settings.quality_tol
-    offsets, free, count = m.plan
-    size = _size(m.groups)
+    measure, direction = _sweep_plan(m)
     v = m.vertices.copy()
-    flat = v.ravel()
-    reports, plans = [], []
-    for (kind, _, _), index in zip(m.groups, offsets):  # per kind: its rows, plan and measure
-        rows, measured = np.empty(index.shape), _measure_buffers(len(index), index.shape[2])
-        plans.append((rows, _measure_plan(kind, el.GRADIENT, rows, measured), measured))
-    # A field or a step that overflows leaves a quality that is not finite,
-    # which raises in _summary, now or in the next sweep; numpy's warnings
-    # are muted.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for it in range(sweeps + 1):  # state it, after it sweeps
-            step = it < sweeps
-            xc, q, acc = np.empty(size), np.empty(size), np.zeros(flat.size)
-            for (kind, _, pos), index, (rows, measure, measured) in zip(m.groups, offsets, plans):
-                # the offsets are in range; take(out=) is buffered in the default mode
-                np.take(flat, index, out=rows, mode="clip")
-                measure()
-                xc[pos], q[pos] = measured.xc, measured.q / (18.0 * el.Q_MAX[kind])
-                if step:
-                    X = measured.X / _divisor(measured.norms[1])[:, None, None]
-                    acc += np.bincount(index.ravel(), weights=X.ravel(), minlength=flat.size)
+    flat, free, reports = v.ravel(), m.plan[1], []
+    with np.errstate(**_QUIET):
+        for it in range(settings.max_iters + 1):  # state it, after it sweeps
             try:
-                reports.append(_summary(m, v, xc, q))
+                reports.append(_summary(m, v, *measure(flat)))
             except DegenerateConfigurationError as exc:
                 if not it:
                     raise  # the input mesh
@@ -345,10 +350,11 @@ def _sweeps(m: Mesh, settings: SmoothSettings):
                 raise FlowDivergenceError(it) from exc
             if it > 1:
                 reports[-2] = replace(reports[-2], per_element_q=None)
-            if it >= _WINDOW and reports[-1].min_q - reports[-1 - _WINDOW].min_q < quality_tol:
+            if (it >= _WINDOW
+                    and reports[-1].min_q - reports[-1 - _WINDOW].min_q < settings.quality_tol):
                 break
-            if step:
-                np.add(v, settings.step * acc.reshape(-1, 3) / count, out=v, where=free)
+            if it < settings.max_iters:
+                np.add(v, direction(settings.step), out=v, where=free)
     return v, reports
 
 
@@ -375,15 +381,12 @@ def _summary(m: Mesh, v: np.ndarray, xc, q) -> QualityReport:
 def mesh_mean_volume(m: Mesh) -> float:
     """Sum of element mean volumes (signed; additive over elements).
 
-    Each element's <X, c> is read from its centered rows as in a sweep,
-    and their sum in element order is divided by 18, so this is the
-    quality report's ``mesh_mean_volume`` to the bit, and 0 for an
-    element whose vertices coincide.
+    The sum of the sweep operator's <X, c> (:func:`_sweep_plan`) in
+    element order, over 18: the quality report's ``mesh_mean_volume`` to
+    the bit, and 0 for an element whose vertices coincide.
     """
-    flat, xc = m.vertices.ravel(), np.empty(_size(m.groups))
-    with np.errstate(divide="ignore", invalid="ignore"):  # q_c of coincident vertices
-        for (kind, _, pos), index in zip(m.groups, m.plan[0]):
-            xc[pos] = _measure(kind, el.GRADIENT, flat.take(index)).xc
+    with np.errstate(**_QUIET):
+        xc = _sweep_plan(m)[0](m.vertices.ravel())[0]
     return float(xc.sum()) / 18.0
 
 
@@ -412,14 +415,11 @@ def quality_report(m: Mesh) -> QualityReport:
 def smooth_step(m: Mesh, settings: SmoothSettings = SmoothSettings()) -> Mesh:
     """One smoothing sweep: scatter-average element fields, displace free vertices.
 
-    Every element's gradient field is evaluated and rescaled by psi;
-    each vertex averages the contributions of the elements containing
-    it; free vertices move by step times that average.  Only ``step``
-    is read, of a :class:`FlowSettings` too if its normalization is
-    ``psi``: ``none`` raises ValueError, any other type TypeError,
-    before any field pass.  Fixed vertices are returned bitwise
-    unchanged.  As one reported sweep of ``smooth``'s loop, it raises
-    as :func:`smooth` does on a degenerate input or a diverging step.
+    Only ``step`` is read, of a :class:`FlowSettings` too if its
+    normalization is ``psi``: ``none`` raises ValueError, any other type
+    TypeError, before any field pass.  Fixed vertices are returned
+    bitwise unchanged.  As one reported sweep of ``smooth``'s loop, it
+    raises as :func:`smooth` does on a degenerate input or a diverging step.
     """
     if isinstance(settings, FlowSettings) and settings.normalization == "none":
         raise ValueError("smooth_step steps by psi, got normalization 'none'")
@@ -435,10 +435,10 @@ def smooth(m: Mesh, settings: SmoothSettings = SmoothSettings()):
     Returns ``(mesh, reports)`` where ``reports[i]`` is the
     :class:`QualityReport` (centered quality, see :func:`quality_report`)
     after i steps; ``reports[0]`` is the input state.  Only the first and
-    the last carry ``per_element_q`` (None between).  Each state's element
-    rows are gathered once and their fields evaluated once; they serve both
-    its report and the step that leaves it, so n sweeps cost n + 1 field
-    passes.  A mesh with every vertex fixed is returned unchanged with a warning.
+    the last carry ``per_element_q`` (None between).  Each state's fields
+    are evaluated once, for its report and the step that leaves it, so
+    n sweeps cost n + 1 field passes.  A mesh with every vertex fixed is
+    returned unchanged with a warning.
     A step that leaves an element's quality non-finite raises
     :class:`FlowDivergenceError` with the iteration of the state it leads to.
     All three fields of ``settings`` are read: the step, the sweep budget

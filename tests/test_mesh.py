@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import polyflow as pf
-from polyflow import elements
+from polyflow import elements, mesh
 
 
 def _single(kind, vertices, fixed=()):
@@ -401,6 +401,14 @@ class TestMeshMeanVolume:
                               ("tetrahedron", (0, 1, 2, 4))),
                     fixed=frozenset())
         assert pf.mesh_mean_volume(m) == pytest.approx(0.0, abs=1e-15)
+
+    def test_far_scale_leaks_no_warning(self):
+        # at 1e100 the unread <X, X> overflows, under the sweep's muted
+        # warnings; the volume, 1e300, is finite
+        m = _single("hexahedron", 1e100 * pf.reference_optimal("hexahedron"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pf.mesh_mean_volume(m) == pytest.approx(1e300, rel=1e-15, abs=0)
 
     def test_one_volume_rule_mixed(self):
         # mesh_mean_volume and the report read the same <X, c> / 18
@@ -873,7 +881,9 @@ class TestSmooth:
     def test_one_field_pass_per_sweep(self, monkeypatch):
         # each state's fields serve its report and its step: n sweeps make
         # n + 1 field passes per kind and no separate volume pass; a pass is
-        # a run of a field kernel plan, which field_batch and _measure build
+        # a run of a field kernel plan, which field_batch and _measure build.
+        # The other entry points run the same sweep operator: a report is
+        # one pass, smooth_step two, and mesh_mean_volume one
         field_calls, volume_calls = {}, []
         field_plan = elements._field_plan
 
@@ -895,6 +905,26 @@ class TestSmooth:
         assert len(reports) == sweeps + 1
         assert field_calls == {kind: sweeps + 1 for kind in pf.KINDS}
         assert volume_calls == []
+        for entry, passes in ((pf.quality_report, 1), (pf.smooth_step, 2),
+                              (pf.mesh_mean_volume, 1)):
+            field_calls.clear()
+            entry(_mixed_mesh())
+            assert field_calls == {kind: passes for kind in pf.KINDS}, entry.__name__
+        assert volume_calls == []
+
+    def test_no_scatter_on_the_stopping_state(self, monkeypatch):
+        # the direction is formed only for a step that is taken: the
+        # optimal cube stops at the window after 10 sweeps, 10 scatters
+        calls = []
+        divisor = mesh._divisor
+        monkeypatch.setattr(mesh, "_divisor", lambda r: calls.append(r) or divisor(r))
+        m = _single("hexahedron", pf.reference_optimal("hexahedron"))
+        _, reports = pf.smooth(m, pf.SmoothSettings())
+        assert len(reports) - 1 == 10
+        assert len(calls) == 10
+        calls.clear()
+        pf.quality_report(m)
+        assert calls == []
 
     def test_translation_far_from_origin(self):
         # the sweep evaluates each field at the centered rows, so a grid
