@@ -29,7 +29,8 @@ them, q_c, <X, c>, <X, X> and the roots |c| and |X|), and every volume
 is <X, c> / 18 of the gradient field at the centered rows (Euler's
 identity).  The measure writes into buffers that the caller may keep
 (the flow's workspace) and returns them, and the kernel writes the
-field into them through ``out=``.  Both are built once on their views and run as zero-argument calls
+field into them through ``out=``.  Both are built once on their views,
+the kernel's gather buffer too, and run as zero-argument calls
 (``_measure_plan``, ``_field_plan``): ``_measure`` and ``field_batch``
 build and run once, and the flow and the sweep keep their plans.
 """
@@ -151,14 +152,16 @@ def _field_plan(kind, variant, P, out=None):
     (B, 3n) rows measured 2.7x slower).  A vertex-major P, such as
     ``field``'s, is copied once, here, so its plan reads P as built.
     One row gather (``take(axis=0)``) reads the factors of both products
-    of every folded pair's cross product.  One matrix product of those
-    products prod (2K, 3B) with W = [S | -S] subtracts and contracts
-    them.  The batch sits on the M axis of that product,
-    ``np.dot(prod.T, W.T)`` (numpy hands the transposed view to gemm
-    without a copy): each configuration is three rows of one gemm, and
-    its value does not depend on B.  ``np.dot`` runs the gemm that
-    ``np.matmul`` runs, with the same bits (a test holds it to that),
-    for about half of matmul's fixed cost at B = 1.
+    of every folded pair's cross product into F (2, 2, K, 3, B), a
+    buffer of the plan, where they are multiplied in place; F, its views
+    and the run's calls are bound at build, so the copy at B > 1 is all a
+    run allocates.  One matrix product of those products prod (2K, 3B)
+    with W = [S | -S] subtracts and contracts them.  The batch sits on
+    the M axis of that product, ``np.dot(prod.T, W.T)`` (numpy hands the
+    transposed view to gemm without a copy): each configuration is three
+    rows of one gemm, and its value does not depend on B.  ``np.dot``
+    runs the gemm that ``np.matmul`` runs, with the same bits (a test
+    holds it to that), for about half of matmul's fixed cost at B = 1.
 
     Each run returns ``out``, a (B, n, 3) view, with the field written
     in.  Where out's (3, B, n) transpose is C-contiguous, as the
@@ -183,18 +186,17 @@ def _field_plan(kind, variant, P, out=None):
     result = target.reshape(3, B, n)
     if out is None:
         out = result.transpose(1, 2, 0)
+    F = np.empty(factors.shape + (B,))  # (2, 2, K, 3, B)
+    left, right = F[0], F[1]
+    left_T, take, multiply, dot = left.reshape(flat).T, Q.take, np.multiply, np.dot
 
     def run():
-        # One gather for both factors, multiplied in place: glibc returns the
-        # top of the heap to the system once more than twice its largest
-        # recent allocation is free there, which two gathers of half the size
-        # reached on every call (256 minor faults per call at B = 512
-        # hexahedra).  Not into a buffer of the plan: take(out=) is buffered
-        # in its default mode, and a product buffer left the cache at large B.
-        F = Q.take(factors, axis=0)  # (2, 2, K, 3, B)
-        prod = F[0]
-        prod *= F[1]
-        np.dot(prod.reshape(flat).T, WT, out=target)
+        # "clip" (the compiled indices are in range) writes into F in place,
+        # where the default mode gathers into a temporary and copies it: with
+        # the whole run timed, about 1 us less at B = 1, a tie at B = 512
+        take(factors, 0, F, "clip")
+        multiply(left, right, left)
+        dot(left_T, WT, target)
         if copy_to is not None:
             copy_to[...] = result
         return out

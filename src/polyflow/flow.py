@@ -53,9 +53,9 @@ dozen entries, and their fixed cost, not their arithmetic, is its time.
 So the loop binds its calls to locals once, passes each ``out`` by
 position, and writes both of its tests, |r| < tol and q_c not falling,
 into bool buffers of the workspace; the plans pass their ``out`` by
-position too, the field kernel contracts with ``np.dot``, and the
-measure's one ``np.sqrt`` reads a contiguous diagonal.  None of this
-changes an operation, so no bit changes either.
+position too, the field kernel gathers into its plan's buffer and
+contracts by ``np.dot``, and the measure's ``np.sqrt`` reads a contiguous
+diagonal.  No operation changes, so no bit does.
 """
 
 from __future__ import annotations

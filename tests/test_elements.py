@@ -146,14 +146,21 @@ def test_the_kernels_dot_is_matmuls_gemm(rng, kind, variant):
     # (B > 1), and on _field_jvp's 3n + 1 and 2k + 1 rows, which it hands
     # over as the transposed view of batch-minor rows.  A numpy or BLAS
     # update that breaks it fails here, by name, before any flow does.
+    # The plans on component-major rows are kept and run twice, with the
+    # rows rewritten in between, as the flow and the sweep keep theirs:
+    # the gather buffer a plan reuses carries nothing from run to run.
     n = pf.VERTEX_COUNT[kind]
     for B in (1, 2, 3, 100, 512):
-        P = rng.normal(size=(B, n, 3))
-        want = _matmul_field(kind, variant, P).tobytes()
-        assert pf.field_batch(kind, variant, P).tobytes() == want, B
-        X = np.empty((B, 3, n))
-        pf.field_batch(kind, variant, P, out=X.swapaxes(1, 2))
-        assert X.swapaxes(1, 2).tobytes() == want, B
+        rows, X = np.empty((B, 3, n)), np.empty((B, 3, n))
+        P = rows.swapaxes(1, 2)
+        into = elements._field_plan(kind, variant, P, X.swapaxes(1, 2))
+        alone = elements._field_plan(kind, variant, P)
+        for run in range(2):
+            rows[...] = rng.normal(size=rows.shape)
+            want = _matmul_field(kind, variant, P).tobytes()
+            assert pf.field_batch(kind, variant, P.copy()).tobytes() == want, (B, run)
+            assert alone().tobytes() == want, (B, run)
+            assert into().base is X and X.swapaxes(1, 2).tobytes() == want, (B, run)
     for B, k in ((1, None), (3, None), (1, 2), (7, 4)):
         size = B * (3 * n + 1 if k is None else 2 * k + 1)
         P = rng.normal(size=(3, n, size)).T  # the (B r, n, 3) view of batch-minor rows

@@ -712,6 +712,29 @@ def test_sweep_memory_peak():
     assert peak < 2.5e6
 
 
+@pytest.mark.parametrize("kind", ["hexahedron", "prism"])
+def test_a_measure_run_allocates_no_gather(kind):
+    # The field kernel gathers its factors into a buffer of its plan, built
+    # once, so repeated runs of a measure plan at B = 64 peak below half the
+    # gather's bytes: what is left is the contiguous copy of the strided
+    # batch-minor rows that the gather reads.
+    B, n = 64, pf.VERTEX_COUNT[kind]
+    P = np.ascontiguousarray(
+        np.random.default_rng(5).normal(size=(B, n, 3)).swapaxes(1, 2))
+    measure = elements._measure_plan(kind, elements.GRADIENT, P,
+                                     elements._measure_buffers(B, n))
+    gather = elements._COMPILED[kind, elements.GRADIENT][0].size * B * 8
+    measure()
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            measure()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < gather / 2
+
+
 def test_smooth_memory_does_not_grow_with_its_sweeps():
     # Only the first and the last report keep their per-element q, so 180
     # more sweeps of a jittered 8^3 hex grid add a summary per state (about
